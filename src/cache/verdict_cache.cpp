@@ -8,6 +8,7 @@
 
 #include "expr/optimize.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "solver/box.h"
 #include "support/check.h"
 #include "support/io.h"
@@ -127,6 +128,7 @@ void VerdictCache::Store(std::uint64_t scope, std::span<const Interval> box,
   const std::uint64_t key = MapKey(scope, box);
   std::lock_guard<std::mutex> lock(mu_);
   stores_.fetch_add(1, std::memory_order_relaxed);
+  ++generation_;
   std::vector<Entry>& bucket = entries_[key];
   for (Entry& e : bucket) {
     if (e.scope == scope && SameBoxBits(e.box, box)) {
@@ -154,6 +156,7 @@ bool VerdictCache::Erase(std::uint64_t scope, std::span<const Interval> box) {
       bucket.erase(bucket.begin() + static_cast<std::ptrdiff_t>(i));
       if (bucket.empty()) entries_.erase(it);
       --count_;
+      ++generation_;
       CacheEntriesGauge().Add(-1.0);
       return true;
     }
@@ -165,6 +168,12 @@ void VerdictCache::ForEach(
     const std::function<void(std::uint64_t, std::span<const Interval>,
                              const CachedVerdict&)>& fn) const {
   std::lock_guard<std::mutex> lock(mu_);
+  ForEachLocked(fn);
+}
+
+void VerdictCache::ForEachLocked(
+    const std::function<void(std::uint64_t, std::span<const Interval>,
+                             const CachedVerdict&)>& fn) const {
   std::vector<const Entry*> sorted;
   sorted.reserve(count_);
   for (const auto& [key, bucket] : entries_)
@@ -190,6 +199,11 @@ CacheCounters VerdictCache::counters() const {
 }
 
 std::string VerdictCache::ToJson() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return ToJsonLocked();
+}
+
+std::string VerdictCache::ToJsonLocked() const {
   // Canonical entry order (the ForEach order) → byte-identical files for
   // equal caches (CI uploads the cache as an artifact; stable bytes make
   // diffs meaningful).
@@ -200,8 +214,8 @@ std::string VerdictCache::ToJson() const {
   out += "  \"entries\": [";
   char buf[32];
   std::size_t i = 0;
-  ForEach([&](std::uint64_t scope, std::span<const Interval> box,
-              const CachedVerdict& verdict) {
+  ForEachLocked([&](std::uint64_t scope, std::span<const Interval> box,
+                    const CachedVerdict& verdict) {
     if (i++) out += ',';
     std::snprintf(buf, sizeof(buf), "%016llx",
                   static_cast<unsigned long long>(scope));
@@ -227,10 +241,19 @@ std::string VerdictCache::ToJson() const {
 }
 
 bool VerdictCache::FromJson(const std::string& json_text) {
+  Buckets staged;
+  std::size_t count = 0;
+  const bool ok = ParseDocument(json_text, &staged, &count);
+  Install(std::move(staged), count, /*persisted=*/false);
+  return ok;
+}
+
+bool VerdictCache::ParseDocument(const std::string& json_text, Buckets* out,
+                                 std::size_t* count) {
   // Parse into a staging map first so malformed input cannot leave the
   // cache half-loaded.
-  std::unordered_map<std::uint64_t, std::vector<Entry>> staged;
-  std::size_t count = 0;
+  Buckets staged;
+  std::size_t n = 0;
   try {
     const JsonValue root = json::ParseJson(json_text);
     XCV_CHECK_MSG(root.At("format").AsString() == "xcv-verdict-cache",
@@ -239,21 +262,24 @@ bool VerdictCache::FromJson(const std::string& json_text) {
     for (const JsonValue& ev : root.At("entries").array) {
       Entry e = EntryFromJson(ev);
       staged[MapKey(e.scope, e.box)].push_back(std::move(e));
-      ++count;
+      ++n;
     }
   } catch (const InternalError&) {
-    std::lock_guard<std::mutex> lock(mu_);
-    CacheEntriesGauge().Add(-static_cast<double>(count_));
-    entries_.clear();
-    count_ = 0;
     return false;
   }
+  *out = std::move(staged);
+  *count = n;
+  return true;
+}
+
+void VerdictCache::Install(Buckets staged, std::size_t count, bool persisted) {
   std::lock_guard<std::mutex> lock(mu_);
   CacheEntriesGauge().Add(static_cast<double>(count) -
                           static_cast<double>(count_));
   entries_ = std::move(staged);
   count_ = count;
-  return true;
+  ++generation_;
+  if (persisted) saved_generation_ = generation_;
 }
 
 VerdictCache::Entry VerdictCache::EntryFromJson(const JsonValue& ev) {
@@ -278,18 +304,29 @@ bool VerdictCache::Load(const std::string& path, CacheLoadStats* stats) {
   CacheLoadStats& s = stats != nullptr ? *stats : local;
   s = CacheLoadStats{};
 
+  // Every outcome but a clean load leaves the cache changed relative to the
+  // file (cold, or a salvaged prefix), so the next SaveIfChanged rewrites
+  // it.
   std::string text;
-  if (!support::ReadFileToString(path, &text, "cache.load")) {
+  auto cold = [&](std::string detail, bool quarantine) {
+    Install({}, 0, /*persisted=*/false);
     s.cold = true;
-    s.detail = "cannot read '" + path + "'";
-    return false;  // absent/unreadable file: cold start
-  }
+    if (quarantine) s.quarantine_path = support::QuarantineFile(path, text);
+    s.detail = std::move(detail);
+    return false;
+  };
+  if (!support::ReadFileToString(path, &text, "cache.load"))
+    return cold("cannot read '" + path + "'", false);  // absent/unreadable
   const support::ChecksumStatus checksum =
       support::VerifyDocumentChecksum(text);
 
-  if (checksum != support::ChecksumStatus::kMismatch && FromJson(text)) {
+  Buckets staged;
+  std::size_t count = 0;
+  if (checksum != support::ChecksumStatus::kMismatch &&
+      ParseDocument(text, &staged, &count)) {
+    Install(std::move(staged), count, /*persisted=*/true);
     s.clean = true;
-    s.entries_recovered = size();
+    s.entries_recovered = count;
     return true;
   }
 
@@ -303,13 +340,10 @@ bool VerdictCache::Load(const std::string& path, CacheLoadStats* stats) {
     } catch (const InternalError&) {
       parses = false;
     }
-    if (parses) {
-      s.cold = true;
-      s.quarantine_path = support::QuarantineFile(path, text);
-      s.detail = "checksum mismatch in '" + path +
-                 "' (content corruption); starting cold";
-      return false;
-    }
+    if (parses)
+      return cold("checksum mismatch in '" + path +
+                      "' (content corruption); starting cold",
+                  true);
   }
 
   // Torn file: recover the longest prefix of complete entry objects. Each
@@ -318,16 +352,11 @@ bool VerdictCache::Load(const std::string& path, CacheLoadStats* stats) {
   constexpr const char kEntriesMarker[] = "\"entries\": [";
   const std::size_t marker = text.find(kEntriesMarker);
   const std::size_t format = text.find("\"xcv-verdict-cache\"");
-  if (marker == std::string::npos || format == std::string::npos) {
-    s.cold = true;
-    s.quarantine_path = support::QuarantineFile(path, text);
-    s.detail = "cache '" + path +
-               "' is damaged before its entries array; starting cold";
-    return false;
-  }
+  if (marker == std::string::npos || format == std::string::npos)
+    return cold("cache '" + path +
+                    "' is damaged before its entries array; starting cold",
+                true);
 
-  std::unordered_map<std::uint64_t, std::vector<Entry>> staged;
-  std::size_t count = 0;
   std::size_t pos = marker + sizeof(kEntriesMarker) - 1;
   for (;;) {
     while (pos < text.size() &&
@@ -347,13 +376,7 @@ bool VerdictCache::Load(const std::string& path, CacheLoadStats* stats) {
     }
     pos = end;
   }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    CacheEntriesGauge().Add(static_cast<double>(count) -
-                            static_cast<double>(count_));
-    entries_ = std::move(staged);
-    count_ = count;
-  }
+  Install(std::move(staged), count, /*persisted=*/false);
   s.salvaged = true;
   s.entries_recovered = count;
   s.quarantine_path = support::QuarantineFile(path, text);
@@ -364,11 +387,41 @@ bool VerdictCache::Load(const std::string& path, CacheLoadStats* stats) {
 }
 
 void VerdictCache::Save(const std::string& path) const {
-  // The checksum is added at the file level, not in ToJson, so the
-  // in-memory document stays byte-identical to what the merge and
-  // round-trip tests compare.
-  support::AtomicWriteFile(path, support::AddDocumentChecksum(ToJson()),
-                           "cache.save");
+  std::lock_guard<std::mutex> save_lock(save_mu_);
+  WriteFile(path);
+}
+
+bool VerdictCache::SaveIfChanged(const std::string& path) const {
+  std::lock_guard<std::mutex> save_lock(save_mu_);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (generation_ == saved_generation_) return false;
+  }
+  WriteFile(path);
+  return true;
+}
+
+void VerdictCache::WriteFile(const std::string& path) const {
+  obs::Span span("cache-save");
+  // The snapshot and the generation it holds are read in one mu_ section,
+  // so a Store racing this save keeps the cache changed. The checksum is
+  // added at the file level, not in ToJson, so the in-memory document stays
+  // byte-identical to what the merge and round-trip tests compare.
+  std::string doc;
+  std::uint64_t generation = 0;
+  std::size_t entries = 0;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    doc = support::AddDocumentChecksum(ToJsonLocked());
+    generation = generation_;
+    entries = count_;
+  }
+  // Deterministic args only: fixed-clock traces stay byte-identical.
+  span.Arg("entries", static_cast<std::uint64_t>(entries));
+  span.Arg("bytes", static_cast<std::uint64_t>(doc.size()));
+  support::AtomicWriteFile(path, doc, "cache.save");
+  std::lock_guard<std::mutex> lock(mu_);
+  saved_generation_ = generation;
 }
 
 }  // namespace xcv::cache

@@ -25,18 +25,19 @@
 // Thread-safe: one mutex around the map; counters are atomics. On-disk
 // format is the repo's %.17g JSON (support/json.h), written atomically
 // (temp file + rename). A corrupt, truncated or missing file degrades to an
-// empty (cold) cache — it never throws out of Load.
+// empty (cold) cache — it never throws out of Load. A change generation
+// lets owners skip rewriting a file that already holds every entry
+// (SaveIfChanged).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <mutex>
 #include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
-
-#include <mutex>
 
 #include "interval/interval.h"
 
@@ -142,10 +143,18 @@ class VerdictCache {
   bool Load(const std::string& path, CacheLoadStats* stats = nullptr);
 
   /// Writes the cache to `path` durably and atomically (temp file + fsync
-  /// + rename + directory fsync), with a whole-document checksum. Honours
-  /// the "cache.save.*" fault points. Throws xcv::InternalError on I/O
-  /// failure.
+  /// + rename + directory fsync), with a whole-document checksum. Saves of
+  /// one cache are serialized (they share the "<path>.tmp" name); lookups
+  /// and stores never wait on the file I/O. Honours the "cache.save.*"
+  /// fault points. Throws xcv::InternalError on I/O failure.
   void Save(const std::string& path) const;
+
+  /// Save, skipped when nothing changed since the cache last matched a
+  /// file: a clean Load or a successful Save. A fresh cache, a cold or
+  /// salvaged Load, and every Store, Erase or FromJson count as changes.
+  /// The check runs under the save lock, so a concurrent Save that already
+  /// covers every change makes this a no-op. Returns true when it wrote.
+  bool SaveIfChanged(const std::string& path) const;
 
  private:
   struct Entry {
@@ -153,16 +162,37 @@ class VerdictCache {
     std::vector<Interval> box;
     CachedVerdict verdict;
   };
+  using Buckets = std::unordered_map<std::uint64_t, std::vector<Entry>>;
 
   static std::uint64_t MapKey(std::uint64_t scope,
                               std::span<const Interval> box);
   static Entry EntryFromJson(const json::JsonValue& ev);
+  /// Parses a whole document into `*out`; false (and `*out` untouched) on
+  /// malformed input.
+  static bool ParseDocument(const std::string& json_text, Buckets* out,
+                            std::size_t* count);
+  /// Replaces every entry with `staged` (one change); `persisted` records
+  /// that a file holds exactly these entries.
+  void Install(Buckets staged, std::size_t count, bool persisted);
+  void ForEachLocked(
+      const std::function<void(std::uint64_t, std::span<const Interval>,
+                               const CachedVerdict&)>& fn) const;
+  std::string ToJsonLocked() const;
+  void WriteFile(const std::string& path) const;  // save_mu_ held
 
   mutable std::mutex mu_;
   // Buckets by combined (scope, box-bits) hash; entries inside a bucket are
   // disambiguated by exact scope and box comparison.
-  std::unordered_map<std::uint64_t, std::vector<Entry>> entries_;
+  Buckets entries_;
   std::size_t count_ = 0;
+  // Change generation (guarded by mu_): every change to the entries bumps
+  // generation_; saved_generation_ is the generation the last clean Load or
+  // successful Save put on disk. They differ while no file holds the
+  // current entries.
+  std::uint64_t generation_ = 1;
+  mutable std::uint64_t saved_generation_ = 0;
+  // Serializes saves (taken before mu_, held across the file I/O).
+  mutable std::mutex save_mu_;
 
   mutable std::atomic<std::uint64_t> hits_{0};
   mutable std::atomic<std::uint64_t> misses_{0};

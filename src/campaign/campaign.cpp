@@ -303,9 +303,10 @@ CampaignResult Campaign::Run(ProgressFn progress) {
     result.cache_entries = cache->size();
     result.cache_was_warm = cache_was_warm_;
     // Only the owned, file-backed cache is saved here; a shared cache's
-    // owner (the daemon) decides when and where it persists.
+    // owner (the daemon) decides when and where it persists. A run that
+    // stored nothing into a cleanly loaded file leaves the file untouched.
     if (cache_ != nullptr && !options_.cache_readonly)
-      cache_->Save(options_.cache_path);
+      cache_->SaveIfChanged(options_.cache_path);
   }
   {
     std::lock_guard<std::mutex> lock(progress_mu_);

@@ -76,9 +76,10 @@ struct CampaignOptions {
   /// When non-empty, the campaign owns a persistent verdict cache
   /// (src/cache/): loaded from this path before Run (a missing or corrupt
   /// file degrades to a cold cache), consulted/extended by every solver
-  /// call, and written back atomically when Run returns. The cache only
-  /// skips solver work — verdicts, leaves and witnesses are byte-identical
-  /// with the cache on, off, warm, or cold.
+  /// call, and written back atomically when Run returns — unless the file
+  /// loaded clean and the run stored nothing (VerdictCache::SaveIfChanged).
+  /// The cache only skips solver work — verdicts, leaves and witnesses are
+  /// byte-identical with the cache on, off, warm, or cold.
   std::string cache_path;
   /// Consult the cache but never write the file back (shared/CI caches).
   bool cache_readonly = false;

@@ -613,9 +613,12 @@ void Daemon::RunJob(Job* job) {
                    job->id.c_str(), JobStatusToken(job->status),
                    job->pairs_done, job->pairs.size());
   }
-  // Persist the shared cache after every job so a kill between jobs keeps
-  // the warmth (VerdictCache::Save is atomic + checksummed).
-  cache_.Save(CachePath());
+  // Persist the shared cache after every job that stored a verdict, so a
+  // kill between jobs keeps the warmth. Saves are atomic, checksummed and
+  // serialized by the cache: this runs after the slot is freed, so it can
+  // overlap the next job's save. A warm resubmission stores nothing and
+  // leaves the file alone.
+  cache_.SaveIfChanged(CachePath());
 }
 
 // ---- Endpoints --------------------------------------------------------------

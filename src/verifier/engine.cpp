@@ -5,7 +5,6 @@
 #include <cmath>
 #include <limits>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "expr/eval.h"
@@ -513,35 +512,33 @@ bool PairEngine::ProcessNext(const std::atomic<bool>* cancel) {
 bool PairEngine::RevalidateCachedResult(DeltaSolver& solver,
                                         std::uint64_t seq, const Box& box,
                                         const CheckResult& result) {
-  int tri = 0;
-  bool have_tri = false;
+  int tri = kRevalPending;
+  std::vector<Box> wave;
+  std::vector<std::uint64_t> members;  // seqs of wave[1..]
   {
     std::lock_guard<std::mutex> lock(mu_);
-    const auto it = reval_tri_.find(seq);
-    if (it != reval_tri_.end()) {
+    if (const auto it = reval_tri_.find(seq); it != reval_tri_.end())
       tri = it->second;
-      have_tri = true;
-    }
-  }
-  if (!have_tri) {
-    // Build a revalidation wave: this box plus open frontier boxes not yet
-    // classified, up to the solver's wave width, so one batched sweep
-    // covers the pops that follow. (Boxes are copied out under the lock;
-    // frontier entries are immutable until popped, so the classification
-    // stays valid whenever it is consumed.)
-    std::vector<std::uint64_t> seqs{seq};
-    std::vector<Box> wave{box};
-    const auto width = static_cast<std::size_t>(
-        std::max(1, options_.solver.wave_width));
-    {
-      std::lock_guard<std::mutex> lock(mu_);
+    if (tri == kRevalPending) {
+      // Build a revalidation wave: this box plus open frontier boxes no
+      // earlier wave classified or claimed, up to the solver's wave width,
+      // so one batched sweep covers the pops that follow. Members are
+      // claimed (marked pending) here, so a concurrent wave skips them.
+      // (Boxes are copied out under the lock; frontier entries are
+      // immutable until popped, so a classification stays valid whenever
+      // it is consumed.)
+      const auto width = static_cast<std::size_t>(
+          std::max(1, options_.solver.wave_width));
+      wave.push_back(box);
       for (const OpenBox& b : open_) {
         if (wave.size() >= width) break;
-        if (reval_tri_.count(b.seq) != 0) continue;
-        seqs.push_back(b.seq);
+        if (!reval_tri_.try_emplace(b.seq, kRevalPending).second) continue;
+        members.push_back(b.seq);
         wave.push_back(Box(store_.View(b.box_ref)));
       }
     }
+  }
+  if (tri == kRevalPending) {
     std::vector<int> tris;
     {
       obs::Span reval_span("cache-revalidate");
@@ -550,18 +547,13 @@ bool PairEngine::RevalidateCachedResult(DeltaSolver& solver,
     }
     CacheRevalidationCounter().Inc();
     tri = tris[0];
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      // Only keep classifications for boxes still open: another worker may
-      // have popped (and finished) a wave member while the sweep ran, and
-      // inserting its tri afterwards would leave a dead entry in the map
-      // forever (its erase already happened). Seqs never recycle, so a
-      // skipped insert is at worst a re-classification later.
-      std::unordered_set<std::uint64_t> open_seqs;
-      open_seqs.reserve(open_.size());
-      for (const OpenBox& b : open_) open_seqs.insert(b.seq);
-      for (std::size_t i = 1; i < seqs.size(); ++i)
-        if (open_seqs.count(seqs[i]) != 0) reval_tri_.emplace(seqs[i], tris[i]);
+    std::lock_guard<std::mutex> lock(mu_);
+    // Fill in only the claims still pending: a member popped and recorded
+    // while the sweep ran already had its entry erased.
+    for (std::size_t i = 0; i < members.size(); ++i) {
+      const auto it = reval_tri_.find(members[i]);
+      if (it != reval_tri_.end() && it->second == kRevalPending)
+        it->second = tris[i + 1];
     }
   }
 
@@ -650,6 +642,7 @@ std::vector<Box> PairEngine::TakeOpenFrontier() {
     store_.Release(b.box_ref);
   }
   open_.clear();
+  reval_tri_.clear();  // nothing is open or in flight any more
   std::sort(out.begin(), out.end(), BoxLess);
   return out;
 }

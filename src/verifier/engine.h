@@ -128,11 +128,12 @@ class PairEngine {
 
   /// Decides whether a cache-replayed CheckResult for `box` may be trusted.
   /// The box's interval classification comes from the revalidation map if an
-  /// earlier wave covered it; otherwise one batched sweep classifies the box
-  /// together with up to wave_width-1 open frontier boxes (so a warm replay
-  /// pays one EvalTapeIntervalBatch dispatch per wave, not per box). Returns
-  /// false when the classification or the cached model contradicts the
-  /// cached verdict — the caller then re-solves with the cache bypassed.
+  /// earlier wave classified it; otherwise one batched sweep classifies the
+  /// box together with up to wave_width-1 unclaimed open frontier boxes (so
+  /// a warm replay pays one EvalTapeIntervalBatch dispatch per wave, not per
+  /// box). Returns false when the classification or the cached model
+  /// contradicts the cached verdict — the caller then re-solves with the
+  /// cache bypassed.
   bool RevalidateCachedResult(solver::DeltaSolver& solver, std::uint64_t seq,
                               const solver::Box& box,
                               const solver::CheckResult& result);
@@ -154,10 +155,15 @@ class PairEngine {
   std::atomic<std::uint64_t> solver_calls_{0};
   std::atomic<std::uint64_t> solver_timeouts_{0};
 
-  // Verdict-cache bookkeeping. reval_tri_ holds interval classifications
-  // (+1/-1/0) of open boxes computed by revalidation waves, keyed by the
-  // box's frontier seq (slot refs recycle, seqs never do); entries are
-  // consumed/cleared when the box is processed.
+  // Verdict-cache bookkeeping. reval_tri_ holds, per box a revalidation
+  // wave covered, keyed by the box's frontier seq (slot refs recycle, seqs
+  // never do), either its interval classification (+1/-1/0) or
+  // kRevalPending: the box was claimed for a wave whose sweep is still
+  // running (a pop that finds it pending runs a wave of its own). A wave
+  // fills in only the claims still pending when its sweep ends, and a box's
+  // entry is erased when its outcome is recorded, so the map holds only
+  // open or in-flight boxes and each wave costs O(wave), never O(frontier).
+  static constexpr int kRevalPending = 2;
   std::atomic<std::uint64_t> cache_hits_{0};
   std::atomic<std::uint64_t> cache_misses_{0};
   std::atomic<std::uint64_t> cache_rejected_{0};

@@ -1,12 +1,19 @@
 // Persistent verdict cache: round-trip exactness, warm-replay equality with
-// cache-less runs, options-hash (in)sensitivity, revalidation rejection of
-// poisoned entries, and corrupt-file degradation.
+// cache-less runs (also with concurrent workers at every wave width),
+// options-hash (in)sensitivity, revalidation rejection of poisoned entries,
+// corrupt-file degradation, the change generation that spares an unchanged
+// file its rewrite, and concurrent saves.
+#include <sys/stat.h>
+
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,7 +24,10 @@
 #include "conditions/conditions.h"
 #include "expr/optimize.h"
 #include "functionals/functional.h"
+#include "obs/trace.h"
 #include "solver/icp.h"
+#include "support/check.h"
+#include "support/json.h"
 #include "verifier/verifier.h"
 
 namespace xcv::cache {
@@ -60,6 +70,27 @@ std::vector<const ConditionInfo*> TestConditions() {
 
 std::string TempPath(const char* name) {
   return std::string(::testing::TempDir()) + "/" + name;
+}
+
+std::string ReadAll(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+/// A file's identity on disk: the atomic save (temp file + rename) gives
+/// the path a new inode, while an untouched file keeps inode and mtime.
+std::pair<ino_t, std::int64_t> InodeAndMtime(const std::string& path) {
+  struct stat st {};
+  if (::stat(path.c_str(), &st) != 0) return {0, 0};
+  return {st.st_ino,
+          std::int64_t{st.st_mtim.tv_sec} * 1'000'000'000 + st.st_mtim.tv_nsec};
+}
+
+std::uint64_t SolverCalls(const CampaignResult& result) {
+  std::uint64_t calls = 0;
+  for (const PairState& p : result.pairs) calls += p.report.solver_calls;
+  return calls;
 }
 
 CampaignResult RunMatrixCampaign(CampaignOptions options) {
@@ -175,11 +206,166 @@ TEST(VerdictCache, WarmCampaignReplaysByteIdenticalAndSkipsSolverCalls) {
 
   // ... and it must actually skip: every deterministic verdict replays, so
   // the warm run does far fewer than half the cold run's solver calls.
-  std::uint64_t cold_calls = 0, warm_calls = 0;
-  for (const PairState& p : cold.pairs) cold_calls += p.report.solver_calls;
-  for (const PairState& p : warm.pairs) warm_calls += p.report.solver_calls;
-  EXPECT_GT(cold_calls, 0u);
-  EXPECT_LE(warm_calls * 2, cold_calls);
+  EXPECT_GT(SolverCalls(cold), 0u);
+  EXPECT_LE(SolverCalls(warm) * 2, SolverCalls(cold));
+  std::remove(path.c_str());
+}
+
+TEST(VerdictCache, MultiThreadedWarmReplayAtEveryWaveWidth) {
+  // Split fine enough that the open frontier runs to hundreds of boxes,
+  // far wider than any revalidation wave, so concurrent workers build
+  // overlapping waves and pop each other's claimed (pending) boxes.
+  CampaignOptions base = FastCampaignOptions();
+  base.verifier.split_threshold = 0.1;
+  base.verifier.solver.max_nodes = 50;
+  const std::string bare = DeterministicFace(RunMatrixCampaign(base));
+
+  const std::string path = TempPath("cache_mt_replay.json");
+  std::remove(path.c_str());
+  CampaignOptions cached = base;
+  cached.cache_path = path;
+  const CampaignResult cold = RunMatrixCampaign(cached);
+  ASSERT_EQ(DeterministicFace(cold), bare);
+  const std::uint64_t cold_calls = SolverCalls(cold);
+  ASSERT_GT(cold_calls, 1000u);
+  const auto written = InodeAndMtime(path);
+  ASSERT_NE(written.first, 0u);
+
+  for (const int threads : {2, 4}) {
+    for (const int width : {1, 8, 64}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " wave_width=" + std::to_string(width));
+      CampaignOptions warm_options = cached;
+      warm_options.num_threads = threads;
+      warm_options.verifier.solver.wave_width = width;
+      const CampaignResult warm = RunMatrixCampaign(warm_options);
+      EXPECT_EQ(DeterministicFace(warm), bare);
+      EXPECT_EQ(warm.CacheHits(), cold_calls);
+      EXPECT_EQ(SolverCalls(warm), 0u);
+      EXPECT_EQ(warm.CacheRejected(), 0u);
+      // It stored nothing, so the file was not rewritten.
+      EXPECT_EQ(InodeAndMtime(path), written);
+    }
+  }
+
+  // Tear the file in place after its last entry: salvage recovers every
+  // entry, so the next run again stores nothing — yet a salvaged load
+  // counts as a change, and the torn file is rewritten whole.
+  const std::string bytes = ReadAll(path);
+  const std::size_t entries_end = bytes.rfind("\n  ]");
+  ASSERT_NE(entries_end, std::string::npos);
+  {
+    std::ofstream os(path, std::ios::binary | std::ios::trunc);
+    os << bytes.substr(0, entries_end);
+  }
+  ASSERT_EQ(InodeAndMtime(path).first, written.first);
+  const CampaignResult salvaged = RunMatrixCampaign(cached);
+  EXPECT_EQ(salvaged.CacheHits(), cold_calls);
+  EXPECT_EQ(SolverCalls(salvaged), 0u);
+  EXPECT_NE(InodeAndMtime(path).first, written.first);
+  VerdictCache reloaded;
+  CacheLoadStats stats;
+  EXPECT_TRUE(reloaded.Load(path, &stats));
+  EXPECT_TRUE(stats.clean);
+  EXPECT_EQ(reloaded.size(), cold.cache_entries);
+  std::remove(path.c_str());
+  std::remove((path + ".corrupt").c_str());
+}
+
+TEST(VerdictCache, SaveIfChangedFollowsTheChangeGeneration) {
+  const std::string path = TempPath("cache_generation.json");
+  std::remove(path.c_str());
+  const std::vector<Interval> box{Interval(0.0, 1.0)};
+
+  VerdictCache cache;
+  EXPECT_TRUE(cache.SaveIfChanged(path));  // fresh: no file holds it yet
+  EXPECT_FALSE(cache.SaveIfChanged(path));
+  cache.Store(1, box, CachedVerdict{});
+  EXPECT_TRUE(cache.SaveIfChanged(path));
+  EXPECT_FALSE(cache.SaveIfChanged(path));
+  EXPECT_FALSE(cache.Erase(2, box));  // nothing removed, nothing changed
+  EXPECT_FALSE(cache.SaveIfChanged(path));
+  cache.Store(2, box, CachedVerdict{});
+  cache.Save(path);  // an unconditional save also records the generation
+  EXPECT_FALSE(cache.SaveIfChanged(path));
+  EXPECT_TRUE(cache.Erase(2, box));
+  EXPECT_TRUE(cache.SaveIfChanged(path));
+  ASSERT_TRUE(cache.FromJson(cache.ToJson()));
+  EXPECT_TRUE(cache.SaveIfChanged(path));
+
+  VerdictCache loaded;
+  ASSERT_TRUE(loaded.Load(path));  // clean: the file holds every entry
+  EXPECT_FALSE(loaded.SaveIfChanged(path));
+  const std::string absent_path = TempPath("cache_generation_absent.json");
+  std::remove(absent_path.c_str());
+  VerdictCache absent;
+  EXPECT_FALSE(absent.Load(absent_path));  // cold: nothing on disk yet
+  EXPECT_TRUE(absent.SaveIfChanged(absent_path));
+  std::remove(path.c_str());
+  std::remove(absent_path.c_str());
+}
+
+TEST(VerdictCache, SaveIsTracedWithDeterministicArgs) {
+  const std::string path = TempPath("cache_traced_save.json");
+  VerdictCache cache;
+  cache.Store(1, std::vector<Interval>{Interval(0.0, 1.0)}, CachedVerdict{});
+  auto record = [&] {
+    obs::TraceRecorder& rec = obs::TraceRecorder::Global();
+    std::uint64_t now = 0;
+    rec.StartWithClock([&now] { return ++now; });
+    cache.Save(path);
+    cache.SaveIfChanged(path);  // unchanged: no write, no span
+    return rec.Stop();
+  };
+  const std::string trace = record();
+  EXPECT_EQ(record(), trace);  // fixed clock: byte-identical
+
+  const json::JsonValue root = json::ParseJson(trace);
+  std::size_t saves = 0;
+  for (const json::JsonValue& e : root.At("traceEvents").array) {
+    const json::JsonValue* name = e.Find("name");
+    if (name == nullptr || name->AsString() != "cache-save") continue;
+    ++saves;
+    EXPECT_EQ(e.At("args").At("entries").AsDouble(), 1.0);
+    EXPECT_EQ(e.At("args").At("bytes").AsDouble(),
+              static_cast<double>(ReadAll(path).size()));
+  }
+  EXPECT_EQ(saves, 1u);
+  std::remove(path.c_str());
+}
+
+TEST(VerdictCache, ConcurrentSavesToOnePathAllSucceed) {
+  // Concurrent saves of one cache share the "<path>.tmp" name; unserialized,
+  // one rename moves the other's file away and the second rename throws.
+  // A small cache keeps the saves' file I/O overlapping.
+  const std::string path = TempPath("cache_concurrent_save.json");
+  std::remove(path.c_str());
+  VerdictCache cache;
+  for (int i = 0; i < 10; ++i)
+    cache.Store(static_cast<std::uint64_t>(i),
+                std::vector<Interval>{Interval(i, i + 1.0)}, CachedVerdict{});
+
+  std::atomic<int> failures{0};
+  std::vector<std::thread> savers;
+  for (int t = 0; t < 4; ++t) {
+    savers.emplace_back([&] {
+      for (int k = 0; k < 25; ++k) {
+        try {
+          cache.Save(path);
+        } catch (const InternalError&) {
+          failures.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& t : savers) t.join();
+  EXPECT_EQ(failures.load(), 0);
+
+  VerdictCache reloaded;
+  CacheLoadStats stats;
+  EXPECT_TRUE(reloaded.Load(path, &stats));
+  EXPECT_TRUE(stats.clean);
+  EXPECT_EQ(reloaded.ToJson(), cache.ToJson());
   std::remove(path.c_str());
 }
 

@@ -5,6 +5,9 @@
 // resubmission through the shared verdict cache, pause -> daemon restart ->
 // resume, and queue-journal durability (truncation sweep, injected torn
 // write, injected read EIO).
+#include <sys/stat.h>
+
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -48,6 +51,12 @@ std::string ReadAll(const std::string& path) {
 void WriteAll(const std::string& path, const std::string& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// The file's inode: an atomic rewrite (temp file + rename) changes it.
+std::uint64_t InodeOf(const std::string& path) {
+  struct stat st {};
+  return ::stat(path.c_str(), &st) == 0 ? st.st_ino : 0;
 }
 
 /// A fresh per-test state directory under the gtest temp root.
@@ -467,6 +476,58 @@ TEST(DaemonHttpTest, SubmitPollReportMatchesDirectRunByteForByte) {
       std::filesystem::exists(options.state_dir + "/cache.json"));
   EXPECT_TRUE(
       std::filesystem::exists(options.state_dir + "/queue.json"));
+}
+
+TEST(DaemonHttpTest, SharedCacheFileIsRewrittenOnlyAfterJobsThatStore) {
+  DaemonOptions options;
+  options.state_dir = FreshStateDir("cache_file");
+  options.port = 0;
+  Daemon daemon(options);
+  daemon.Start();
+  const int port = daemon.port();
+  const std::string cache_path = options.state_dir + "/cache.json";
+
+  auto run_job = [&](const std::string& spec) {
+    const HttpResponse submit = HttpFetch(port, "POST", "/v1/campaigns", spec);
+    EXPECT_EQ(submit.status, 201) << submit.body;
+    const std::string id = json::ParseJson(submit.body).At("id").AsString();
+    EXPECT_EQ(WaitForStatus(port, id, {"done", "failed"}), "done");
+    return HttpFetch(port, "GET", "/v1/campaigns/" + id + "/report?format=csv")
+        .body;
+  };
+  // The after-job save runs once the job is reported done; wait for the
+  // file's inode to differ from `old` (0: no file yet).
+  auto wait_for_new_inode = [&](std::uint64_t old) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    std::uint64_t inode = InodeOf(cache_path);
+    while (inode == old && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      inode = InodeOf(cache_path);
+    }
+    return inode;
+  };
+
+  // A cold job stores verdicts: the shared cache file appears.
+  EXPECT_GT(SumSolverCalls(run_job(kInstantSpec)), 0u);
+  const std::uint64_t cold_inode = wait_for_new_inode(0);
+  ASSERT_NE(cold_inode, 0u);
+
+  // Warm resubmissions store nothing and leave the file alone. (Each save
+  // decision waits for a save in progress: saves of one cache are
+  // serialized. The second resubmission gives the first one's decision
+  // time to land.)
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_EQ(SumSolverCalls(run_job(kInstantSpec)), 0u);
+    EXPECT_EQ(InodeOf(cache_path), cold_inode);
+  }
+
+  // A job at a new node budget is cold again and replaces the file.
+  std::string other = kInstantSpec;
+  other.replace(other.find("2000"), 4, "1999");
+  EXPECT_GT(SumSolverCalls(run_job(other)), 0u);
+  EXPECT_NE(wait_for_new_inode(cold_inode), cold_inode);
+  daemon.Stop();
 }
 
 TEST(DaemonHttpTest, MetricsEndpointAgreesWithReportAndServesTraces) {
