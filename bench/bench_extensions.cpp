@@ -29,7 +29,7 @@ int main() {
 
   // Enclosure width across the α-switch: rSCAN's polynomial switch avoids
   // the exp(c/(1-α)) blow-up when a box straddles α = 1.
-  expr::TapeScratch scratch;
+  expr::TapeIntervalBatchScratch scratch;
   const auto t_scan = expr::Compile(scan.eps_c);
   const auto t_rscan = expr::Compile(rscan.eps_c);
   std::printf("eps_c enclosure width on rs=[1,1.05], s=[0.5,0.55], "

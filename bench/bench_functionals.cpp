@@ -21,8 +21,8 @@ int main() {
     expr::Expr total = f.eps_c;
     if (f.HasExchange()) total = expr::Add(f.eps_x, f.eps_c);
     const auto tape = expr::Compile(total);
-    expr::TapeScratch scratch;
-    // Time double evaluation over a sweep of points.
+    expr::TapeBatchScratch scratch;
+    // Time double evaluation over a sweep of points, one point per call.
     Stopwatch watch;
     const int kPoints = 20000;
     double sink = 0.0;
@@ -30,7 +30,10 @@ int main() {
       const double env[3] = {0.1 + 4.8 * (i % 100) / 99.0,
                              5.0 * ((i / 100) % 100) / 99.0,
                              0.5 + (i % 7) * 0.5};
-      sink += expr::EvalTape(tape, env, scratch);
+      const double* inputs[3] = {&env[0], &env[1], &env[2]};
+      double value = 0.0;
+      expr::EvalTapeBatch(tape, inputs, 1, &value, scratch);
+      sink += value;
     }
     const double ns = watch.ElapsedSeconds() / kPoints * 1e9;
     std::printf("%-9s %-9s %-14s %10zu %10zu %8zu %7s %7.0f\n",

@@ -1,6 +1,8 @@
 // Microbenchmarks (google-benchmark): interval primitives, tape
 // evaluation (double and interval), symbolic differentiation, HC4
-// contraction, and one full solver call per functional family.
+// contraction, and one full solver call per functional family. Scalar
+// baselines run the tests/ oracle (tests/scalar_reference.h), the
+// box-by-box reference the batched kernels are audited against.
 //
 // After the registered benchmarks run, main() times the grid-evaluation
 // engine — seed-style scalar loop vs optimized tape vs batched SoA — on the
@@ -27,10 +29,10 @@
 #include "interval/interval.h"
 #include "shard/merge.h"
 #include "shard/partition.h"
-#include "solver/contractor.h"
 #include "solver/icp.h"
 #include "support/simd.h"
 #include "support/stopwatch.h"
+#include "tests/scalar_reference.h"
 
 namespace {
 
@@ -67,10 +69,10 @@ const functionals::Functional& FunctionalByIndex(int i) {
 void BM_TapeEvalDouble(benchmark::State& state) {
   const auto& f = FunctionalByIndex(static_cast<int>(state.range(0)));
   const auto tape = expr::Compile(f.eps_c);
-  expr::TapeScratch scratch;
+  oracle::TapeScratch scratch;
   const double env[3] = {1.3, 0.9, 1.4};
   for (auto _ : state)
-    benchmark::DoNotOptimize(expr::EvalTape(tape, env, scratch));
+    benchmark::DoNotOptimize(oracle::EvalTape(tape, env, scratch));
   state.SetLabel(f.name);
 }
 BENCHMARK(BM_TapeEvalDouble)->DenseRange(0, 4);
@@ -78,11 +80,12 @@ BENCHMARK(BM_TapeEvalDouble)->DenseRange(0, 4);
 void BM_TapeEvalInterval(benchmark::State& state) {
   const auto& f = FunctionalByIndex(static_cast<int>(state.range(0)));
   const auto tape = expr::Compile(f.eps_c);
-  expr::TapeScratch scratch;
+  oracle::TapeScratch scratch;
   const std::vector<Interval> box{Interval(1.0, 1.5), Interval(0.5, 1.0),
                                   Interval(1.0, 2.0)};
   for (auto _ : state)
-    benchmark::DoNotOptimize(expr::EvalTapeInterval(tape, box, scratch));
+    benchmark::DoNotOptimize(
+        oracle::EvalTapeIntervalForward(tape, box, scratch));
   state.SetLabel(f.name);
 }
 BENCHMARK(BM_TapeEvalInterval)->DenseRange(0, 4);
@@ -100,12 +103,13 @@ BENCHMARK(BM_SymbolicDerivative)->DenseRange(0, 4);
 void BM_Hc4Contract(benchmark::State& state) {
   const auto& f = FunctionalByIndex(static_cast<int>(state.range(0)));
   const auto fc = conditions::CorrelationEnhancement(f);
-  solver::AtomContractor contractor(expr::Neg(fc), expr::Rel::kLe);
-  expr::TapeScratch scratch;
+  const expr::Tape tape = expr::CompileOptimized(expr::Neg(fc));
+  oracle::TapeScratch scratch;
   for (auto _ : state) {
     solver::Box box({Interval(0.5, 2.5), Interval(0.5, 2.5),
                      Interval(0.5, 2.5)});
-    benchmark::DoNotOptimize(contractor.Contract(box, scratch));
+    benchmark::DoNotOptimize(
+        oracle::Contract(tape, box.MutableDims(), scratch));
   }
   state.SetLabel(f.name);
 }
@@ -127,10 +131,10 @@ BENCHMARK(BM_SolverCallEc1)->DenseRange(0, 4)->Unit(benchmark::kMillisecond);
 void BM_TapeEvalDoubleOptimized(benchmark::State& state) {
   const auto& f = FunctionalByIndex(static_cast<int>(state.range(0)));
   const auto tape = expr::CompileOptimized(f.eps_c);
-  expr::TapeScratch scratch;
+  oracle::TapeScratch scratch;
   const double env[3] = {1.3, 0.9, 1.4};
   for (auto _ : state)
-    benchmark::DoNotOptimize(expr::EvalTape(tape, env, scratch));
+    benchmark::DoNotOptimize(oracle::EvalTape(tape, env, scratch));
   state.SetLabel(f.name);
 }
 BENCHMARK(BM_TapeEvalDoubleOptimized)->DenseRange(0, 4);
@@ -138,11 +142,12 @@ BENCHMARK(BM_TapeEvalDoubleOptimized)->DenseRange(0, 4);
 void BM_TapeEvalIntervalOptimized(benchmark::State& state) {
   const auto& f = FunctionalByIndex(static_cast<int>(state.range(0)));
   const auto tape = expr::CompileOptimized(f.eps_c);
-  expr::TapeScratch scratch;
+  oracle::TapeScratch scratch;
   const std::vector<Interval> box{Interval(1.0, 1.5), Interval(0.5, 1.0),
                                   Interval(1.0, 2.0)};
   for (auto _ : state)
-    benchmark::DoNotOptimize(expr::EvalTapeInterval(tape, box, scratch));
+    benchmark::DoNotOptimize(
+        oracle::EvalTapeIntervalForward(tape, box, scratch));
   state.SetLabel(f.name);
 }
 BENCHMARK(BM_TapeEvalIntervalOptimized)->DenseRange(0, 4);
@@ -183,13 +188,13 @@ BENCHMARK(BM_TapeEvalIntervalBatch64)->DenseRange(0, 4);
 std::vector<double> SeedEvaluateOnGrid(const gridsearch::Grid& grid,
                                        const expr::Tape& tape) {
   std::vector<double> out(grid.TotalPoints());
-  expr::TapeScratch scratch;
+  oracle::TapeScratch scratch;
   std::vector<double> env(std::max<std::size_t>(
       grid.Rank(), static_cast<std::size_t>(tape.num_env_slots)));
   for (std::size_t i = 0; i < grid.TotalPoints(); ++i) {
     const auto p = grid.Point(i);
     for (std::size_t d = 0; d < p.size(); ++d) env[d] = p[d];
-    out[i] = expr::EvalTape(tape, env, scratch);
+    out[i] = oracle::EvalTape(tape, env, scratch);
   }
   return out;
 }
@@ -279,8 +284,8 @@ std::vector<std::vector<Interval>> FrontierBoxes(const solver::Box& domain,
 }
 
 // Scalar-vs-batched forward interval classification over the same frontier:
-// the exact hot path of the solver's wave classifier. Scalar runs
-// EvalTapeIntervalForward box by box (the pre-wave code path); batched runs
+// the exact hot path of the solver's wave classifier. Scalar runs the
+// oracle's EvalTapeIntervalForward box by box; batched runs
 // EvalTapeIntervalBatch at the given wave widths. Endpoints are
 // bit-identical; the JSON line records the throughput ratio.
 void RunIntervalBatchComparison(const functionals::Functional& f) {
@@ -304,13 +309,13 @@ void RunIntervalBatchComparison(const functionals::Functional& f) {
   }
 
   const int reps = 40;
-  expr::TapeScratch scratch;
-  scratch.Reserve(tape.size());
+  oracle::TapeScratch scratch;
+  scratch.intervals.reserve(tape.size());
   double sink = 0.0;
   Stopwatch watch;
   for (int r = 0; r < reps; ++r)
     for (const auto& b : boxes)
-      sink += expr::EvalTapeIntervalForward(tape, b, scratch).lo();
+      sink += oracle::EvalTapeIntervalForward(tape, b, scratch).lo();
   const double scalar_s = watch.ElapsedSeconds();
 
   auto time_width = [&](std::size_t width) {
@@ -396,29 +401,28 @@ void RunIcpNodeThroughput(const functionals::Functional& f) {
       w1.seconds / w64.seconds, nodes_match ? 1 : 0);
 }
 
-// Scalar HC4 contraction (forward sweep + ContractFromForward, box by box —
-// the pre-batch pop path) vs the batched backward kernel
-// (EvalTapeIntervalBatch + ContractTapeIntervalBatch per wave) over the same
-// frontier. Outcomes and contracted endpoints must match bit for bit.
+// Scalar HC4 contraction (the oracle's forward sweep + ContractFromForward,
+// box by box) vs the batched backward kernel (EvalTapeIntervalBatch +
+// ContractTapeIntervalBatch per wave) over the same frontier. Outcomes and
+// contracted endpoints must match bit for bit (boxes_match).
 void RunContractBatch(const functionals::Functional& f) {
   const expr::Expr fc = conditions::CorrelationEnhancement(f);
-  const solver::AtomContractor contractor(expr::Neg(fc), expr::Rel::kLe);
-  const expr::Tape& tape = contractor.tape();
+  const expr::Tape tape = expr::CompileOptimized(expr::Neg(fc));
   const solver::Box domain = conditions::PaperDomain(f);
   constexpr std::size_t kBoxes = 4096;
   const auto boxes = FrontierBoxes(domain, kBoxes);
   const std::size_t dims = domain.size();
   const int reps = 20;
 
-  expr::TapeScratch scratch;
-  scratch.Reserve(tape.size());
+  oracle::TapeScratch scratch;
+  scratch.intervals.reserve(tape.size());
   std::vector<std::vector<Interval>> scalar_out;
-  std::vector<solver::ContractOutcome> scalar_oc(kBoxes);
+  std::vector<signed char> scalar_oc(kBoxes);
   Stopwatch watch;
   for (int r = 0; r < reps; ++r) {
     scalar_out = boxes;
     for (std::size_t i = 0; i < kBoxes; ++i)
-      scalar_oc[i] = contractor.Contract(scalar_out[i], scratch);
+      scalar_oc[i] = oracle::Contract(tape, scalar_out[i], scratch);
   }
   const double scalar_s = watch.ElapsedSeconds();
 
@@ -458,12 +462,7 @@ void RunContractBatch(const functionals::Functional& f) {
     const double seconds = w.ElapsedSeconds();
     // Bit-identity audit of this width's final pass against the scalar run.
     for (std::size_t i = 0; i < kBoxes; ++i) {
-      signed char want = expr::kContractLaneNoChange;
-      if (scalar_oc[i] == solver::ContractOutcome::kEmpty)
-        want = expr::kContractLaneEmpty;
-      else if (scalar_oc[i] == solver::ContractOutcome::kContracted)
-        want = expr::kContractLaneContracted;
-      boxes_match = boxes_match && batch_oc[i] == want;
+      boxes_match = boxes_match && batch_oc[i] == scalar_oc[i];
       for (std::size_t d = 0; d < dims; ++d)
         boxes_match = boxes_match &&
                       std::bit_cast<std::uint64_t>(blo[d][i]) ==

@@ -27,7 +27,7 @@ int main() {
               expr::OpCountTree(pbe.EpsXc()));
 
   // 2) Interval blow-up across the alpha switch.
-  expr::TapeScratch scratch;
+  expr::TapeIntervalBatchScratch scratch;
   const auto tape = expr::Compile(scan.eps_c);
   auto enclose = [&](double alo, double ahi) {
     std::vector<Interval> box{Interval(1.0, 1.2), Interval(0.5, 0.7),

@@ -69,6 +69,15 @@ namespace {
 
 bool NonNegativeFinite(double v) { return v >= 0.0 && !std::isnan(v); }
 
+constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
+
+// An int field of a job-spec document, checked before it is narrowed.
+int SpecInt(const json::JsonValue& x, std::int64_t lo, std::int64_t hi,
+            const std::string& name) {
+  return static_cast<int>(
+      json::CheckedInteger(x.AsDouble(), lo, hi, "job spec: " + name));
+}
+
 }  // namespace
 
 void ValidateJobSpec(const JobSpec& spec) {
@@ -100,8 +109,9 @@ void ValidateJobSpec(const JobSpec& spec) {
                 "job spec: max_invalid_models must be non-negative");
   XCV_CHECK_MSG(v.solver.presample_points >= 0,
                 "job spec: presample_points must be non-negative");
-  XCV_CHECK_MSG(v.solver.wave_width >= 1,
-                "job spec: wave_width must be at least 1");
+  XCV_CHECK_MSG(
+      v.solver.wave_width >= 1 && v.solver.wave_width <= solver::kMaxWaveWidth,
+      "job spec: wave_width must be in [1, " << solver::kMaxWaveWidth << "]");
   XCV_CHECK_MSG(!o.cache_readonly || !o.cache_path.empty(),
                 "job spec: cache_readonly needs a cache path");
 
@@ -131,6 +141,16 @@ double FlagDouble(const std::map<std::string, std::string>& flags,
                 "--" << key << " needs a non-negative number, got '"
                      << it->second << "'");
   return v;
+}
+
+/// FlagDouble for an integer flag: the value must also be integral and in
+/// [lo, hi], checked before it is narrowed.
+std::int64_t FlagInteger(const std::map<std::string, std::string>& flags,
+                         const std::string& key, std::int64_t fallback,
+                         std::int64_t lo, std::int64_t hi) {
+  return json::CheckedInteger(
+      FlagDouble(flags, key, static_cast<double>(fallback)), lo, hi,
+      "--" + key);
 }
 
 // The keys ApplyFlags itself consumes. Kept adjacent to the consuming code
@@ -225,9 +245,8 @@ void ApplyFlags(const std::map<std::string, std::string>& flags,
     spec.functionals = it->second;
   if (const auto it = flags.find("conditions"); it != flags.end())
     spec.conditions = it->second;
-  o.num_threads = static_cast<int>(FlagDouble(flags, "threads",
-                                              o.num_threads));
-  XCV_CHECK_MSG(o.num_threads >= 1, "--threads must be at least 1");
+  o.num_threads =
+      static_cast<int>(FlagInteger(flags, "threads", o.num_threads, 1, kIntMax));
   const double budget = FlagDouble(flags, "budget-seconds",
                                    o.verifier.total_time_budget_seconds);
   // 0 means unlimited on the command line.
@@ -235,16 +254,15 @@ void ApplyFlags(const std::map<std::string, std::string>& flags,
       budget > 0.0 ? budget : std::numeric_limits<double>::infinity();
   o.verifier.split_threshold =
       FlagDouble(flags, "split-threshold", o.verifier.split_threshold);
-  o.verifier.solver.max_nodes = static_cast<std::uint64_t>(
-      FlagDouble(flags, "solver-nodes",
-                 static_cast<double>(o.verifier.solver.max_nodes)));
+  o.verifier.solver.max_nodes = static_cast<std::uint64_t>(FlagInteger(
+      flags, "solver-nodes",
+      static_cast<std::int64_t>(o.verifier.solver.max_nodes), 1,
+      json::kMaxExactInteger));
   o.verifier.solver.delta = FlagDouble(flags, "delta",
                                        o.verifier.solver.delta);
   o.verifier.solver.wave_width = static_cast<int>(
-      FlagDouble(flags, "wave-width",
-                 static_cast<double>(o.verifier.solver.wave_width)));
-  XCV_CHECK_MSG(o.verifier.solver.wave_width >= 1,
-                "--wave-width must be at least 1");
+      FlagInteger(flags, "wave-width", o.verifier.solver.wave_width, 1,
+                  solver::kMaxWaveWidth));
   if (const auto it = flags.find("frontier"); it != flags.end())
     o.verifier.frontier = campaign::FrontierFromToken(ToLower(it->second));
   if (const auto it = flags.find("checkpoint"); it != flags.end())
@@ -269,18 +287,14 @@ void ApplyFlags(const std::map<std::string, std::string>& flags,
     spec.tenant = it->second;
 
   support::retry::RuntimeAttrs& r = spec.runtime;
-  r.max_retries =
-      static_cast<int>(FlagDouble(flags, "max-retries", r.max_retries));
+  r.max_retries = static_cast<int>(
+      FlagInteger(flags, "max-retries", r.max_retries, 0, kIntMax));
   r.preemptible_tries = static_cast<int>(
-      FlagDouble(flags, "preemptible", r.preemptible_tries));
+      FlagInteger(flags, "preemptible", r.preemptible_tries, 0, kIntMax));
   r.quarantine_after = static_cast<int>(
-      FlagDouble(flags, "quarantine-after", r.quarantine_after));
+      FlagInteger(flags, "quarantine-after", r.quarantine_after, 1, kIntMax));
   r.launch_timeout_s =
       FlagDouble(flags, "launch-timeout", r.launch_timeout_s);
-  XCV_CHECK_MSG(r.max_retries >= 0 && r.preemptible_tries >= 0 &&
-                    r.quarantine_after >= 1,
-                "--max-retries/--preemptible must be >= 0 and "
-                "--quarantine-after >= 1");
 }
 
 // ---- JSON -------------------------------------------------------------------
@@ -385,7 +399,7 @@ JobSpec JobSpecFromJson(const JsonValue& root) {
   if (const JsonValue* q = root.Find("quiet")) spec.quiet = q->AsBool();
   if (const JsonValue* t = root.Find("tenant")) spec.tenant = t->AsString();
   if (const JsonValue* t = root.Find("threads"))
-    o.num_threads = static_cast<int>(t->AsDouble());
+    o.num_threads = SpecInt(*t, 1, kIntMax, "threads");
   if (const JsonValue* t = root.Find("tune_lda_delta"))
     o.tune_lda_delta = t->AsBool();
   if (const JsonValue* c = root.Find("checkpoint"))
@@ -413,28 +427,31 @@ JobSpec JobSpecFromJson(const JsonValue& root) {
   }
   if (const JsonValue* so = root.Find("solver")) {
     if (const JsonValue* x = so->Find("delta")) v.solver.delta = x->AsDouble();
-    if (const JsonValue* x = so->Find("max_nodes")) {
-      XCV_CHECK_MSG(x->AsDouble() >= 0.0,
-                    "job spec: solver max_nodes must be non-negative");
-      v.solver.max_nodes = static_cast<std::uint64_t>(x->AsDouble());
-    }
+    if (const JsonValue* x = so->Find("max_nodes"))
+      v.solver.max_nodes = static_cast<std::uint64_t>(
+          json::CheckedInteger(x->AsDouble(), 1, json::kMaxExactInteger,
+                               "job spec: solver max_nodes"));
     if (const JsonValue* x = so->Find("time_budget_seconds"))
       v.solver.time_budget_seconds = x->AsDouble();
     if (const JsonValue* x = so->Find("contraction_rounds"))
-      v.solver.contraction_rounds = static_cast<int>(x->AsDouble());
+      v.solver.contraction_rounds =
+          SpecInt(*x, 0, kIntMax, "contraction_rounds");
     if (const JsonValue* x = so->Find("max_invalid_models"))
-      v.solver.max_invalid_models = static_cast<int>(x->AsDouble());
+      v.solver.max_invalid_models =
+          SpecInt(*x, 0, kIntMax, "max_invalid_models");
     if (const JsonValue* x = so->Find("presample_points"))
-      v.solver.presample_points = static_cast<int>(x->AsDouble());
+      v.solver.presample_points = SpecInt(*x, 0, kIntMax, "presample_points");
     if (const JsonValue* x = so->Find("wave_width"))
-      v.solver.wave_width = static_cast<int>(x->AsDouble());
+      v.solver.wave_width =
+          SpecInt(*x, 1, solver::kMaxWaveWidth, "wave_width");
   }
   if (const JsonValue* ro = root.Find("runtime")) {
     support::retry::RuntimeAttrs& r = spec.runtime;
     if (const JsonValue* x = ro->Find("max_retries"))
-      r.max_retries = static_cast<int>(x->AsDouble());
+      r.max_retries = SpecInt(*x, 0, kIntMax, "runtime max_retries");
     if (const JsonValue* x = ro->Find("preemptible_tries"))
-      r.preemptible_tries = static_cast<int>(x->AsDouble());
+      r.preemptible_tries =
+          SpecInt(*x, 0, kIntMax, "runtime preemptible_tries");
     if (const JsonValue* x = ro->Find("launch_timeout_seconds"))
       r.launch_timeout_s = x->AsDouble();
     if (const JsonValue* x = ro->Find("backoff_initial_seconds"))
@@ -442,9 +459,10 @@ JobSpec JobSpecFromJson(const JsonValue& root) {
     if (const JsonValue* x = ro->Find("backoff_max_seconds"))
       r.backoff_max_s = x->AsDouble();
     if (const JsonValue* x = ro->Find("quarantine_after"))
-      r.quarantine_after = static_cast<int>(x->AsDouble());
+      r.quarantine_after = SpecInt(*x, 1, kIntMax, "runtime quarantine_after");
     if (const JsonValue* x = ro->Find("quarantine_cooldown_epochs"))
-      r.quarantine_cooldown_epochs = static_cast<int>(x->AsDouble());
+      r.quarantine_cooldown_epochs =
+          SpecInt(*x, 0, kIntMax, "runtime quarantine_cooldown_epochs");
   }
   v.num_threads = std::max(1, o.num_threads);
   ValidateJobSpec(spec);

@@ -1,7 +1,10 @@
 #include "campaign/serialize.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
+#include <limits>
+#include <string>
 #include <utility>
 
 #include "support/check.h"
@@ -157,19 +160,34 @@ std::vector<double> PointFromJson(const JsonValue& v) {
   return p;
 }
 
+// Integer fields of a checkpoint document, checked before they are
+// narrowed (the document may be hostile or corrupt).
+constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
+
+std::uint64_t CheckpointCount(const JsonValue& x, const char* name) {
+  return static_cast<std::uint64_t>(json::CheckedInteger(
+      x.AsDouble(), 0, json::kMaxExactInteger,
+      std::string("checkpoint: ") + name));
+}
+
+int CheckpointInt(const JsonValue& x, std::int64_t lo, std::int64_t hi,
+                  const char* name) {
+  return static_cast<int>(json::CheckedInteger(
+      x.AsDouble(), lo, hi, std::string("checkpoint: ") + name));
+}
+
 VerificationReport ReportFromJson(const JsonValue& v) {
   VerificationReport report;
-  report.solver_calls =
-      static_cast<std::uint64_t>(v.At("solver_calls").AsDouble());
+  report.solver_calls = CheckpointCount(v.At("solver_calls"), "solver_calls");
   report.solver_timeouts =
-      static_cast<std::uint64_t>(v.At("solver_timeouts").AsDouble());
+      CheckpointCount(v.At("solver_timeouts"), "solver_timeouts");
   // Cache counters postdate checkpoint version 1; absent in older files.
   if (const JsonValue* c = v.Find("cache_hits"))
-    report.cache_hits = static_cast<std::uint64_t>(c->AsDouble());
+    report.cache_hits = CheckpointCount(*c, "cache_hits");
   if (const JsonValue* c = v.Find("cache_misses"))
-    report.cache_misses = static_cast<std::uint64_t>(c->AsDouble());
+    report.cache_misses = CheckpointCount(*c, "cache_misses");
   if (const JsonValue* c = v.Find("cache_rejected"))
-    report.cache_rejected = static_cast<std::uint64_t>(c->AsDouble());
+    report.cache_rejected = CheckpointCount(*c, "cache_rejected");
   report.seconds = v.At("seconds").AsDouble();
   for (const JsonValue& leaf : v.At("leaves").array) {
     Region r;
@@ -191,7 +209,7 @@ PairState PairStateFromJson(const JsonValue& pv) {
   p.done = pv.At("done").AsBool();
   p.verdict = VerdictFromToken(pv.At("verdict").AsString());
   if (const JsonValue* oi = pv.Find("origin_index"))
-    p.origin_index = static_cast<int>(oi->AsDouble());
+    p.origin_index = CheckpointInt(*oi, 0, kIntMax, "origin_index");
   p.seconds = pv.At("seconds").AsDouble();
   p.report = ReportFromJson(pv.At("report"));
   for (const JsonValue& b : pv.At("open").array)
@@ -291,7 +309,8 @@ Checkpoint CheckpointFromJson(const std::string& json_text) {
   cp.cancelled = root.At("cancelled").AsBool();
 
   const JsonValue& o = root.At("options");
-  cp.options.num_threads = static_cast<int>(o.At("num_threads").AsDouble());
+  cp.options.num_threads =
+      CheckpointInt(o.At("num_threads"), 1, kIntMax, "num_threads");
   cp.options.tune_lda_delta = o.At("tune_lda_delta").AsBool();
   verifier::VerifierOptions& v = cp.options.verifier;
   v.split_threshold = o.At("split_threshold").AsDouble();
@@ -302,24 +321,29 @@ Checkpoint CheckpointFromJson(const std::string& json_text) {
   v.num_threads = std::max(1, cp.options.num_threads);
   // Shard provenance is optional (absent = unsharded checkpoint).
   if (const JsonValue* sh = o.Find("shard")) {
-    cp.options.shard.index = static_cast<int>(sh->At("index").AsDouble());
-    cp.options.shard.count = static_cast<int>(sh->At("count").AsDouble());
+    cp.options.shard.index =
+        CheckpointInt(sh->At("index"), 0, kIntMax, "shard index");
+    cp.options.shard.count =
+        CheckpointInt(sh->At("count"), 1, kIntMax, "shard count");
     cp.options.shard.by = sh->At("by").AsString();
   }
   const JsonValue& s = o.At("solver");
   v.solver.delta = s.At("delta").AsDouble();
-  v.solver.max_nodes = static_cast<std::uint64_t>(s.At("max_nodes").AsDouble());
+  v.solver.max_nodes = CheckpointCount(s.At("max_nodes"), "max_nodes");
+  XCV_CHECK_MSG(v.solver.max_nodes >= 1,
+                "checkpoint: max_nodes must be at least 1");
   v.solver.time_budget_seconds = s.At("time_budget_seconds").AsDouble();
-  v.solver.contraction_rounds =
-      static_cast<int>(s.At("contraction_rounds").AsDouble());
-  v.solver.max_invalid_models =
-      static_cast<int>(s.At("max_invalid_models").AsDouble());
-  v.solver.presample_points =
-      static_cast<int>(s.At("presample_points").AsDouble());
+  v.solver.contraction_rounds = CheckpointInt(
+      s.At("contraction_rounds"), 0, kIntMax, "contraction_rounds");
+  v.solver.max_invalid_models = CheckpointInt(
+      s.At("max_invalid_models"), 0, kIntMax, "max_invalid_models");
+  v.solver.presample_points = CheckpointInt(s.At("presample_points"), 0,
+                                            kIntMax, "presample_points");
   // Added after checkpoint version 1 shipped; absent in older checkpoints
   // (and irrelevant to results — the wave width never changes verdicts).
   if (const JsonValue* w = s.Find("wave_width"))
-    v.solver.wave_width = static_cast<int>(w->AsDouble());
+    v.solver.wave_width =
+        CheckpointInt(*w, 1, solver::kMaxWaveWidth, "wave_width");
 
   for (const JsonValue& pv : root.At("pairs").array)
     cp.pairs.push_back(PairStateFromJson(pv));

@@ -32,6 +32,7 @@
 #include "support/check.h"
 #include "support/fault.h"
 #include "support/io.h"
+#include "support/json.h"
 #include "support/strings.h"
 
 namespace xcv::cli {
@@ -77,7 +78,7 @@ Options (verify/resume):
   --solver-nodes=N     Per-solver-call node budget.               [30000]
   --delta=D            Solver precision delta.                    [0.001]
   --wave-width=K       Sibling boxes per batched interval sweep in the
-                       solver (1 = scalar; results are identical at any
+                       solver, 1..64 (results are identical at any
                        width, only the speed changes).            [8]
   --frontier=S         Frontier order: widest | suspect | fifo.   [widest]
   --checkpoint=PATH    Write checkpoints here (after every completed pair,
@@ -272,6 +273,15 @@ double FlagDouble(const ParsedArgs& args, const std::string& key,
                 "--" << key << " needs a non-negative number, got '"
                      << it->second << "'");
   return v;
+}
+
+/// FlagDouble for an int flag: integral and in [lo, INT_MAX], checked
+/// before it is narrowed.
+int FlagInt(const ParsedArgs& args, const std::string& key, int fallback,
+            int lo) {
+  return static_cast<int>(json::CheckedInteger(
+      FlagDouble(args, key, fallback), lo, std::numeric_limits<int>::max(),
+      "--" + key));
 }
 
 /// Flags every command accepts on top of api::ApplyFlags' spec keys:
@@ -524,8 +534,7 @@ SeededCampaign CheckpointFromFlagsOrFile(
 int CmdShard(const ParsedArgs& args) {
   if (RejectPositionals(args)) return 2;
   shard::PartitionOptions popts;
-  popts.shards = static_cast<int>(FlagDouble(args, "shards", 2));
-  XCV_CHECK_MSG(popts.shards >= 1, "--shards must be at least 1");
+  popts.shards = FlagInt(args, "shards", 2, 1);
   if (const auto it = args.flags.find("by"); it != args.flags.end())
     popts.by = shard::ShardByFromToken(ToLower(it->second));
   popts.rebase_provenance = args.flags.count("rebalance") > 0;
@@ -592,15 +601,14 @@ int CmdShard(const ParsedArgs& args) {
 int CmdCoordinate(const ParsedArgs& args) {
   if (RejectPositionals(args)) return 2;
   shard::CoordinatorOptions copts;
-  copts.shards = static_cast<int>(FlagDouble(args, "shards", 2));
+  copts.shards = FlagInt(args, "shards", 2, 1);
   if (const auto it = args.flags.find("by"); it != args.flags.end())
     copts.by = shard::ShardByFromToken(ToLower(it->second));
   copts.work_dir = args.flags.count("work-dir") ? args.flags.at("work-dir")
                                                 : "xcv-coordinate";
   copts.epoch_seconds = FlagDouble(args, "rebalance-epoch", 0.0);
   copts.lease_seconds = FlagDouble(args, "lease", copts.lease_seconds);
-  copts.max_epochs =
-      static_cast<int>(FlagDouble(args, "max-epochs", copts.max_epochs));
+  copts.max_epochs = FlagInt(args, "max-epochs", copts.max_epochs, 0);
   if (const auto it = args.flags.find("nodes"); it != args.flags.end()) {
     copts.ssh_hosts = SplitCommas(it->second);
     XCV_CHECK_MSG(!copts.ssh_hosts.empty(),

@@ -191,50 +191,6 @@ bool EvalBool(const BoolExpr& b, std::span<const double> env) {
   return EvalBoolWithSlack(b, env, 0.0);
 }
 
-bool CertainlyTrue(const BoolExpr& b, std::span<const Interval> box) {
-  XCV_CHECK(!b.IsNull());
-  switch (b.kind()) {
-    case BoolExpr::Kind::kTrue: return true;
-    case BoolExpr::Kind::kFalse: return false;
-    case BoolExpr::Kind::kAtom: {
-      const Interval v = EvalInterval(b.atom(), box);
-      if (v.IsEmpty()) return false;  // nowhere defined — cannot certify
-      return b.rel() == Rel::kLe ? v.hi() <= 0.0 : v.hi() < 0.0;
-    }
-    case BoolExpr::Kind::kAnd:
-      for (const BoolExpr& c : b.children())
-        if (!CertainlyTrue(c, box)) return false;
-      return true;
-    case BoolExpr::Kind::kOr:
-      for (const BoolExpr& c : b.children())
-        if (CertainlyTrue(c, box)) return true;
-      return false;
-  }
-  return false;
-}
-
-bool CertainlyFalse(const BoolExpr& b, std::span<const Interval> box) {
-  XCV_CHECK(!b.IsNull());
-  switch (b.kind()) {
-    case BoolExpr::Kind::kTrue: return false;
-    case BoolExpr::Kind::kFalse: return true;
-    case BoolExpr::Kind::kAtom: {
-      const Interval v = EvalInterval(b.atom(), box);
-      if (v.IsEmpty()) return false;
-      return b.rel() == Rel::kLe ? v.lo() > 0.0 : v.lo() >= 0.0;
-    }
-    case BoolExpr::Kind::kAnd:
-      for (const BoolExpr& c : b.children())
-        if (CertainlyFalse(c, box)) return true;
-      return false;
-    case BoolExpr::Kind::kOr:
-      for (const BoolExpr& c : b.children())
-        if (!CertainlyFalse(c, box)) return false;
-      return true;
-  }
-  return false;
-}
-
 std::vector<BoolExpr> CollectAtoms(const BoolExpr& b) {
   XCV_CHECK(!b.IsNull());
   std::vector<BoolExpr> atoms;

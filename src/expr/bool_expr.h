@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "expr/expr.h"
-#include "interval/interval.h"
 
 namespace xcv::expr {
 
@@ -75,12 +74,6 @@ bool EvalBool(const BoolExpr& b, std::span<const double> env);
 /// pass tolerance plays in the PB grid check. slack = 0 is EvalBool.
 bool EvalBoolWithSlack(const BoolExpr& b, std::span<const double> env,
                        double slack);
-
-/// Sound certainty tests over a box. CertainlyTrue ⇒ the formula holds for
-/// every point of the box; CertainlyFalse ⇒ it fails for every point.
-/// Both can be false simultaneously (unknown).
-bool CertainlyTrue(const BoolExpr& b, std::span<const Interval> box);
-bool CertainlyFalse(const BoolExpr& b, std::span<const Interval> box);
 
 /// Collects the distinct atoms appearing in `b` (pre-order).
 std::vector<BoolExpr> CollectAtoms(const BoolExpr& b);

@@ -77,137 +77,6 @@ Tape Compile(const Expr& e) {
   return Compiler().Run(e);
 }
 
-double EvalTape(const Tape& tape, std::span<const double> env,
-                TapeScratch& scratch) {
-  auto& v = scratch.values;
-  v.resize(tape.size());
-  for (std::size_t i = 0; i < tape.size(); ++i) {
-    const Instr& ins = tape.instrs[i];
-    switch (ins.op) {
-      case Op::kConst:
-        v[i] = ins.value;
-        break;
-      case Op::kVar:
-        XCV_CHECK_MSG(ins.var >= 0 &&
-                          static_cast<std::size_t>(ins.var) < env.size(),
-                      "tape variable index " << ins.var
-                                             << " outside environment");
-        v[i] = env[static_cast<std::size_t>(ins.var)];
-        break;
-      case Op::kAdd: {
-        double s = v[ins.a] + v[ins.b];
-        for (auto r : ins.rest) s += v[r];
-        v[i] = s;
-        break;
-      }
-      case Op::kMul: {
-        double p = v[ins.a] * v[ins.b];
-        for (auto r : ins.rest) p *= v[r];
-        v[i] = p;
-        break;
-      }
-      case Op::kDiv: v[i] = v[ins.a] / v[ins.b]; break;
-      case Op::kPow: v[i] = std::pow(v[ins.a], v[ins.b]); break;
-      case Op::kMin: v[i] = std::fmin(v[ins.a], v[ins.b]); break;
-      case Op::kMax: v[i] = std::fmax(v[ins.a], v[ins.b]); break;
-      case Op::kNeg: v[i] = -v[ins.a]; break;
-      case Op::kExp: v[i] = std::exp(v[ins.a]); break;
-      case Op::kLog: v[i] = std::log(v[ins.a]); break;
-      case Op::kSqrt: v[i] = std::sqrt(v[ins.a]); break;
-      case Op::kCbrt: v[i] = std::cbrt(v[ins.a]); break;
-      case Op::kSin: v[i] = std::sin(v[ins.a]); break;
-      case Op::kCos: v[i] = std::cos(v[ins.a]); break;
-      case Op::kAtan: v[i] = std::atan(v[ins.a]); break;
-      case Op::kTanh: v[i] = std::tanh(v[ins.a]); break;
-      case Op::kAbs: v[i] = std::fabs(v[ins.a]); break;
-      case Op::kLambertW: v[i] = LambertW0(v[ins.a]); break;
-      case Op::kSqr: v[i] = v[ins.a] * v[ins.a]; break;
-      case Op::kPowN: v[i] = PowNScalar(v[ins.a], ins.var); break;
-      case Op::kIte: {
-        const bool cond = ins.rel == Rel::kLe ? v[ins.a] <= v[ins.b]
-                                              : v[ins.a] < v[ins.b];
-        v[i] = cond ? v[ins.c] : v[ins.d];
-        break;
-      }
-    }
-  }
-  return v.back();
-}
-
-Interval EvalTapeIntervalForward(const Tape& tape,
-                                 std::span<const Interval> box,
-                                 TapeScratch& scratch) {
-  return EvalTapeIntervalForward(tape, box, scratch.intervals);
-}
-
-Interval EvalTapeIntervalForward(const Tape& tape,
-                                 std::span<const Interval> box,
-                                 std::vector<Interval>& v) {
-  // Every slot is overwritten below, so a resize (no refill) suffices.
-  v.resize(tape.size());
-  for (std::size_t i = 0; i < tape.size(); ++i) {
-    const Instr& ins = tape.instrs[i];
-    switch (ins.op) {
-      case Op::kConst:
-        v[i] = Interval(ins.value);
-        break;
-      case Op::kVar:
-        XCV_CHECK_MSG(ins.var >= 0 &&
-                          static_cast<std::size_t>(ins.var) < box.size(),
-                      "tape variable index " << ins.var << " outside box");
-        v[i] = box[static_cast<std::size_t>(ins.var)];
-        break;
-      case Op::kAdd: {
-        Interval s = v[ins.a] + v[ins.b];
-        for (auto r : ins.rest) s = s + v[r];
-        v[i] = s;
-        break;
-      }
-      case Op::kMul: {
-        Interval p = v[ins.a] * v[ins.b];
-        for (auto r : ins.rest) p = p * v[r];
-        v[i] = p;
-        break;
-      }
-      case Op::kDiv: v[i] = v[ins.a] / v[ins.b]; break;
-      case Op::kPow: v[i] = Pow(v[ins.a], v[ins.b]); break;
-      case Op::kMin: v[i] = Min(v[ins.a], v[ins.b]); break;
-      case Op::kMax: v[i] = Max(v[ins.a], v[ins.b]); break;
-      case Op::kNeg: v[i] = -v[ins.a]; break;
-      case Op::kExp: v[i] = Exp(v[ins.a]); break;
-      case Op::kLog: v[i] = Log(v[ins.a]); break;
-      case Op::kSqrt: v[i] = Sqrt(v[ins.a]); break;
-      case Op::kCbrt: v[i] = Cbrt(v[ins.a]); break;
-      case Op::kSin: v[i] = Sin(v[ins.a]); break;
-      case Op::kCos: v[i] = Cos(v[ins.a]); break;
-      case Op::kAtan: v[i] = Atan(v[ins.a]); break;
-      case Op::kTanh: v[i] = Tanh(v[ins.a]); break;
-      case Op::kAbs: v[i] = Abs(v[ins.a]); break;
-      case Op::kLambertW: v[i] = LambertW0(v[ins.a]); break;
-      case Op::kSqr: v[i] = Sqr(v[ins.a]); break;
-      case Op::kPowN: v[i] = PowInt(v[ins.a], ins.var); break;
-      case Op::kIte: {
-        const Interval l = v[ins.a], r = v[ins.b];
-        const bool can_true =
-            ins.rel == Rel::kLe ? PossiblyLe(l, r) : PossiblyLt(l, r);
-        const bool can_false =
-            ins.rel == Rel::kLe ? PossiblyLt(r, l) : PossiblyLe(r, l);
-        Interval out = Interval::Empty();
-        if (can_true) out = out.Hull(v[ins.c]);
-        if (can_false) out = out.Hull(v[ins.d]);
-        v[i] = out;
-        break;
-      }
-    }
-  }
-  return v.back();
-}
-
-Interval EvalTapeInterval(const Tape& tape, std::span<const Interval> box,
-                          TapeScratch& scratch) {
-  return EvalTapeIntervalForward(tape, box, scratch);
-}
-
 void EvalTapeBatch(const Tape& tape, std::span<const double* const> inputs,
                    std::size_t n, double* out, TapeBatchScratch& scratch) {
   if (n == 0) return;

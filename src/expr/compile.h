@@ -2,8 +2,9 @@
 // in topological order.
 //
 // The tape is the solver's working representation. Forward interval
-// evaluation fills one slot per instruction; the HC4-revise contractor then
-// walks the tape backward, narrowing child slots from parent slots. Repeated
+// evaluation fills one slot per instruction; the HC4 backward sweep
+// (interval_backward_batch.h) then walks the tape backward, narrowing child
+// slots from parent slots. Repeated
 // double evaluation (PB grid baseline) also runs on the tape to avoid
 // hash-map memoization per point.
 #pragma once
@@ -45,45 +46,10 @@ struct Tape {
 /// instruction.
 Tape Compile(const Expr& e);
 
-/// Scratch buffers reusable across evaluations (avoids reallocation in hot
-/// loops).
-struct TapeScratch {
-  std::vector<double> values;
-  std::vector<Interval> intervals;
-
-  /// Pre-sizes both buffers for tapes of up to `slots` instructions, so the
-  /// hot loop never grows them lazily.
-  void Reserve(std::size_t slots) {
-    values.reserve(slots);
-    intervals.reserve(slots);
-  }
-};
-
-/// Double evaluation of the tape at `env`. Resizes `scratch` as needed.
-double EvalTape(const Tape& tape, std::span<const double> env,
-                TapeScratch& scratch);
-
 /// x^n for integer n by binary exponentiation — the scalar semantics of the
 /// kPowN instruction (exposed so the optimizer's constant folder matches the
 /// evaluators exactly).
 double PowNScalar(double x, int n);
-
-/// Sound interval evaluation of the tape over `box`.
-Interval EvalTapeInterval(const Tape& tape, std::span<const Interval> box,
-                          TapeScratch& scratch);
-
-/// Interval evaluation that leaves the per-slot enclosures in
-/// `scratch.intervals` (the forward phase of HC4-revise).
-Interval EvalTapeIntervalForward(const Tape& tape,
-                                 std::span<const Interval> box,
-                                 TapeScratch& scratch);
-
-/// Core of the above: per-slot enclosures land in `slots` (resized to the
-/// tape). Exposed so callers can keep per-atom enclosure caches without
-/// routing them through a shared TapeScratch.
-Interval EvalTapeIntervalForward(const Tape& tape,
-                                 std::span<const Interval> box,
-                                 std::vector<Interval>& slots);
 
 // ---- Batched structure-of-arrays evaluation ---------------------------------
 
@@ -111,7 +77,7 @@ struct TapeBatchScratch {
 /// Each instruction is applied to all `n` points in a tight loop before the
 /// next instruction runs, so the per-instruction dispatch cost is amortized
 /// N-fold and the inner loops auto-vectorize. Results are bit-identical to
-/// calling EvalTape point by point on the same tape.
+/// the point-by-point scalar evaluator kept as the tests/ oracle.
 void EvalTapeBatch(const Tape& tape, std::span<const double* const> inputs,
                    std::size_t n, double* out, TapeBatchScratch& scratch);
 
@@ -151,19 +117,18 @@ struct TapeIntervalBatchScratch {
 /// before the next instruction, so per-instruction dispatch is amortized
 /// n-fold and the lo/hi lanes of the ring operations auto-vectorize (the
 /// one-ulp outward widening is integer bit-stepping, see interval.h).
-/// Endpoints are bit-identical to running EvalTapeIntervalForward box by
-/// box on the same tape; empty enclosures use the canonical [1, 0]
-/// representation, exactly as the scalar evaluator produces them.
+/// Endpoints are bit-identical, slot by slot, to the box-by-box scalar
+/// evaluator kept as the tests/ oracle; empty enclosures use the canonical
+/// [1, 0] representation.
 void EvalTapeIntervalBatch(const Tape& tape,
                            std::span<const double* const> box_lo,
                            std::span<const double* const> box_hi,
                            std::size_t n, TapeIntervalBatchScratch& scratch);
 
-/// Copies lane `k` of a finished batched sweep into `slots` (resized to the
-/// tape) — the per-slot forward enclosures EvalTapeIntervalForward would
-/// have produced for that box, ready for the HC4 backward sweep.
-void ExtractIntervalLane(const Tape& tape,
-                         const TapeIntervalBatchScratch& scratch,
-                         std::size_t k, std::vector<Interval>& slots);
+/// Enclosure of the tape's root over the single box `box`: a width-1
+/// EvalTapeIntervalBatch call. Only the returned root is meaningful
+/// afterwards (the variable rows of `scratch` pointed into this call).
+Interval EvalTapeInterval(const Tape& tape, std::span<const Interval> box,
+                          TapeIntervalBatchScratch& scratch);
 
 }  // namespace xcv::expr

@@ -1,15 +1,15 @@
-// Recursive evaluators over the expression DAG.
+// Recursive evaluator over the expression DAG.
 //
 // EvalDouble is IEEE double evaluation — used for model validation
-// (Algorithm 1's valid(x)) and the PB grid baseline. EvalInterval is the
-// sound enclosure — used by the solver for all verified/UNSAT claims.
-// Both memoize per distinct DAG node per call.
+// (Algorithm 1's valid(x)) and the PB grid baseline. It memoizes per
+// distinct DAG node per call. Interval enclosures, on which every verified
+// or UNSAT claim rests, come from the batched tape kernels in compile.h
+// (EvalTapeIntervalBatch; EvalTapeInterval for a single box).
 #pragma once
 
 #include <span>
 
 #include "expr/expr.h"
-#include "interval/interval.h"
 
 namespace xcv::expr {
 
@@ -17,11 +17,5 @@ namespace xcv::expr {
 /// with index i). Out-of-range variable indices throw InternalError.
 /// May return NaN/inf if the point is outside a function's domain.
 double EvalDouble(const Expr& e, std::span<const double> env);
-
-/// Sound interval enclosure of `e` over the box `box` (box[i] is the domain
-/// of variable i). Empty inputs propagate to an empty result; out-of-domain
-/// function arguments are clipped to the function's domain (matching the
-/// solver's semantics where boxes are always within variable bounds).
-Interval EvalInterval(const Expr& e, std::span<const Interval> box);
 
 }  // namespace xcv::expr

@@ -1,11 +1,12 @@
 // Batched HC4 backward contraction — see interval_backward_batch.h.
 //
-// The sweep mirrors AtomContractor::ContractFromForward instruction for
-// instruction. Every projection an op makes is either a shared SIMD kernel
-// call over all lanes (ring ops: add/mul/div/neg/min/max) or a per-lane run
-// of the very scalar interval functions the scalar contractor calls (libm
-// inverse projections) — so each lane's narrowing sequence is exactly the
-// scalar one, and the output bits match at every wave width and ISA tier.
+// The sweep mirrors the scalar reference sweep (oracle::ContractFromForward
+// in tests/scalar_reference.h) instruction for instruction. Every
+// projection an op makes is either a shared SIMD kernel call over all lanes
+// (ring ops: add/mul/div/neg/min/max) or a per-lane run of the very scalar
+// interval functions the reference calls (libm inverse projections) — so
+// each lane's narrowing sequence is exactly the scalar one, and the output
+// bits match at every wave width and ISA tier.
 //
 // Lane masking: a lane dies (outcome kContractLaneEmpty) the moment the
 // scalar sweep would have returned kEmpty for its box. Dead lanes still flow
@@ -103,8 +104,8 @@ void ContractTapeIntervalBatch(const Tape& tape, TapeIntervalBatchScratch& fwd,
     --alive_count;
   };
   // v[slot] = v[slot].Intersect(projection) for one lane — the scalar
-  // contractor's narrow() (rows always hold canonical interval bits, so the
-  // Interval round-trip is lossless).
+  // reference sweep's narrow() (rows always hold canonical interval bits,
+  // so the Interval round-trip is lossless).
   const auto narrow_lane = [&bs](std::int32_t slot, std::size_t j,
                                  const Interval& projection) {
     double* slo = bs.lo_rows[static_cast<std::size_t>(slot)];

@@ -1,18 +1,18 @@
 // Batched structure-of-arrays HC4 backward contraction.
 //
-// ContractTapeIntervalBatch is the wave-parallel counterpart of
-// AtomContractor::ContractFromForward (src/solver/contractor.cpp): it takes
-// the per-slot forward enclosures a finished EvalTapeIntervalBatch sweep
-// left in its scratch and pushes inverse-operation narrowings root-to-leaves
-// across every lane at once, one tape instruction per pass, with per-lane
-// empty/fixpoint masking. The ring-operation projections run on the shared
-// SIMD kernel layer (src/support/simd.h); the libm-bound inverse projections
-// (pow roots, exp/log, tan/atanh) run the same scalar interval functions the
-// scalar contractor calls, lane by lane.
+// ContractTapeIntervalBatch is the solver's one HC4-revise backward sweep:
+// it takes the per-slot forward enclosures a finished EvalTapeIntervalBatch
+// sweep left in its scratch and pushes inverse-operation narrowings
+// root-to-leaves across every lane at once, one tape instruction per pass,
+// with per-lane empty/fixpoint masking. The ring-operation projections run
+// on the shared SIMD kernel layer (src/support/simd.h); the libm-bound
+// inverse projections (pow roots, exp/log, tan/atanh) run the scalar
+// interval functions lane by lane. A single box is simply a call with n=1.
 //
 // Bit-identity is load-bearing: for every lane, the narrowed box endpoints
-// and the outcome are exactly what ContractFromForward produces for that box
-// — at every wave width and ISA tier (see interval_backward_batch_test).
+// and the outcome are exactly what the box-by-box scalar sweep kept as the
+// tests/ oracle (tests/scalar_reference.h) produces for that box — at every
+// wave width and ISA tier (see interval_backward_batch_test).
 #pragma once
 
 #include <cstdint>
@@ -23,7 +23,7 @@
 
 namespace xcv::expr {
 
-// Per-lane outcome values, mirroring solver::ContractOutcome.
+// Per-lane contraction outcomes (the only outcome vocabulary for HC4).
 inline constexpr signed char kContractLaneEmpty = -1;       // box infeasible
 inline constexpr signed char kContractLaneNoChange = 0;     // fixpoint
 inline constexpr signed char kContractLaneContracted = 1;   // box narrowed
@@ -69,9 +69,9 @@ struct TapeBackwardBatchScratch {
 /// (entries for variables the tape does not read may be null). `active`
 /// selects the participating lanes (null means all). On return, `outcome[j]`
 /// is kContractLaneEmpty / kContractLaneNoChange / kContractLaneContracted
-/// for each active lane — exactly the ContractOutcome the scalar
-/// ContractFromForward returns for box `j` — and contracted lanes have their
-/// box endpoints narrowed to the scalar result bit for bit. Inactive lanes
+/// for each active lane — exactly the outcome the scalar reference sweep
+/// returns for box `j` — and contracted lanes have their box endpoints
+/// narrowed to the scalar result bit for bit. Inactive lanes
 /// get outcome kContractLaneNoChange and their box entries are untouched.
 /// Like the scalar sweep, a lane that turns out empty keeps any variable
 /// narrowings folded before the infeasibility surfaced (callers discard such

@@ -13,9 +13,9 @@
 // lane — they are libm-bound either way, and the batched dispatch still
 // amortizes the per-instruction switch.
 //
-// Bit-identity with EvalTapeIntervalForward is load-bearing: the solver's
-// verdicts must not depend on the wave width or the ISA tier (see the
-// interval_batch property tests and the backward-batch dispatch tests).
+// Bit-identity with the box-by-box scalar evaluator (the tests/ oracle) is
+// load-bearing: the solver's verdicts must not depend on the wave width or
+// the ISA tier (see interval_batch_test and interval_backward_batch_test).
 #include <algorithm>
 #include <cmath>
 
@@ -189,12 +189,18 @@ void EvalTapeIntervalBatch(const Tape& tape,
   }
 }
 
-void ExtractIntervalLane(const Tape& tape,
-                         const TapeIntervalBatchScratch& scratch,
-                         std::size_t k, std::vector<Interval>& slots) {
-  const std::size_t n = tape.size();
-  slots.resize(n);
-  for (std::size_t i = 0; i < n; ++i) slots[i] = scratch.At(i, k);
+Interval EvalTapeInterval(const Tape& tape, std::span<const Interval> box,
+                          TapeIntervalBatchScratch& scratch) {
+  std::vector<double> lo(box.size()), hi(box.size());
+  std::vector<const double*> lop(box.size()), hip(box.size());
+  for (std::size_t v = 0; v < box.size(); ++v) {
+    lo[v] = box[v].lo();
+    hi[v] = box[v].hi();
+    lop[v] = &lo[v];
+    hip[v] = &hi[v];
+  }
+  EvalTapeIntervalBatch(tape, lop, hip, 1, scratch);
+  return scratch.At(static_cast<std::size_t>(tape.root()), 0);
 }
 
 }  // namespace xcv::expr

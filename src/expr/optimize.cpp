@@ -176,7 +176,7 @@ class TapeOptimizer {
   // ---- Constant folding -----------------------------------------------------
 
   // Folds an instruction whose operands are all constants, using exactly the
-  // double semantics of EvalTape so scalar results are unchanged.
+  // double semantics of EvalTapeBatch so point values are unchanged.
   double Fold(const Instr& ins, std::span<const std::int32_t> operands) {
     auto v = [&](std::size_t i) { return ConstVal(operands[i]); };
     switch (ins.op) {

@@ -6,7 +6,7 @@
 // dead-slot elimination:
 //   * Constant folding — an instruction whose operands are all constants is
 //     replaced by its value, computed with exactly the double semantics
-//     EvalTape uses (so scalar results are unchanged bit for bit).
+//     EvalTapeBatch uses (so point values are unchanged bit for bit).
 //   * Algebraic identities — x+0, x*1, x*0, x/1, mul(-1,x) → neg, neg(neg x),
 //     min/max(x,x), ite with equal branches or decided constant conditions.
 //     These mirror the smart-constructor rewrites in builder.cpp (same
@@ -59,7 +59,7 @@ struct OptimizeStats {
 Tape Optimize(const Tape& tape, OptimizeStats* stats = nullptr);
 
 /// Compile(e) followed by Optimize() — the entry point every hot caller
-/// (contractors, solver presampling, grid evaluation) should use.
+/// (solver atoms, presampling, grid evaluation) should use.
 Tape CompileOptimized(const Expr& e, OptimizeStats* stats = nullptr);
 
 /// Structural 64-bit fingerprint of a tape: FNV-1a over every instruction's

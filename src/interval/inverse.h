@@ -3,10 +3,10 @@
 // These are the restricted inverse images the backward sweep pushes through
 // non-ring operations (odd roots for integer powers, tan for atan, atanh for
 // tanh). They live out of line in one TU compiled with the project default
-// flags, so the scalar contractor (src/solver/contractor.cpp) and the
-// batched backward kernel (src/expr/interval_backward_batch.cpp) — which is
-// built with per-source optimization flags — get the same bits from one
-// audited copy.
+// flags, so the batched backward kernel (src/expr/interval_backward_batch.cpp)
+// — which is built with per-source optimization flags — and the scalar
+// reference sweep it is audited against (tests/scalar_reference.h) get the
+// same bits from one copy.
 #pragma once
 
 #include "interval/interval.h"

@@ -38,14 +38,17 @@ DeltaSolver::DeltaSolver(expr::BoolExpr formula, SolverOptions options)
     : formula_(std::move(formula)), options_(options) {
   XCV_CHECK(!formula_.IsNull());
   XCV_CHECK_MSG(options_.delta > 0.0, "delta must be positive");
-  XCV_CHECK_MSG(options_.wave_width >= 1, "wave width must be at least 1");
+  XCV_CHECK_MSG(
+      options_.wave_width >= 1 && options_.wave_width <= kMaxWaveWidth,
+      "wave width must be in [1, " << kMaxWaveWidth << "], got "
+                                   << options_.wave_width);
   skeleton_ = CompileFormula(formula_);
   CollectRequiredAtoms(skeleton_, required_atoms_);
   std::sort(required_atoms_.begin(), required_atoms_.end());
   required_atoms_.erase(
       std::unique(required_atoms_.begin(), required_atoms_.end()),
       required_atoms_.end());
-  is_required_.assign(contractors_.size(), 0);
+  is_required_.assign(atoms_.size(), 0);
   for (int atom : required_atoms_)
     is_required_[static_cast<std::size_t>(atom)] = 1;
 
@@ -53,9 +56,8 @@ DeltaSolver::DeltaSolver(expr::BoolExpr formula, SolverOptions options)
   // grow buffers lazily (one solver serves thousands of nodes per Check,
   // and campaign workers each own a solver from the engine's free-list).
   std::size_t max_slots = 0;
-  for (const AtomContractor& c : contractors_)
-    max_slots = std::max(max_slots, c.tape().size());
-  scratch_.Reserve(max_slots);
+  for (const Atom& atom : atoms_)
+    max_slots = std::max(max_slots, atom.tape.size());
   interval_batch_.Reserve(max_slots,
                           static_cast<std::size_t>(options_.wave_width));
   // The presample lattice never exceeds presample_points points, so cap the
@@ -71,9 +73,7 @@ DeltaSolver::DeltaSolver(expr::BoolExpr formula, SolverOptions options)
   req_batch_.resize(required_atoms_.size());
   for (std::size_t r = 0; r < required_atoms_.size(); ++r)
     req_batch_[r].Reserve(
-        contractors_[static_cast<std::size_t>(required_atoms_[r])]
-            .tape()
-            .size(),
+        atoms_[static_cast<std::size_t>(required_atoms_[r])].tape.size(),
         width);
   backward_.Reserve(max_slots, width);
 
@@ -86,9 +86,9 @@ std::uint64_t DeltaSolver::ComputeCacheScope() const {
   // compilation order, which is deterministic for a fixed formula) plus the
   // skeleton's shape over atom indices.
   std::uint64_t h = expr::kFnvOffset;
-  for (const AtomContractor& c : contractors_) {
-    h = FnvMix(h, expr::TapeFingerprint(c.tape()));
-    h = FnvMix(h, static_cast<std::uint64_t>(c.rel()));
+  for (const Atom& atom : atoms_) {
+    h = FnvMix(h, expr::TapeFingerprint(atom.tape));
+    h = FnvMix(h, static_cast<std::uint64_t>(atom.rel));
   }
   auto hash_skeleton = [&h](auto&& self, const FNode& node) -> void {
     h = FnvMix(h, static_cast<std::uint64_t>(node.kind));
@@ -164,9 +164,10 @@ DeltaSolver::FNode DeltaSolver::CompileFormula(const BoolExpr& b) {
       case BoolExpr::Kind::kAtom: {
         const auto key = AtomKey(node_expr.atom(), node_expr.rel());
         auto [it, inserted] =
-            atom_index.emplace(key, static_cast<int>(contractors_.size()));
+            atom_index.emplace(key, static_cast<int>(atoms_.size()));
         if (inserted)
-          contractors_.emplace_back(node_expr.atom(), node_expr.rel());
+          atoms_.push_back(
+              {expr::CompileOptimized(node_expr.atom()), node_expr.rel()});
         node.atom = it->second;
         return node;
       }
@@ -197,8 +198,21 @@ void DeltaSolver::CollectRequiredAtoms(const FNode& node,
   }
 }
 
-DeltaSolver::Tri DeltaSolver::EvaluateSkeleton(
-    const FNode& node, const std::vector<Tri>& atom_status) const {
+DeltaSolver::Tri DeltaSolver::ClassifyRoot(const Interval& root,
+                                           expr::Rel rel) {
+  if (root.IsEmpty()) return Tri::kFalse;  // nowhere defined
+  if (rel == expr::Rel::kLe) {
+    if (root.hi() <= 0.0) return Tri::kTrue;
+    if (root.lo() > 0.0) return Tri::kFalse;
+  } else {
+    if (root.hi() < 0.0) return Tri::kTrue;
+    if (root.lo() >= 0.0) return Tri::kFalse;
+  }
+  return Tri::kUnknown;
+}
+
+DeltaSolver::Tri DeltaSolver::EvaluateSkeleton(const FNode& node,
+                                               const Tri* atom_status) const {
   switch (node.kind) {
     case BoolExpr::Kind::kTrue: return Tri::kTrue;
     case BoolExpr::Kind::kFalse: return Tri::kFalse;
@@ -275,11 +289,11 @@ bool DeltaSolver::PresampleLattice(const Box& domain, CheckResult& result) {
   }
 
   auto& values = presample_.values;
-  values.resize(contractors_.size());
+  values.resize(atoms_.size());
   std::vector<const double*> inputs(dims);
-  for (std::size_t a = 0; a < contractors_.size(); ++a) {
+  for (std::size_t a = 0; a < atoms_.size(); ++a) {
     values[a].resize(total);
-    const expr::Tape& tape = contractors_[a].tape();
+    const expr::Tape& tape = atoms_[a].tape;
     for (std::size_t start = 0; start < total; start += kPresampleChunk) {
       const std::size_t n = std::min(kPresampleChunk, total - start);
       for (std::size_t d = 0; d < dims; ++d)
@@ -289,13 +303,12 @@ bool DeltaSolver::PresampleLattice(const Box& domain, CheckResult& result) {
     }
   }
 
-  std::vector<char> atom_truth(contractors_.size(), 0);
+  std::vector<char> atom_truth(atoms_.size(), 0);
   std::vector<double> point(dims);
   for (std::size_t i = 0; i < total; ++i) {
-    for (std::size_t a = 0; a < contractors_.size(); ++a) {
+    for (std::size_t a = 0; a < atoms_.size(); ++a) {
       const double v = values[a][i];
-      atom_truth[a] =
-          contractors_[a].rel() == expr::Rel::kLe ? v <= 0.0 : v < 0.0;
+      atom_truth[a] = atoms_[a].rel == expr::Rel::kLe ? v <= 0.0 : v < 0.0;
     }
     if (!EvaluateSkeletonExact(skeleton_, atom_truth)) continue;
     for (std::size_t d = 0; d < dims; ++d) point[d] = coords[d][i];
@@ -316,11 +329,10 @@ bool DeltaSolver::PresampleLattice(const Box& domain, CheckResult& result) {
 
 BoxStore::Ref DeltaSolver::NewNodeFromTmp() {
   const BoxStore::Ref ref = store_.AllocateCopy(tmp_box_);
-  const std::size_t atoms = contractors_.size();
+  const std::size_t atoms = atoms_.size();
   if (classified_.size() < store_.capacity()) {
     classified_.resize(store_.capacity(), 0);
     status_arena_.resize(store_.capacity() * atoms);
-    bwd_valid_.resize(store_.capacity(), 0);
     bwd_empty_arena_.resize(store_.capacity());
     bwd_count_arena_.resize(store_.capacity());
     bwd_box_arena_.resize(store_.capacity() * store_.dims() * 2);
@@ -353,7 +365,7 @@ void DeltaSolver::ClassifyWave(BoxStore::Ref popped) {
   // Materialize the two halves and classify the children as the next wave,
   // doubling the level until it outgrows wave_width (the `expanded` cap
   // bounds work per call when prunes keep the level narrow). Pops later
-  // walk this prebuilt subtree in the exact scalar order: the tree is the
+  // walk this prebuilt subtree in plain depth-first order: the tree is the
   // future search tree, so nothing here is wasted except past an early
   // return, and verdicts, boxes, and stats are byte-identical throughout.
   std::size_t expanded = 0;
@@ -380,7 +392,7 @@ void DeltaSolver::ClassifyContractWave() {
     }
   }
 
-  const std::size_t atoms = contractors_.size();
+  const std::size_t atoms = atoms_.size();
   const std::size_t nreq = required_atoms_.size();
   const bool measure = options_.measure_phases && phase_stats_ != nullptr;
   Stopwatch classify_watch;
@@ -394,15 +406,15 @@ void DeltaSolver::ClassifyContractWave() {
   // lanes survive until the backward pass below; the rest share one.
   std::size_t r = 0;
   for (std::size_t a = 0; a < atoms; ++a) {
-    const expr::Tape& tape = contractors_[a].tape();
+    const Atom& atom = atoms_[a];
     expr::TapeIntervalBatchScratch& fb =
         is_required_[a] ? req_batch_[r] : interval_batch_;
-    expr::EvalTapeIntervalBatch(tape, wave_lo_ptrs_, wave_hi_ptrs_, k_boxes,
-                                fb);
-    const auto root = static_cast<std::size_t>(tape.root());
+    expr::EvalTapeIntervalBatch(atom.tape, wave_lo_ptrs_, wave_hi_ptrs_,
+                                k_boxes, fb);
+    const auto root = static_cast<std::size_t>(atom.tape.root());
     for (std::size_t k = 0; k < k_boxes; ++k) {
       status_arena_[static_cast<std::size_t>(wave_refs_[k]) * atoms + a] =
-          static_cast<char>(contractors_[a].ClassifyRoot(fb.At(root, k)));
+          ClassifyRoot(fb.At(root, k), atom.rel);
     }
     r += is_required_[a];
   }
@@ -414,13 +426,12 @@ void DeltaSolver::ClassifyContractWave() {
                         trec.NowUs() - trace_t0,
                         "\"boxes\":" + std::to_string(k_boxes));
 
-  // Batched HC4 fixpoint over every undecided lane: the exact rounds ×
-  // required-atoms loop the pop path used to run per box, precomputed for
-  // the whole wave and replayed at pop. Per-lane masks replicate the scalar
-  // control flow — a lane stops taking sweeps the moment its box proves
-  // empty, and leaves the loop after a round with no contraction — so each
-  // lane's narrowing sequence, final box, and contraction-call count are
-  // exactly what the scalar loop produces for that box.
+  // Batched HC4 fixpoint over every undecided lane: rounds × required atoms,
+  // precomputed for the whole wave and replayed at pop. Per-lane masks keep
+  // each lane's control flow its own — a lane stops taking sweeps the moment
+  // its box proves empty, and leaves the loop after a round with no
+  // contraction — so its narrowing sequence, final box, and
+  // contraction-call count do not depend on its wave-mates.
   Stopwatch contract_watch;
   const std::uint64_t trace_t1 = tracing ? trec.NowUs() : 0;
   wave_active_.resize(width);
@@ -430,37 +441,21 @@ void DeltaSolver::ClassifyContractWave() {
   wave_unknown_.resize(width);
   wave_count_.resize(width);
   wave_outcome_.resize(width);
-  wave_atom_status_.resize(atoms);
   std::size_t undecided = 0;
-  const bool can_precompute = nreq > 0 && options_.contraction_rounds > 0;
   for (std::size_t k = 0; k < k_boxes; ++k) {
     const auto ref_k = static_cast<std::size_t>(wave_refs_[k]);
-    const char* st = status_arena_.data() + ref_k * atoms;
-    for (std::size_t a = 0; a < atoms; ++a) {
-      switch (static_cast<AtomContractor::Status>(st[a])) {
-        case AtomContractor::Status::kCertainlyTrue:
-          wave_atom_status_[a] = Tri::kTrue;
-          break;
-        case AtomContractor::Status::kCertainlyFalse:
-          wave_atom_status_[a] = Tri::kFalse;
-          break;
-        case AtomContractor::Status::kUnknown:
-          wave_atom_status_[a] = Tri::kUnknown;
-          break;
-      }
-    }
     // Decided lanes are pruned or accepted at pop before any contraction;
     // only Tri::kUnknown lanes consult the arena.
     const bool unknown =
-        EvaluateSkeleton(skeleton_, wave_atom_status_) == Tri::kUnknown;
+        EvaluateSkeleton(skeleton_, status_arena_.data() + ref_k * atoms) ==
+        Tri::kUnknown;
     wave_done_[k] = !unknown;
     wave_unknown_[k] = unknown;
     wave_empty_[k] = 0;
     wave_count_[k] = 0;
-    bwd_valid_[ref_k] = unknown && can_precompute;
     undecided += unknown;
   }
-  if (!can_precompute || undecided == 0) {
+  if (undecided == 0) {
     if (measure)
       phase_stats_->contract_seconds += contract_watch.ElapsedSeconds();
     if (tracing)
@@ -492,12 +487,12 @@ void DeltaSolver::ClassifyContractWave() {
       expr::TapeIntervalBatchScratch* fwd = &req_batch_[rr];
       if (round != 0 || !wave_untouched) {
         fwd = &interval_batch_;
-        expr::EvalTapeIntervalBatch(contractors_[a].tape(), bwd_clo_ptrs_,
+        expr::EvalTapeIntervalBatch(atoms_[a].tape, bwd_clo_ptrs_,
                                     bwd_chi_ptrs_, k_boxes, *fwd);
       }
       for (std::size_t k = 0; k < k_boxes; ++k)
         wave_count_[k] += wave_active_[k];
-      expr::ContractTapeIntervalBatch(contractors_[a].tape(), *fwd,
+      expr::ContractTapeIntervalBatch(atoms_[a].tape, *fwd,
                                       bwd_lo_ptrs_, bwd_hi_ptrs_, k_boxes,
                                       wave_active_.data(),
                                       wave_outcome_.data(), backward_);
@@ -506,7 +501,7 @@ void DeltaSolver::ClassifyContractWave() {
         if (wave_outcome_[k] == expr::kContractLaneEmpty) {
           wave_empty_[k] = 1;
           wave_done_[k] = 1;
-          wave_active_[k] = 0;  // the scalar loop breaks out on empty
+          wave_active_[k] = 0;  // no further sweeps for an empty box
         } else if (wave_outcome_[k] == expr::kContractLaneContracted) {
           wave_any_[k] = 1;
           wave_untouched = false;
@@ -518,8 +513,8 @@ void DeltaSolver::ClassifyContractWave() {
   }
 
   for (std::size_t k = 0; k < k_boxes; ++k) {
+    if (!wave_unknown_[k]) continue;
     const auto ref_k = static_cast<std::size_t>(wave_refs_[k]);
-    if (!bwd_valid_[ref_k]) continue;
     bwd_empty_arena_[ref_k] = wave_empty_[k];
     bwd_count_arena_[ref_k] = wave_count_[k];
     if (!wave_empty_[k]) {
@@ -544,24 +539,17 @@ void DeltaSolver::ExpandWaveChildren() {
   for (std::size_t k = 0; k < k_boxes; ++k) {
     // Decided lanes are pruned or accepted at pop before any split, empty
     // lanes are pruned after the arena replay, and delta-floor lanes
-    // terminate — only the rest reach pop step 4's bisect.
+    // terminate — only the rest reach pop step 4's split.
     if (!wave_unknown_[k]) continue;
-    const BoxStore::Ref ref = wave_refs_[k];
-    const auto ref_k = static_cast<std::size_t>(ref);
-    // The box the pop will bisect: the fixpoint's final box when one was
-    // precomputed, the original bounds otherwise (contraction disabled).
-    // Copied into tmp_box_ before allocating — NewNodeFromTmp can grow the
-    // arenas and the store.
-    if (bwd_valid_[ref_k] != 0) {
-      if (bwd_empty_arena_[ref_k] != 0) continue;
-      const double* src = bwd_box_arena_.data() + ref_k * dims * 2;
-      tmp_box_.resize(dims);
-      for (std::size_t d = 0; d < dims; ++d)
-        tmp_box_[d] = Interval(src[2 * d], src[2 * d + 1]);
-    } else {
-      const std::span<Interval> view = store_.View(ref);
-      tmp_box_.assign(view.begin(), view.end());
-    }
+    const auto ref_k = static_cast<std::size_t>(wave_refs_[k]);
+    if (bwd_empty_arena_[ref_k] != 0) continue;
+    // The box the pop will bisect: the fixpoint's final box. Copied into
+    // tmp_box_ before allocating — NewNodeFromTmp can grow the arenas and
+    // the store.
+    const double* src = bwd_box_arena_.data() + ref_k * dims * 2;
+    tmp_box_.resize(dims);
+    for (std::size_t d = 0; d < dims; ++d)
+      tmp_box_[d] = Interval(src[2 * d], src[2 * d + 1]);
     if (solver::MaxWidth(tmp_box_) <= options_.delta) continue;
     const std::size_t widest = solver::WidestDim(tmp_box_);
     Interval left, right;
@@ -629,12 +617,11 @@ CheckResult DeltaSolver::Check(const Box& domain, bool consult_cache) {
   // change between Check calls (different domains), so re-key the store;
   // its arena memory is retained across calls.
   const std::size_t dims = domain.size();
-  const std::size_t atoms = contractors_.size();
+  const std::size_t atoms = atoms_.size();
   store_.Reset(dims);
   stack_.clear();
   classified_.clear();
   status_arena_.clear();
-  bwd_valid_.clear();
   bwd_empty_arena_.clear();
   bwd_count_arena_.clear();
   bwd_box_arena_.clear();
@@ -661,7 +648,6 @@ CheckResult DeltaSolver::Check(const Box& domain, bool consult_cache) {
   tmp_box_.assign(domain.dims().begin(), domain.dims().end());
   stack_.push_back(NewNodeFromTmp());
 
-  std::vector<Tri> atom_status(atoms, Tri::kUnknown);
   int invalid_candidates = 0;
   std::vector<double> last_invalid_model;
   Box last_invalid_box;
@@ -686,31 +672,17 @@ CheckResult DeltaSolver::Check(const Box& domain, bool consult_cache) {
       return result;
     }
     const BoxStore::Ref ref = stack_.back();
+    const auto slot = static_cast<std::size_t>(ref);
     stack_.pop_back();
     ++result.stats.nodes;
 
     // 1) Classify every atom over the box; prune / accept by certainty.
     // Unclassified pops trigger a batched wave (which also covers upcoming
     // pops); otherwise the statuses were computed by an earlier wave on
-    // these exact bounds — bit-identical either way, and identical to the
-    // scalar per-box classification this loop used to run.
-    if (!classified_[static_cast<std::size_t>(ref)]) ClassifyWave(ref);
-    const char* statuses =
-        status_arena_.data() + static_cast<std::size_t>(ref) * atoms;
-    for (std::size_t i = 0; i < atoms; ++i) {
-      switch (static_cast<AtomContractor::Status>(statuses[i])) {
-        case AtomContractor::Status::kCertainlyTrue:
-          atom_status[i] = Tri::kTrue;
-          break;
-        case AtomContractor::Status::kCertainlyFalse:
-          atom_status[i] = Tri::kFalse;
-          break;
-        case AtomContractor::Status::kUnknown:
-          atom_status[i] = Tri::kUnknown;
-          break;
-      }
-    }
-    const Tri truth = EvaluateSkeleton(skeleton_, atom_status);
+    // these exact bounds.
+    if (!classified_[slot]) ClassifyWave(ref);
+    const Tri truth =
+        EvaluateSkeleton(skeleton_, status_arena_.data() + slot * atoms);
     if (truth == Tri::kFalse) {
       ++result.stats.prunes;
       store_.Release(ref);
@@ -727,46 +699,17 @@ CheckResult DeltaSolver::Check(const Box& domain, bool consult_cache) {
       return result;
     }
 
-    // 2) Contract with necessary atoms (HC4 fixpoint rounds). Wave boxes
-    // replay the precomputed fixpoint: final box, emptiness, and
-    // contraction-call count are exactly what the scalar loop below
-    // produces for these bounds (the loop is kept as the fallback for
-    // boxes no wave covered).
+    // 2) Contract with necessary atoms (HC4 fixpoint rounds): replay the
+    // fixpoint the wave precomputed for these bounds — final box,
+    // emptiness, and contraction-call count.
     const bool measure = options_.measure_phases;
     Stopwatch contract_watch;
-    bool empty = false;
-    if (bwd_valid_[static_cast<std::size_t>(ref)] != 0) {
-      result.stats.contractions +=
-          bwd_count_arena_[static_cast<std::size_t>(ref)];
-      if (bwd_empty_arena_[static_cast<std::size_t>(ref)] != 0) {
-        empty = true;
-      } else {
-        const double* src =
-            bwd_box_arena_.data() + static_cast<std::size_t>(ref) * dims * 2;
-        for (std::size_t d = 0; d < dims; ++d)
-          box[d] = Interval(src[2 * d], src[2 * d + 1]);
-      }
-    } else {
-      for (int round = 0; round < options_.contraction_rounds && !empty;
-           ++round) {
-        bool any = false;
-        for (int atom : required_atoms_) {
-          ++result.stats.contractions;
-          const auto a = static_cast<std::size_t>(atom);
-          switch (contractors_[a].Contract(box, scratch_)) {
-            case ContractOutcome::kEmpty:
-              empty = true;
-              break;
-            case ContractOutcome::kContracted:
-              any = true;
-              break;
-            case ContractOutcome::kNoChange:
-              break;
-          }
-          if (empty) break;
-        }
-        if (!any) break;
-      }
+    result.stats.contractions += bwd_count_arena_[slot];
+    const bool empty = bwd_empty_arena_[slot] != 0;
+    if (!empty) {
+      const double* src = bwd_box_arena_.data() + slot * dims * 2;
+      for (std::size_t d = 0; d < dims; ++d)
+        box[d] = Interval(src[2 * d], src[2 * d + 1]);
     }
     if (measure) result.stats.contract_seconds += contract_watch.ElapsedSeconds();
     if (empty) {
@@ -799,29 +742,14 @@ CheckResult DeltaSolver::Check(const Box& domain, bool consult_cache) {
       continue;
     }
 
-    // 4) Branch on the widest dimension (LIFO: depth-first). Wave-expanded
-    // boxes already carry their two halves — exact bit-copies of the split
-    // below, materialized from the precomputed fixpoint box — so push them
-    // directly. The on-the-spot bisect stays as the fallback for boxes no
-    // expansion covered.
-    const auto kids = static_cast<std::size_t>(ref) * 2;
-    if (child_arena_[kids] >= 0) {
-      const BoxStore::Ref left_ref = child_arena_[kids];
-      const BoxStore::Ref right_ref = child_arena_[kids + 1];
-      store_.Release(ref);
-      stack_.push_back(right_ref);
-      stack_.push_back(left_ref);
-      continue;
-    }
-    const std::size_t widest = solver::WidestDim(box);
-    tmp_box_.assign(box.begin(), box.end());
+    // 4) Branch on the widest dimension (LIFO: depth-first). The wave that
+    // classified this box also bisected its fixpoint box into two children
+    // (ExpandWaveChildren), so push them.
+    const BoxStore::Ref left_ref = child_arena_[slot * 2];
+    const BoxStore::Ref right_ref = child_arena_[slot * 2 + 1];
+    XCV_CHECK_MSG(left_ref >= 0 && right_ref >= 0,
+                  "box reached the split step without a wave expansion");
     store_.Release(ref);
-    Interval left, right;
-    tmp_box_[widest].Bisect(&left, &right);
-    tmp_box_[widest] = right;
-    const BoxStore::Ref right_ref = NewNodeFromTmp();
-    tmp_box_[widest] = left;
-    const BoxStore::Ref left_ref = NewNodeFromTmp();
     stack_.push_back(right_ref);
     stack_.push_back(left_ref);
   }
@@ -848,7 +776,7 @@ void DeltaSolver::ClassifyBoxes(std::span<const Box> boxes,
   out.assign(n, 0);
   if (n == 0) return;
   const std::size_t dims = boxes[0].size();
-  const std::size_t atoms = contractors_.size();
+  const std::size_t atoms = atoms_.size();
 
   // SoA gather into the revalidation lanes (grown monotonically).
   reval_lo_.resize(dims * n);
@@ -868,35 +796,20 @@ void DeltaSolver::ClassifyBoxes(std::span<const Box> boxes,
   }
 
   // One batched sweep per atom, statuses per (box, atom).
-  std::vector<char>& status = reval_status_;
+  std::vector<Tri>& status = reval_status_;
   status.resize(n * atoms);
   for (std::size_t a = 0; a < atoms; ++a) {
-    const expr::Tape& tape = contractors_[a].tape();
-    expr::EvalTapeIntervalBatch(tape, reval_lo_ptrs_, reval_hi_ptrs_, n,
+    const Atom& atom = atoms_[a];
+    expr::EvalTapeIntervalBatch(atom.tape, reval_lo_ptrs_, reval_hi_ptrs_, n,
                                 interval_batch_);
-    const auto root = static_cast<std::size_t>(tape.root());
+    const auto root = static_cast<std::size_t>(atom.tape.root());
     for (std::size_t k = 0; k < n; ++k)
-      status[k * atoms + a] = static_cast<char>(
-          contractors_[a].ClassifyRoot(interval_batch_.At(root, k)));
+      status[k * atoms + a] =
+          ClassifyRoot(interval_batch_.At(root, k), atom.rel);
   }
 
-  std::vector<Tri>& atom_status = reval_atom_status_;
-  atom_status.resize(atoms);
   for (std::size_t k = 0; k < n; ++k) {
-    for (std::size_t a = 0; a < atoms; ++a) {
-      switch (static_cast<AtomContractor::Status>(status[k * atoms + a])) {
-        case AtomContractor::Status::kCertainlyTrue:
-          atom_status[a] = Tri::kTrue;
-          break;
-        case AtomContractor::Status::kCertainlyFalse:
-          atom_status[a] = Tri::kFalse;
-          break;
-        case AtomContractor::Status::kUnknown:
-          atom_status[a] = Tri::kUnknown;
-          break;
-      }
-    }
-    const Tri truth = EvaluateSkeleton(skeleton_, atom_status);
+    const Tri truth = EvaluateSkeleton(skeleton_, status.data() + k * atoms);
     out[k] = truth == Tri::kTrue ? 1 : truth == Tri::kFalse ? -1 : 0;
   }
 }

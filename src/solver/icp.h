@@ -20,9 +20,9 @@
 #include <vector>
 
 #include "expr/bool_expr.h"
+#include "expr/compile.h"
 #include "expr/interval_backward_batch.h"
 #include "solver/box.h"
-#include "solver/contractor.h"
 #include "support/stopwatch.h"
 
 namespace xcv::cache {
@@ -30,6 +30,11 @@ class VerdictCache;
 }  // namespace xcv::cache
 
 namespace xcv::solver {
+
+/// Widest SolverOptions::wave_width accepted. The solver reserves scratch of
+/// tape slots × wave_width per atom up front; 64 is the widest wave any
+/// benchmark, test, or CI job runs.
+inline constexpr int kMaxWaveWidth = 64;
 
 /// Tuning knobs for one CheckSat call.
 struct SolverOptions {
@@ -61,8 +66,9 @@ struct SolverOptions {
   /// unclassified boxes nearest the top of the stack, one
   /// EvalTapeIntervalBatch dispatch per atom. Purely an evaluation-batching
   /// knob: verdicts, models, and stats are byte-identical at every width
-  /// (the batched kernels are bit-identical to the scalar evaluator and the
-  /// DFS order never changes). 1 degenerates to scalar classification.
+  /// (every lane's endpoints are independent of its wave-mates and the DFS
+  /// order never changes). 1 runs the same kernels one box per sweep; at
+  /// most kMaxWaveWidth.
   int wave_width = 8;
   /// Optional persistent verdict cache (src/cache/). When set, Check
   /// consults it before any solver work — an exact (formula, options, box)
@@ -155,11 +161,19 @@ class DeltaSolver {
     int atom = -1;
     std::vector<FNode> children;
   };
-  enum class Tri { kTrue, kFalse, kUnknown };
+  enum class Tri : char { kTrue, kFalse, kUnknown };
+  // One distinct atom "tape rel 0" (tape optimized by CompileOptimized).
+  struct Atom {
+    expr::Tape tape;
+    expr::Rel rel;
+  };
 
   FNode CompileFormula(const expr::BoolExpr& b);
-  Tri EvaluateSkeleton(const FNode& node,
-                       const std::vector<Tri>& atom_status) const;
+  /// Truth of an atom over a box from its root enclosure there. An empty
+  /// enclosure (the expression is defined nowhere in the box) is kFalse.
+  static Tri ClassifyRoot(const Interval& root, expr::Rel rel);
+  /// Skeleton truth given one status per atom (atom_status[atom]).
+  Tri EvaluateSkeleton(const FNode& node, const Tri* atom_status) const;
   /// Exact truth of the skeleton given per-atom IEEE truth values —
   /// equivalent to expr::EvalBool on the original formula.
   bool EvaluateSkeletonExact(const FNode& node,
@@ -170,7 +184,7 @@ class DeltaSolver {
   bool PresampleLattice(const Box& domain, CheckResult& result);
 
   /// Scope half of the cache key (see cache_scope()); computed once in the
-  /// constructor from the contractor tapes, skeleton, and options.
+  /// constructor from the atom tapes, skeleton, and options.
   std::uint64_t ComputeCacheScope() const;
 
   /// Records `result` for `domain` in the verdict cache when configured and
@@ -192,18 +206,20 @@ class DeltaSolver {
   /// the pop will perform is known now, so ExpandWaveChildren materializes
   /// the two halves and they become the next level's wave, doubling until
   /// the level outgrows wave_width (total work per call is capped at
-  /// ~2×wave_width lanes). Pops later walk this prebuilt subtree in the
-  /// exact scalar order; verdicts, boxes, and stats are bit-identical to
-  /// the scalar path at every wave width and ISA tier — speculation past an
-  /// early return only costs wall time.
+  /// ~2×wave_width lanes). Pops later walk this prebuilt subtree in plain
+  /// depth-first order; verdicts, boxes, and stats are bit-identical at
+  /// every wave width and ISA tier — speculation past an early return only
+  /// costs wall time.
   void ClassifyWave(BoxStore::Ref popped);
   /// One batched pass over wave_refs_ (≤ wave_width lanes): forward
   /// classification sweeps per atom into status_arena_, then the complete
   /// rounds × required-atoms HC4 fixpoint loop over every skeleton-undecided
-  /// lane — batched forward + backward sweeps with per-lane masks
-  /// replicating the scalar loop's empty/fixpoint early exits — scattering
-  /// each lane's final box, emptiness, and contraction-call count into the
-  /// ref-indexed bwd_* arenas replayed at pop.
+  /// lane — batched forward + backward sweeps with per-lane masks (a lane
+  /// leaves the loop once its box proves empty or a round contracts
+  /// nothing) — scattering each undecided lane's final box, emptiness, and
+  /// contraction-call count into the ref-indexed bwd_* arenas replayed at
+  /// pop. With contraction off (no rounds or no required atom) the final
+  /// box is the lane's own bounds and the count is 0.
   void ClassifyContractWave();
   /// Pre-splits the surviving lanes of the wave just contracted (skeleton
   /// undecided, not proved empty, wider than delta): bisects each lane's
@@ -216,10 +232,9 @@ class DeltaSolver {
   SolverOptions options_;
   std::uint64_t cache_scope_ = 0;
   FNode skeleton_;
-  std::vector<AtomContractor> contractors_;  // one per distinct atom
+  std::vector<Atom> atoms_;          // one per distinct atom
   std::vector<int> required_atoms_;  // atoms on every conjunctive path
   std::vector<char> is_required_;    // atom index -> on a conjunctive path
-  expr::TapeScratch scratch_;
 
   // Pooled branch-and-prune frontier: one BoxStore slot per open box, the
   // stack holds slot refs, and the per-slot side arrays carry the wave
@@ -227,10 +242,10 @@ class DeltaSolver {
   BoxStore store_;
   std::vector<BoxStore::Ref> stack_;
   std::vector<char> classified_;   // slot -> atoms classified?
-  std::vector<char> status_arena_; // slot * num_atoms + atom -> Status
+  std::vector<Tri> status_arena_;  // slot * num_atoms + atom -> truth
   std::vector<Interval> tmp_box_;  // bisect staging
   // Speculatively materialized split: slot*2 -> {left, right} child refs
-  // (-1 = not expanded; pop step 4 then bisects on the spot).
+  // (-1 = not expanded; every box that reaches pop step 4 has been).
   std::vector<BoxStore::Ref> child_arena_;
 
   // Wave classification buffers (sized once per Check).
@@ -244,17 +259,15 @@ class DeltaSolver {
   // one revalidation sweep per wave, so this is a hot path too).
   std::vector<double> reval_lo_, reval_hi_;
   std::vector<const double*> reval_lo_ptrs_, reval_hi_ptrs_;
-  std::vector<char> reval_status_;       // box * atoms + atom
-  std::vector<Tri> reval_atom_status_;   // per-box skeleton inputs
+  std::vector<Tri> reval_status_;  // box * atoms + atom
 
   // Batched backward contraction over the wave: ClassifyWave runs the whole
   // HC4 fixpoint loop (rounds × required atoms, forward + backward sweeps)
-  // over every undecided lane at once, with per-lane empty/fixpoint masks
-  // replicating the scalar loop's control flow exactly. Required atoms get
-  // their own forward scratch so their classification sweeps double as the
-  // round-0 forward enclosures; the final per-lane box, emptiness, and
-  // contraction-call count land in ref-indexed arenas and are replayed when
-  // the box is popped.
+  // over every undecided lane at once, with per-lane empty/fixpoint masks.
+  // Required atoms get their own forward scratch so their classification
+  // sweeps double as the round-0 forward enclosures; the final per-lane box,
+  // emptiness, and contraction-call count land in ref-indexed arenas and are
+  // replayed when the box is popped.
   std::vector<expr::TapeIntervalBatchScratch> req_batch_;  // per required atom
   expr::TapeBackwardBatchScratch backward_;
   std::vector<double> bwd_lo_, bwd_hi_;  // dims × wave_width working boxes
@@ -267,8 +280,6 @@ class DeltaSolver {
   std::vector<unsigned char> wave_unknown_; // lane skeleton-undecided
   std::vector<std::uint32_t> wave_count_;   // contraction calls per lane
   std::vector<signed char> wave_outcome_;   // per-lane backward outcome
-  std::vector<Tri> wave_atom_status_;       // per-lane skeleton inputs
-  std::vector<char> bwd_valid_;             // slot -> arena replay available
   std::vector<signed char> bwd_empty_arena_;     // slot -> went empty
   std::vector<std::uint32_t> bwd_count_arena_;   // slot -> contraction calls
   std::vector<double> bwd_box_arena_;  // slot × dims × {lo, hi} final box

@@ -74,6 +74,16 @@ bool JsonValue::AsBool() const {
   return boolean;
 }
 
+std::int64_t CheckedInteger(double v, std::int64_t lo, std::int64_t hi,
+                            const std::string& field) {
+  XCV_CHECK_MSG(std::isfinite(v) && v == std::floor(v) &&
+                    v >= static_cast<double>(lo) &&
+                    v <= static_cast<double>(hi),
+                field << " must be an integer in [" << lo << ", " << hi
+                      << "], got " << v);
+  return static_cast<std::int64_t>(v);
+}
+
 namespace {
 
 class JsonParser {
@@ -116,8 +126,15 @@ class JsonParser {
 
   JsonValue ParseValue() {
     const char c = Peek();
-    if (c == '{') return ParseObject();
-    if (c == '[') return ParseArray();
+    if (c == '{' || c == '[') {
+      XCV_CHECK_MSG(depth_ < kMaxDepth, "JSON nesting deeper than "
+                                            << kMaxDepth << " levels at offset "
+                                            << pos_);
+      ++depth_;
+      JsonValue v = c == '{' ? ParseObject() : ParseArray();
+      --depth_;
+      return v;
+    }
     if (c == '"') {
       JsonValue v;
       v.kind = JsonValue::Kind::kString;
@@ -236,6 +253,7 @@ class JsonParser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  // arrays/objects currently open
 };
 
 }  // namespace
@@ -275,10 +293,14 @@ std::size_t SkipBalanced(const std::string& text, std::size_t start) {
 }
 
 int SchemaVersionOf(const JsonValue& root) {
+  constexpr std::int64_t kMin = std::numeric_limits<int>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<int>::max();
   if (const JsonValue* sv = root.Find("schema_version"))
-    return static_cast<int>(sv->AsDouble());
+    return static_cast<int>(
+        CheckedInteger(sv->AsDouble(), kMin, kMax, "schema_version"));
   if (const JsonValue* v = root.Find("version"))
-    return static_cast<int>(v->AsDouble());
+    return static_cast<int>(
+        CheckedInteger(v->AsDouble(), kMin, kMax, "version"));
   return 1;
 }
 

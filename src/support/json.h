@@ -10,6 +10,7 @@
 // recursive-descent reader live in json.cpp.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -41,8 +42,26 @@ struct JsonValue {
   bool AsBool() const;
 };
 
+/// `v` as an integer in [lo, hi] (|lo|, |hi| at most 2^53). Integer fields
+/// of documents and flags arrive as doubles, and converting a non-finite or
+/// out-of-range double to an integer type is undefined, so readers check
+/// every such field here before narrowing it. Throws xcv::InternalError
+/// naming `field` unless `v` is finite, integral and in range.
+std::int64_t CheckedInteger(double v, std::int64_t lo, std::int64_t hi,
+                            const std::string& field);
+
+/// Largest integer every smaller one of which a double holds exactly — the
+/// upper bound for 64-bit counters read through CheckedInteger.
+inline constexpr std::int64_t kMaxExactInteger = std::int64_t{1} << 53;
+
+/// Deepest array/object nesting ParseJson accepts. Every document the repo
+/// writes nests fewer than ten levels; the bound keeps hostile input (a
+/// body of a million '[') from overflowing the recursive reader's stack.
+inline constexpr int kMaxDepth = 256;
+
 /// Parses one JSON document (trailing bytes are an error). Throws
-/// xcv::InternalError on malformed input.
+/// xcv::InternalError on malformed input, including nesting deeper than
+/// kMaxDepth.
 JsonValue ParseJson(const std::string& text);
 
 /// Given `text[start]` == '{' or '[', returns the index one past the

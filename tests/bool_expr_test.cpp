@@ -107,29 +107,6 @@ TEST(BoolExpr, NanSatisfiesNoAtom) {
   EXPECT_FALSE(EvalAt(BoolExpr::Not(atom), -1.0));
 }
 
-TEST(BoolExpr, CertaintyOverBoxes) {
-  std::vector<Interval> inside{Interval(0.0, 0.5)};
-  std::vector<Interval> outside{Interval(2.0, 3.0)};
-  std::vector<Interval> straddle{Interval(0.0, 3.0)};
-  BoolExpr le = BoolExpr::Le(X(), C(1));
-  EXPECT_TRUE(CertainlyTrue(le, inside));
-  EXPECT_FALSE(CertainlyFalse(le, inside));
-  EXPECT_TRUE(CertainlyFalse(le, outside));
-  EXPECT_FALSE(CertainlyTrue(le, outside));
-  EXPECT_FALSE(CertainlyTrue(le, straddle));
-  EXPECT_FALSE(CertainlyFalse(le, straddle));
-}
-
-TEST(BoolExpr, CertaintyThroughConnectives) {
-  std::vector<Interval> box{Interval(0.0, 0.5), Interval(2.0, 3.0)};
-  BoolExpr conj = BoolExpr::And({BoolExpr::Le(X(), C(1)),
-                                 BoolExpr::Ge(Y(), C(1))});
-  EXPECT_TRUE(CertainlyTrue(conj, box));
-  BoolExpr disj = BoolExpr::Or({BoolExpr::Ge(X(), C(1)),
-                                BoolExpr::Le(Y(), C(1))});
-  EXPECT_TRUE(CertainlyFalse(disj, box));
-}
-
 TEST(BoolExpr, CollectAtoms) {
   BoolExpr a = BoolExpr::Le(X(), C(1));
   BoolExpr b = BoolExpr::Ge(Y(), C(0));

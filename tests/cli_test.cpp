@@ -1,10 +1,13 @@
 #include <algorithm>
+#include <cstdio>
+#include <fstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "api/job_spec.h"
+#include "campaign/serialize.h"
 #include "cli/cli.h"
 #include "support/check.h"
 
@@ -106,6 +109,75 @@ TEST(Cli, ExtraAllowedKeysPassTheStrictnessCheck) {
                                   {"heartbeat", "trace"}));
   EXPECT_THROW(api::ApplyFlags({{"heartbeat", "/tmp/hb"}}, spec),
                InternalError);
+}
+
+// Integer flags are checked as doubles (finite, integral, in range) before
+// they are narrowed: a huge wave width used to reach the solver's scratch
+// reservations and abort with std::bad_alloc.
+TEST(Cli, IntegerFlagsAreCheckedBeforeNarrowing) {
+  for (const auto& [key, value] :
+       {std::pair<std::string, std::string>{"wave-width", "1e8"},
+        {"threads", "1e300"},
+        {"threads", "2.5"}}) {
+    api::JobSpec spec = api::DefaultJobSpec();
+    try {
+      api::ApplyFlags({{key, value}}, spec);
+      FAIL() << "ApplyFlags accepted --" << key << "=" << value;
+    } catch (const InternalError& e) {
+      EXPECT_NE(std::string(e.what()).find("--" + key), std::string::npos)
+          << e.what();
+    }
+  }
+  const char* argv[] = {"xcv", "verify", "--functionals=lda",
+                        "--conditions=EC1", "--wave-width=100000000"};
+  EXPECT_EQ(Main(5, argv), 2);
+}
+
+// Runs `xcv resume` on a checkpoint file holding `text`; returns the exit
+// code and leaves stderr in `err`.
+int ResumeFrom(const std::string& name, const std::string& text,
+               std::string* err) {
+  const std::string path = ::testing::TempDir() + name;
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << text;
+  }
+  const std::string flag = "--checkpoint=" + path;
+  const char* argv[] = {"xcv", "resume", flag.c_str()};
+  ::testing::internal::CaptureStderr();
+  const int rc = Main(3, argv);
+  *err = ::testing::internal::GetCapturedStderr();
+  std::remove(path.c_str());
+  return rc;
+}
+
+TEST(Cli, ResumeRejectsHostileCheckpoints) {
+  std::string err;
+  // Unbounded nesting used to overflow the JSON reader's stack (SIGSEGV).
+  EXPECT_EQ(ResumeFrom("xcv_deep_checkpoint.json",
+                       std::string(2'000'000, '['), &err),
+            2);
+  EXPECT_NE(err.find("JSON nesting deeper than"), std::string::npos) << err;
+
+  // Integer options are checked before they are narrowed, and a checkpoint's
+  // solver options pass the same range checks as a job spec.
+  const std::string base = campaign::CheckpointToJson(
+      api::DefaultJobSpec().options, {}, /*cancelled=*/false);
+  for (const auto& [field, value] :
+       {std::pair<std::string, std::string>{"wave_width", "1e8"},
+        {"num_threads", "1e300"},
+        {"contraction_rounds", "\"nan\""}}) {
+    std::string text = base;
+    const std::string key = "\"" + field + "\": ";
+    const std::size_t at = text.find(key);
+    ASSERT_NE(at, std::string::npos) << field;
+    const std::size_t begin = at + key.size();
+    const std::size_t end = text.find_first_of(",\n", begin);
+    text.replace(begin, end - begin, value);
+    EXPECT_EQ(ResumeFrom("xcv_hostile_checkpoint.json", text, &err), 2)
+        << field;
+    EXPECT_NE(err.find(field), std::string::npos) << err;
+  }
 }
 
 }  // namespace

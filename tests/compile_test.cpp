@@ -17,6 +17,17 @@ Expr X() { return Expr::Variable("x", 0); }
 Expr Y() { return Expr::Variable("y", 1); }
 Expr C(double v) { return Expr::Constant(v); }
 
+// Double evaluation of the tape at the point `env`: the batched evaluator at
+// width 1 (each input row is one value).
+double EvalAt(const Tape& tape, std::span<const double> env) {
+  std::vector<const double*> inputs;
+  for (const double& v : env) inputs.push_back(&v);
+  TapeBatchScratch scratch;
+  double out = 0.0;
+  EvalTapeBatch(tape, inputs, 1, &out, scratch);
+  return out;
+}
+
 TEST(Compile, TopologicalOrder) {
   Tape tape = Compile(ExpE(X() + C(1)) * X());
   // Every operand slot must refer to an earlier instruction.
@@ -55,64 +66,44 @@ TEST(Compile, AbsentVariableSlotIsMinusOne) {
   EXPECT_GE(tape.var_slot[1], 0);
 }
 
-TEST(EvalTape, MatchesRecursiveEvaluator) {
+TEST(EvalTapeBatch, MatchesRecursiveEvaluator) {
   Expr e = ExpE(X() * Y()) / (C(1) + SqrtE(AbsE(X() - Y()) + C(0.1)));
   Tape tape = Compile(e);
-  TapeScratch scratch;
   const double env[2] = {1.3, 0.4};
   std::span<const double> s(env, 2);
-  EXPECT_DOUBLE_EQ(EvalTape(tape, s, scratch), EvalDouble(e, s));
+  EXPECT_DOUBLE_EQ(EvalAt(tape, s), EvalDouble(e, s));
 }
 
-TEST(EvalTape, NaryOperands) {
+TEST(EvalTapeBatch, NaryOperands) {
   Expr e = Add({X(), Y(), C(2), ExpE(X())});
   Tape tape = Compile(e);
-  TapeScratch scratch;
   const double env[2] = {1.0, 2.0};
   std::span<const double> s(env, 2);
-  EXPECT_DOUBLE_EQ(EvalTape(tape, s, scratch), 5.0 + std::exp(1.0));
+  EXPECT_DOUBLE_EQ(EvalAt(tape, s), 5.0 + std::exp(1.0));
   Expr m = Mul({X(), Y(), C(3), X()});
   Tape mt = Compile(m);
-  EXPECT_DOUBLE_EQ(EvalTape(mt, s, scratch), 6.0);
+  EXPECT_DOUBLE_EQ(EvalAt(mt, s), 6.0);
 }
 
-TEST(EvalTape, IteBranches) {
+TEST(EvalTapeBatch, IteBranches) {
   Expr e = Ite(X(), Rel::kLt, Y(), X() + Y(), X() * Y());
   Tape tape = Compile(e);
-  TapeScratch scratch;
   const double lt[2] = {1.0, 2.0};
   const double ge[2] = {3.0, 2.0};
-  EXPECT_DOUBLE_EQ(EvalTape(tape, std::span<const double>(lt, 2), scratch),
-                   3.0);
-  EXPECT_DOUBLE_EQ(EvalTape(tape, std::span<const double>(ge, 2), scratch),
-                   6.0);
+  EXPECT_DOUBLE_EQ(EvalAt(tape, std::span<const double>(lt, 2)), 3.0);
+  EXPECT_DOUBLE_EQ(EvalAt(tape, std::span<const double>(ge, 2)), 6.0);
 }
 
-Expr SqrPlusY() { return X() * X() + Y(); }
-
-TEST(EvalTapeInterval, MatchesRecursiveIntervalEvaluator) {
-  Expr e = LogE(C(1) + SqrPlusY());
-  Tape tape = Compile(e);
-  TapeScratch scratch;
-  std::vector<Interval> box{Interval(0.5, 1.5), Interval(0.1, 0.9)};
-  const Interval a = EvalTapeInterval(tape, box, scratch);
-  const Interval b = EvalInterval(e, box);
-  EXPECT_TRUE(a.Intersects(b));
-  EXPECT_NEAR(a.lo(), b.lo(), 1e-12);
-  EXPECT_NEAR(a.hi(), b.hi(), 1e-12);
-}
-
-TEST(EvalTapeProperty, TapeAgreesWithRecursiveOnRandomExprs) {
+TEST(EvalTapeBatchProperty, TapeAgreesWithRecursiveOnRandomExprs) {
   Rng rng(1357);
   RandomExprGen gen(rng, {X(), Y()});
   for (int trial = 0; trial < 300; ++trial) {
     const Expr e = gen.Gen(4);
     Tape tape = Compile(e);
-    TapeScratch scratch;
     for (int pt = 0; pt < 3; ++pt) {
       const double env[2] = {rng.Uniform(0.2, 3.0), rng.Uniform(0.2, 3.0)};
       std::span<const double> s(env, 2);
-      const double a = EvalTape(tape, s, scratch);
+      const double a = EvalAt(tape, s);
       const double b = EvalDouble(e, s);
       if (std::isnan(a) && std::isnan(b)) continue;
       ASSERT_DOUBLE_EQ(a, b) << e.ToString();
@@ -127,9 +118,9 @@ TEST(EvalTapeIntervalProperty, SoundOnRandomExprs) {
   for (int trial = 0; trial < 200; ++trial) {
     const Expr e = gen.Gen(4);
     Tape tape = Compile(e);
-    TapeScratch scratch;
     std::vector<Interval> box{rng.RandomInterval(0.2, 3.0),
                               rng.RandomInterval(0.2, 3.0)};
+    TapeIntervalBatchScratch scratch;
     const Interval enclosure = EvalTapeInterval(tape, box, scratch);
     for (int pt = 0; pt < 4; ++pt) {
       const double env[2] = {rng.PointIn(box[0]), rng.PointIn(box[1])};

@@ -1,9 +1,16 @@
+// Behaviour and soundness of the solver's atom classification and HC4
+// contraction, exercised through the production batched path at width 1:
+// DeltaSolver::ClassifyBoxes for certainty, and EvalTapeIntervalBatch +
+// ContractTapeIntervalBatch over one box for contraction.
 #include <cmath>
 
 #include <gtest/gtest.h>
 
+#include "expr/compile.h"
 #include "expr/eval.h"
-#include "solver/contractor.h"
+#include "expr/interval_backward_batch.h"
+#include "expr/optimize.h"
+#include "solver/icp.h"
 #include "test_util.h"
 
 namespace xcv::solver {
@@ -19,50 +26,99 @@ Expr X() { return Expr::Variable("x", 0); }
 Expr Y() { return Expr::Variable("y", 1); }
 Expr C(double v) { return Expr::Constant(v); }
 
+constexpr signed char kEmpty = expr::kContractLaneEmpty;
+constexpr signed char kContracted = expr::kContractLaneContracted;
+constexpr signed char kNoChange = expr::kContractLaneNoChange;
+
+// Truth of `formula` over `box` as the solver classifies it: +1 certainly
+// true, -1 certainly false, 0 undecided.
+int Classify(const BoolExpr& formula, const Box& box) {
+  DeltaSolver solver(formula, SolverOptions{});
+  std::vector<int> out;
+  solver.ClassifyBoxes(std::span<const Box>(&box, 1), out);
+  return out.at(0);
+}
+
+// One HC4-revise pass of the atom "e ≤ 0" (the backward sweep narrows the
+// root to (-inf, 0] for either relation) over `box`, on the optimized tape
+// the solver compiles. Narrows `box` in place; returns the lane outcome.
+signed char Contract(const Expr& e, Box& box) {
+  const expr::Tape tape = expr::CompileOptimized(e);
+  const std::size_t dims = box.size();
+  std::vector<double> lo(dims), hi(dims);
+  std::vector<double*> lop(dims), hip(dims);
+  std::vector<const double*> clop(dims), chip(dims);
+  for (std::size_t d = 0; d < dims; ++d) {
+    lo[d] = box[d].lo();
+    hi[d] = box[d].hi();
+    clop[d] = lop[d] = &lo[d];
+    chip[d] = hip[d] = &hi[d];
+  }
+  expr::TapeIntervalBatchScratch fwd;
+  expr::TapeBackwardBatchScratch bwd;
+  signed char outcome = kNoChange;
+  expr::EvalTapeIntervalBatch(tape, clop, chip, 1, fwd);
+  expr::ContractTapeIntervalBatch(tape, fwd, lop, hip, 1, nullptr, &outcome,
+                                  bwd);
+  if (outcome != kEmpty)
+    for (std::size_t d = 0; d < dims; ++d) box[d] = Interval(lo[d], hi[d]);
+  return outcome;
+}
+
 TEST(Contractor, ClassifyCertainties) {
   // Atom: x - 1 <= 0, i.e. x <= 1.
-  AtomContractor c(X() - C(1), Rel::kLe);
-  expr::TapeScratch scratch;
-  EXPECT_EQ(c.Classify(Box({Interval(0.0, 0.5)}), scratch),
-            AtomContractor::Status::kCertainlyTrue);
-  EXPECT_EQ(c.Classify(Box({Interval(2.0, 3.0)}), scratch),
-            AtomContractor::Status::kCertainlyFalse);
-  EXPECT_EQ(c.Classify(Box({Interval(0.0, 3.0)}), scratch),
-            AtomContractor::Status::kUnknown);
+  const BoolExpr atom = BoolExpr::Atom(X() - C(1), Rel::kLe);
+  EXPECT_EQ(Classify(atom, Box({Interval(0.0, 0.5)})), 1);
+  EXPECT_EQ(Classify(atom, Box({Interval(2.0, 3.0)})), -1);
+  EXPECT_EQ(Classify(atom, Box({Interval(0.0, 3.0)})), 0);
 }
 
 TEST(Contractor, StrictVsNonStrictNearBoundary) {
   // Outward rounding makes exact-boundary classification conservative
   // (Unknown); a small margin restores certainty, and strictness shows up
   // in which side is certain.
-  expr::TapeScratch scratch;
   Box just_below({Interval(1.0 - 1e-9)});
   Box just_above({Interval(1.0 + 1e-9)});
-  AtomContractor le(X() - C(1), Rel::kLe);
-  AtomContractor lt(X() - C(1), Rel::kLt);
-  EXPECT_EQ(le.Classify(just_below, scratch),
-            AtomContractor::Status::kCertainlyTrue);
-  EXPECT_EQ(lt.Classify(just_below, scratch),
-            AtomContractor::Status::kCertainlyTrue);
-  EXPECT_EQ(le.Classify(just_above, scratch),
-            AtomContractor::Status::kCertainlyFalse);
-  EXPECT_EQ(lt.Classify(just_above, scratch),
-            AtomContractor::Status::kCertainlyFalse);
+  const BoolExpr le = BoolExpr::Atom(X() - C(1), Rel::kLe);
+  const BoolExpr lt = BoolExpr::Atom(X() - C(1), Rel::kLt);
+  EXPECT_EQ(Classify(le, just_below), 1);
+  EXPECT_EQ(Classify(lt, just_below), 1);
+  EXPECT_EQ(Classify(le, just_above), -1);
+  EXPECT_EQ(Classify(lt, just_above), -1);
   // At the exact boundary the widened enclosure straddles 0: Unknown is
   // the sound answer for both relations.
   Box point({Interval(1.0)});
-  EXPECT_EQ(le.Classify(point, scratch),
-            AtomContractor::Status::kUnknown);
-  EXPECT_EQ(lt.Classify(point, scratch),
-            AtomContractor::Status::kUnknown);
+  EXPECT_EQ(Classify(le, point), 0);
+  EXPECT_EQ(Classify(lt, point), 0);
+}
+
+TEST(Contractor, ClassifyThroughConnectives) {
+  const Box box({Interval(0.0, 0.5), Interval(2.0, 3.0)});
+  const BoolExpr conj = BoolExpr::And({BoolExpr::Le(X(), C(1)),
+                                       BoolExpr::Ge(Y(), C(1))});
+  EXPECT_EQ(Classify(conj, box), 1);
+  const BoolExpr disj = BoolExpr::Or({BoolExpr::Ge(X(), C(1)),
+                                      BoolExpr::Le(Y(), C(1))});
+  EXPECT_EQ(Classify(disj, box), -1);
+  // One certain conjunct and one undecided one leave the conjunction open.
+  const BoolExpr open = BoolExpr::And({BoolExpr::Le(X(), C(1)),
+                                       BoolExpr::Le(Y(), C(2.5))});
+  EXPECT_EQ(Classify(open, box), 0);
+}
+
+TEST(Contractor, NowhereDefinedIsCertainlyFalse) {
+  // sqrt(x) over x < 0 has an empty enclosure: the atom holds nowhere in the
+  // box, and so does its negation.
+  const Box box({Interval(-5.0, -1.0)});
+  EXPECT_EQ(Classify(BoolExpr::Le(expr::SqrtE(X()), C(1)), box), -1);
+  EXPECT_EQ(Classify(BoolExpr::Gt(expr::SqrtE(X()), C(1)), box), -1);
 }
 
 TEST(Contractor, ContractsLinearAtom) {
   // x + y - 1 <= 0 over [0,5] x [0,5]: x must be <= 1.
-  AtomContractor c(X() + Y() - C(1), Rel::kLe);
-  expr::TapeScratch scratch;
+  const Expr c = X() + Y() - C(1);
   Box box({Interval(0.0, 5.0), Interval(0.0, 5.0)});
-  EXPECT_EQ(c.Contract(box, scratch), ContractOutcome::kContracted);
+  EXPECT_EQ(Contract(c, box), kContracted);
   EXPECT_LE(box[0].hi(), 1.0 + 1e-9);
   EXPECT_LE(box[1].hi(), 1.0 + 1e-9);
 }
@@ -71,20 +127,18 @@ TEST(Contractor, DetectsEmptiness) {
   // x^2 + 1 <= 0 is unsatisfiable. (Written with Pow: the x*x product form
   // suffers interval dependency — [-3,3]*[-3,3] = [-9,9] — and cannot be
   // refuted by a single contraction; that case is the solver's job.)
-  AtomContractor c(expr::Pow(X(), 2.0) + C(1), Rel::kLe);
-  expr::TapeScratch scratch;
+  const Expr c = expr::Pow(X(), 2.0) + C(1);
   Box box({Interval(-3.0, 3.0)});
-  EXPECT_EQ(c.Contract(box, scratch), ContractOutcome::kEmpty);
+  EXPECT_EQ(Contract(c, box), kEmpty);
 }
 
 TEST(Contractor, ProductFormIsRecognizedAsSquare) {
   // The same constraint in x*x form: the tape optimizer rewrites the
   // duplicated product to sqr(x), whose enclosure [0,9] has no dependency
   // problem, so one pass now refutes it just like the Pow spelling.
-  AtomContractor c(X() * X() + C(1), Rel::kLe);
-  expr::TapeScratch scratch;
+  const Expr c = X() * X() + C(1);
   Box box({Interval(-3.0, 3.0)});
-  EXPECT_EQ(c.Contract(box, scratch), ContractOutcome::kEmpty);
+  EXPECT_EQ(Contract(c, box), kEmpty);
 }
 
 TEST(Contractor, DependentProductIsNotRefutedLocally) {
@@ -92,17 +146,15 @@ TEST(Contractor, DependentProductIsNotRefutedLocally) {
   // collapse: x*(x+1) - x + 1. One HC4 pass cannot empty it ([-3,3]*[-2,4]
   // loses the correlation), but there are no solutions, so anything
   // non-empty is merely conservative — never unsound.
-  AtomContractor c(X() * (X() + C(1)) - X() + C(1), Rel::kLe);
-  expr::TapeScratch scratch;
+  const Expr c = X() * (X() + C(1)) - X() + C(1);
   Box box({Interval(-3.0, 3.0)});
-  EXPECT_NE(c.Contract(box, scratch), ContractOutcome::kEmpty);
+  EXPECT_NE(Contract(c, box), kEmpty);
 }
 
 TEST(Contractor, NoChangeWhenAlreadyTight) {
-  AtomContractor c(X() - C(10), Rel::kLe);  // x <= 10, box is [0,1]
-  expr::TapeScratch scratch;
+  const Expr c = X() - C(10);  // x <= 10, box is [0,1]
   Box box({Interval(0.0, 1.0)});
-  EXPECT_EQ(c.Contract(box, scratch), ContractOutcome::kNoChange);
+  EXPECT_EQ(Contract(c, box), kNoChange);
   EXPECT_EQ(box[0], Interval(0.0, 1.0));
 }
 
@@ -110,102 +162,93 @@ TEST(Contractor, DuplicatedOperandRegression) {
   // z = x + x <= 1 over x in [0.4, 5]: true solution set x <= 0.5.
   // A naive backward rule that skips *all* occurrences of a duplicated
   // operand would wrongly contract to x >= 0.8.
-  AtomContractor c(expr::Add(X(), X()) - C(1), Rel::kLe);
-  expr::TapeScratch scratch;
+  const Expr c = expr::Add(X(), X()) - C(1);
   Box box({Interval(0.4, 5.0)});
-  ASSERT_NE(c.Contract(box, scratch), ContractOutcome::kEmpty);
+  ASSERT_NE(Contract(c, box), kEmpty);
   EXPECT_TRUE(box[0].Contains(0.45));  // a genuine solution survives
   // Same for multiplication: x * x <= 4 over [1, 10] keeps x = 1.5.
-  AtomContractor m(expr::Mul(X(), X()) - C(4), Rel::kLe);
+  const Expr m = expr::Mul(X(), X()) - C(4);
   Box mbox({Interval(1.0, 10.0)});
-  ASSERT_NE(m.Contract(mbox, scratch), ContractOutcome::kEmpty);
+  ASSERT_NE(Contract(m, mbox), kEmpty);
   EXPECT_TRUE(mbox[0].Contains(1.5));
 }
 
 TEST(Contractor, BackwardThroughExp) {
   // exp(x) - 2 <= 0  =>  x <= ln 2.
-  AtomContractor c(expr::ExpE(X()) - C(2), Rel::kLe);
-  expr::TapeScratch scratch;
+  const Expr c = expr::ExpE(X()) - C(2);
   Box box({Interval(-10.0, 10.0)});
-  EXPECT_EQ(c.Contract(box, scratch), ContractOutcome::kContracted);
+  EXPECT_EQ(Contract(c, box), kContracted);
   EXPECT_LE(box[0].hi(), std::log(2.0) + 1e-9);
   EXPECT_TRUE(box[0].Contains(0.0));
 }
 
 TEST(Contractor, BackwardThroughLog) {
   // log(x) <= 0  =>  x <= 1 (and x > 0 survives).
-  AtomContractor c(expr::LogE(X()), Rel::kLe);
-  expr::TapeScratch scratch;
+  const Expr c = expr::LogE(X());
   Box box({Interval(0.1, 10.0)});
-  EXPECT_EQ(c.Contract(box, scratch), ContractOutcome::kContracted);
+  EXPECT_EQ(Contract(c, box), kContracted);
   EXPECT_LE(box[0].hi(), 1.0 + 1e-9);
   EXPECT_TRUE(box[0].Contains(0.5));
 }
 
 TEST(Contractor, BackwardThroughSqrtAndAbs) {
   // sqrt(x) - 2 <= 0  =>  x <= 4.
-  AtomContractor c(expr::SqrtE(X()) - C(2), Rel::kLe);
-  expr::TapeScratch scratch;
+  const Expr c = expr::SqrtE(X()) - C(2);
   Box box({Interval(0.0, 100.0)});
-  EXPECT_EQ(c.Contract(box, scratch), ContractOutcome::kContracted);
+  EXPECT_EQ(Contract(c, box), kContracted);
   EXPECT_LE(box[0].hi(), 4.0 + 1e-6);
   // |x| - 1 <= 0  =>  x in [-1, 1].
-  AtomContractor a(expr::AbsE(X()) - C(1), Rel::kLe);
+  const Expr a = expr::AbsE(X()) - C(1);
   Box abox({Interval(-10.0, 10.0)});
-  EXPECT_EQ(a.Contract(abox, scratch), ContractOutcome::kContracted);
+  EXPECT_EQ(Contract(a, abox), kContracted);
   EXPECT_LE(abox[0].hi(), 1.0 + 1e-9);
   EXPECT_GE(abox[0].lo(), -1.0 - 1e-9);
 }
 
 TEST(Contractor, BackwardThroughEvenPower) {
   // x^2 - 4 <= 0  =>  x in [-2, 2].
-  AtomContractor c(expr::Pow(X(), 2.0) - C(4), Rel::kLe);
-  expr::TapeScratch scratch;
+  const Expr c = expr::Pow(X(), 2.0) - C(4);
   Box box({Interval(-10.0, 10.0)});
-  EXPECT_EQ(c.Contract(box, scratch), ContractOutcome::kContracted);
+  EXPECT_EQ(Contract(c, box), kContracted);
   EXPECT_LE(box[0].hi(), 2.0 + 1e-6);
   EXPECT_GE(box[0].lo(), -2.0 - 1e-6);
 }
 
 TEST(Contractor, BackwardThroughOddPower) {
   // x^3 - 8 <= 0  =>  x <= 2 (negatives untouched).
-  AtomContractor c(expr::Pow(X(), 3.0) - C(8), Rel::kLe);
-  expr::TapeScratch scratch;
+  const Expr c = expr::Pow(X(), 3.0) - C(8);
   Box box({Interval(-10.0, 10.0)});
-  EXPECT_EQ(c.Contract(box, scratch), ContractOutcome::kContracted);
+  EXPECT_EQ(Contract(c, box), kContracted);
   EXPECT_LE(box[0].hi(), 2.0 + 1e-6);
   EXPECT_TRUE(box[0].Contains(-5.0));
 }
 
 TEST(Contractor, BackwardThroughLambertW) {
   // W(x) - 1 <= 0  =>  x <= e.
-  AtomContractor c(expr::LambertW0E(X()) - C(1), Rel::kLe);
-  expr::TapeScratch scratch;
+  const Expr c = expr::LambertW0E(X()) - C(1);
   Box box({Interval(0.0, 100.0)});
-  EXPECT_EQ(c.Contract(box, scratch), ContractOutcome::kContracted);
+  EXPECT_EQ(Contract(c, box), kContracted);
   EXPECT_LE(box[0].hi(), M_E + 1e-6);
 }
 
 TEST(Contractor, BackwardThroughNegationAndDiv) {
   // -x + 1 <= 0  =>  x >= 1.
-  AtomContractor c(C(1) - X(), Rel::kLe);
-  expr::TapeScratch scratch;
+  const Expr c = C(1) - X();
   Box box({Interval(-5.0, 5.0)});
-  EXPECT_EQ(c.Contract(box, scratch), ContractOutcome::kContracted);
+  EXPECT_EQ(Contract(c, box), kContracted);
   EXPECT_GE(box[0].lo(), 1.0 - 1e-9);
   // x / y - 1 <= 0 with y in [1, 2]: x <= 2.
-  AtomContractor d(X() / Y() - C(1), Rel::kLe);
+  const Expr d = X() / Y() - C(1);
   Box dbox({Interval(0.0, 100.0), Interval(1.0, 2.0)});
-  EXPECT_EQ(d.Contract(dbox, scratch), ContractOutcome::kContracted);
+  EXPECT_EQ(Contract(d, dbox), kContracted);
   EXPECT_LE(dbox[0].hi(), 2.0 + 1e-9);
 }
 
 TEST(Contractor, UndefinedEverywhereIsEmpty) {
   // sqrt(x) over x < 0: expression nowhere defined on the box.
-  AtomContractor c(expr::SqrtE(X()) - C(1), Rel::kLe);
-  expr::TapeScratch scratch;
+  const Expr c = expr::SqrtE(X()) - C(1);
   Box box({Interval(-5.0, -1.0)});
-  EXPECT_EQ(c.Contract(box, scratch), ContractOutcome::kEmpty);
+  EXPECT_EQ(Contract(c, box), kEmpty);
 }
 
 // HC4 soundness sweep: contraction never removes a satisfying point.
@@ -216,8 +259,6 @@ TEST(ContractorProperty, NeverRemovesSolutions) {
   for (int trial = 0; trial < 250; ++trial) {
     const Expr e = gen.Gen(3) - C(rng.Uniform(-2.0, 2.0));
     const Rel rel = rng.Bernoulli() ? Rel::kLe : Rel::kLt;
-    AtomContractor c(e, rel);
-    expr::TapeScratch scratch;
     Box box({rng.RandomInterval(0.2, 3.0), rng.RandomInterval(0.2, 3.0)});
 
     // Collect satisfying sample points before contraction.
@@ -230,8 +271,8 @@ TEST(ContractorProperty, NeverRemovesSolutions) {
     }
 
     Box contracted = box;
-    const ContractOutcome outcome = c.Contract(contracted, scratch);
-    if (outcome == ContractOutcome::kEmpty) {
+    const signed char outcome = Contract(e, contracted);
+    if (outcome == kEmpty) {
       ASSERT_TRUE(sat.empty())
           << "contractor emptied a box containing solutions for "
           << e.ToString();

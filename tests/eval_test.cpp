@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "expr/compile.h"
 #include "expr/eval.h"
 #include "expr/expr.h"
 #include "support/check.h"
@@ -16,6 +17,13 @@ using xcv::testing::Rng;
 Expr X() { return Expr::Variable("x", 0); }
 Expr Y() { return Expr::Variable("y", 1); }
 Expr C(double v) { return Expr::Constant(v); }
+
+// Interval enclosure of `e` over `box` from the production evaluator: the
+// compiled tape through the batched kernels at width 1.
+Interval Enclose(const Expr& e, std::span<const Interval> box) {
+  TapeIntervalBatchScratch scratch;
+  return EvalTapeInterval(Compile(e), box, scratch);
+}
 
 TEST(EvalDouble, BasicArithmetic) {
   const double env[2] = {3.0, 4.0};
@@ -72,41 +80,41 @@ TEST(EvalDouble, NanPropagates) {
                                     std::span<const double>(env, 1))));
 }
 
-TEST(EvalInterval, ConstantsAndVariables) {
+TEST(EvalTapeInterval, ConstantsAndVariables) {
   std::vector<Interval> box{Interval(1.0, 2.0)};
-  EXPECT_EQ(EvalInterval(C(5), box), Interval(5.0));
-  EXPECT_EQ(EvalInterval(X(), box), Interval(1.0, 2.0));
+  EXPECT_EQ(Enclose(C(5), box), Interval(5.0));
+  EXPECT_EQ(Enclose(X(), box), Interval(1.0, 2.0));
 }
 
-TEST(EvalInterval, IteHullsUncertainBranches) {
+TEST(EvalTapeInterval, IteHullsUncertainBranches) {
   // ite(x <= 1, 10, 20) over x in [0, 2]: both branches possible.
   std::vector<Interval> box{Interval(0.0, 2.0)};
   Expr e = Ite(X(), Rel::kLe, C(1), C(10), C(20));
-  Interval r = EvalInterval(e, box);
+  Interval r = Enclose(e, box);
   EXPECT_TRUE(r.Contains(10.0));
   EXPECT_TRUE(r.Contains(20.0));
   // Over x in [2, 3] only the else branch applies.
   std::vector<Interval> right{Interval(2.0, 3.0)};
-  EXPECT_EQ(EvalInterval(e, right), Interval(20.0));
+  EXPECT_EQ(Enclose(e, right), Interval(20.0));
   // Over x in [0, 0.5] only the then branch applies.
   std::vector<Interval> left{Interval(0.0, 0.5)};
-  EXPECT_EQ(EvalInterval(e, left), Interval(10.0));
+  EXPECT_EQ(Enclose(e, left), Interval(10.0));
 }
 
-TEST(EvalInterval, SharedSubexpressionEvaluatedConsistently) {
+TEST(EvalTapeInterval, SharedSubexpressionEvaluatedConsistently) {
   // (x - x) evaluates to an interval containing 0 (interval arithmetic
   // cannot collapse it, but must contain the true value 0).
   std::vector<Interval> box{Interval(1.0, 2.0)};
   Expr e = X() - X();
-  EXPECT_TRUE(EvalInterval(e, box).Contains(0.0));
+  EXPECT_TRUE(Enclose(e, box).Contains(0.0));
 }
 
-TEST(EvalInterval, EmptyBoxPropagates) {
+TEST(EvalTapeInterval, EmptyBoxPropagates) {
   std::vector<Interval> box{Interval::Empty()};
-  EXPECT_TRUE(EvalInterval(X() + C(1), box).IsEmpty());
+  EXPECT_TRUE(Enclose(X() + C(1), box).IsEmpty());
 }
 
-TEST(EvalIntervalProperty, EnclosesPointEvaluationOnRandomExprs) {
+TEST(EvalTapeIntervalProperty, EnclosesPointEvaluationOnRandomExprs) {
   Rng rng(4242);
   RandomExprGen gen(rng, {X(), Y()});
   int checked = 0;
@@ -114,7 +122,7 @@ TEST(EvalIntervalProperty, EnclosesPointEvaluationOnRandomExprs) {
     const Expr e = gen.Gen(4);
     std::vector<Interval> box{rng.RandomInterval(0.2, 3.0),
                               rng.RandomInterval(0.2, 3.0)};
-    const Interval enclosure = EvalInterval(e, box);
+    const Interval enclosure = Enclose(e, box);
     for (int pt = 0; pt < 5; ++pt) {
       const double env[2] = {rng.PointIn(box[0]), rng.PointIn(box[1])};
       const double v = EvalDouble(e, std::span<const double>(env, 2));

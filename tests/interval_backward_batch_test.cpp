@@ -1,10 +1,11 @@
 // Bit-identity tests for the batched SoA HC4 backward sweep and the SIMD
 // dispatch layer underneath it:
 //   1. ContractTapeIntervalBatch is bit-identical, lane by lane and endpoint
-//      by endpoint, to AtomContractor::Contract (forward + scalar
-//      ContractFromForward) — across random tapes, the optimized paper
-//      tapes, wave widths 1/7/64, and boxes with empty, point, ±inf, and
-//      zero-straddling dimensions.
+//      by endpoint, to the scalar oracle's Contract (tests/scalar_reference.h:
+//      forward sweep + ContractFromForward) — across random tapes, the
+//      optimized paper tapes, wave widths 1/7/64, boxes with empty, point,
+//      ±inf, and zero-straddling dimensions, and every runnable XCV_SIMD
+//      tier.
 //   2. Inactive lanes pass through untouched with outcome kNoChange.
 //   3. Every compiled-and-runnable XCV_SIMD tier (scalar, sse2, avx2,
 //      avx512) produces the same output bits for the same wave — the
@@ -23,32 +24,20 @@
 #include "expr/interval_backward_batch.h"
 #include "expr/optimize.h"
 #include "functionals/functional.h"
-#include "solver/box.h"
-#include "solver/contractor.h"
 #include "support/simd.h"
 #include "test_util.h"
+#include "tests/scalar_reference.h"
 
 namespace xcv {
 namespace {
 
-using solver::AtomContractor;
-using solver::Box;
-using solver::ContractOutcome;
+using testing::ForEachRunnableTier;
 using testing::RandomExprGen;
 using testing::Rng;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 std::uint64_t Bits(double v) { return std::bit_cast<std::uint64_t>(v); }
-
-signed char LaneOf(ContractOutcome oc) {
-  switch (oc) {
-    case ContractOutcome::kEmpty: return expr::kContractLaneEmpty;
-    case ContractOutcome::kContracted: return expr::kContractLaneContracted;
-    case ContractOutcome::kNoChange: return expr::kContractLaneNoChange;
-  }
-  return 127;
-}
 
 std::vector<std::vector<Interval>> TestBoxes(Rng& rng, std::size_t count,
                                              std::size_t dims) {
@@ -80,7 +69,7 @@ struct WaveResult {
   std::vector<signed char> outcome;
 };
 
-WaveResult RunWave(const AtomContractor& contractor,
+WaveResult RunWave(const expr::Tape& tape,
                    const std::vector<std::vector<Interval>>& boxes,
                    std::size_t start, std::size_t n,
                    const unsigned char* active) {
@@ -101,25 +90,25 @@ WaveResult RunWave(const AtomContractor& contractor,
   w.outcome.assign(n, 127);
   expr::TapeIntervalBatchScratch fwd;
   expr::TapeBackwardBatchScratch bwd;
-  expr::EvalTapeIntervalBatch(contractor.tape(), clop, chip, n, fwd);
-  expr::ContractTapeIntervalBatch(contractor.tape(), fwd, lop, hip, n, active,
+  expr::EvalTapeIntervalBatch(tape, clop, chip, n, fwd);
+  expr::ContractTapeIntervalBatch(tape, fwd, lop, hip, n, active,
                                   w.outcome.data(), bwd);
   return w;
 }
 
-void ExpectBackwardMatchesScalar(const AtomContractor& contractor,
+void ExpectBackwardMatchesScalar(const expr::Tape& tape,
                                  const std::vector<std::vector<Interval>>& boxes,
                                  std::size_t width) {
   const std::size_t dims = boxes.front().size();
-  expr::TapeScratch scratch;
+  oracle::TapeScratch scratch;
   for (std::size_t start = 0; start < boxes.size(); start += width) {
     const std::size_t n = std::min(width, boxes.size() - start);
-    const WaveResult w = RunWave(contractor, boxes, start, n, nullptr);
+    const WaveResult w = RunWave(tape, boxes, start, n, nullptr);
     for (std::size_t k = 0; k < n; ++k) {
       std::vector<Interval> ref_box = boxes[start + k];
-      const ContractOutcome oc = contractor.Contract(ref_box, scratch);
-      ASSERT_EQ(w.outcome[k], LaneOf(oc))
-          << "lane " << k << " width " << width;
+      const signed char oc = oracle::Contract(tape, ref_box, scratch);
+      ASSERT_EQ(w.outcome[k], oc) << "lane " << k << " width " << width
+                                  << " " << simd::TierName(simd::ActiveTier());
       for (std::size_t d = 0; d < dims; ++d) {
         EXPECT_EQ(Bits(w.lo[d][k]), Bits(ref_box[d].lo()))
             << "lo dim " << d << " lane " << k << " width " << width;
@@ -137,52 +126,65 @@ expr::Expr Var(const char* name, int index) {
 TEST(BackwardBatch, BitIdenticalOnRandomTapes) {
   Rng rng(23);
   RandomExprGen gen(rng, {Var("x", 0), Var("y", 1), Var("z", 2)});
+  std::vector<expr::Tape> tapes;
+  std::vector<std::vector<std::vector<Interval>>> boxes;
   for (int trial = 0; trial < 40; ++trial) {
-    const AtomContractor contractor(
-        gen.Gen(4), rng.Bernoulli() ? expr::Rel::kLe : expr::Rel::kLt);
-    const auto boxes = TestBoxes(rng, 70, 3);
-    for (std::size_t width : {1u, 7u, 64u})
-      ExpectBackwardMatchesScalar(contractor, boxes, width);
+    tapes.push_back(expr::CompileOptimized(gen.Gen(4)));
+    boxes.push_back(TestBoxes(rng, 70, 3));
   }
+  const int tiers = ForEachRunnableTier([&](simd::Tier) {
+    for (std::size_t t = 0; t < tapes.size(); ++t)
+      for (std::size_t width : {1u, 7u, 64u})
+        ExpectBackwardMatchesScalar(tapes[t], boxes[t], width);
+  });
+  EXPECT_GE(tiers, 2) << "scalar and sse2 are always runnable";
 }
 
 TEST(BackwardBatch, BitIdenticalOnPaperTapes) {
   Rng rng(31);
+  std::vector<expr::Tape> tapes;
+  std::vector<std::vector<std::vector<Interval>>> boxes;
   for (const auto& f : functionals::PaperFunctionals()) {
-    const AtomContractor contractor(
-        expr::Neg(conditions::CorrelationEnhancement(f)), expr::Rel::kLe);
-    const auto boxes = TestBoxes(rng, 70, 3);
-    for (std::size_t width : {1u, 7u, 64u})
-      ExpectBackwardMatchesScalar(contractor, boxes, width);
+    tapes.push_back(expr::CompileOptimized(
+        expr::Neg(conditions::CorrelationEnhancement(f))));
+    boxes.push_back(TestBoxes(rng, 70, 3));
   }
+  ForEachRunnableTier([&](simd::Tier) {
+    for (std::size_t t = 0; t < tapes.size(); ++t)
+      for (std::size_t width : {1u, 7u, 64u})
+        ExpectBackwardMatchesScalar(tapes[t], boxes[t], width);
+  });
 }
 
 TEST(BackwardBatch, InactiveLanesUntouched) {
   Rng rng(47);
   RandomExprGen gen(rng, {Var("x", 0), Var("y", 1), Var("z", 2)});
-  const AtomContractor contractor(gen.Gen(4), expr::Rel::kLe);
+  const expr::Tape tape = expr::CompileOptimized(gen.Gen(4));
   const auto boxes = TestBoxes(rng, 64, 3);
   std::vector<unsigned char> active(64);
   for (std::size_t k = 0; k < 64; ++k) active[k] = k % 2;
-  const WaveResult w = RunWave(contractor, boxes, 0, 64, active.data());
-  expr::TapeScratch scratch;
-  for (std::size_t k = 0; k < 64; ++k) {
-    if (!active[k]) {
-      EXPECT_EQ(w.outcome[k], expr::kContractLaneNoChange) << "lane " << k;
-      for (std::size_t d = 0; d < 3; ++d) {
-        EXPECT_EQ(Bits(w.lo[d][k]), Bits(boxes[k][d].lo())) << "lane " << k;
-        EXPECT_EQ(Bits(w.hi[d][k]), Bits(boxes[k][d].hi())) << "lane " << k;
-      }
-    } else {
-      std::vector<Interval> ref_box = boxes[k];
-      const ContractOutcome oc = contractor.Contract(ref_box, scratch);
-      EXPECT_EQ(w.outcome[k], LaneOf(oc)) << "lane " << k;
-      for (std::size_t d = 0; d < 3; ++d) {
-        EXPECT_EQ(Bits(w.lo[d][k]), Bits(ref_box[d].lo())) << "lane " << k;
-        EXPECT_EQ(Bits(w.hi[d][k]), Bits(ref_box[d].hi())) << "lane " << k;
+  ForEachRunnableTier([&](simd::Tier tier) {
+    const WaveResult w = RunWave(tape, boxes, 0, 64, active.data());
+    oracle::TapeScratch scratch;
+    for (std::size_t k = 0; k < 64; ++k) {
+      if (!active[k]) {
+        EXPECT_EQ(w.outcome[k], expr::kContractLaneNoChange)
+            << "lane " << k << " " << simd::TierName(tier);
+        for (std::size_t d = 0; d < 3; ++d) {
+          EXPECT_EQ(Bits(w.lo[d][k]), Bits(boxes[k][d].lo())) << "lane " << k;
+          EXPECT_EQ(Bits(w.hi[d][k]), Bits(boxes[k][d].hi())) << "lane " << k;
+        }
+      } else {
+        std::vector<Interval> ref_box = boxes[k];
+        EXPECT_EQ(w.outcome[k], oracle::Contract(tape, ref_box, scratch))
+            << "lane " << k << " " << simd::TierName(tier);
+        for (std::size_t d = 0; d < 3; ++d) {
+          EXPECT_EQ(Bits(w.lo[d][k]), Bits(ref_box[d].lo())) << "lane " << k;
+          EXPECT_EQ(Bits(w.hi[d][k]), Bits(ref_box[d].hi())) << "lane " << k;
+        }
       }
     }
-  }
+  });
 }
 
 // ---- SIMD dispatch ----------------------------------------------------------
@@ -207,48 +209,43 @@ TEST(SimdDispatch, TierTableSane) {
 TEST(SimdDispatch, AllTiersBitIdentical) {
   Rng rng(59);
   RandomExprGen gen(rng, {Var("x", 0), Var("y", 1), Var("z", 2)});
-  std::vector<AtomContractor> contractors;
+  std::vector<expr::Tape> tapes;
   for (int trial = 0; trial < 8; ++trial)
-    contractors.emplace_back(gen.Gen(5),
-                             trial % 2 ? expr::Rel::kLe : expr::Rel::kLt);
+    tapes.push_back(expr::CompileOptimized(gen.Gen(5)));
   for (const auto& f : functionals::PaperFunctionals())
-    contractors.emplace_back(expr::Neg(conditions::CorrelationEnhancement(f)),
-                             expr::Rel::kLe);
+    tapes.push_back(expr::CompileOptimized(
+        expr::Neg(conditions::CorrelationEnhancement(f))));
   const auto boxes = TestBoxes(rng, 64, 3);
 
-  const simd::Tier original = simd::ActiveTier();
   struct TierRun {
     simd::Tier tier;
     std::vector<WaveResult> waves;
   };
   std::vector<TierRun> runs;
-  for (int ti = 0; ti < simd::kNumTiers; ++ti) {
-    const auto tier = static_cast<simd::Tier>(ti);
-    if (!simd::ForceTierForTesting(tier)) continue;  // not runnable here
+  ForEachRunnableTier([&](simd::Tier tier) {
     TierRun run{tier, {}};
-    for (const auto& c : contractors)
-      run.waves.push_back(RunWave(c, boxes, 0, boxes.size(), nullptr));
+    for (const auto& tape : tapes)
+      run.waves.push_back(RunWave(tape, boxes, 0, boxes.size(), nullptr));
     runs.push_back(std::move(run));
-  }
-  ASSERT_TRUE(simd::ForceTierForTesting(original));
+  });
   ASSERT_GE(runs.size(), 2u) << "scalar and sse2 are always runnable";
 
   const TierRun& ref = runs.front();
   for (std::size_t r = 1; r < runs.size(); ++r) {
     const TierRun& cur = runs[r];
-    for (std::size_t c = 0; c < contractors.size(); ++c) {
+    for (std::size_t c = 0; c < tapes.size(); ++c) {
       const WaveResult& a = ref.waves[c];
       const WaveResult& b = cur.waves[c];
       for (std::size_t k = 0; k < boxes.size(); ++k) {
         EXPECT_EQ(a.outcome[k], b.outcome[k])
-            << simd::TierName(cur.tier) << " contractor " << c << " lane "
+            << simd::TierName(cur.tier) << " tape " << c << " lane "
             << k;
         for (std::size_t d = 0; d < 3; ++d) {
           EXPECT_EQ(Bits(a.lo[d][k]), Bits(b.lo[d][k]))
-              << simd::TierName(cur.tier) << " contractor " << c << " lane "
+              << simd::TierName(cur.tier) << " tape " << c << " lane "
               << k << " dim " << d;
           EXPECT_EQ(Bits(a.hi[d][k]), Bits(b.hi[d][k]))
-              << simd::TierName(cur.tier) << " contractor " << c << " lane "
+              << simd::TierName(cur.tier) << " tape " << c << " lane "
               << k << " dim " << d;
         }
       }

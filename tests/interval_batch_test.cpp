@@ -4,16 +4,15 @@
 //      double (specials and a large random bit-pattern sweep) — they sit
 //      inside every outward rounding the solver's verdicts rest on.
 //   2. EvalTapeIntervalBatch is bit-identical, slot by slot and lane by
-//      lane, to the scalar EvalTapeIntervalForward — across random tapes,
-//      optimized paper tapes, wave widths 1/7/64, and boxes with empty,
-//      point, and ±inf-endpoint dimensions.
-//   3. ContractFromForward on extracted batch lanes contracts exactly like
-//      Contract's own forward sweep.
-//   4. BoxStore allocates, recycles, and stages self-aliasing copies
+//      lane, to the scalar oracle's EvalTapeIntervalForward
+//      (tests/scalar_reference.h) — across random tapes, optimized paper
+//      tapes, wave widths 1/7/64, boxes with empty, point, and
+//      ±inf-endpoint dimensions, and every runnable XCV_SIMD tier.
+//   3. BoxStore allocates, recycles, and stages self-aliasing copies
 //      correctly.
-//   5. DeltaSolver verdicts, models, and stats are identical at every wave
-//      width, and verifier reports are byte-equal across wave widths and
-//      thread counts.
+//   4. DeltaSolver verdicts, models, and stats are identical at every wave
+//      width and equal to pinned values, and verifier reports are byte-equal
+//      across wave widths and thread counts.
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -26,16 +25,16 @@
 #include "expr/optimize.h"
 #include "functionals/functional.h"
 #include "solver/box.h"
-#include "solver/contractor.h"
 #include "solver/icp.h"
 #include "test_util.h"
+#include "tests/scalar_reference.h"
 #include "verifier/verifier.h"
 
 namespace xcv {
 namespace {
 
-using solver::Box;
 using solver::BoxStore;
+using testing::ForEachRunnableTier;
 using testing::RandomExprGen;
 using testing::Rng;
 
@@ -71,7 +70,7 @@ TEST(NextAfterEquivalence, RandomBitPatterns) {
     ExpectNextEq(std::bit_cast<double>(rng.engine()()));
 }
 
-// ---- 2. Batch == scalar, bit for bit ----------------------------------------
+// ---- 2. Batch == scalar oracle, bit for bit ---------------------------------
 
 std::vector<std::vector<Interval>> TestBoxes(Rng& rng, std::size_t count,
                                              std::size_t dims) {
@@ -101,9 +100,8 @@ void ExpectBatchMatchesScalar(const expr::Tape& tape,
   const std::size_t dims = boxes.front().size();
   std::vector<std::vector<double>> lo(dims), hi(dims);
   std::vector<const double*> lop(dims), hip(dims);
-  expr::TapeScratch scalar;
+  oracle::TapeScratch scalar;
   expr::TapeIntervalBatchScratch batch;
-  std::vector<Interval> lane;
   for (std::size_t start = 0; start < boxes.size(); start += width) {
     const std::size_t n = std::min(width, boxes.size() - start);
     for (std::size_t d = 0; d < dims; ++d) {
@@ -118,14 +116,16 @@ void ExpectBatchMatchesScalar(const expr::Tape& tape,
     }
     expr::EvalTapeIntervalBatch(tape, lop, hip, n, batch);
     for (std::size_t k = 0; k < n; ++k) {
-      expr::EvalTapeIntervalForward(tape, boxes[start + k], scalar);
-      expr::ExtractIntervalLane(tape, batch, k, lane);
-      ASSERT_EQ(lane.size(), scalar.intervals.size());
-      for (std::size_t s = 0; s < lane.size(); ++s) {
-        EXPECT_EQ(Bits(lane[s].lo()), Bits(scalar.intervals[s].lo()))
-            << "slot " << s << " lane " << k << " width " << width;
-        EXPECT_EQ(Bits(lane[s].hi()), Bits(scalar.intervals[s].hi()))
-            << "slot " << s << " lane " << k << " width " << width;
+      oracle::EvalTapeIntervalForward(tape, boxes[start + k], scalar);
+      ASSERT_EQ(tape.size(), scalar.intervals.size());
+      for (std::size_t s = 0; s < tape.size(); ++s) {
+        const Interval lane = batch.At(s, k);
+        EXPECT_EQ(Bits(lane.lo()), Bits(scalar.intervals[s].lo()))
+            << "slot " << s << " lane " << k << " width " << width << " "
+            << simd::TierName(simd::ActiveTier());
+        EXPECT_EQ(Bits(lane.hi()), Bits(scalar.intervals[s].hi()))
+            << "slot " << s << " lane " << k << " width " << width << " "
+            << simd::TierName(simd::ActiveTier());
       }
     }
   }
@@ -138,54 +138,40 @@ expr::Expr Var(const char* name, int index) {
 TEST(IntervalBatch, BitIdenticalOnRandomTapes) {
   Rng rng(42);
   RandomExprGen gen(rng, {Var("x", 0), Var("y", 1), Var("z", 2)});
+  std::vector<expr::Tape> tapes;
+  std::vector<std::vector<std::vector<Interval>>> boxes;
   for (int trial = 0; trial < 40; ++trial) {
     const expr::Expr e = gen.Gen(5);
-    for (const expr::Tape& tape :
-         {expr::Compile(e), expr::CompileOptimized(e)}) {
-      const auto boxes = TestBoxes(rng, 70, 3);
-      for (std::size_t width : {1u, 7u, 64u})
-        ExpectBatchMatchesScalar(tape, boxes, width);
+    for (expr::Tape tape : {expr::Compile(e), expr::CompileOptimized(e)}) {
+      tapes.push_back(std::move(tape));
+      boxes.push_back(TestBoxes(rng, 70, 3));
     }
   }
+  const int tiers = ForEachRunnableTier([&](simd::Tier) {
+    for (std::size_t t = 0; t < tapes.size(); ++t)
+      for (std::size_t width : {1u, 7u, 64u})
+        ExpectBatchMatchesScalar(tapes[t], boxes[t], width);
+  });
+  EXPECT_GE(tiers, 2) << "scalar and sse2 are always runnable";
 }
 
 TEST(IntervalBatch, BitIdenticalOnPaperTapes) {
   Rng rng(11);
+  std::vector<expr::Tape> tapes;
+  std::vector<std::vector<std::vector<Interval>>> boxes;
   for (const auto& f : functionals::PaperFunctionals()) {
     const expr::Expr fc = conditions::CorrelationEnhancement(f);
-    const expr::Tape tape = expr::CompileOptimized(expr::Neg(fc));
-    const auto boxes = TestBoxes(rng, 70, 3);
-    for (std::size_t width : {1u, 7u, 64u})
-      ExpectBatchMatchesScalar(tape, boxes, width);
+    tapes.push_back(expr::CompileOptimized(expr::Neg(fc)));
+    boxes.push_back(TestBoxes(rng, 70, 3));
   }
+  ForEachRunnableTier([&](simd::Tier) {
+    for (std::size_t t = 0; t < tapes.size(); ++t)
+      for (std::size_t width : {1u, 7u, 64u})
+        ExpectBatchMatchesScalar(tapes[t], boxes[t], width);
+  });
 }
 
-// ---- 3. ContractFromForward == Contract -------------------------------------
-
-TEST(IntervalBatch, ContractFromForwardMatchesContract) {
-  Rng rng(5);
-  RandomExprGen gen(rng, {Var("x", 0), Var("y", 1), Var("z", 2)});
-  expr::TapeScratch scratch;
-  std::vector<Interval> forward;
-  for (int trial = 0; trial < 60; ++trial) {
-    const solver::AtomContractor contractor(
-        gen.Gen(4), rng.Bernoulli() ? expr::Rel::kLe : expr::Rel::kLt);
-    std::vector<Interval> dims;
-    for (int d = 0; d < 3; ++d) dims.push_back(rng.RandomInterval(0.2, 3.0));
-    Box a{dims}, b{dims};
-    const auto out_a = contractor.Contract(a, scratch);
-    expr::EvalTapeIntervalForward(contractor.tape(), b.dims(), forward);
-    const auto out_b = contractor.ContractFromForward(b.MutableDims(), forward);
-    EXPECT_EQ(out_a, out_b);
-    for (int d = 0; d < 3; ++d) {
-      EXPECT_EQ(a[static_cast<std::size_t>(d)],
-                b[static_cast<std::size_t>(d)])
-          << "dim " << d;
-    }
-  }
-}
-
-// ---- 4. BoxStore ------------------------------------------------------------
+// ---- 3. BoxStore ------------------------------------------------------------
 
 TEST(BoxStoreTest, AllocateReleaseRecycle) {
   BoxStore store(2);
@@ -229,31 +215,74 @@ TEST(BoxStoreTest, ResetKeepsNothingLive) {
   EXPECT_EQ(store.View(r).size(), 2u);
 }
 
-// ---- 5. Solver / verifier invariance across wave widths ---------------------
+// ---- 4. Solver / verifier invariance across wave widths ---------------------
 
+// Every width must reproduce the pinned width-1 result: kind, model bits,
+// and stats. The inputs cover the default options, contraction off
+// (contraction_rounds = 0), a disjunction with no required atom (nothing to
+// contract), and presampling off (the lattice would have found LYP's
+// counterexample before any branching).
 TEST(WaveInvariance, SolverResultsIdenticalAtEveryWidth) {
-  for (const char* fname : {"PBE", "SCAN"}) {
-    const auto& f = *functionals::FindFunctional(fname);
+  const auto& pbe = *functionals::FindFunctional("PBE");
+  const auto& scan = *functionals::FindFunctional("SCAN");
+  const auto& lyp = *functionals::FindFunctional("LYP");
+  auto violation = [](const char* id, const functionals::Functional& f) {
     const auto psi =
-        conditions::BuildCondition(*conditions::FindCondition("EC1"), f);
-    ASSERT_TRUE(psi.has_value());
-    const auto domain = conditions::PaperDomain(f);
-    solver::CheckResult ref;
+        conditions::BuildCondition(*conditions::FindCondition(id), f);
+    EXPECT_TRUE(psi.has_value()) << id << " " << f.name;
+    return expr::BoolExpr::Not(*psi);
+  };
+  solver::SolverOptions base;
+  base.max_nodes = 1500;
+  solver::SolverOptions no_contraction = base;
+  no_contraction.contraction_rounds = 0;
+  solver::SolverOptions no_presample = base;
+  no_presample.presample_points = 0;
+
+  struct Case {
+    const char* name;
+    expr::BoolExpr formula;
+    solver::Box domain;
+    solver::SolverOptions options;
+    solver::SatKind kind;
+    std::vector<std::uint64_t> model_bits;
+    std::uint64_t nodes, prunes, contractions;
+  };
+  const std::vector<Case> cases{
+      {"PBE EC1", violation("EC1", pbe), conditions::PaperDomain(pbe), base,
+       solver::SatKind::kDeltaSat,
+       {0x3f30fdcfc8847daa, 0x3fe3858000000000}, 1321, 619, 1189},
+      {"SCAN EC1", violation("EC1", scan), conditions::PaperDomain(scan),
+       base, solver::SatKind::kDeltaSat,
+       {0x3f3a8d9e83e425d7, 0x3f66800000000000, 0x3f34000000000000}, 187,
+       42, 337},
+      {"PBE EC1 rounds=0", violation("EC1", pbe),
+       conditions::PaperDomain(pbe), no_contraction,
+       solver::SatKind::kDeltaSat,
+       {0x3f3a8d9e83e425af, 0x3fd6530000000000}, 1500, 741, 0},
+      {"PBE EC1|EC2", expr::BoolExpr::Or({violation("EC1", pbe),
+                                          violation("EC2", pbe)}),
+       conditions::PaperDomain(pbe), base, solver::SatKind::kDeltaSat,
+       {0x3f3a8d9e83e425af, 0x3f94500000000000}, 234, 72, 0},
+      {"LYP EC1 presample=0", violation("EC1", lyp),
+       conditions::PaperDomain(lyp), no_presample, solver::SatKind::kTimeout,
+       {}, 1500, 740, 2117},
+  };
+  for (const Case& c : cases) {
     for (int width : {1, 2, 7, 8, 64}) {
-      solver::SolverOptions opts;
-      opts.max_nodes = 1500;
+      solver::SolverOptions opts = c.options;
       opts.wave_width = width;
-      solver::DeltaSolver s(expr::BoolExpr::Not(*psi), opts);
-      const auto result = s.Check(domain);
-      if (width == 1) {
-        ref = result;
-        continue;
-      }
-      EXPECT_EQ(result.kind, ref.kind) << fname << " width " << width;
-      EXPECT_EQ(result.model, ref.model) << fname << " width " << width;
-      EXPECT_EQ(result.stats.nodes, ref.stats.nodes);
-      EXPECT_EQ(result.stats.prunes, ref.stats.prunes);
-      EXPECT_EQ(result.stats.contractions, ref.stats.contractions);
+      solver::DeltaSolver s(c.formula, opts);
+      const auto result = s.Check(c.domain);
+      std::vector<std::uint64_t> model_bits;
+      for (double v : result.model) model_bits.push_back(Bits(v));
+      EXPECT_EQ(result.kind, c.kind) << c.name << " width " << width;
+      EXPECT_EQ(model_bits, c.model_bits) << c.name << " width " << width;
+      EXPECT_EQ(result.stats.nodes, c.nodes) << c.name << " width " << width;
+      EXPECT_EQ(result.stats.prunes, c.prunes)
+          << c.name << " width " << width;
+      EXPECT_EQ(result.stats.contractions, c.contractions)
+          << c.name << " width " << width;
     }
   }
 }

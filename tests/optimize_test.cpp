@@ -1,6 +1,7 @@
 // Tests for the tape optimizer (expr/optimize.h) and the batched SoA
 // evaluator (EvalTapeBatch): scalar equivalence, interval-enclosure
-// soundness, batch-vs-scalar consistency, and the structural rewrites.
+// soundness, batch-vs-scalar consistency against the scalar oracle
+// (tests/scalar_reference.h), and the structural rewrites.
 #include "expr/optimize.h"
 
 #include <cmath>
@@ -13,6 +14,7 @@
 #include "expr/eval.h"
 #include "expr/expr.h"
 #include "functionals/functional.h"
+#include "tests/scalar_reference.h"
 #include "tests/test_util.h"
 
 namespace xcv::expr {
@@ -52,11 +54,11 @@ TEST(Optimize, StrengthReducesHalfIntegerPow) {
   EXPECT_FALSE(CountsOp(opt, Op::kPow));
   EXPECT_TRUE(CountsOp(opt, Op::kSqrt));
 
-  TapeScratch scratch;
+  oracle::TapeScratch scratch;
   const Tape plain = Compile(e);
   const double env[2] = {1.7, 2.3};
-  ExpectSameValue(EvalTape(opt, env, scratch), EvalTape(plain, env, scratch),
-                  e.ToString());
+  ExpectSameValue(oracle::EvalTape(opt, env, scratch),
+                  oracle::EvalTape(plain, env, scratch), e.ToString());
 }
 
 TEST(Optimize, LeavesInexactExponentsAlone) {
@@ -105,10 +107,10 @@ TEST(Optimize, RewritesEveryFunctionalTape) {
     // remaining instruction is cheaper.)
     EXPECT_GT(stats.strength_reduced + stats.simplified + stats.folded, 0u)
         << f.name;
-    TapeScratch scratch;
+    oracle::TapeScratch scratch;
     const double env[3] = {1.3, 0.9, 1.4};
-    ExpectSameValue(EvalTape(opt, env, scratch),
-                    EvalTape(plain, env, scratch), f.name);
+    ExpectSameValue(oracle::EvalTape(opt, env, scratch),
+                    oracle::EvalTape(plain, env, scratch), f.name);
   }
   // SCAN's interpolation switch is built on quarter-integer powers; they
   // must all reduce to sqrt chains.
@@ -129,7 +131,7 @@ TEST(Optimize, PreservesVariableIndexing) {
 TEST(OptimizeProperty, ScalarValuesMatchUnoptimized) {
   Rng rng(97531);
   RandomExprGen gen(rng, {X(), Y()});
-  TapeScratch scratch;
+  oracle::TapeScratch scratch;
   for (int trial = 0; trial < 400; ++trial) {
     const Expr e = gen.Gen(5);
     const Tape plain = Compile(e);
@@ -137,8 +139,8 @@ TEST(OptimizeProperty, ScalarValuesMatchUnoptimized) {
     for (int pt = 0; pt < 3; ++pt) {
       const double env[2] = {rng.Uniform(0.2, 3.0), rng.Uniform(0.2, 3.0)};
       std::span<const double> s(env, 2);
-      ExpectSameValue(EvalTape(opt, s, scratch), EvalTape(plain, s, scratch),
-                      e.ToString());
+      ExpectSameValue(oracle::EvalTape(opt, s, scratch),
+                      oracle::EvalTape(plain, s, scratch), e.ToString());
     }
   }
 }
@@ -146,7 +148,7 @@ TEST(OptimizeProperty, ScalarValuesMatchUnoptimized) {
 TEST(OptimizeProperty, IntervalEnclosureStaysSound) {
   Rng rng(86420);
   RandomExprGen gen(rng, {X(), Y()});
-  TapeScratch scratch;
+  TapeIntervalBatchScratch scratch;
   int checked = 0;
   for (int trial = 0; trial < 250; ++trial) {
     const Expr e = gen.Gen(5);
@@ -170,7 +172,7 @@ TEST(OptimizeProperty, IntervalEnclosureStaysSound) {
 TEST(OptimizeProperty, BatchMatchesScalarEvaluation) {
   Rng rng(11223);
   RandomExprGen gen(rng, {X(), Y()});
-  TapeScratch scratch;
+  oracle::TapeScratch scratch;
   TapeBatchScratch batch_scratch;
   constexpr std::size_t kPoints = 64;
   for (int trial = 0; trial < 120; ++trial) {
@@ -188,7 +190,7 @@ TEST(OptimizeProperty, BatchMatchesScalarEvaluation) {
     for (std::size_t j = 0; j < kPoints; ++j) {
       const double env[2] = {xs[j], ys[j]};
       const double scalar =
-          EvalTape(opt, std::span<const double>(env, 2), scratch);
+          oracle::EvalTape(opt, std::span<const double>(env, 2), scratch);
       if (std::isnan(scalar) && std::isnan(batch[j])) continue;
       // Same tape, same instruction semantics: bit-identical.
       EXPECT_EQ(scalar, batch[j]) << e.ToString() << " at point " << j;
@@ -200,7 +202,7 @@ TEST(OptimizeProperty, BatchHandlesFunctionalTapesAndReusedScratch) {
   // One shared scratch across tapes of different sizes and chunk widths —
   // the usage pattern of the grid evaluator.
   TapeBatchScratch batch_scratch;
-  TapeScratch scratch;
+  oracle::TapeScratch scratch;
   Rng rng(5150);
   for (const auto& f : functionals::PaperFunctionals()) {
     const Tape opt = CompileOptimized(conditions::CorrelationEnhancement(f));
@@ -217,8 +219,9 @@ TEST(OptimizeProperty, BatchHandlesFunctionalTapesAndReusedScratch) {
       EvalTapeBatch(opt, inputs, n, batch.data(), batch_scratch);
       for (std::size_t j = 0; j < n; ++j) {
         const double env[3] = {rs[j], s[j], alpha[j]};
-        EXPECT_EQ(EvalTape(opt, std::span<const double>(env, 3), scratch),
-                  batch[j])
+        EXPECT_EQ(
+            oracle::EvalTape(opt, std::span<const double>(env, 3), scratch),
+            batch[j])
             << f.name;
       }
     }

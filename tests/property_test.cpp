@@ -1,6 +1,7 @@
 // Parameterized property suites (TEST_P sweeps) over the verification
 // pipeline's core invariants:
-//   1. Interval enclosures are sound for every operator.
+//   1. Interval enclosures are sound for every operator (through the
+//      batched tape evaluator at width 1, as the solver runs it).
 //   2. HC4 contraction preserves every solution.
 //   3. Verified regions from Algorithm 1 contain no violation — checked by
 //      dense sampling against plain double evaluation.
@@ -11,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "conditions/conditions.h"
+#include "expr/compile.h"
 #include "expr/eval.h"
 #include "interval/lambert_w.h"
 #include "functionals/functional.h"
@@ -45,11 +47,12 @@ TEST_P(UnaryIntervalSoundness, PointStaysInsideEnclosure) {
   const UnaryOpCase& op = GetParam();
   Rng rng(0xC0FFEE ^ static_cast<std::uint64_t>(op.domain_lo * 100));
   const Expr x = Expr::Variable("x", 0);
-  const Expr e = op.build(x);
+  const expr::Tape tape = expr::Compile(op.build(x));
+  expr::TapeIntervalBatchScratch scratch;
   for (int trial = 0; trial < 500; ++trial) {
     const Interval box = rng.RandomInterval(op.domain_lo, op.domain_hi);
     std::vector<Interval> dims{box};
-    const Interval enclosure = expr::EvalInterval(e, dims);
+    const Interval enclosure = expr::EvalTapeInterval(tape, dims, scratch);
     for (int pt = 0; pt < 4; ++pt) {
       const double v = op.eval(rng.PointIn(box));
       if (!std::isfinite(v)) continue;
@@ -99,13 +102,14 @@ TEST_P(PowIntervalSoundness, PointStaysInsideEnclosure) {
   const double p = GetParam();
   Rng rng(0xBEEF ^ static_cast<std::uint64_t>(p * 7 + 100));
   const Expr x = Expr::Variable("x", 0);
-  const Expr e = expr::Pow(x, p);
+  const expr::Tape tape = expr::Compile(expr::Pow(x, p));
+  expr::TapeIntervalBatchScratch scratch;
   const bool integral = p == std::floor(p);
   const double lo = integral ? -4.0 : 0.0;
   for (int trial = 0; trial < 400; ++trial) {
     Interval box = rng.RandomInterval(lo, 4.0);
     std::vector<Interval> dims{box};
-    const Interval enclosure = expr::EvalInterval(e, dims);
+    const Interval enclosure = expr::EvalTapeInterval(tape, dims, scratch);
     for (int pt = 0; pt < 4; ++pt) {
       const double v = std::pow(rng.PointIn(box), p);
       if (!std::isfinite(v)) continue;

@@ -324,6 +324,30 @@ TEST(JobSpecJsonTest, RejectsBadDocuments) {
                InternalError);
 }
 
+// Integer fields are checked as doubles (finite, integral, in range) before
+// they are narrowed; each failure names the field.
+TEST(JobSpecJsonTest, RejectsNonIntegralAndOutOfRangeIntegers) {
+  for (const auto& [doc, field] :
+       {std::pair<std::string, std::string>{
+            R"({"solver": {"wave_width": 1e8}})", "wave_width"},
+        {R"({"threads": 1e300})", "threads"},
+        {R"({"solver": {"contraction_rounds": "nan"}})", "contraction_rounds"},
+        {R"({"solver": {"max_nodes": 2.5}})", "max_nodes"},
+        {R"({"runtime": {"max_retries": -1}})", "max_retries"}}) {
+    try {
+      api::ParseJobSpecJson(doc);
+      FAIL() << "accepted " << doc;
+    } catch (const InternalError& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+  }
+  const std::string widest = R"({"solver": {"wave_width": )" +
+                             std::to_string(solver::kMaxWaveWidth) + "}}";
+  EXPECT_EQ(api::ParseJobSpecJson(widest).options.verifier.solver.wave_width,
+            solver::kMaxWaveWidth);
+}
+
 TEST(JobSpecValidateTest, RejectsOutOfRangeFields) {
   const api::JobSpec good = api::DefaultJobSpec();
   EXPECT_NO_THROW(api::ValidateJobSpec(good));
@@ -346,6 +370,8 @@ TEST(JobSpecValidateTest, RejectsOutOfRangeFields) {
 
   s = good;
   s.options.verifier.solver.wave_width = 0;
+  EXPECT_THROW(api::ValidateJobSpec(s), InternalError);
+  s.options.verifier.solver.wave_width = solver::kMaxWaveWidth + 1;
   EXPECT_THROW(api::ValidateJobSpec(s), InternalError);
 
   s = good;

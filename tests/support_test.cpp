@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "support/check.h"
+#include "support/json.h"
 #include "support/stopwatch.h"
 #include "support/strings.h"
 #include "support/table.h"
@@ -146,6 +147,35 @@ TEST(ThreadPool, ZeroThreadsClampsToOne) {
   pool.Submit([&ran] { ran = true; });
   pool.WaitIdle();
   EXPECT_TRUE(ran.load());
+}
+
+// Hostile nesting is a named error, not a stack overflow.
+TEST(Json, NestingDepthIsBounded) {
+  auto expect_depth_error = [](const std::string& text) {
+    try {
+      json::ParseJson(text);
+      FAIL() << "expected InternalError";
+    } catch (const InternalError& e) {
+      EXPECT_NE(std::string(e.what()).find("JSON nesting deeper than"),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  constexpr std::size_t kDeep = 100'000;
+  expect_depth_error(std::string(kDeep, '['));
+  std::string objects;
+  for (std::size_t i = 0; i < kDeep; ++i) objects += "{\"a\":";
+  expect_depth_error(objects);
+
+  const auto at_limit = static_cast<std::size_t>(json::kMaxDepth);
+  const std::string arrays =
+      std::string(at_limit, '[') + std::string(at_limit, ']');
+  json::JsonValue v = json::ParseJson(arrays);
+  std::size_t depth = 1;
+  for (const json::JsonValue* p = &v; !p->array.empty(); p = &p->array[0])
+    ++depth;
+  EXPECT_EQ(depth, at_limit);
+  expect_depth_error("[" + arrays + "]");
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include "expr/expr.h"
 #include "interval/interval.h"
 #include "solver/box.h"
+#include "support/simd.h"
 
 namespace xcv::testing {
 
@@ -101,6 +102,22 @@ class RandomExprGen {
   Rng& rng_;
   std::vector<expr::Expr> vars_;
 };
+
+/// Runs `body(tier)` once under every compiled-and-runnable SIMD tier, then
+/// restores the tier that was active. Returns the number of tiers run.
+template <typename Fn>
+int ForEachRunnableTier(Fn&& body) {
+  const simd::Tier original = simd::ActiveTier();
+  int ran = 0;
+  for (int ti = 0; ti < simd::kNumTiers; ++ti) {
+    const auto tier = static_cast<simd::Tier>(ti);
+    if (!simd::ForceTierForTesting(tier)) continue;  // not runnable here
+    body(tier);
+    ++ran;
+  }
+  simd::ForceTierForTesting(original);
+  return ran;
+}
 
 /// Central-difference derivative of `e` w.r.t. variable slot `var_index`.
 inline double FiniteDifference(const expr::Expr& e,
