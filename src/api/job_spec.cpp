@@ -129,22 +129,27 @@ void ValidateJobSpec(const JobSpec& spec) {
 
 // ---- Flags ------------------------------------------------------------------
 
-namespace {
+double ParseFlagDouble(const std::string& key, const std::string& value) {
+  char* end = nullptr;
+  const double v = std::strtod(value.c_str(), &end);
+  XCV_CHECK_MSG(end != value.c_str() && *end == '\0' && v >= 0.0,
+                "--" << key << " needs a non-negative number, got '" << value
+                     << "'");
+  return v;
+}
+
+std::int64_t ParseFlagInteger(const std::string& key, const std::string& value,
+                              std::int64_t lo, std::int64_t hi) {
+  return json::CheckedInteger(ParseFlagDouble(key, value), lo, hi,
+                              "--" + key);
+}
 
 double FlagDouble(const std::map<std::string, std::string>& flags,
                   const std::string& key, double fallback) {
   const auto it = flags.find(key);
-  if (it == flags.end()) return fallback;
-  char* end = nullptr;
-  const double v = std::strtod(it->second.c_str(), &end);
-  XCV_CHECK_MSG(end != it->second.c_str() && *end == '\0' && v >= 0.0,
-                "--" << key << " needs a non-negative number, got '"
-                     << it->second << "'");
-  return v;
+  return it == flags.end() ? fallback : ParseFlagDouble(key, it->second);
 }
 
-/// FlagDouble for an integer flag: the value must also be integral and in
-/// [lo, hi], checked before it is narrowed.
 std::int64_t FlagInteger(const std::map<std::string, std::string>& flags,
                          const std::string& key, std::int64_t fallback,
                          std::int64_t lo, std::int64_t hi) {
@@ -152,6 +157,8 @@ std::int64_t FlagInteger(const std::map<std::string, std::string>& flags,
       FlagDouble(flags, key, static_cast<double>(fallback)), lo, hi,
       "--" + key);
 }
+
+namespace {
 
 // The keys ApplyFlags itself consumes. Kept adjacent to the consuming code
 // below — a new `flags.find` there must be mirrored here or the strictness

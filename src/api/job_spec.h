@@ -15,6 +15,7 @@
 // `"schema_version"` with the shared compatibility rule (json.h).
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -115,6 +116,18 @@ void ValidateJobSpec(const JobSpec& spec);
 void ApplyFlags(const std::map<std::string, std::string>& flags,
                 JobSpec& spec,
                 const std::vector<std::string>& extra_allowed = {});
+
+/// The checked flag parser: `--key`'s value as a non-negative number, or an
+/// integer in [lo, hi] checked before it is narrowed; a named error else.
+/// FlagDouble/FlagInteger read `flags[key]`, or `fallback` when absent.
+double ParseFlagDouble(const std::string& key, const std::string& value);
+std::int64_t ParseFlagInteger(const std::string& key, const std::string& value,
+                              std::int64_t lo, std::int64_t hi);
+double FlagDouble(const std::map<std::string, std::string>& flags,
+                  const std::string& key, double fallback);
+std::int64_t FlagInteger(const std::map<std::string, std::string>& flags,
+                         const std::string& key, std::int64_t fallback,
+                         std::int64_t lo, std::int64_t hi);
 
 /// Serializes the complete spec as a standalone JSON document
 /// ("xcv-job-spec", schema_version, every field explicit).

@@ -38,6 +38,18 @@ void Appendf(std::string& out, const char* fmt, Args... args) {
 
 }  // namespace
 
+std::string RenderReport(OutputMode mode,
+                         const campaign::CampaignOptions& options,
+                         const std::vector<PairState>& pairs, bool cancelled) {
+  switch (mode) {
+    case OutputMode::kJson:
+      return campaign::CheckpointToJson(options, pairs, cancelled);
+    case OutputMode::kCsv: return CsvReport(pairs);
+    case OutputMode::kTable: return TableReport(pairs);
+  }
+  return TableReport(pairs);
+}
+
 std::string CsvReport(const std::vector<PairState>& pairs) {
   std::string out;
   out +=

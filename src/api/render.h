@@ -10,9 +10,17 @@
 #include <string>
 #include <vector>
 
+#include "api/job_spec.h"
 #include "campaign/campaign.h"
 
 namespace xcv::api {
+
+/// The report in `mode`: the checkpoint JSON document, CsvReport or
+/// TableReport — every `xcv` command's output and xcvd's report route.
+std::string RenderReport(OutputMode mode,
+                         const campaign::CampaignOptions& options,
+                         const std::vector<campaign::PairState>& pairs,
+                         bool cancelled);
 
 /// The CSV report, header included. Columns 1–11 (through witnesses) are
 /// deterministic for a budget-free run configuration — byte-identical

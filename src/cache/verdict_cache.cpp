@@ -11,13 +11,11 @@
 #include "obs/trace.h"
 #include "solver/box.h"
 #include "support/check.h"
-#include "support/io.h"
 #include "support/json.h"
 
 namespace xcv::cache {
 
 using expr::FnvMix;
-using json::JsonDouble;
 using json::JsonValue;
 
 std::string CachedKindToken(CachedKind kind) {
@@ -55,37 +53,8 @@ obs::Gauge& CacheEntriesGauge() {
 using solver::BoxBitsLess;
 using solver::SameBoxBits;
 
-void AppendDoubles(std::string& out, std::span<const double> values) {
-  out += '[';
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (i) out += ',';
-    out += JsonDouble(values[i]);
-  }
-  out += ']';
-}
-
-void AppendIntervals(std::string& out, std::span<const Interval> dims) {
-  out += '[';
-  for (std::size_t i = 0; i < dims.size(); ++i) {
-    if (i) out += ',';
-    out += '[';
-    out += JsonDouble(dims[i].lo());
-    out += ',';
-    out += JsonDouble(dims[i].hi());
-    out += ']';
-  }
-  out += ']';
-}
-
-std::vector<Interval> IntervalsFromJson(const JsonValue& v) {
-  std::vector<Interval> dims;
-  dims.reserve(v.array.size());
-  for (const JsonValue& d : v.array) {
-    XCV_CHECK_MSG(d.array.size() == 2, "cache box dimension needs [lo, hi]");
-    dims.emplace_back(d.array[0].AsDouble(), d.array[1].AsDouble());
-  }
-  return dims;
-}
+constexpr support::DocumentKind kCacheDocument{"xcv-verdict-cache", 1,
+                                               "entries", "cache"};
 
 }  // namespace
 
@@ -222,16 +191,16 @@ std::string VerdictCache::ToJsonLocked() const {
     out += "\n    {\"scope\": \"";
     out += buf;
     out += "\", \"box\": ";
-    AppendIntervals(out, box);
+    solver::AppendBoxJson(out, box);
     out += ", \"kind\": \"" + CachedKindToken(verdict.kind) + "\"";
     out += ", \"nodes\": " + std::to_string(verdict.nodes);
     if (!verdict.model.empty()) {
       out += ", \"model\": ";
-      AppendDoubles(out, verdict.model);
+      solver::AppendPointJson(out, verdict.model);
     }
     if (!verdict.model_box.empty()) {
       out += ", \"model_box\": ";
-      AppendIntervals(out, verdict.model_box);
+      solver::AppendBoxJson(out, verdict.model_box);
     }
     out += '}';
   });
@@ -243,33 +212,37 @@ std::string VerdictCache::ToJsonLocked() const {
 bool VerdictCache::FromJson(const std::string& json_text) {
   Buckets staged;
   std::size_t count = 0;
-  const bool ok = ParseDocument(json_text, &staged, &count);
-  Install(std::move(staged), count, /*persisted=*/false);
-  return ok;
-}
-
-bool VerdictCache::ParseDocument(const std::string& json_text, Buckets* out,
-                                 std::size_t* count) {
-  // Parse into a staging map first so malformed input cannot leave the
-  // cache half-loaded.
-  Buckets staged;
-  std::size_t n = 0;
   try {
-    const JsonValue root = json::ParseJson(json_text);
-    XCV_CHECK_MSG(root.At("format").AsString() == "xcv-verdict-cache",
-                  "not an xcv verdict cache");
-    json::RequireSupportedSchema(root, "xcv-verdict-cache", 1);
-    for (const JsonValue& ev : root.At("entries").array) {
-      Entry e = EntryFromJson(ev);
-      staged[MapKey(e.scope, e.box)].push_back(std::move(e));
-      ++n;
-    }
+    support::ParseDocument(json_text, kCacheDocument, Parsers(staged, count));
   } catch (const InternalError&) {
+    Install({}, 0, /*persisted=*/false);
     return false;
   }
-  *out = std::move(staged);
-  *count = n;
+  Install(std::move(staged), count, /*persisted=*/false);
   return true;
+}
+
+support::DocumentParsers VerdictCache::Parsers(Buckets& staged,
+                                               std::size_t& count) {
+  return {nullptr, [&staged, &count](const JsonValue& ev) {
+            Entry e;
+            const std::string& scope_hex = ev.At("scope").AsString();
+            char* end = nullptr;
+            e.scope = std::strtoull(scope_hex.c_str(), &end, 16);
+            XCV_CHECK_MSG(end != scope_hex.c_str() && *end == '\0',
+                          "bad cache scope '" << scope_hex << "'");
+            e.box = solver::BoxFromJson(ev.At("box"));
+            e.verdict.kind = CachedKindFromToken(ev.At("kind").AsString());
+            e.verdict.nodes = static_cast<std::uint64_t>(json::CheckedInteger(
+                ev.At("nodes").AsDouble(), 0, json::kMaxExactInteger,
+                "nodes"));
+            if (const JsonValue* m = ev.Find("model"))
+              e.verdict.model = solver::PointFromJson(*m);
+            if (const JsonValue* mb = ev.Find("model_box"))
+              e.verdict.model_box = solver::BoxFromJson(*mb);
+            staged[MapKey(e.scope, e.box)].push_back(std::move(e));
+            ++count;
+          }};
 }
 
 void VerdictCache::Install(Buckets staged, std::size_t count, bool persisted) {
@@ -282,108 +255,18 @@ void VerdictCache::Install(Buckets staged, std::size_t count, bool persisted) {
   if (persisted) saved_generation_ = generation_;
 }
 
-VerdictCache::Entry VerdictCache::EntryFromJson(const JsonValue& ev) {
-  Entry e;
-  const std::string& scope_hex = ev.At("scope").AsString();
-  char* end = nullptr;
-  e.scope = std::strtoull(scope_hex.c_str(), &end, 16);
-  XCV_CHECK_MSG(end != scope_hex.c_str() && *end == '\0',
-                "bad cache scope '" << scope_hex << "'");
-  e.box = IntervalsFromJson(ev.At("box"));
-  e.verdict.kind = CachedKindFromToken(ev.At("kind").AsString());
-  e.verdict.nodes = static_cast<std::uint64_t>(ev.At("nodes").AsDouble());
-  if (const JsonValue* m = ev.Find("model"))
-    for (const JsonValue& c : m->array) e.verdict.model.push_back(c.AsDouble());
-  if (const JsonValue* mb = ev.Find("model_box"))
-    e.verdict.model_box = IntervalsFromJson(*mb);
-  return e;
-}
-
-bool VerdictCache::Load(const std::string& path, CacheLoadStats* stats) {
-  CacheLoadStats local;
-  CacheLoadStats& s = stats != nullptr ? *stats : local;
-  s = CacheLoadStats{};
-
+bool VerdictCache::Load(const std::string& path,
+                        support::LoadOutcome* outcome) {
+  Buckets staged;
+  std::size_t count = 0;
+  const support::LoadOutcome load =
+      support::RecoverDocument(path, kCacheDocument, Parsers(staged, count));
   // Every outcome but a clean load leaves the cache changed relative to the
   // file (cold, or a salvaged prefix), so the next SaveIfChanged rewrites
   // it.
-  std::string text;
-  auto cold = [&](std::string detail, bool quarantine) {
-    Install({}, 0, /*persisted=*/false);
-    s.cold = true;
-    if (quarantine) s.quarantine_path = support::QuarantineFile(path, text);
-    s.detail = std::move(detail);
-    return false;
-  };
-  if (!support::ReadFileToString(path, &text, "cache.load"))
-    return cold("cannot read '" + path + "'", false);  // absent/unreadable
-  const support::ChecksumStatus checksum =
-      support::VerifyDocumentChecksum(text);
-
-  Buckets staged;
-  std::size_t count = 0;
-  if (checksum != support::ChecksumStatus::kMismatch &&
-      ParseDocument(text, &staged, &count)) {
-    Install(std::move(staged), count, /*persisted=*/true);
-    s.clean = true;
-    s.entries_recovered = count;
-    return true;
-  }
-
-  if (checksum == support::ChecksumStatus::kMismatch) {
-    // If the document also fails to parse it is torn and salvage below
-    // applies; a document that parses whole but hashes wrong changed in
-    // place, and then no entry can be trusted — cold start.
-    bool parses = true;
-    try {
-      json::ParseJson(text);
-    } catch (const InternalError&) {
-      parses = false;
-    }
-    if (parses)
-      return cold("checksum mismatch in '" + path +
-                      "' (content corruption); starting cold",
-                  true);
-  }
-
-  // Torn file: recover the longest prefix of complete entry objects. Each
-  // is carved out with the balanced-bracket scanner and must parse on its
-  // own to count.
-  constexpr const char kEntriesMarker[] = "\"entries\": [";
-  const std::size_t marker = text.find(kEntriesMarker);
-  const std::size_t format = text.find("\"xcv-verdict-cache\"");
-  if (marker == std::string::npos || format == std::string::npos)
-    return cold("cache '" + path +
-                    "' is damaged before its entries array; starting cold",
-                true);
-
-  std::size_t pos = marker + sizeof(kEntriesMarker) - 1;
-  for (;;) {
-    while (pos < text.size() &&
-           (text[pos] == ',' || text[pos] == '\n' || text[pos] == ' ' ||
-            text[pos] == '\t' || text[pos] == '\r'))
-      ++pos;
-    if (pos >= text.size() || text[pos] != '{') break;
-    const std::size_t end = json::SkipBalanced(text, pos);
-    if (end == std::string::npos) break;  // the torn tail
-    try {
-      const JsonValue ev = json::ParseJson(text.substr(pos, end - pos));
-      Entry e = EntryFromJson(ev);
-      staged[MapKey(e.scope, e.box)].push_back(std::move(e));
-      ++count;
-    } catch (const InternalError&) {
-      break;  // complete braces but damaged content: stop at the prefix
-    }
-    pos = end;
-  }
-  Install(std::move(staged), count, /*persisted=*/false);
-  s.salvaged = true;
-  s.entries_recovered = count;
-  s.quarantine_path = support::QuarantineFile(path, text);
-  s.detail = "salvaged " + std::to_string(count) +
-             " intact entr" + (count == 1 ? "y" : "ies") +
-             " from torn cache '" + path + "'";
-  return count > 0;
+  Install(std::move(staged), count, /*persisted=*/load.clean);
+  if (outcome != nullptr) *outcome = load;
+  return load.clean || count > 0;
 }
 
 void VerdictCache::Save(const std::string& path) const {
@@ -405,21 +288,22 @@ void VerdictCache::WriteFile(const std::string& path) const {
   obs::Span span("cache-save");
   // The snapshot and the generation it holds are read in one mu_ section,
   // so a Store racing this save keeps the cache changed. The checksum is
-  // added at the file level, not in ToJson, so the in-memory document stays
-  // byte-identical to what the merge and round-trip tests compare.
-  std::string doc;
+  // added at the file level (SaveDocument), not in ToJson, so the in-memory
+  // document stays byte-identical to what the merge and round-trip tests
+  // compare.
+  std::string json;
   std::uint64_t generation = 0;
   std::size_t entries = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    doc = support::AddDocumentChecksum(ToJsonLocked());
+    json = ToJsonLocked();
     generation = generation_;
     entries = count_;
   }
   // Deterministic args only: fixed-clock traces stay byte-identical.
   span.Arg("entries", static_cast<std::uint64_t>(entries));
-  span.Arg("bytes", static_cast<std::uint64_t>(doc.size()));
-  support::AtomicWriteFile(path, doc, "cache.save");
+  span.Arg("bytes", static_cast<std::uint64_t>(support::SaveDocument(
+                        path, kCacheDocument, std::move(json))));
   std::lock_guard<std::mutex> lock(mu_);
   saved_generation_ = generation;
 }

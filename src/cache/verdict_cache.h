@@ -22,12 +22,11 @@
 // batch-revalidates hits against a fresh interval sweep before trusting
 // them (defense against scope-hash collisions and stale files).
 //
-// Thread-safe: one mutex around the map; counters are atomics. On-disk
-// format is the repo's %.17g JSON (support/json.h), written atomically
-// (temp file + rename). A corrupt, truncated or missing file degrades to an
-// empty (cold) cache — it never throws out of Load. A change generation
-// lets owners skip rewriting a file that already holds every entry
-// (SaveIfChanged).
+// Thread-safe: one mutex around the map; counters are atomics. On disk it
+// is a support/document.h document, so a corrupt, truncated or missing
+// file degrades to a salvaged or empty (cold) cache and never throws out
+// of Load. A change generation lets owners skip rewriting a file that
+// already holds every entry (SaveIfChanged).
 #pragma once
 
 #include <atomic>
@@ -40,10 +39,7 @@
 #include <vector>
 
 #include "interval/interval.h"
-
-namespace xcv::json {
-struct JsonValue;
-}
+#include "support/document.h"
 
 namespace xcv::cache {
 
@@ -68,24 +64,6 @@ struct CacheCounters {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
   std::uint64_t stores = 0;
-};
-
-/// Outcome of a cache load (the optional out-param of Load). Exactly one
-/// of `clean`, `salvaged`, `cold` is true — same taxonomy as the
-/// checkpoint loader (campaign/serialize.h):
-///   * clean:    full parse + checksum ok (or legacy, no checksum field);
-///   * salvaged: torn file — the longest intact prefix of complete entries
-///     was recovered and the damaged original quarantined;
-///   * cold:     absent file, unreadable file, damaged header, or a
-///     document that parses but fails its checksum (content corruption —
-///     no entry can be trusted).
-struct CacheLoadStats {
-  bool clean = false;
-  bool salvaged = false;
-  bool cold = false;
-  std::size_t entries_recovered = 0;
-  std::string quarantine_path;  ///< "<path>.corrupt" when damaged, else ""
-  std::string detail;           ///< human-readable reason when not clean
 };
 
 class VerdictCache {
@@ -134,13 +112,10 @@ class VerdictCache {
   /// Returns false (leaving the cache empty) on malformed input.
   bool FromJson(const std::string& json_text);
 
-  /// Loads `path`, tolerating absent/corrupt/truncated files: a torn file
-  /// yields the intact prefix of its entries (the damaged original is
-  /// quarantined), anything worse leaves the cache empty — a cold start,
-  /// never a crash. Returns true when the cache came back warm (a clean
-  /// load, or a salvage that recovered at least one entry). Honours the
-  /// "cache.load.eio" fault point. Fills `*stats` when non-null.
-  bool Load(const std::string& path, CacheLoadStats* stats = nullptr);
+  /// Loads `path` under the support/document.h policy. Returns true when
+  /// the cache came back warm (a clean load, or a salvage that recovered at
+  /// least one entry). Fills `*outcome` when non-null.
+  bool Load(const std::string& path, support::LoadOutcome* outcome = nullptr);
 
   /// Writes the cache to `path` durably and atomically (temp file + fsync
   /// + rename + directory fsync), with a whole-document checksum. Saves of
@@ -166,11 +141,8 @@ class VerdictCache {
 
   static std::uint64_t MapKey(std::uint64_t scope,
                               std::span<const Interval> box);
-  static Entry EntryFromJson(const json::JsonValue& ev);
-  /// Parses a whole document into `*out`; false (and `*out` untouched) on
-  /// malformed input.
-  static bool ParseDocument(const std::string& json_text, Buckets* out,
-                            std::size_t* count);
+  /// Document parsers that stage entries (never a half-loaded cache).
+  static support::DocumentParsers Parsers(Buckets& staged, std::size_t& count);
   /// Replaces every entry with `staged` (one change); `persisted` records
   /// that a file holds exactly these entries.
   void Install(Buckets staged, std::size_t count, bool persisted);

@@ -2,17 +2,18 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdio>
 #include <limits>
 #include <string>
 #include <utility>
 
+#include "solver/box.h"
 #include "support/check.h"
-#include "support/io.h"
 #include "support/json.h"
 
 namespace xcv::campaign {
 
+using json::JsonDouble;
+using json::JsonEscape;
 using json::JsonValue;
 using verifier::FrontierStrategy;
 using verifier::Region;
@@ -21,11 +22,6 @@ using verifier::VerificationReport;
 using verifier::Verdict;
 
 // ---- Tokens -----------------------------------------------------------------
-
-// The %.17g/non-finite conventions live in support/json (shared with the
-// verdict cache); these aliases keep the historical serialize.h API.
-std::string JsonDouble(double v) { return json::JsonDouble(v); }
-std::string JsonEscape(const std::string& s) { return json::JsonEscape(s); }
 
 std::string VerdictToken(Verdict verdict) {
   switch (verdict) {
@@ -80,29 +76,10 @@ RegionStatus StatusFromToken(const std::string& token) {
   return RegionStatus::kTimeout;
 }
 
+constexpr support::DocumentKind kCheckpointDocument{
+    "xcv-campaign-checkpoint", 1, "pairs", "checkpoint"};
+
 // ---- Writer -----------------------------------------------------------------
-
-void AppendPoint(std::string& out, const std::vector<double>& p) {
-  out += '[';
-  for (std::size_t i = 0; i < p.size(); ++i) {
-    if (i) out += ',';
-    out += JsonDouble(p[i]);
-  }
-  out += ']';
-}
-
-void AppendBox(std::string& out, const solver::Box& box) {
-  out += '[';
-  for (std::size_t i = 0; i < box.size(); ++i) {
-    if (i) out += ',';
-    out += '[';
-    out += JsonDouble(box[i].lo());
-    out += ',';
-    out += JsonDouble(box[i].hi());
-    out += ']';
-  }
-  out += ']';
-}
 
 void AppendReport(std::string& out, const VerificationReport& report,
                   const std::string& indent) {
@@ -122,11 +99,11 @@ void AppendReport(std::string& out, const VerificationReport& report,
     const Region& r = report.leaves[i];
     if (i) out += ',';
     out += "\n" + indent + "    {\"box\": ";
-    AppendBox(out, r.box);
+    solver::AppendBoxJson(out, r.box.dims());
     out += ", \"status\": \"" + StatusToken(r.status) + "\"";
     if (!r.witness.empty()) {
       out += ", \"witness\": ";
-      AppendPoint(out, r.witness);
+      solver::AppendPointJson(out, r.witness);
     }
     out += '}';
   }
@@ -135,30 +112,13 @@ void AppendReport(std::string& out, const VerificationReport& report,
   for (std::size_t i = 0; i < report.witnesses.size(); ++i) {
     if (i) out += ',';
     out += "\n" + indent + "    ";
-    AppendPoint(out, report.witnesses[i]);
+    solver::AppendPointJson(out, report.witnesses[i]);
   }
   if (!report.witnesses.empty()) out += "\n" + indent + "  ";
   out += "]\n" + indent + "}";
 }
 
 // ---- Reader -----------------------------------------------------------------
-
-solver::Box BoxFromJson(const JsonValue& v) {
-  std::vector<Interval> dims;
-  dims.reserve(v.array.size());
-  for (const JsonValue& d : v.array) {
-    XCV_CHECK_MSG(d.array.size() == 2, "box dimension needs [lo, hi]");
-    dims.emplace_back(d.array[0].AsDouble(), d.array[1].AsDouble());
-  }
-  return solver::Box(std::move(dims));
-}
-
-std::vector<double> PointFromJson(const JsonValue& v) {
-  std::vector<double> p;
-  p.reserve(v.array.size());
-  for (const JsonValue& c : v.array) p.push_back(c.AsDouble());
-  return p;
-}
 
 // Integer fields of a checkpoint document, checked before they are
 // narrowed (the document may be hostile or corrupt).
@@ -191,13 +151,14 @@ VerificationReport ReportFromJson(const JsonValue& v) {
   report.seconds = v.At("seconds").AsDouble();
   for (const JsonValue& leaf : v.At("leaves").array) {
     Region r;
-    r.box = BoxFromJson(leaf.At("box"));
+    r.box = solver::Box(solver::BoxFromJson(leaf.At("box")));
     r.status = StatusFromToken(leaf.At("status").AsString());
-    if (const JsonValue* w = leaf.Find("witness")) r.witness = PointFromJson(*w);
+    if (const JsonValue* w = leaf.Find("witness"))
+      r.witness = solver::PointFromJson(*w);
     report.leaves.push_back(std::move(r));
   }
   for (const JsonValue& w : v.At("witnesses").array)
-    report.witnesses.push_back(PointFromJson(w));
+    report.witnesses.push_back(solver::PointFromJson(w));
   return report;
 }
 
@@ -213,8 +174,56 @@ PairState PairStateFromJson(const JsonValue& pv) {
   p.seconds = pv.At("seconds").AsDouble();
   p.report = ReportFromJson(pv.At("report"));
   for (const JsonValue& b : pv.At("open").array)
-    p.open.push_back(BoxFromJson(b));
+    p.open.push_back(solver::Box(solver::BoxFromJson(b)));
   return p;
+}
+
+void HeaderFromJson(const JsonValue& root, Checkpoint& cp) {
+  cp.cancelled = root.At("cancelled").AsBool();
+  const JsonValue& o = root.At("options");
+  cp.options.num_threads =
+      CheckpointInt(o.At("num_threads"), 1, kIntMax, "num_threads");
+  cp.options.tune_lda_delta = o.At("tune_lda_delta").AsBool();
+  verifier::VerifierOptions& v = cp.options.verifier;
+  v.split_threshold = o.At("split_threshold").AsDouble();
+  v.total_time_budget_seconds = o.At("total_time_budget_seconds").AsDouble();
+  v.split_all_dims = o.At("split_all_dims").AsBool();
+  v.witness_tolerance = o.At("witness_tolerance").AsDouble();
+  v.frontier = FrontierFromToken(o.At("frontier").AsString());
+  v.num_threads = std::max(1, cp.options.num_threads);
+  // Shard provenance is optional (absent = unsharded checkpoint).
+  if (const JsonValue* sh = o.Find("shard")) {
+    cp.options.shard.index =
+        CheckpointInt(sh->At("index"), 0, kIntMax, "shard index");
+    cp.options.shard.count =
+        CheckpointInt(sh->At("count"), 1, kIntMax, "shard count");
+    cp.options.shard.by = sh->At("by").AsString();
+  }
+  const JsonValue& s = o.At("solver");
+  v.solver.delta = s.At("delta").AsDouble();
+  v.solver.max_nodes = CheckpointCount(s.At("max_nodes"), "max_nodes");
+  XCV_CHECK_MSG(v.solver.max_nodes >= 1,
+                "checkpoint: max_nodes must be at least 1");
+  v.solver.time_budget_seconds = s.At("time_budget_seconds").AsDouble();
+  v.solver.contraction_rounds = CheckpointInt(
+      s.At("contraction_rounds"), 0, kIntMax, "contraction_rounds");
+  v.solver.max_invalid_models = CheckpointInt(
+      s.At("max_invalid_models"), 0, kIntMax, "max_invalid_models");
+  v.solver.presample_points = CheckpointInt(s.At("presample_points"), 0,
+                                            kIntMax, "presample_points");
+  // Added after checkpoint version 1 shipped; absent in older checkpoints
+  // (and irrelevant to results — the wave width never changes verdicts).
+  if (const JsonValue* w = s.Find("wave_width"))
+    v.solver.wave_width =
+        CheckpointInt(*w, 1, solver::kMaxWaveWidth, "wave_width");
+}
+
+// The checkpoint's parsers for support/document.h, filling `cp`.
+support::DocumentParsers CheckpointParsers(Checkpoint& cp) {
+  return {[&cp](const JsonValue& root) { HeaderFromJson(root, cp); },
+          [&cp](const JsonValue& pv) {
+            cp.pairs.push_back(PairStateFromJson(pv));
+          }};
 }
 
 }  // namespace
@@ -289,7 +298,7 @@ std::string CheckpointToJson(const CampaignOptions& options,
     for (std::size_t b = 0; b < p.open.size(); ++b) {
       if (b) out += ',';
       out += "\n        ";
-      AppendBox(out, p.open[b]);
+      solver::AppendBoxJson(out, p.open[b].dims());
     }
     if (!p.open.empty()) out += "\n      ";
     out += "]\n    }";
@@ -300,53 +309,8 @@ std::string CheckpointToJson(const CampaignOptions& options,
 }
 
 Checkpoint CheckpointFromJson(const std::string& json_text) {
-  const JsonValue root = json::ParseJson(json_text);
-  XCV_CHECK_MSG(root.At("format").AsString() == "xcv-campaign-checkpoint",
-                "not an xcv campaign checkpoint");
-  json::RequireSupportedSchema(root, "xcv-campaign-checkpoint", 1);
-
   Checkpoint cp;
-  cp.cancelled = root.At("cancelled").AsBool();
-
-  const JsonValue& o = root.At("options");
-  cp.options.num_threads =
-      CheckpointInt(o.At("num_threads"), 1, kIntMax, "num_threads");
-  cp.options.tune_lda_delta = o.At("tune_lda_delta").AsBool();
-  verifier::VerifierOptions& v = cp.options.verifier;
-  v.split_threshold = o.At("split_threshold").AsDouble();
-  v.total_time_budget_seconds = o.At("total_time_budget_seconds").AsDouble();
-  v.split_all_dims = o.At("split_all_dims").AsBool();
-  v.witness_tolerance = o.At("witness_tolerance").AsDouble();
-  v.frontier = FrontierFromToken(o.At("frontier").AsString());
-  v.num_threads = std::max(1, cp.options.num_threads);
-  // Shard provenance is optional (absent = unsharded checkpoint).
-  if (const JsonValue* sh = o.Find("shard")) {
-    cp.options.shard.index =
-        CheckpointInt(sh->At("index"), 0, kIntMax, "shard index");
-    cp.options.shard.count =
-        CheckpointInt(sh->At("count"), 1, kIntMax, "shard count");
-    cp.options.shard.by = sh->At("by").AsString();
-  }
-  const JsonValue& s = o.At("solver");
-  v.solver.delta = s.At("delta").AsDouble();
-  v.solver.max_nodes = CheckpointCount(s.At("max_nodes"), "max_nodes");
-  XCV_CHECK_MSG(v.solver.max_nodes >= 1,
-                "checkpoint: max_nodes must be at least 1");
-  v.solver.time_budget_seconds = s.At("time_budget_seconds").AsDouble();
-  v.solver.contraction_rounds = CheckpointInt(
-      s.At("contraction_rounds"), 0, kIntMax, "contraction_rounds");
-  v.solver.max_invalid_models = CheckpointInt(
-      s.At("max_invalid_models"), 0, kIntMax, "max_invalid_models");
-  v.solver.presample_points = CheckpointInt(s.At("presample_points"), 0,
-                                            kIntMax, "presample_points");
-  // Added after checkpoint version 1 shipped; absent in older checkpoints
-  // (and irrelevant to results — the wave width never changes verdicts).
-  if (const JsonValue* w = s.Find("wave_width"))
-    v.solver.wave_width =
-        CheckpointInt(*w, 1, solver::kMaxWaveWidth, "wave_width");
-
-  for (const JsonValue& pv : root.At("pairs").array)
-    cp.pairs.push_back(PairStateFromJson(pv));
+  support::ParseDocument(json_text, kCheckpointDocument, CheckpointParsers(cp));
   return cp;
 }
 
@@ -357,110 +321,23 @@ void WriteCheckpointFile(const std::string& path,
   // The checksum is added at the file level, not in CheckpointToJson, so
   // the in-memory document stays byte-identical to what the merge and
   // round-trip tests compare.
-  support::AtomicWriteFile(
-      path, support::AddDocumentChecksum(CheckpointToJson(options, pairs,
-                                                          cancelled)),
-      "checkpoint.save");
+  support::SaveDocument(path, kCheckpointDocument,
+                        CheckpointToJson(options, pairs, cancelled));
 }
 
 Checkpoint LoadCheckpointFile(const std::string& path) {
-  std::string text;
-  XCV_CHECK_MSG(support::ReadFileToString(path, &text, "checkpoint.load"),
-                "cannot read checkpoint '" << path << "'");
-  XCV_CHECK_MSG(
-      support::VerifyDocumentChecksum(text) !=
-          support::ChecksumStatus::kMismatch,
-      "checkpoint '" << path << "' failed its checksum (corrupt file)");
-  return CheckpointFromJson(text);
+  Checkpoint cp;
+  support::ReadDocument(path, kCheckpointDocument, CheckpointParsers(cp));
+  return cp;
 }
 
-CheckpointLoadResult LoadCheckpointFileTolerant(const std::string& path) {
-  CheckpointLoadResult result;
-  std::string text;
-  if (!support::ReadFileToString(path, &text, "checkpoint.load")) {
-    result.cold = true;
-    result.detail = "cannot read '" + path + "'";
-    return result;
-  }
-  const support::ChecksumStatus checksum =
-      support::VerifyDocumentChecksum(text);
-
-  // First try the strict path: a document that parses whole and whose
-  // checksum agrees (or is absent — legacy writer) is clean.
-  bool parses = true;
-  try {
-    result.checkpoint = CheckpointFromJson(text);
-  } catch (const InternalError&) {
-    parses = false;
-    result.checkpoint = Checkpoint{};
-  }
-  if (parses) {
-    if (checksum != support::ChecksumStatus::kMismatch) {
-      result.clean = true;
-      result.pairs_recovered = result.checkpoint.pairs.size();
-      return result;
-    }
-    // Parses but hashes wrong: bytes changed in place. A torn tail cannot
-    // produce this (it fails to parse), so no individual pair can be
-    // trusted either — cold start, keep the evidence.
-    result.cold = true;
-    result.checkpoint = Checkpoint{};
-    result.quarantine_path = support::QuarantineFile(path, text);
-    result.detail = "checksum mismatch in '" + path +
-                    "' (content corruption); starting cold";
-    return result;
-  }
-
-  // Torn document: recover the options header plus the longest prefix of
-  // complete pair objects. The writer emits "pairs" last, so a truncated
-  // file keeps an intact header; each pair object is carved out with the
-  // balanced-bracket scanner and must parse on its own to count.
-  constexpr const char kPairsMarker[] = "\"pairs\": [";
-  const std::size_t marker = text.find(kPairsMarker);
-  if (marker == std::string::npos) {
-    result.cold = true;
-    result.quarantine_path = support::QuarantineFile(path, text);
-    result.detail = "checkpoint '" + path +
-                    "' is damaged before its pairs array; starting cold";
-    return result;
-  }
-  const std::size_t pairs_open = marker + sizeof(kPairsMarker) - 2;
-  try {
-    const std::string header =
-        text.substr(0, pairs_open + 1) + "]\n}\n";
-    result.checkpoint = CheckpointFromJson(header);
-  } catch (const InternalError&) {
-    result.cold = true;
-    result.checkpoint = Checkpoint{};
-    result.quarantine_path = support::QuarantineFile(path, text);
-    result.detail = "checkpoint '" + path +
-                    "' has a damaged options header; starting cold";
-    return result;
-  }
-
-  std::size_t pos = pairs_open + 1;
-  for (;;) {
-    while (pos < text.size() &&
-           (text[pos] == ',' || text[pos] == '\n' || text[pos] == ' ' ||
-            text[pos] == '\t' || text[pos] == '\r'))
-      ++pos;
-    if (pos >= text.size() || text[pos] != '{') break;
-    const std::size_t end = json::SkipBalanced(text, pos);
-    if (end == std::string::npos) break;  // the torn tail
-    try {
-      const JsonValue pv = json::ParseJson(text.substr(pos, end - pos));
-      result.checkpoint.pairs.push_back(PairStateFromJson(pv));
-    } catch (const InternalError&) {
-      break;  // complete braces but damaged content: stop at the prefix
-    }
-    pos = end;
-  }
-  result.salvaged = true;
-  result.pairs_recovered = result.checkpoint.pairs.size();
-  result.quarantine_path = support::QuarantineFile(path, text);
-  result.detail = "salvaged " + std::to_string(result.pairs_recovered) +
-                  " intact pair(s) from torn checkpoint '" + path + "'";
-  return result;
+Checkpoint LoadCheckpointFileTolerant(const std::string& path,
+                                      support::LoadOutcome* outcome) {
+  Checkpoint cp;
+  *outcome = support::RecoverDocument(path, kCheckpointDocument,
+                                     CheckpointParsers(cp));
+  if (outcome->cold) return {};
+  return cp;
 }
 
 }  // namespace xcv::campaign

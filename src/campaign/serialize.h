@@ -1,18 +1,16 @@
 // JSON (de)serialization of campaign state: checkpoint/resume for whole
 // verification matrices, and the `xcv --format=json` output document.
 //
-// The format is plain JSON with two conventions chosen for exact resume:
-//   * doubles print as %.17g, which round-trips every finite binary64;
-//   * non-finite values print as the strings "inf"/"-inf"/"nan" (JSON has
-//     no literals for them); readers accept numbers or those strings.
-// No external JSON dependency: the writer and the small recursive-descent
-// reader live in serialize.cpp.
+// The format is plain JSON in the support/json.h conventions (%.17g doubles,
+// quoted non-finite values); the reader lives in support/json.cpp and the
+// file load/salvage/quarantine policy in support/document.h.
 #pragma once
 
 #include <string>
 #include <vector>
 
 #include "campaign/campaign.h"
+#include "support/document.h"
 
 namespace xcv::campaign {
 
@@ -47,40 +45,12 @@ void WriteCheckpointFile(const std::string& path,
 /// a checksum — legacy writers — are accepted).
 Checkpoint LoadCheckpointFile(const std::string& path);
 
-/// Outcome of a tolerant checkpoint load (LoadCheckpointFileTolerant).
-/// Exactly one of `clean`, `salvaged`, `cold` is true:
-///   * clean:    full parse + checksum ok (or legacy, no checksum field);
-///   * salvaged: the document was torn (truncated/short-written) — the
-///     options header and the longest intact prefix of complete pairs were
-///     recovered; the damaged original is quarantined;
-///   * cold:     nothing recoverable — the file is unreadable, its header
-///     is torn, or it parses but fails its checksum (content corruption: a
-///     file whose bytes changed in place cannot be trusted pair by pair,
-///     so no pair is).
-struct CheckpointLoadResult {
-  Checkpoint checkpoint;
-  bool clean = false;
-  bool salvaged = false;
-  bool cold = false;
-  std::size_t pairs_recovered = 0;
-  /// Copy of the damaged bytes ("<path>.corrupt"), kept for post-mortems;
-  /// empty when clean or when the quarantine copy could not be written.
-  std::string quarantine_path;
-  /// Human-readable reason when not clean.
-  std::string detail;
-};
+/// Tolerant load under the support/document.h policy; never throws on
+/// damaged input. A cold outcome returns an empty checkpoint.
+Checkpoint LoadCheckpointFileTolerant(const std::string& path,
+                                      support::LoadOutcome* outcome);
 
-/// Best-effort load that never throws on damaged input: full parse when
-/// possible, salvage of the intact pair prefix from torn documents,
-/// quarantine of the damaged original. Used by `xcv resume` and the
-/// elastic coordinator, and by the torn-file recovery tests.
-CheckpointLoadResult LoadCheckpointFileTolerant(const std::string& path);
-
-// ---- Building blocks (shared with the CLI's json/csv output) ---------------
-
-/// %.17g for finite values; "inf"/"-inf"/"nan" (quoted) otherwise.
-std::string JsonDouble(double v);
-std::string JsonEscape(const std::string& s);
+// ---- Tokens (shared with the report renderers and xcvd) --------------------
 
 std::string VerdictToken(verifier::Verdict verdict);
 verifier::Verdict VerdictFromToken(const std::string& token);

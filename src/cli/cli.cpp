@@ -24,6 +24,8 @@
 #include "cache/verdict_cache.h"
 #include "campaign/campaign.h"
 #include "campaign/serialize.h"
+#include "conditions/conditions.h"
+#include "functionals/functional.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "shard/coordinator.h"
@@ -45,6 +47,8 @@ using campaign::CampaignResult;
 using campaign::PairState;
 using conditions::ConditionInfo;
 using functionals::Functional;
+
+constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
 
 constexpr const char* kUsage = R"(xcv — exact-condition verification campaigns
 
@@ -263,27 +267,6 @@ bool RejectPositionals(const ParsedArgs& args) {
   return true;
 }
 
-double FlagDouble(const ParsedArgs& args, const std::string& key,
-                  double fallback) {
-  const auto it = args.flags.find(key);
-  if (it == args.flags.end()) return fallback;
-  char* end = nullptr;
-  const double v = std::strtod(it->second.c_str(), &end);
-  XCV_CHECK_MSG(end != it->second.c_str() && *end == '\0' && v >= 0.0,
-                "--" << key << " needs a non-negative number, got '"
-                     << it->second << "'");
-  return v;
-}
-
-/// FlagDouble for an int flag: integral and in [lo, INT_MAX], checked
-/// before it is narrowed.
-int FlagInt(const ParsedArgs& args, const std::string& key, int fallback,
-            int lo) {
-  return static_cast<int>(json::CheckedInteger(
-      FlagDouble(args, key, fallback), lo, std::numeric_limits<int>::max(),
-      "--" + key));
-}
-
 /// Flags every command accepts on top of api::ApplyFlags' spec keys:
 /// process-wide fault arming (Main) and trace capture (TraceSession).
 const std::vector<std::string> kGlobalExtraFlags = {"faults", "trace"};
@@ -368,26 +351,19 @@ CampaignResult ExecuteCampaign(Campaign& campaign,
 
 int RenderResult(const CampaignResult& result, const CampaignOptions& options,
                  api::OutputMode mode) {
-  if (mode == api::OutputMode::kJson) {
-    std::printf("%s", campaign::CheckpointToJson(options, result.pairs,
-                                                 result.cancelled)
-                          .c_str());
-  } else if (mode == api::OutputMode::kCsv) {
-    std::fputs(api::CsvReport(result.pairs).c_str(), stdout);
-  } else {
-    std::fputs(api::TableReport(result.pairs).c_str(), stdout);
-    if (!options.cache_path.empty()) {
-      std::printf(
-          "Verdict cache (%s, %s): %llu hits, %llu misses, %llu rejected; "
-          "%llu entries%s\n",
-          options.cache_path.c_str(),
-          result.cache_was_warm ? "warm" : "cold",
-          static_cast<unsigned long long>(result.CacheHits()),
-          static_cast<unsigned long long>(result.CacheMisses()),
-          static_cast<unsigned long long>(result.CacheRejected()),
-          static_cast<unsigned long long>(result.cache_entries),
-          options.cache_readonly ? " (read-only)" : "");
-    }
+  std::fputs(
+      api::RenderReport(mode, options, result.pairs, result.cancelled).c_str(),
+      stdout);
+  if (mode == api::OutputMode::kTable && !options.cache_path.empty()) {
+    std::printf(
+        "Verdict cache (%s, %s): %llu hits, %llu misses, %llu rejected; "
+        "%llu entries%s\n",
+        options.cache_path.c_str(), result.cache_was_warm ? "warm" : "cold",
+        static_cast<unsigned long long>(result.CacheHits()),
+        static_cast<unsigned long long>(result.CacheMisses()),
+        static_cast<unsigned long long>(result.CacheRejected()),
+        static_cast<unsigned long long>(result.cache_entries),
+        options.cache_readonly ? " (read-only)" : "");
   }
 
   if (result.cancelled) {
@@ -534,7 +510,8 @@ SeededCampaign CheckpointFromFlagsOrFile(
 int CmdShard(const ParsedArgs& args) {
   if (RejectPositionals(args)) return 2;
   shard::PartitionOptions popts;
-  popts.shards = FlagInt(args, "shards", 2, 1);
+  popts.shards =
+      static_cast<int>(api::FlagInteger(args.flags, "shards", 2, 1, kIntMax));
   if (const auto it = args.flags.find("by"); it != args.flags.end())
     popts.by = shard::ShardByFromToken(ToLower(it->second));
   popts.rebase_provenance = args.flags.count("rebalance") > 0;
@@ -601,14 +578,17 @@ int CmdShard(const ParsedArgs& args) {
 int CmdCoordinate(const ParsedArgs& args) {
   if (RejectPositionals(args)) return 2;
   shard::CoordinatorOptions copts;
-  copts.shards = FlagInt(args, "shards", 2, 1);
+  copts.shards =
+      static_cast<int>(api::FlagInteger(args.flags, "shards", 2, 1, kIntMax));
   if (const auto it = args.flags.find("by"); it != args.flags.end())
     copts.by = shard::ShardByFromToken(ToLower(it->second));
   copts.work_dir = args.flags.count("work-dir") ? args.flags.at("work-dir")
                                                 : "xcv-coordinate";
-  copts.epoch_seconds = FlagDouble(args, "rebalance-epoch", 0.0);
-  copts.lease_seconds = FlagDouble(args, "lease", copts.lease_seconds);
-  copts.max_epochs = FlagInt(args, "max-epochs", copts.max_epochs, 0);
+  copts.epoch_seconds = api::FlagDouble(args.flags, "rebalance-epoch", 0.0);
+  copts.lease_seconds =
+      api::FlagDouble(args.flags, "lease", copts.lease_seconds);
+  copts.max_epochs = static_cast<int>(
+      api::FlagInteger(args.flags, "max-epochs", copts.max_epochs, 0, kIntMax));
   if (const auto it = args.flags.find("nodes"); it != args.flags.end()) {
     copts.ssh_hosts = SplitCommas(it->second);
     XCV_CHECK_MSG(!copts.ssh_hosts.empty(),
@@ -620,22 +600,24 @@ int CmdCoordinate(const ParsedArgs& args) {
     copts.xcv_binary = it->second;
   copts.quiet = args.flags.count("quiet") > 0;
 
-  // Chaos hooks: --kill-node=K@S and --fault-node=K:SPEC.
+  // Chaos hooks: --kill-node=K[@S] and --fault-node=K:SPEC, each part
+  // through the checked flag parser.
   if (const auto it = args.flags.find("kill-node"); it != args.flags.end()) {
     const std::string& v = it->second;
     const auto at = v.find('@');
-    copts.kill_node = std::atoi(v.c_str());
+    copts.kill_node = static_cast<int>(
+        api::ParseFlagInteger("kill-node", v.substr(0, at), 0, kIntMax));
     if (at != std::string::npos)
-      copts.kill_after_seconds = std::strtod(v.c_str() + at + 1, nullptr);
-    XCV_CHECK_MSG(copts.kill_node >= 0 && copts.kill_after_seconds >= 0.0,
-                  "--kill-node needs K@SECONDS, got '" << v << "'");
+      copts.kill_after_seconds =
+          api::ParseFlagDouble("kill-node", v.substr(at + 1));
   }
   if (const auto it = args.flags.find("fault-node"); it != args.flags.end()) {
     const std::string& v = it->second;
     const auto colon = v.find(':');
     XCV_CHECK_MSG(colon != std::string::npos && colon > 0,
                   "--fault-node needs K:FAULT_SPEC, got '" << v << "'");
-    copts.fault_node = std::atoi(v.substr(0, colon).c_str());
+    copts.fault_node = static_cast<int>(
+        api::ParseFlagInteger("fault-node", v.substr(0, colon), 0, kIntMax));
     copts.fault_spec = v.substr(colon + 1);
     // Validate the spec here, in the coordinator's process, so a typo is a
     // usage error now rather than K crashed children later. The arming is
@@ -688,18 +670,12 @@ int CmdCoordinate(const ParsedArgs& args) {
   }
 
   // Render the converged campaign exactly like a single-node run would.
-  campaign::Checkpoint final_cp =
+  const campaign::Checkpoint final_cp =
       campaign::LoadCheckpointFile(copts.checkpoint_path);
-  if (seeded.spec.output == api::OutputMode::kJson) {
-    std::printf("%s", campaign::CheckpointToJson(final_cp.options,
-                                                 final_cp.pairs,
-                                                 final_cp.cancelled)
-                          .c_str());
-  } else if (seeded.spec.output == api::OutputMode::kCsv) {
-    std::fputs(api::CsvReport(final_cp.pairs).c_str(), stdout);
-  } else {
-    std::fputs(api::TableReport(final_cp.pairs).c_str(), stdout);
-  }
+  std::fputs(api::RenderReport(seeded.spec.output, final_cp.options,
+                               final_cp.pairs, final_cp.cancelled)
+                 .c_str(),
+             stdout);
   return 0;
 }
 
@@ -806,15 +782,10 @@ int CmdMerge(const ParsedArgs& args) {
       args.flags.count("format")
           ? api::OutputModeFromToken(ToLower(args.flags.at("format")))
           : api::OutputMode::kTable;
-  if (format == api::OutputMode::kJson) {
-    std::printf("%s", campaign::CheckpointToJson(merged.options, merged.pairs,
-                                                 merged.cancelled)
-                          .c_str());
-  } else if (format == api::OutputMode::kCsv) {
-    std::fputs(api::CsvReport(merged.pairs).c_str(), stdout);
-  } else {
-    std::fputs(api::TableReport(merged.pairs).c_str(), stdout);
-  }
+  std::fputs(api::RenderReport(format, merged.options, merged.pairs,
+                               merged.cancelled)
+                 .c_str(),
+             stdout);
 
   if (args.flags.count("quiet") == 0) {
     std::fprintf(stderr,
@@ -895,16 +866,6 @@ int CmdInfo(const ParsedArgs& args) {
 }
 
 }  // namespace
-
-// The selector grammars live in the API layer now (src/api/job_spec.cpp);
-// these aliases keep the CLI's public surface stable.
-std::vector<const ConditionInfo*> ParseConditionList(const std::string& spec) {
-  return api::ParseConditionList(spec);
-}
-
-std::vector<const Functional*> ParseFunctionalList(const std::string& spec) {
-  return api::ParseFunctionalList(spec);
-}
 
 int Main(int argc, const char* const* argv) {
   const auto args = ParseArgs(argc, argv);

@@ -81,6 +81,9 @@ obs::Histogram& AdmissionWaitHistogram() {
   return h;
 }
 
+constexpr support::DocumentKind kJournalDocument{
+    "xcvd-queue", kQueueSchemaVersion, "jobs", "service.journal"};
+
 }  // namespace
 
 struct Daemon::Job {
@@ -212,23 +215,14 @@ void Daemon::SaveJournalLocked() {
   }
   if (!jobs_.empty()) out += "\n  ";
   out += "]\n}\n";
-  support::AtomicWriteFile(JournalPath(),
-                           support::AddDocumentChecksum(std::move(out)),
-                           "service.journal.save");
+  support::SaveDocument(JournalPath(), kJournalDocument, std::move(out));
 }
 
-void Daemon::LoadJournal() {
-  std::string text;
-  if (!support::ReadFileToString(JournalPath(), &text,
-                                 "service.journal.load"))
-    return;  // fresh state dir (or injected EIO): empty queue
-  const support::ChecksumStatus checksum =
-      support::VerifyDocumentChecksum(text);
-
+support::LoadOutcome Daemon::LoadJournal() {
   // One job entry -> one queue record, with interrupted states remapped:
   // a job that was running (or mid-pause/-cancel) when the daemon died
   // continues from its checkpoint with the requester's intent honoured.
-  auto restore_entry = [&](const JsonValue& e) {
+  const auto restore_entry = [&](const JsonValue& e) {
     auto job = std::make_unique<Job>();
     job->id = e.At("id").AsString();
     job->status = JobStatusFromToken(e.At("status").AsString());
@@ -247,10 +241,11 @@ void Daemon::LoadJournal() {
     std::error_code ec;
     bool restored = false;
     if (std::filesystem::exists(cp_path, ec)) {
-      const campaign::CheckpointLoadResult load =
-          campaign::LoadCheckpointFileTolerant(cp_path);
+      support::LoadOutcome load;
+      const campaign::Checkpoint cp =
+          campaign::LoadCheckpointFileTolerant(cp_path, &load);
       if (!load.cold) {
-        job->ProgressFromPairStates(load.checkpoint.pairs);
+        job->ProgressFromPairStates(cp.pairs);
         restored = true;
       }
     }
@@ -265,82 +260,23 @@ void Daemon::LoadJournal() {
     jobs_.push_back(std::move(job));
   };
 
-  bool parses = true;
-  JsonValue root;
-  try {
-    root = json::ParseJson(text);
-  } catch (const InternalError&) {
-    parses = false;
-  }
-
-  if (parses) {
-    if (checksum == support::ChecksumStatus::kMismatch) {
-      // Parses but hashes wrong: in-place corruption; no record can be
-      // trusted. Cold queue, keep the evidence. Job checkpoints on disk
-      // are untouched — resubmitted jobs will still resume from them.
-      support::QuarantineFile(JournalPath(), text);
-      return;
-    }
-    try {
-      XCV_CHECK_MSG(root.At("format").AsString() == "xcvd-queue",
-                    "not an xcvd queue journal");
-      json::RequireSupportedSchema(root, "xcvd-queue", kQueueSchemaVersion);
-      next_id_ = static_cast<std::uint64_t>(root.At("next_id").AsDouble());
-      for (const JsonValue& e : root.At("jobs").array) {
-        try {
-          restore_entry(e);
-        } catch (const InternalError&) {
-          // One damaged record must not take the rest of the queue down.
-        }
-      }
-    } catch (const InternalError&) {
-      jobs_.clear();
-      next_id_ = 1;
-      support::QuarantineFile(JournalPath(), text);
-    }
-    return;
-  }
-
-  // Torn journal (crash mid-write, short-write fault): salvage the intact
-  // prefix of job records, exactly like the checkpoint salvage loader.
-  constexpr const char kJobsMarker[] = "\"jobs\": [";
-  const std::size_t marker = text.find(kJobsMarker);
-  if (marker == std::string::npos) {
-    support::QuarantineFile(JournalPath(), text);
-    return;
-  }
-  const std::size_t jobs_open = marker + sizeof(kJobsMarker) - 2;
-  try {
-    const std::string header = text.substr(0, jobs_open + 1) + "]\n}\n";
-    const JsonValue hroot = json::ParseJson(header);
-    XCV_CHECK_MSG(hroot.At("format").AsString() == "xcvd-queue",
-                  "not an xcvd queue journal");
-    json::RequireSupportedSchema(hroot, "xcvd-queue", kQueueSchemaVersion);
-    next_id_ = static_cast<std::uint64_t>(hroot.At("next_id").AsDouble());
-  } catch (const InternalError&) {
-    support::QuarantineFile(JournalPath(), text);
-    return;
-  }
-  std::size_t pos = jobs_open + 1;
-  for (;;) {
-    while (pos < text.size() &&
-           (text[pos] == ',' || text[pos] == '\n' || text[pos] == ' ' ||
-            text[pos] == '\t' || text[pos] == '\r'))
-      ++pos;
-    if (pos >= text.size() || text[pos] != '{') break;
-    const std::size_t end = json::SkipBalanced(text, pos);
-    if (end == std::string::npos) break;  // the torn tail
-    try {
-      restore_entry(json::ParseJson(text.substr(pos, end - pos)));
-    } catch (const InternalError&) {
-      break;  // complete braces but damaged content: stop at the prefix
-    }
-    pos = end;
-  }
-  support::QuarantineFile(JournalPath(), text);
-  if (options_.verbose)
-    std::fprintf(stderr, "[xcvd] salvaged %zu job(s) from torn journal\n",
-                 jobs_.size());
+  // A cold load (fresh state dir, injected EIO, corrupt journal) is an
+  // empty queue. Job checkpoints on disk are untouched either way —
+  // resubmitted jobs still resume from them.
+  return support::RecoverDocument(
+      JournalPath(), kJournalDocument,
+      {[&](const JsonValue& root) {
+         next_id_ = static_cast<std::uint64_t>(json::CheckedInteger(
+             root.At("next_id").AsDouble(), 0, json::kMaxExactInteger,
+             "next_id"));
+       },
+       [&](const JsonValue& e) {
+         try {
+           restore_entry(e);
+         } catch (const InternalError&) {
+           // One damaged record must not take the rest of the queue down.
+         }
+       }});
 }
 
 // ---- Lifecycle --------------------------------------------------------------
@@ -356,7 +292,10 @@ void Daemon::Start() {
   cache_.Load(CachePath());
   {
     std::lock_guard<std::mutex> lock(mu_);
-    LoadJournal();
+    journal_load_ = LoadJournal();
+    if (options_.verbose && !journal_load_.clean)
+      std::fprintf(stderr, "[xcvd] journal: %s\n",
+                   journal_load_.detail.c_str());
     // Make the recovered state durable immediately (also replaces a
     // quarantined journal with a clean one).
     SaveJournalLocked();
@@ -526,11 +465,11 @@ void Daemon::RunJob(Job* job) {
     bool restored = false;
     std::error_code ec;
     if (std::filesystem::exists(options.checkpoint_path, ec)) {
-      campaign::CheckpointLoadResult load =
-          campaign::LoadCheckpointFileTolerant(options.checkpoint_path);
-      if (!load.cold && !load.checkpoint.pairs.empty()) {
-        for (PairState& p : load.checkpoint.pairs)
-          campaign.Restore(std::move(p));
+      support::LoadOutcome load;
+      campaign::Checkpoint cp =
+          campaign::LoadCheckpointFileTolerant(options.checkpoint_path, &load);
+      if (!cp.pairs.empty()) {
+        for (PairState& p : cp.pairs) campaign.Restore(std::move(p));
         restored = true;
       }
     }
@@ -804,24 +743,20 @@ HttpResponse Daemon::HandleReport(const Job& job, const HttpRequest& req) {
     return ErrorResponse(500, e.what());
   }
 
-  std::string format = api::OutputModeToken(job.spec.output);
-  if (const auto it = req.query.find("format"); it != req.query.end())
-    format = it->second;
-
-  HttpResponse resp;
-  if (format == "json") {
-    resp.content_type = "application/json";
-    resp.body = campaign::CheckpointToJson(cp.options, cp.pairs, cp.cancelled);
-  } else if (format == "csv") {
-    resp.content_type = "text/csv";
-    resp.body = api::CsvReport(cp.pairs);
-  } else if (format == "table") {
-    resp.content_type = "text/plain; charset=utf-8";
-    resp.body = api::TableReport(cp.pairs);
-  } else {
-    return ErrorResponse(400, "unknown report format '" + format +
-                                  "' (table | json | csv)");
+  api::OutputMode mode = job.spec.output;
+  if (const auto it = req.query.find("format"); it != req.query.end()) {
+    try {
+      mode = api::OutputModeFromToken(it->second);
+    } catch (const InternalError&) {
+      return ErrorResponse(400, "unknown report format '" + it->second +
+                                    "' (table | json | csv)");
+    }
   }
+  HttpResponse resp;
+  resp.content_type = mode == api::OutputMode::kJson  ? "application/json"
+                      : mode == api::OutputMode::kCsv ? "text/csv"
+                                  : "text/plain; charset=utf-8";
+  resp.body = api::RenderReport(mode, cp.options, cp.pairs, cp.cancelled);
   return resp;
 }
 

@@ -57,6 +57,7 @@
 #include "cache/verdict_cache.h"
 #include "campaign/campaign.h"
 #include "service/http.h"
+#include "support/document.h"
 
 namespace xcv::service {
 
@@ -129,6 +130,9 @@ class Daemon {
   /// Entries currently in the shared verdict cache (tests, /healthz).
   std::size_t CacheSize() const { return cache_.size(); }
 
+  /// How Start's journal load went: clean, salvaged or cold (tests, logs).
+  const support::LoadOutcome& JournalLoad() const { return journal_load_; }
+
  private:
   struct Job;
 
@@ -150,9 +154,9 @@ class Daemon {
 
   /// Serializes the whole queue under mu_ and writes it durably.
   void SaveJournalLocked();
-  /// Tolerant reload: strict parse first, then torn-prefix salvage, then
-  /// cold start with quarantine. Interrupted jobs re-queue.
-  void LoadJournal();
+  /// Tolerant reload (support/document.h); a damaged job record is
+  /// skipped. Interrupted jobs re-queue.
+  support::LoadOutcome LoadJournal();
 
   Job* FindLocked(const std::string& id);
   Job* PickNextLocked();
@@ -180,6 +184,7 @@ class Daemon {
   std::condition_variable cv_;
   std::vector<std::unique_ptr<Job>> jobs_;
   std::uint64_t next_id_ = 1;
+  support::LoadOutcome journal_load_;
   /// Monotonic admission counter + when each tenant last won a slot:
   /// PickNextLocked breaks load ties by least-recently-served tenant.
   std::uint64_t tenant_serve_seq_ = 0;

@@ -26,7 +26,6 @@
 namespace xcv::shard {
 
 using campaign::Checkpoint;
-using campaign::CheckpointLoadResult;
 using campaign::PairState;
 namespace retry = support::retry;
 
@@ -245,8 +244,9 @@ CoordinatorResult RunCoordinator(const CoordinatorOptions& options_in) {
 
   // The campaign state the coordinator owns, re-read tolerantly so a crash
   // while *it* was writing the checkpoint recovers too.
-  CheckpointLoadResult load =
-      campaign::LoadCheckpointFileTolerant(options.checkpoint_path);
+  support::LoadOutcome load;
+  Checkpoint state =
+      campaign::LoadCheckpointFileTolerant(options.checkpoint_path, &load);
   if (load.cold) {
     result.error = "cannot load campaign checkpoint: " + load.detail;
     return result;
@@ -255,7 +255,6 @@ CoordinatorResult RunCoordinator(const CoordinatorOptions& options_in) {
     ++result.recoveries;
     log("%s", load.detail.c_str());
   }
-  Checkpoint state = std::move(load.checkpoint);
   std::uint64_t score = ProgressScore(state);
   int stalled = 0;
 
@@ -394,8 +393,9 @@ CoordinatorResult RunCoordinator(const CoordinatorOptions& options_in) {
         // Hand the relaunch a loadable checkpoint — salvage what survived
         // and backfill lost fragments from the dealt copy — instead of
         // burning the retry budget on a worker that cannot even load.
-        campaign::CheckpointLoadResult r =
-            campaign::LoadCheckpointFileTolerant(s.shard_path);
+        support::LoadOutcome r;
+        Checkpoint salvaged =
+            campaign::LoadCheckpointFileTolerant(s.shard_path, &r);
         if (r.cold) {
           ++result.recoveries;
           log("node %s: %s — re-dealing its shard for the retry",
@@ -407,7 +407,6 @@ CoordinatorResult RunCoordinator(const CoordinatorOptions& options_in) {
         } else if (!r.clean) {
           ++result.recoveries;
           log("node %s: %s", s.node.c_str(), r.detail.c_str());
-          Checkpoint salvaged = std::move(r.checkpoint);
           const std::size_t restored = BackfillMissingPairs(
               salvaged, dealt[static_cast<std::size_t>(s.index)]);
           result.backfilled_fragments += restored;
@@ -593,9 +592,9 @@ CoordinatorResult RunCoordinator(const CoordinatorOptions& options_in) {
     collected.reserve(n);
     for (std::size_t k = 0; k < n; ++k) {
       const Slot& s = slots[k];
-      CheckpointLoadResult r =
-          campaign::LoadCheckpointFileTolerant(s.shard_path);
-      Checkpoint shard_cp;
+      support::LoadOutcome r;
+      Checkpoint shard_cp =
+          campaign::LoadCheckpointFileTolerant(s.shard_path, &r);
       if (r.cold) {
         // Nothing usable came back: the fragment restarts from what was
         // dealt — only unpersisted work is lost.
@@ -609,7 +608,6 @@ CoordinatorResult RunCoordinator(const CoordinatorOptions& options_in) {
           ++result.recoveries;
           log("node %s: %s", s.node.c_str(), r.detail.c_str());
         }
-        shard_cp = std::move(r.checkpoint);
         // A salvaged (or otherwise incomplete) shard must still cover every
         // fragment it was dealt, or merged verdicts would silently omit
         // regions. Missing fragments restart from their dealt state.

@@ -1,5 +1,6 @@
 #include "solver/box.h"
 
+#include <array>
 #include <sstream>
 
 #include "support/check.h"
@@ -99,6 +100,41 @@ BoxStore::Ref BoxStore::AllocateCopy(std::span<const Interval> src) {
 void BoxStore::Release(Ref ref) {
   XCV_DCHECK(ref >= 0 && static_cast<std::size_t>(ref) < slots_);
   free_.push_back(ref);
+}
+
+void AppendPointJson(std::string& out, std::span<const double> point) {
+  out += '[';
+  for (std::size_t i = 0; i < point.size(); ++i) {
+    if (i) out += ',';
+    out += json::JsonDouble(point[i]);
+  }
+  out += ']';
+}
+
+void AppendBoxJson(std::string& out, std::span<const Interval> dims) {
+  out += '[';
+  for (std::size_t i = 0; i < dims.size(); ++i) {
+    if (i) out += ',';
+    AppendPointJson(out, std::array{dims[i].lo(), dims[i].hi()});
+  }
+  out += ']';
+}
+
+std::vector<double> PointFromJson(const json::JsonValue& v) {
+  std::vector<double> point;
+  point.reserve(v.array.size());
+  for (const json::JsonValue& c : v.array) point.push_back(c.AsDouble());
+  return point;
+}
+
+std::vector<Interval> BoxFromJson(const json::JsonValue& v) {
+  std::vector<Interval> dims;
+  dims.reserve(v.array.size());
+  for (const json::JsonValue& d : v.array) {
+    XCV_CHECK_MSG(d.array.size() == 2, "box dimension needs [lo, hi]");
+    dims.emplace_back(d.array[0].AsDouble(), d.array[1].AsDouble());
+  }
+  return dims;
 }
 
 }  // namespace xcv::solver

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "interval/interval.h"
+#include "support/json.h"
 
 namespace xcv::solver {
 
@@ -73,6 +74,16 @@ inline bool BoxBitsLess(std::span<const Interval> a,
   }
   return a.size() < b.size();
 }
+
+// ---- JSON codec -------------------------------------------------------------
+// The box form [[lo,hi],...] and the point form [x,...] that checkpoints and
+// verdict caches share (support/json.h doubles: %.17g, quoted non-finite).
+
+void AppendPointJson(std::string& out, std::span<const double> point);
+void AppendBoxJson(std::string& out, std::span<const Interval> dims);
+std::vector<double> PointFromJson(const json::JsonValue& v);
+/// Throws xcv::InternalError unless every dimension is a [lo, hi] pair.
+std::vector<Interval> BoxFromJson(const json::JsonValue& v);
 
 /// Interval vector indexed by variable index. Value type; cheap to copy for
 /// the dimensionalities used here (2–3 variables).

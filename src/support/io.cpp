@@ -120,14 +120,6 @@ void TouchFile(const std::string& path) {
 #endif
 }
 
-std::string QuarantineFile(const std::string& path, std::string_view bytes) {
-  const std::string qpath = path + ".corrupt";
-  std::ofstream os(qpath, std::ios::trunc | std::ios::binary);
-  if (!os.good()) return "";
-  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  return os.good() ? qpath : "";
-}
-
 // ---- Document checksums -----------------------------------------------------
 
 std::uint64_t HashBytes(std::string_view text) {

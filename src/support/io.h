@@ -1,5 +1,5 @@
-// Durable file I/O shared by every on-disk document in the repo (campaign
-// checkpoints, verdict caches, shard files).
+// Durable file I/O under every on-disk document in the repo (the
+// support/document.h documents and trace files).
 //
 // AtomicWriteFile is the one way state reaches disk: write a temp file,
 // flush and fsync it, atomically rename it over the destination, then
@@ -35,11 +35,6 @@ void AtomicWriteFile(const std::string& path, std::string_view data,
 /// opened or read — including when the "<prefix>.eio" fault point fires.
 bool ReadFileToString(const std::string& path, std::string* out,
                       const char* fault_prefix = nullptr);
-
-/// Best-effort copy of a damaged file's bytes to "<path>.corrupt", so
-/// salvage/cold recovery never destroys the evidence. Returns the
-/// quarantine path, or "" when the copy could not be written.
-std::string QuarantineFile(const std::string& path, std::string_view bytes);
 
 /// Creates `path` if absent and bumps its mtime — the heartbeat primitive
 /// (`xcv resume --heartbeat`). Best-effort: failures are silent, a missed

@@ -238,13 +238,45 @@ class JsonParser {
     return v;
   }
 
+  // RFC 8259 numbers only, -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?;
+  // strtod alone would also take inf, nan, hex, and a leading '+' or '.'.
+  // The text is a std::string's, so the scan stops at its closing NUL.
   JsonValue ParseNumber() {
     SkipSpace();
-    const char* begin = text_.data() + pos_;
+    const char* const begin = text_.data() + pos_;
+    const char* p = begin;
+    const auto digits = [&p] {
+      const char* const first = p;
+      while (*p >= '0' && *p <= '9') ++p;
+      return p > first;
+    };
+    if (*p == '-') ++p;
+    bool ok = true;
+    if (*p == '0')
+      ++p;
+    else
+      ok = digits();
+    if (ok && *p == '.') {
+      ++p;
+      ok = digits();
+    }
+    if (ok && (*p == 'e' || *p == 'E')) {
+      ++p;
+      if (*p == '+' || *p == '-') ++p;
+      ok = digits();
+    }
+    // The literal ends here: "01", "0x10" and "1.5.2" are not numbers.
+    XCV_CHECK_MSG(ok && !std::isalnum(static_cast<unsigned char>(*p)) &&
+                      *p != '.' && *p != '+' && *p != '-',
+                  "bad JSON number at offset " << pos_);
+    // strtod converts exactly the checked span: the byte after it cannot
+    // continue a number.
     char* end = nullptr;
     const double value = std::strtod(begin, &end);
-    XCV_CHECK_MSG(end != begin, "bad JSON number at offset " << pos_);
-    pos_ += static_cast<std::size_t>(end - begin);
+    XCV_CHECK(end == p);
+    XCV_CHECK_MSG(std::isfinite(value),
+                  "JSON number at offset " << pos_ << " overflows a double");
+    pos_ += static_cast<std::size_t>(p - begin);
     JsonValue v;
     v.kind = JsonValue::Kind::kNumber;
     v.number = value;

@@ -1,11 +1,13 @@
-// Minimal JSON machinery shared by every on-disk format in the repo: the
-// campaign checkpoint (src/campaign/serialize.cpp), the persistent verdict
-// cache (src/cache/), and the `xcv --format=json` output document.
+// Minimal JSON machinery shared by every JSON the repo reads or writes: the
+// support/document.h documents, job specs, HTTP bodies, and the
+// `xcv --format=json` output document.
 //
-// Two conventions chosen for exact resume:
+// Conventions chosen for exact resume:
 //   * doubles print as %.17g, which round-trips every finite binary64;
 //   * non-finite values print as the strings "inf"/"-inf"/"nan" (JSON has
-//     no literals for them); readers accept numbers or those strings.
+//     no literals for them); readers accept numbers or those strings;
+//   * numbers parse in RFC 8259 grammar only, and one that overflows a
+//     double is an error (subnormal underflow is kept).
 // No external JSON dependency: the writer helpers and the small
 // recursive-descent reader live in json.cpp.
 #pragma once
@@ -68,14 +70,15 @@ JsonValue ParseJson(const std::string& text);
 /// matching close bracket — string- and escape-aware, so braces inside
 /// string values do not confuse it. Returns std::string::npos when the
 /// value is incomplete (a torn document) or `start` is not a bracket.
-/// Used by the salvage loaders to carve intact entries out of torn files.
+/// support/document.cpp carves intact records out of torn files with it.
 std::size_t SkipBalanced(const std::string& text, std::size_t start);
 
 // ---- Schema versioning ------------------------------------------------------
 //
 // Every on-disk document (campaign checkpoint, verdict cache, xcvd queue
-// journal, job spec) carries an explicit `"schema_version": <major>` field.
-// One compatibility rule, shared by every reader:
+// journal, job spec) carries an explicit `"schema_version": <major>` field
+// (the node ledger only its `"version"`). One compatibility rule, shared by
+// every reader:
 //   * absent field      → major 1 (documents written before versioning);
 //   * major <= supported → load; unknown *fields* are ignored by the
 //     readers, which is how minor, additive format growth ships;

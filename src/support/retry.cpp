@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <csignal>
+#include <limits>
 
-#include "support/check.h"
 #include "support/io.h"
 #include "support/json.h"
 
@@ -37,6 +37,9 @@ FailureKind ClassifyFailure(bool launch_error, bool stall_kill, bool signaled,
 }
 
 namespace {
+
+// The ledger predates schema_version; its "version" field is the major.
+constexpr DocumentKind kLedgerDocument{"xcv-node-ledger", 1, "nodes", "nodes"};
 
 std::uint64_t FnvMix64(std::uint64_t h, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) {
@@ -165,51 +168,40 @@ std::string NodeLedger::ToJson() const {
   return out;
 }
 
-void NodeLedger::FromJson(const std::string& text) {
-  const json::JsonValue doc = json::ParseJson(text);
-  XCV_CHECK_MSG(doc.At("format").AsString() == "xcv-node-ledger",
-                "not a node-ledger document");
-  std::vector<NodeHealth> parsed;
-  for (const json::JsonValue& v : doc.At("nodes").array) {
-    NodeHealth n;
-    n.node = v.At("node").AsString();
-    n.launches = static_cast<std::uint64_t>(v.At("launches").AsDouble());
-    n.successes = static_cast<std::uint64_t>(v.At("successes").AsDouble());
-    n.failures = static_cast<std::uint64_t>(v.At("failures").AsDouble());
-    n.preemptions = static_cast<std::uint64_t>(v.At("preemptions").AsDouble());
-    n.consecutive_failures =
-        static_cast<int>(v.At("consecutive_failures").AsDouble());
-    n.quarantined = v.At("quarantined").AsBool();
-    n.cooldown_epochs_left =
-        static_cast<int>(v.At("cooldown_epochs_left").AsDouble());
-    n.last_failure = v.At("last_failure").AsString();
-    parsed.push_back(std::move(n));
-  }
-  nodes_ = std::move(parsed);
-}
-
-bool NodeLedger::Load(const std::string& path) {
+bool NodeLedger::Load(const std::string& path, LoadOutcome* outcome) {
   path_ = path;
-  nodes_.clear();
-  std::string text;
-  if (!ReadFileToString(path, &text, "nodes.load")) return false;
-  if (VerifyDocumentChecksum(text) == ChecksumStatus::kMismatch) {
-    QuarantineFile(path, text);
-    return false;
-  }
-  try {
-    FromJson(text);
-  } catch (const InternalError&) {
-    QuarantineFile(path, text);
-    nodes_.clear();
-    return false;
-  }
-  return true;
+  std::vector<NodeHealth> parsed;
+  const LoadOutcome load = RecoverDocument(
+      path, kLedgerDocument, {nullptr, [&parsed](const json::JsonValue& v) {
+        // Counters and epoch counts are checked before they are narrowed.
+        const auto count = [&v](const char* key) {
+          return static_cast<std::uint64_t>(json::CheckedInteger(
+              v.At(key).AsDouble(), 0, json::kMaxExactInteger, key));
+        };
+        const auto small = [&v](const char* key) {
+          return static_cast<int>(json::CheckedInteger(
+              v.At(key).AsDouble(), 0, std::numeric_limits<int>::max(), key));
+        };
+        NodeHealth n;
+        n.node = v.At("node").AsString();
+        n.launches = count("launches");
+        n.successes = count("successes");
+        n.failures = count("failures");
+        n.preemptions = count("preemptions");
+        n.consecutive_failures = small("consecutive_failures");
+        n.quarantined = v.At("quarantined").AsBool();
+        n.cooldown_epochs_left = small("cooldown_epochs_left");
+        n.last_failure = v.At("last_failure").AsString();
+        parsed.push_back(std::move(n));
+      }});
+  nodes_ = std::move(parsed);
+  if (outcome != nullptr) *outcome = load;
+  return !load.cold;
 }
 
 void NodeLedger::Save() const {
   if (path_.empty()) return;
-  AtomicWriteFile(path_, AddDocumentChecksum(ToJson()), "nodes.save");
+  SaveDocument(path_, kLedgerDocument, ToJson());
 }
 
 }  // namespace xcv::support::retry

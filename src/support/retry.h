@@ -14,8 +14,8 @@
 //     injected crash exit 70, heartbeat stall, clean nonzero exit);
 //   * retry budgets + deterministic exponential backoff with
 //     per-(node, attempt) seeded jitter (no RNG state, no clock);
-//   * a persistent node-health ledger (`work-dir/nodes.json`, written
-//     through AtomicWriteFile + document checksum) with
+//   * a persistent node-health ledger (`work-dir/nodes.json`, a
+//     checksummed support/document.h document) with
 //     consecutive-failure quarantine and cooldown probes, so a
 //     killed-and-rerun coordinator keeps its blacklist.
 //
@@ -26,6 +26,8 @@
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "support/document.h"
 
 namespace xcv::support::retry {
 
@@ -103,18 +105,14 @@ struct NodeHealth {
   std::string last_failure;
 };
 
-/// Persistent node-health ledger. Every mutation can be Save()d through
-/// AtomicWriteFile with a document checksum (fault points
-/// `nodes.save.short-write`, `nodes.save.crash-before-rename`,
-/// `nodes.load.eio`), so the blacklist survives a killed-and-rerun
-/// supervisor; a corrupt ledger cold-starts (quarantining the bytes) and
-/// never aborts a campaign.
+/// Persistent node-health ledger, a support/document.h document (fault
+/// points `nodes.save.*`, `nodes.load.eio`), so the blacklist survives a
+/// killed-and-rerun supervisor; damage never aborts a campaign.
 class NodeLedger {
  public:
-  /// Binds the ledger to `path` and loads it when present. Returns false
-  /// on a cold start (missing, unreadable, torn, or checksum-mismatched
-  /// file — the damaged bytes go to `<path>.corrupt`).
-  bool Load(const std::string& path);
+  /// Binds the ledger to `path` and loads it under the document policy.
+  /// Returns false on a cold start. Fills `*outcome` when non-null.
+  bool Load(const std::string& path, LoadOutcome* outcome = nullptr);
   /// Durable write-back of every record. No-op when Load was never called
   /// (in-memory ledgers, tests).
   void Save() const;
@@ -138,9 +136,6 @@ class NodeLedger {
   void TickEpoch();
 
   std::string ToJson() const;
-  /// Replaces the records from a ledger document. Throws
-  /// xcv::InternalError on malformed input (Load wraps this tolerantly).
-  void FromJson(const std::string& json);
 
  private:
   std::string path_;

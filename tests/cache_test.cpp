@@ -27,6 +27,7 @@
 #include "obs/trace.h"
 #include "solver/icp.h"
 #include "support/check.h"
+#include "support/io.h"
 #include "support/json.h"
 #include "verifier/verifier.h"
 
@@ -179,6 +180,42 @@ TEST(VerdictCache, CorruptOrTruncatedFilesDegradeToCold) {
   EXPECT_FALSE(cache.Load(TempPath("does-not-exist.json")));
 }
 
+// An entry whose node count is not a counter (negative, NaN, fractional,
+// beyond 2^53) is refused before it is narrowed, even in a file whose
+// checksum holds; the load keeps the entries before it.
+TEST(VerdictCache, OutOfRangeNodeCountsRefuseTheEntry) {
+  VerdictCache full;
+  for (std::uint64_t scope : {1u, 2u, 3u})
+    full.Store(scope, std::vector<Interval>{Interval(0.0, 1.0)},
+               CachedVerdict{CachedKind::kUnsat, {}, {}, 10 + scope});
+  const std::string json = full.ToJson();
+  const std::string second = "\"nodes\": 12";
+  ASSERT_NE(json.find(second), std::string::npos);
+  const std::string path = TempPath("cache_bad_nodes.json");
+  for (const char* bad : {"-1", "\"nan\"", "2.5", "1e300"}) {
+    std::string text = json;
+    text.replace(text.find(second), second.size(),
+                 std::string("\"nodes\": ") + bad);
+    {
+      std::ofstream os(path, std::ios::binary | std::ios::trunc);
+      os << support::AddDocumentChecksum(text);
+    }
+    VerdictCache cache;
+    support::LoadOutcome outcome;
+    EXPECT_TRUE(cache.Load(path, &outcome)) << bad;
+    EXPECT_TRUE(outcome.salvaged) << bad;
+    EXPECT_EQ(outcome.records, 1u) << bad;
+    EXPECT_EQ(outcome.quarantine_path, path + ".corrupt") << bad;
+    ASSERT_EQ(cache.size(), 1u) << bad;
+    CachedVerdict kept;
+    ASSERT_TRUE(cache.Lookup(1, std::vector<Interval>{Interval(0.0, 1.0)},
+                             &kept));
+    EXPECT_EQ(kept.nodes, 11u);
+  }
+  std::remove(path.c_str());
+  std::remove((path + ".corrupt").c_str());
+}
+
 TEST(VerdictCache, WarmCampaignReplaysByteIdenticalAndSkipsSolverCalls) {
   const std::string path = TempPath("cache_roundtrip.json");
   std::remove(path.c_str());
@@ -264,7 +301,7 @@ TEST(VerdictCache, MultiThreadedWarmReplayAtEveryWaveWidth) {
   EXPECT_EQ(SolverCalls(salvaged), 0u);
   EXPECT_NE(InodeAndMtime(path).first, written.first);
   VerdictCache reloaded;
-  CacheLoadStats stats;
+  support::LoadOutcome stats;
   EXPECT_TRUE(reloaded.Load(path, &stats));
   EXPECT_TRUE(stats.clean);
   EXPECT_EQ(reloaded.size(), cold.cache_entries);
@@ -362,7 +399,7 @@ TEST(VerdictCache, ConcurrentSavesToOnePathAllSucceed) {
   EXPECT_EQ(failures.load(), 0);
 
   VerdictCache reloaded;
-  CacheLoadStats stats;
+  support::LoadOutcome stats;
   EXPECT_TRUE(reloaded.Load(path, &stats));
   EXPECT_TRUE(stats.clean);
   EXPECT_EQ(reloaded.ToJson(), cache.ToJson());

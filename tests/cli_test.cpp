@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -16,13 +17,14 @@ namespace {
 
 std::vector<std::string> ConditionIds(const std::string& spec) {
   std::vector<std::string> ids;
-  for (const auto* c : ParseConditionList(spec)) ids.push_back(c->short_id);
+  for (const auto* c : api::ParseConditionList(spec))
+    ids.push_back(c->short_id);
   return ids;
 }
 
 std::vector<std::string> FunctionalNames(const std::string& spec) {
   std::vector<std::string> names;
-  for (const auto* f : ParseFunctionalList(spec)) names.push_back(f->name);
+  for (const auto* f : api::ParseFunctionalList(spec)) names.push_back(f->name);
   return names;
 }
 
@@ -43,9 +45,9 @@ TEST(Cli, ParsesConditionRanges) {
 }
 
 TEST(Cli, RejectsBadConditionSpecs) {
-  EXPECT_THROW(ParseConditionList("EC9"), InternalError);
-  EXPECT_THROW(ParseConditionList(""), InternalError);
-  EXPECT_THROW(ParseConditionList("EC7..EC1"), InternalError);
+  EXPECT_THROW(api::ParseConditionList("EC9"), InternalError);
+  EXPECT_THROW(api::ParseConditionList(""), InternalError);
+  EXPECT_THROW(api::ParseConditionList("EC7..EC1"), InternalError);
 }
 
 TEST(Cli, ParsesFunctionalNames) {
@@ -73,8 +75,8 @@ TEST(Cli, ExtensionFunctionalsAreOptIn) {
 }
 
 TEST(Cli, RejectsBadFunctionalSpecs) {
-  EXPECT_THROW(ParseFunctionalList("b3lyp"), InternalError);
-  EXPECT_THROW(ParseFunctionalList(""), InternalError);
+  EXPECT_THROW(api::ParseFunctionalList("b3lyp"), InternalError);
+  EXPECT_THROW(api::ParseFunctionalList(""), InternalError);
 }
 
 TEST(Cli, UnknownFlagIsAUsageErrorWithASuggestion) {
@@ -131,6 +133,29 @@ TEST(Cli, IntegerFlagsAreCheckedBeforeNarrowing) {
   const char* argv[] = {"xcv", "verify", "--functionals=lda",
                         "--conditions=EC1", "--wave-width=100000000"};
   EXPECT_EQ(Main(5, argv), 2);
+}
+
+// The chaos hooks parse their node index and seconds through the checked
+// flag parser: a malformed value is a usage error before any node launches,
+// never a kill aimed at node 0.
+TEST(Cli, ChaosFlagsAreCheckedBeforeAnyNodeLaunches) {
+  const std::string work = ::testing::TempDir() + "xcv_chaos_flags";
+  const std::string work_flag = "--work-dir=" + work;
+  for (const std::string flag :
+       {"--kill-node=abc", "--kill-node=1@x",
+        "--fault-node=x:checkpoint.load.eio"}) {
+    std::filesystem::remove_all(work);
+    const char* argv[] = {"xcv",           "coordinate",
+                          "--functionals=lda", "--conditions=EC1",
+                          "--quiet",       work_flag.c_str(),
+                          flag.c_str()};
+    ::testing::internal::CaptureStderr();
+    EXPECT_EQ(Main(7, argv), 2) << flag;
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find(flag.substr(0, flag.find('='))), std::string::npos)
+        << err;
+    EXPECT_FALSE(std::filesystem::exists(work)) << flag;
+  }
 }
 
 // Runs `xcv resume` on a checkpoint file holding `text`; returns the exit

@@ -3,14 +3,16 @@
 // injected-crash death tests (the old checkpoint must survive a
 // crash-before-rename; a short-write must salvage), byte-level truncation
 // sweeps over real checkpoint and cache files (salvage-or-cold, never a
-// crash, never a silently wrong pair), and the coordinator's fragment
-// backfill.
+// crash, never a silently wrong pair), one recovery table run against all
+// four durable documents, and the coordinator's fragment backfill.
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -21,11 +23,14 @@
 #include "campaign/serialize.h"
 #include "conditions/conditions.h"
 #include "functionals/functional.h"
+#include "service/daemon.h"
 #include "shard/coordinator.h"
 #include "shard/transport.h"
 #include "support/check.h"
+#include "support/document.h"
 #include "support/fault.h"
 #include "support/io.h"
+#include "support/json.h"
 #include "support/retry.h"
 
 namespace xcv {
@@ -35,7 +40,6 @@ using campaign::Campaign;
 using campaign::CampaignOptions;
 using campaign::CampaignResult;
 using campaign::Checkpoint;
-using campaign::CheckpointLoadResult;
 using campaign::CheckpointToJson;
 using campaign::PairState;
 using support::ChecksumStatus;
@@ -176,6 +180,17 @@ void WriteAll(const std::string& path, const std::string& bytes) {
   XCV_CHECK_MSG(os.good(), "cannot write " << path);
 }
 
+// A tolerant checkpoint load and its outcome, side by side.
+struct TolerantLoad : support::LoadOutcome {
+  Checkpoint checkpoint;
+};
+
+TolerantLoad LoadTolerant(const std::string& path) {
+  TolerantLoad r;
+  r.checkpoint = campaign::LoadCheckpointFileTolerant(path, &r);
+  return r;
+}
+
 // One pair serialized alone — the byte-identity unit of the salvage sweep.
 std::string PairJson(const Checkpoint& cp, const PairState& p) {
   return CheckpointToJson(cp.options, {p}, false);
@@ -190,7 +205,7 @@ TEST_F(FaultTest, CheckpointFilesCarryAVerifiableChecksum) {
             ChecksumStatus::kOk);
   // The strict loader accepts it, and the tolerant loader calls it clean.
   EXPECT_NO_THROW(campaign::LoadCheckpointFile(path));
-  const CheckpointLoadResult r = campaign::LoadCheckpointFileTolerant(path);
+  const TolerantLoad r = LoadTolerant(path);
   EXPECT_TRUE(r.clean);
   EXPECT_FALSE(r.salvaged);
   EXPECT_FALSE(r.cold);
@@ -205,7 +220,7 @@ TEST_F(FaultTest, LegacyCheckpointWithoutChecksumStillLoads) {
   WriteAll(path, CheckpointToJson(cp.options, cp.pairs, cp.cancelled));
   EXPECT_EQ(support::VerifyDocumentChecksum(ReadAll(path)),
             ChecksumStatus::kAbsent);
-  const CheckpointLoadResult r = campaign::LoadCheckpointFileTolerant(path);
+  const TolerantLoad r = LoadTolerant(path);
   EXPECT_TRUE(r.clean);
   EXPECT_EQ(r.checkpoint.pairs.size(), done.pairs.size());
 }
@@ -225,9 +240,9 @@ TEST_F(FaultTest, ContentCorruptionColdStartsAndQuarantines) {
   digit = digit == '1' ? '2' : '1';
   WriteAll(path, bytes);
 
-  const CheckpointLoadResult r = campaign::LoadCheckpointFileTolerant(path);
+  const TolerantLoad r = LoadTolerant(path);
   EXPECT_TRUE(r.cold);
-  EXPECT_EQ(r.pairs_recovered, 0u);
+  EXPECT_EQ(r.records, 0u);
   EXPECT_EQ(r.quarantine_path, path + ".corrupt");
   EXPECT_EQ(ReadAll(r.quarantine_path), bytes);
   // The strict loader refuses it outright.
@@ -255,8 +270,8 @@ TEST_F(FaultTest, TruncationSweepSalvagesOrColdStartsNeverLies) {
   for (std::size_t cut = 0; cut <= bytes.size();
        cut += (cut + 211 > bytes.size() && cut < bytes.size()) ? 1 : 197) {
     WriteAll(path, bytes.substr(0, cut));
-    CheckpointLoadResult r;
-    ASSERT_NO_THROW(r = campaign::LoadCheckpointFileTolerant(path))
+    TolerantLoad r;
+    ASSERT_NO_THROW(r = LoadTolerant(path))
         << "tolerant load threw at cut " << cut;
     ASSERT_EQ((r.clean ? 1 : 0) + (r.salvaged ? 1 : 0) + (r.cold ? 1 : 0), 1)
         << "ambiguous outcome at cut " << cut;
@@ -267,7 +282,7 @@ TEST_F(FaultTest, TruncationSweepSalvagesOrColdStartsNeverLies) {
     EXPECT_FALSE(r.clean) << "truncated file reported clean at cut " << cut;
     if (r.salvaged) ++salvage_hits;
     if (r.cold) ++cold_hits;
-    ASSERT_EQ(r.checkpoint.pairs.size(), r.pairs_recovered);
+    ASSERT_EQ(r.checkpoint.pairs.size(), r.records);
     for (const PairState& p : r.checkpoint.pairs) {
       const std::string key = p.functional + '\x1f' + p.condition;
       bool matched = false;
@@ -301,7 +316,7 @@ TEST_F(FaultTest, CacheTruncationSweepSalvagesOrColdStarts) {
        cut += (cut + 211 > bytes.size() && cut < bytes.size()) ? 1 : 197) {
     WriteAll(path, bytes.substr(0, cut));
     cache::VerdictCache salvaged;
-    cache::CacheLoadStats stats;
+    support::LoadOutcome stats;
     bool warm = false;
     ASSERT_NO_THROW(warm = salvaged.Load(path, &stats))
         << "cache load threw at cut " << cut;
@@ -316,7 +331,7 @@ TEST_F(FaultTest, CacheTruncationSweepSalvagesOrColdStarts) {
       continue;
     }
     EXPECT_FALSE(stats.clean) << "truncated cache clean at cut " << cut;
-    EXPECT_EQ(stats.entries_recovered, salvaged.size());
+    EXPECT_EQ(stats.records, salvaged.size());
     // Every salvaged entry must replay exactly the verdict the original
     // cache holds for that key — a salvage can shrink the cache, never
     // corrupt it.
@@ -336,10 +351,10 @@ TEST_F(FaultTest, CheckpointLoadEioIsAColdStartNotACrash) {
   const std::string path = testing::TempDir() + "fault_ck_eio.json";
   RunTinyCampaign(path);
   fault::ArmFromSpec("checkpoint.load.eio");
-  const CheckpointLoadResult r = campaign::LoadCheckpointFileTolerant(path);
+  const TolerantLoad r = LoadTolerant(path);
   EXPECT_TRUE(r.cold);
   // The fault fired on the first visit only; the next read succeeds.
-  const CheckpointLoadResult again = campaign::LoadCheckpointFileTolerant(path);
+  const TolerantLoad again = LoadTolerant(path);
   EXPECT_TRUE(again.clean);
 }
 
@@ -349,13 +364,273 @@ TEST_F(FaultTest, CacheLoadEioIsAColdStartNotACrash) {
   RunTinyCampaign(ck, path);
   fault::ArmFromSpec("cache.load.eio");
   cache::VerdictCache cache;
-  cache::CacheLoadStats stats;
+  support::LoadOutcome stats;
   EXPECT_FALSE(cache.Load(path, &stats));
   EXPECT_TRUE(stats.cold);
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_TRUE(cache.Load(path, &stats));
   EXPECT_TRUE(stats.clean);
 }
+
+// ---- One recovery table for every durable document --------------------------
+//
+// Checkpoint, verdict cache, xcvd queue journal and node ledger share one
+// load policy (support/document.h), so the same rows hold for each, driven
+// through each format's own loader.
+
+// A durable document under test.
+struct DocumentCase {
+  std::string records;       // key of its records array
+  std::string fault_prefix;  // its "<prefix>.load.eio" fault point
+  std::string path;          // the file its loader reads
+  std::string intact;        // an intact, checksummed copy of that file
+  // Loads `path`; returns the outcome and the loaded state as the format's
+  // own writer serializes it.
+  std::function<std::pair<support::LoadOutcome, std::string>()> load;
+};
+
+DocumentCase CheckpointCase() {
+  DocumentCase doc;
+  doc.records = "pairs";
+  doc.fault_prefix = "checkpoint";
+  doc.path = testing::TempDir() + "table_checkpoint.json";
+  RunTinyCampaign(doc.path);
+  doc.intact = ReadAll(doc.path);
+  doc.load = [path = doc.path] {
+    support::LoadOutcome outcome;
+    const Checkpoint cp = campaign::LoadCheckpointFileTolerant(path, &outcome);
+    return std::make_pair(outcome,
+                          CheckpointToJson(cp.options, cp.pairs, cp.cancelled));
+  };
+  return doc;
+}
+
+DocumentCase CacheCase() {
+  DocumentCase doc;
+  doc.records = "entries";
+  doc.fault_prefix = "cache";
+  doc.path = testing::TempDir() + "table_cache.json";
+  RunTinyCampaign(testing::TempDir() + "table_cache_ck.json", doc.path);
+  doc.intact = ReadAll(doc.path);
+  doc.load = [path = doc.path] {
+    support::LoadOutcome outcome;
+    cache::VerdictCache cache;
+    cache.Load(path, &outcome);
+    return std::make_pair(outcome, cache.ToJson());
+  };
+  return doc;
+}
+
+// A state dir whose journal records two completed jobs.
+DocumentCase JournalCase() {
+  DocumentCase doc;
+  doc.records = "jobs";
+  doc.fault_prefix = "service.journal";
+  const std::string dir = testing::TempDir() + "table_journal";
+  std::filesystem::remove_all(dir);
+  doc.path = dir + "/queue.json";
+  service::DaemonOptions options;
+  options.state_dir = dir;
+  {
+    service::Daemon daemon(options);
+    daemon.Start();
+    const std::string spec = R"({"format": "xcv-job-spec",
+        "functionals": "lda", "conditions": "EC1..EC2",
+        "verifier": {"budget_seconds": 0}, "solver": {"max_nodes": 2000}})";
+    for (const char* id : {"j1", "j2"}) {
+      EXPECT_EQ(daemon.Handle({"POST", "/v1/campaigns", {}, {}, spec}).status,
+                201);
+      std::string status;
+      for (int i = 0; i < 3000 && status != "done"; ++i) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        status = json::ParseJson(
+                     daemon
+                         .Handle({"GET", std::string("/v1/campaigns/") + id,
+                                  {}, {}, ""})
+                         .body)
+                     .At("status")
+                     .AsString();
+      }
+      EXPECT_EQ(status, "done") << id;
+    }
+    daemon.Stop();
+  }
+  doc.intact = ReadAll(doc.path);
+  doc.load = [options, path = doc.path] {
+    service::Daemon daemon(options);
+    daemon.Start();  // re-saves the journal it recovered
+    const support::LoadOutcome outcome = daemon.JournalLoad();
+    daemon.Stop();
+    return std::make_pair(outcome, ReadAll(path));
+  };
+  return doc;
+}
+
+DocumentCase LedgerCase() {
+  DocumentCase doc;
+  doc.records = "nodes";
+  doc.fault_prefix = "nodes";
+  doc.path = testing::TempDir() + "table_nodes.json";
+  std::remove(doc.path.c_str());
+  support::retry::NodeLedger ledger;
+  ledger.Load(doc.path);
+  const support::retry::RuntimeAttrs attrs;
+  ledger.RecordLaunch("local-0");
+  ledger.RecordSuccess("local-0");
+  ledger.RecordLaunch("local-1");
+  ledger.RecordFailure("local-1", support::retry::FailureKind::kPreempted,
+                       attrs);
+  ledger.RecordLaunch("local-2");
+  ledger.Save();
+  doc.intact = ReadAll(doc.path);
+  doc.load = [path = doc.path] {
+    support::LoadOutcome outcome;
+    support::retry::NodeLedger loaded;
+    loaded.Load(path, &outcome);
+    return std::make_pair(outcome, loaded.ToJson());
+  };
+  return doc;
+}
+
+// Byte spans [begin, end) of the records in `doc`'s `key` array.
+std::vector<std::pair<std::size_t, std::size_t>> RecordSpans(
+    const std::string& doc, const std::string& key) {
+  std::vector<std::pair<std::size_t, std::size_t>> spans;
+  const std::size_t array = doc.find("\"" + key + "\": [");
+  if (array == std::string::npos) return spans;
+  for (std::size_t pos = doc.find('[', array) + 1;;) {
+    pos = doc.find_first_not_of(", \t\r\n", pos);
+    if (pos == std::string::npos || doc[pos] != '{') break;
+    const std::size_t end = json::SkipBalanced(doc, pos);
+    if (end == std::string::npos) break;
+    spans.emplace_back(pos, end);
+    pos = end;
+  }
+  return spans;
+}
+
+std::vector<std::string> RecordTexts(const std::string& doc,
+                                     const std::string& key) {
+  std::vector<std::string> texts;
+  for (const auto& [begin, end] : RecordSpans(doc, key))
+    texts.push_back(doc.substr(begin, end - begin));
+  return texts;
+}
+
+// `doc` with the first `from` replaced by `to` and its checksum recomputed,
+// so the loader judges the edit itself, not a checksum mismatch.
+std::string Edited(std::string doc, const std::string& from,
+                   const std::string& to) {
+  const std::size_t checksum = doc.find("  \"checksum\": ");
+  doc.erase(checksum, doc.find('\n', checksum) + 1 - checksum);
+  const std::size_t at = doc.find(from);
+  XCV_CHECK_MSG(at != std::string::npos, "no '" << from << "' to edit");
+  doc.replace(at, from.size(), to);
+  return support::AddDocumentChecksum(std::move(doc));
+}
+
+struct DocumentParam {
+  const char* name;
+  DocumentCase (*make)();
+};
+
+class DocumentRecoveryTest
+    : public FaultTest,
+      public ::testing::WithParamInterface<DocumentParam> {};
+
+TEST_P(DocumentRecoveryTest, FollowsTheSharedPolicy) {
+  const DocumentCase doc = GetParam().make();
+  const std::string corrupt = doc.path + ".corrupt";
+  const std::vector<std::string> originals =
+      RecordTexts(doc.intact, doc.records);
+  ASSERT_GE(originals.size(), 2u);
+  const auto load = [&](const std::string* bytes) {
+    std::filesystem::remove(corrupt);
+    if (bytes != nullptr)
+      WriteAll(doc.path, *bytes);
+    else
+      std::filesystem::remove(doc.path);
+    return doc.load();
+  };
+
+  {  // Absent: cold, nothing to quarantine.
+    const auto [outcome, state] = load(nullptr);
+    EXPECT_TRUE(outcome.cold);
+    EXPECT_TRUE(RecordTexts(state, doc.records).empty());
+    EXPECT_FALSE(std::filesystem::exists(corrupt));
+  }
+  {  // Read error: cold.
+    fault::ArmFromSpec(doc.fault_prefix + ".load.eio");
+    const auto [outcome, state] = load(&doc.intact);
+    fault::Disarm();
+    EXPECT_TRUE(outcome.cold);
+    EXPECT_TRUE(RecordTexts(state, doc.records).empty());
+  }
+  {  // Intact: clean, every record.
+    const auto [outcome, state] = load(&doc.intact);
+    EXPECT_TRUE(outcome.clean);
+    EXPECT_EQ(outcome.records, originals.size());
+    EXPECT_EQ(RecordTexts(state, doc.records), originals);
+    EXPECT_FALSE(std::filesystem::exists(corrupt));
+  }
+
+  // Torn at every record boundary and mid-record: salvaged, exactly the
+  // records before the cut, each re-serializing to the original's bytes.
+  const auto spans = RecordSpans(doc.intact, doc.records);
+  std::vector<std::pair<std::size_t, std::size_t>> cuts;  // (bytes, kept)
+  cuts.emplace_back(spans[0].first, 0);
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    cuts.emplace_back((spans[i].first + spans[i].second) / 2, i);
+    cuts.emplace_back(spans[i].second, i + 1);
+  }
+  for (const auto& [cut, kept] : cuts) {
+    SCOPED_TRACE("cut at byte " + std::to_string(cut));
+    const std::string torn = doc.intact.substr(0, cut);
+    const auto [outcome, state] = load(&torn);
+    EXPECT_TRUE(outcome.salvaged);
+    EXPECT_EQ(outcome.records, kept);
+    EXPECT_EQ(RecordTexts(state, doc.records),
+              std::vector<std::string>(originals.begin(),
+                                       originals.begin() + kept));
+    EXPECT_EQ(ReadAll(corrupt), torn);
+  }
+
+  // Damage that still parses: cold, and the damaged bytes quarantined.
+  std::string flipped = doc.intact;
+  const std::size_t digit = flipped.find_first_of("0123456789", spans[0].first);
+  ASSERT_LT(digit, spans[0].second);
+  flipped[digit] = flipped[digit] == '1' ? '2' : '1';
+  const std::string format =
+      json::ParseJson(doc.intact).At("format").AsString();
+  const std::string version_key =
+      doc.intact.find("\"schema_version\": 1") != std::string::npos
+          ? "\"schema_version\": "
+          : "\"version\": ";
+  const std::pair<const char*, std::string> damaged[] = {
+      {"one digit flipped", flipped},
+      {"newer schema",
+       Edited(doc.intact, version_key + "1", version_key + "99")},
+      {"wrong format", Edited(doc.intact, "\"" + format + "\"",
+                              "\"not-" + format + "\"")}};
+  for (const auto& [what, bytes] : damaged) {
+    SCOPED_TRACE(what);
+    const auto [outcome, state] = load(&bytes);
+    EXPECT_TRUE(outcome.cold);
+    EXPECT_EQ(outcome.records, 0u);
+    EXPECT_TRUE(RecordTexts(state, doc.records).empty());
+    EXPECT_EQ(ReadAll(corrupt), bytes);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Documents, DocumentRecoveryTest,
+    ::testing::Values(DocumentParam{"Checkpoint", &CheckpointCase},
+                      DocumentParam{"VerdictCache", &CacheCase},
+                      DocumentParam{"QueueJournal", &JournalCase},
+                      DocumentParam{"NodeLedger", &LedgerCase}),
+    [](const ::testing::TestParamInfo<DocumentParam>& info) {
+      return std::string(info.param.name);
+    });
 
 // ---- Injected-crash death tests ---------------------------------------------
 //
@@ -418,7 +693,7 @@ TEST_F(FaultDeathTest, ShortWriteTearsTheFileAndSalvageRecovers) {
   // recover without inventing anything: only pairs the campaign really
   // ran, with the deterministic verdicts the parent's own run produced.
   EXPECT_THROW(campaign::LoadCheckpointFile(path), InternalError);
-  const CheckpointLoadResult r = campaign::LoadCheckpointFileTolerant(path);
+  const TolerantLoad r = LoadTolerant(path);
   EXPECT_FALSE(r.clean);
   EXPECT_TRUE(r.salvaged || r.cold);
   EXPECT_LE(r.checkpoint.pairs.size(), done.pairs.size());
@@ -451,7 +726,7 @@ TEST_F(FaultDeathTest, PairDoneCrashLeavesAResumableCheckpoint) {
   // The process died right after the first pair completed — which is after
   // that pair's checkpoint write, so the file is a valid snapshot with
   // exactly one pair done.
-  CheckpointLoadResult r = campaign::LoadCheckpointFileTolerant(path);
+  TolerantLoad r = LoadTolerant(path);
   ASSERT_TRUE(r.clean);
   std::size_t finished = 0;
   for (const PairState& p : r.checkpoint.pairs)

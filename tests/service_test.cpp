@@ -850,6 +850,35 @@ TEST(ServiceJournalTest, LoadEioStartsColdWithoutCrashing) {
   fault::Disarm();
 }
 
+// A journal header whose next_id is not a counter is a bad header even when
+// the checksum holds: the daemon starts with an empty queue, keeps the
+// evidence, and serves.
+TEST(ServiceJournalTest, NegativeNextIdStartsColdAndKeepsTheEvidence) {
+  const std::string dir = FreshStateDir("next_id");
+  std::string text = BuildCompletedQueue(dir);
+  const std::size_t checksum = text.find("  \"checksum\": ");
+  ASSERT_NE(checksum, std::string::npos);
+  text.erase(checksum, text.find('\n', checksum) + 1 - checksum);
+  const std::string next_id = "\"next_id\": 3";
+  ASSERT_NE(text.find(next_id), std::string::npos);
+  text.replace(text.find(next_id), next_id.size(), "\"next_id\": -1");
+  const std::string damaged = support::AddDocumentChecksum(text);
+  WriteAll(dir + "/queue.json", damaged);
+
+  DaemonOptions options;
+  options.state_dir = dir;
+  options.port = 0;
+  Daemon daemon(options);
+  daemon.Start();
+  EXPECT_TRUE(daemon.JournalLoad().cold);
+  EXPECT_EQ(ReadAll(dir + "/queue.json.corrupt"), damaged);
+  const HttpResponse list =
+      daemon.Handle({"GET", "/v1/campaigns", {}, {}, ""});
+  EXPECT_EQ(json::ParseJson(list.body).At("jobs").array.size(), 0u);
+  EXPECT_EQ(daemon.Handle({"GET", "/v1/healthz", {}, {}, ""}).status, 200);
+  daemon.Stop();
+}
+
 using ServiceFaultDeathTest = ::testing::Test;
 
 TEST(ServiceFaultDeathTest, JournalShortWriteCrashesThenSalvages) {

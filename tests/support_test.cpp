@@ -1,5 +1,8 @@
 #include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -176,6 +179,35 @@ TEST(Json, NestingDepthIsBounded) {
     ++depth;
   EXPECT_EQ(depth, at_limit);
   expect_depth_error("[" + arrays + "]");
+}
+
+// Numbers follow RFC 8259; strtod's wider grammar (inf, hex, '+', '.',
+// leading zeros) and literals that overflow a double are named errors.
+TEST(Json, NumbersFollowTheJsonGrammar) {
+  for (const char* text :
+       {"[inf]", "[-Infinity]", "[0x10]", "[+1]", "[.5]", "[01]", "[1e999]",
+        "[-1e999]", "[1.]", "[1e]", "[-]", "[1.5.2]"}) {
+    try {
+      json::ParseJson(text);
+      FAIL() << "accepted " << text;
+    } catch (const InternalError& e) {
+      EXPECT_NE(std::string(e.what()).find("JSON number"), std::string::npos)
+          << text << ": " << e.what();
+    }
+  }
+  // Valid literals parse to exactly strtod's bits, subnormals included.
+  for (const char* literal :
+       {"-0", "0", "5e-324", "2.2250738585072014e-308",
+        "1.7976931348623157e+308", "0.30000000000000004", "-12.5E+3",
+        "1e-400"}) {
+    const json::JsonValue v =
+        json::ParseJson(std::string("[") + literal + "]");
+    ASSERT_EQ(v.array.size(), 1u) << literal;
+    const double expected = std::strtod(literal, nullptr);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(v.array[0].number),
+              std::bit_cast<std::uint64_t>(expected))
+        << literal;
+  }
 }
 
 }  // namespace

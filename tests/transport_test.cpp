@@ -232,6 +232,33 @@ TEST_F(TransportTest, CorruptLedgerColdStartsAndQuarantinesTheBytes) {
   EXPECT_EQ(reloaded.Get("a").successes, 1u);
 }
 
+// Counters are checked before they are narrowed: a node whose launch count
+// is negative is refused even when the file's checksum holds, and the nodes
+// before it are kept.
+TEST_F(TransportTest, LedgerRefusesANodeWithANegativeCounter) {
+  const std::string dir = MakeDir("ledger_negative");
+  const std::string path = dir + "/nodes.json";
+  NodeLedger ledger;
+  ledger.RecordLaunch("a");
+  ledger.RecordLaunch("b");
+  std::string text = ledger.ToJson();
+  const std::string b_launches = "\"launches\": 1";
+  const std::size_t at = text.rfind(b_launches);
+  ASSERT_NE(at, std::string::npos);
+  text.replace(at, b_launches.size(), "\"launches\": -1");
+  {
+    std::ofstream os(path, std::ios::binary);
+    os << support::AddDocumentChecksum(text);
+  }
+  NodeLedger reloaded;
+  support::LoadOutcome outcome;
+  EXPECT_TRUE(reloaded.Load(path, &outcome));
+  EXPECT_TRUE(outcome.salvaged);
+  ASSERT_EQ(reloaded.nodes().size(), 1u);
+  EXPECT_EQ(reloaded.nodes()[0].node, "a");
+  EXPECT_EQ(outcome.quarantine_path, path + ".corrupt");
+}
+
 // ---- ssh transport wire shape -----------------------------------------------
 
 shard::LaunchSpec SshSpec() {
