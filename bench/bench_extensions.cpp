@@ -10,7 +10,6 @@
 
 #include "common.h"
 #include "expr/compile.h"
-#include "expr/eval.h"
 
 int main() {
   using namespace xcv;

@@ -66,7 +66,7 @@ const functionals::Functional& FunctionalByIndex(int i) {
   return functionals::PaperFunctionals()[static_cast<std::size_t>(i)];
 }
 
-void BM_TapeEvalDouble(benchmark::State& state) {
+void BM_TapeEvalPoint(benchmark::State& state) {
   const auto& f = FunctionalByIndex(static_cast<int>(state.range(0)));
   const auto tape = expr::Compile(f.eps_c);
   oracle::TapeScratch scratch;
@@ -75,7 +75,7 @@ void BM_TapeEvalDouble(benchmark::State& state) {
     benchmark::DoNotOptimize(oracle::EvalTape(tape, env, scratch));
   state.SetLabel(f.name);
 }
-BENCHMARK(BM_TapeEvalDouble)->DenseRange(0, 4);
+BENCHMARK(BM_TapeEvalPoint)->DenseRange(0, 4);
 
 void BM_TapeEvalInterval(benchmark::State& state) {
   const auto& f = FunctionalByIndex(static_cast<int>(state.range(0)));
@@ -128,7 +128,7 @@ void BM_SolverCallEc1(benchmark::State& state) {
 }
 BENCHMARK(BM_SolverCallEc1)->DenseRange(0, 4)->Unit(benchmark::kMillisecond);
 
-void BM_TapeEvalDoubleOptimized(benchmark::State& state) {
+void BM_TapeEvalPointOptimized(benchmark::State& state) {
   const auto& f = FunctionalByIndex(static_cast<int>(state.range(0)));
   const auto tape = expr::CompileOptimized(f.eps_c);
   oracle::TapeScratch scratch;
@@ -137,7 +137,7 @@ void BM_TapeEvalDoubleOptimized(benchmark::State& state) {
     benchmark::DoNotOptimize(oracle::EvalTape(tape, env, scratch));
   state.SetLabel(f.name);
 }
-BENCHMARK(BM_TapeEvalDoubleOptimized)->DenseRange(0, 4);
+BENCHMARK(BM_TapeEvalPointOptimized)->DenseRange(0, 4);
 
 void BM_TapeEvalIntervalOptimized(benchmark::State& state) {
   const auto& f = FunctionalByIndex(static_cast<int>(state.range(0)));
@@ -351,8 +351,7 @@ void RunIntervalBatchComparison(const functionals::Functional& f) {
 }
 
 // ICP node throughput: one full solver call (fixed node budget, presample
-// off so every node does interval work) at wave width 1 vs 8 vs 64, with
-// the forward-classify / backward-contract phase split recorded per run.
+// off so every node does interval work) at wave width 1 vs 8 vs 64.
 void RunIcpNodeThroughput(const functionals::Functional& f) {
   const auto psi =
       conditions::BuildCondition(*conditions::FindCondition("EC1"), f);
@@ -361,8 +360,6 @@ void RunIcpNodeThroughput(const functionals::Functional& f) {
   struct Run {
     std::uint64_t nodes = 0;
     double seconds = 0.0;
-    double classify_s = 0.0;
-    double contract_s = 0.0;
   };
   auto run = [&](int wave_width) {
     solver::SolverOptions opts;
@@ -371,15 +368,12 @@ void RunIcpNodeThroughput(const functionals::Functional& f) {
     opts.max_invalid_models = 1 << 20;
     opts.presample_points = 0;
     opts.wave_width = wave_width;
-    opts.measure_phases = true;
     solver::DeltaSolver solver(expr::BoolExpr::Not(*psi), opts);
     Stopwatch watch;
     const auto result = solver.Check(domain);
     Run r;
     r.seconds = watch.ElapsedSeconds();
     r.nodes = result.stats.nodes;
-    r.classify_s = result.stats.classify_seconds;
-    r.contract_s = result.stats.contract_seconds;
     return r;
   };
   const Run w1 = run(1);
@@ -390,13 +384,10 @@ void RunIcpNodeThroughput(const functionals::Functional& f) {
   std::printf(
       "{\"bench\":\"icp_nodes\",\"functional\":\"%s\",\"nodes\":%llu,"
       "\"wave1_s\":%.6f,\"wave8_s\":%.6f,\"wave64_s\":%.6f,"
-      "\"w1_classify_s\":%.6f,\"w1_contract_s\":%.6f,"
-      "\"w64_classify_s\":%.6f,\"w64_contract_s\":%.6f,"
       "\"wave1_nodes_per_s\":%.0f,\"wave64_nodes_per_s\":%.0f,"
       "\"speedup_w8\":%.2f,\"speedup_w64\":%.2f,\"nodes_match\":%d}\n",
       f.name.c_str(), static_cast<unsigned long long>(w1.nodes), w1.seconds,
-      w8.seconds, w64.seconds, w1.classify_s, w1.contract_s, w64.classify_s,
-      w64.contract_s, static_cast<double>(w1.nodes) / w1.seconds,
+      w8.seconds, w64.seconds, static_cast<double>(w1.nodes) / w1.seconds,
       static_cast<double>(w64.nodes) / w64.seconds, w1.seconds / w8.seconds,
       w1.seconds / w64.seconds, nodes_match ? 1 : 0);
 }

@@ -8,7 +8,7 @@
 
 #include "campaign/campaign.h"
 #include "conditions/conditions.h"
-#include "expr/eval.h"
+#include "expr/bool_expr.h"
 #include "functionals/functional.h"
 #include "verifier/verifier.h"
 
@@ -48,9 +48,10 @@ int main() {
       const auto& w = pair.report.witnesses.front();
       std::printf("  witness: rs=%.4f s=%.4f", w[0], w[1]);
       // Independent re-check: the witness must violate ψ under plain
-      // double evaluation.
-      const auto psi = *conditions::BuildCondition(cond, lyp);
-      const bool still_violates = !expr::EvalBool(psi, w);
+      // IEEE double evaluation of the exact formula.
+      const expr::CompiledFormula psi(*conditions::BuildCondition(cond, lyp));
+      expr::TapeBatchScratch scratch;
+      const bool still_violates = !psi.Holds(w, 0.0, scratch);
       std::printf("  (re-validated: %s)", still_violates ? "yes" : "NO!");
     }
     std::printf("\n");

@@ -13,7 +13,6 @@
 #include "conditions/conditions.h"
 #include "conditions/enhancement.h"
 #include "expr/compile.h"
-#include "expr/eval.h"
 #include "functionals/functional.h"
 #include "verifier/verifier.h"
 

@@ -1,8 +1,8 @@
 #include "expr/bool_expr.h"
 
-#include <unordered_set>
+#include <cstdint>
+#include <unordered_map>
 
-#include "expr/eval.h"
 #include "support/check.h"
 
 namespace xcv::expr {
@@ -162,53 +162,91 @@ std::string BoolExpr::ToString() const {
   return "<?>";
 }
 
-bool EvalBoolWithSlack(const BoolExpr& b, std::span<const double> env,
-                       double slack) {
-  XCV_CHECK(!b.IsNull());
-  switch (b.kind()) {
+namespace {
+
+// Short-circuiting and/or walk of a skeleton; atom_holds(a) decides atom a.
+template <typename AtomHolds>
+bool WalkSkeleton(const CompiledFormula::Node& node, AtomHolds& atom_holds) {
+  switch (node.kind) {
     case BoolExpr::Kind::kTrue: return true;
     case BoolExpr::Kind::kFalse: return false;
-    case BoolExpr::Kind::kAtom: {
-      const double v = EvalDouble(b.atom(), env);
-      // NaN fails both comparisons — an out-of-domain point satisfies no
-      // atom, matching dReal's semantics on undefined terms.
-      return b.rel() == Rel::kLe ? v <= slack : v < slack;
-    }
+    case BoolExpr::Kind::kAtom: return atom_holds(node.atom);
     case BoolExpr::Kind::kAnd:
-      for (const BoolExpr& c : b.children())
-        if (!EvalBoolWithSlack(c, env, slack)) return false;
+      for (const CompiledFormula::Node& c : node.children)
+        if (!WalkSkeleton(c, atom_holds)) return false;
       return true;
     case BoolExpr::Kind::kOr:
-      for (const BoolExpr& c : b.children())
-        if (EvalBoolWithSlack(c, env, slack)) return true;
+      for (const CompiledFormula::Node& c : node.children)
+        if (WalkSkeleton(c, atom_holds)) return true;
       return false;
   }
-  XCV_CHECK_MSG(false, "unhandled kind in EvalBool");
+  XCV_CHECK_MSG(false, "unhandled formula kind");
   return false;
 }
 
-bool EvalBool(const BoolExpr& b, std::span<const double> env) {
-  return EvalBoolWithSlack(b, env, 0.0);
+bool AtomSatisfied(double value, Rel rel, double slack) {
+  // NaN fails both comparisons — an out-of-domain point satisfies no atom,
+  // matching dReal's semantics on undefined terms.
+  return rel == Rel::kLe ? value <= slack : value < slack;
 }
 
-std::vector<BoolExpr> CollectAtoms(const BoolExpr& b) {
+}  // namespace
+
+CompiledFormula::CompiledFormula(const BoolExpr& b) {
   XCV_CHECK(!b.IsNull());
-  std::vector<BoolExpr> atoms;
-  auto walk = [&](auto&& self, const BoolExpr& x) -> void {
+  // Atom identity: interned expression id + relation, in one hashable key.
+  std::unordered_map<std::uint64_t, int> atom_index;
+  auto compile = [&](auto&& self, const BoolExpr& x) -> Node {
+    Node node;
+    node.kind = x.kind();
     switch (x.kind()) {
-      case BoolExpr::Kind::kAtom:
-        atoms.push_back(x);
-        return;
+      case BoolExpr::Kind::kTrue:
+      case BoolExpr::Kind::kFalse:
+        return node;
+      case BoolExpr::Kind::kAtom: {
+        const std::uint64_t key =
+            (static_cast<std::uint64_t>(x.atom().id()) << 1) |
+            static_cast<std::uint64_t>(x.rel());
+        const auto [it, inserted] =
+            atom_index.emplace(key, static_cast<int>(atoms_.size()));
+        if (inserted) atoms_.push_back({Compile(x.atom()), x.rel()});
+        node.atom = it->second;
+        return node;
+      }
       case BoolExpr::Kind::kAnd:
       case BoolExpr::Kind::kOr:
-        for (const BoolExpr& c : x.children()) self(self, c);
-        return;
-      default:
-        return;
+        node.children.reserve(x.children().size());
+        for (const BoolExpr& c : x.children())
+          node.children.push_back(self(self, c));
+        return node;
     }
+    XCV_CHECK_MSG(false, "unhandled formula kind");
+    return node;
   };
-  walk(walk, b);
-  return atoms;
+  skeleton_ = compile(compile, b);
+}
+
+bool CompiledFormula::Holds(std::span<const double> point, double slack,
+                            TapeBatchScratch& scratch) const {
+  std::vector<const double*> inputs(point.size());
+  for (std::size_t v = 0; v < point.size(); ++v) inputs[v] = &point[v];
+  auto atom_holds = [&](int a) {
+    const Atom& atom = atoms_[static_cast<std::size_t>(a)];
+    double value = 0.0;
+    EvalTapeBatch(atom.tape, inputs, 1, &value, scratch);
+    return AtomSatisfied(value, atom.rel, slack);
+  };
+  return WalkSkeleton(skeleton_, atom_holds);
+}
+
+bool CompiledFormula::HoldsGiven(std::span<const double> atom_values,
+                                 double slack) const {
+  XCV_DCHECK(atom_values.size() == atoms_.size());
+  auto atom_holds = [&](int a) {
+    const auto i = static_cast<std::size_t>(a);
+    return AtomSatisfied(atom_values[i], atoms_[i].rel, slack);
+  };
+  return WalkSkeleton(skeleton_, atom_holds);
 }
 
 }  // namespace xcv::expr

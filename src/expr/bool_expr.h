@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "expr/compile.h"
 #include "expr/expr.h"
 
 namespace xcv::expr {
@@ -64,18 +65,54 @@ class BoolExpr {
   std::shared_ptr<const BoolNode> node_;
 };
 
-/// Exact truth value at a point (IEEE double semantics). Used for model
-/// validation — Algorithm 1's valid(x).
-bool EvalBool(const BoolExpr& b, std::span<const double> env);
+/// A formula compiled for exact truth at points — Algorithm 1's valid(x) —
+/// and the one implementation of atom deduplication and of the and/or
+/// skeleton, which the solver also classifies boxes over and hashes into
+/// its cache scope.
+///
+/// Atoms are deduplicated by (expression id, relation) in first-occurrence
+/// pre-order. Each keeps its *unoptimized* tape (expr::Compile, never
+/// CompileOptimized: strength-reduced powers differ from std::pow by a few
+/// ulps), so an atom's value at a point is the IEEE double value of the
+/// expression as written. Point truth walks the skeleton with and/or
+/// short-circuiting and runs one width-1 EvalTapeBatch call per atom the
+/// walk reaches. Immutable after construction: threads may share one
+/// instance, each passing its own scratch.
+class CompiledFormula {
+ public:
+  /// One distinct atom "tape rel 0".
+  struct Atom {
+    Tape tape;
+    Rel rel;
+  };
+  /// Skeleton node over atom indices.
+  struct Node {
+    BoolExpr::Kind kind = BoolExpr::Kind::kTrue;
+    int atom = -1;               // kAtom: index into atoms()
+    std::vector<Node> children;  // kAnd/kOr
+  };
 
-/// Truth value with slack: an atom "e ≤ 0" counts as satisfied when
-/// e ≤ slack (and "e < 0" when e < slack). With slack > 0 this absorbs
-/// floating-point noise in near-boundary residuals — the same role the
-/// pass tolerance plays in the PB grid check. slack = 0 is EvalBool.
-bool EvalBoolWithSlack(const BoolExpr& b, std::span<const double> env,
-                       double slack);
+  explicit CompiledFormula(const BoolExpr& b);
 
-/// Collects the distinct atoms appearing in `b` (pre-order).
-std::vector<BoolExpr> CollectAtoms(const BoolExpr& b);
+  const std::vector<Atom>& atoms() const { return atoms_; }
+  const Node& skeleton() const { return skeleton_; }
+
+  /// Truth at `point` (point[i] is the value of variable i). An atom
+  /// "e ≤ 0" holds when e ≤ slack (and "e < 0" when e < slack); NaN
+  /// satisfies no atom. With slack > 0 this absorbs floating-point noise in
+  /// near-boundary residuals — the same role the pass tolerance plays in
+  /// the PB grid check.
+  bool Holds(std::span<const double> point, double slack,
+             TapeBatchScratch& scratch) const;
+
+  /// Truth given every atom's value at one point (atom_values[a] is atom
+  /// a's), e.g. from a batched sweep over many points. Same atom semantics
+  /// as Holds.
+  bool HoldsGiven(std::span<const double> atom_values, double slack) const;
+
+ private:
+  std::vector<Atom> atoms_;
+  Node skeleton_;
+};
 
 }  // namespace xcv::expr

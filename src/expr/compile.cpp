@@ -121,7 +121,9 @@ void EvalTapeBatch(const Tape& tape, std::span<const double* const> inputs,
       case Op::kVar:
         break;  // aliased above
       case Op::kAdd:
-        for (std::size_t j = 0; j < n; ++j) r[j] = a[j] + b[j];
+        // A sum starts from +0.0, like the expression's own semantics: a
+        // sum of -0.0 terms is +0.0, not -0.0 (1/sum keeps its sign).
+        for (std::size_t j = 0; j < n; ++j) r[j] = (0.0 + a[j]) + b[j];
         for (auto rest : ins.rest) {
           const double* c = scratch.rows[static_cast<std::size_t>(rest)];
           for (std::size_t j = 0; j < n; ++j) r[j] += c[j];

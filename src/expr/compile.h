@@ -4,9 +4,9 @@
 // The tape is the solver's working representation. Forward interval
 // evaluation fills one slot per instruction; the HC4 backward sweep
 // (interval_backward_batch.h) then walks the tape backward, narrowing child
-// slots from parent slots. Repeated
-// double evaluation (PB grid baseline) also runs on the tape to avoid
-// hash-map memoization per point.
+// slots from parent slots. Double evaluation runs on the tape too: the PB
+// grid baseline in batches, and model validation and witness checks at
+// width 1 on unoptimized tapes (CompiledFormula in bool_expr.h).
 #pragma once
 
 #include <cstdint>
@@ -77,7 +77,9 @@ struct TapeBatchScratch {
 /// Each instruction is applied to all `n` points in a tight loop before the
 /// next instruction runs, so the per-instruction dispatch cost is amortized
 /// N-fold and the inner loops auto-vectorize. Results are bit-identical to
-/// the point-by-point scalar evaluator kept as the tests/ oracle.
+/// the point-by-point scalar evaluator kept as the tests/ oracle, and on an
+/// unoptimized tape to the oracle's tree walk over the expression (an n-ary
+/// sum starts from +0.0, so a sum of -0.0 terms is +0.0).
 void EvalTapeBatch(const Tape& tape, std::span<const double* const> inputs,
                    std::size_t n, double* out, TapeBatchScratch& scratch);
 

@@ -181,7 +181,7 @@ class TapeOptimizer {
     auto v = [&](std::size_t i) { return ConstVal(operands[i]); };
     switch (ins.op) {
       case Op::kAdd: {
-        double s = v(0) + v(1);
+        double s = (0.0 + v(0)) + v(1);
         for (std::size_t i = 2; i < operands.size(); ++i) s += v(i);
         return s;
       }

@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <exception>
+#include <thread>
 
 #include "obs/metrics.h"
 #include "support/check.h"
@@ -23,6 +24,19 @@ namespace {
 
 constexpr std::size_t kMaxHeaderBytes = 64 * 1024;
 constexpr std::size_t kMaxBodyBytes = 64 * 1024 * 1024;
+// Pause before retrying an accept that failed for want of fds or memory:
+// long enough not to spin while the process is exhausted, short enough
+// that a waiting client is answered soon after resources free up.
+constexpr auto kAcceptBackoff = std::chrono::milliseconds(20);
+
+/// accept(2) errors to retry at once: an interrupted call, and the errors
+/// pending on the new connection that accept(2) says to treat like EAGAIN.
+bool RetryAcceptNow(int err) {
+  for (int e : {EINTR, ECONNABORTED, ENETDOWN, EPROTO, ENOPROTOOPT, EHOSTDOWN,
+                ENONET, EHOSTUNREACH, EOPNOTSUPP, ENETUNREACH})
+    if (err == e) return true;
+  return false;
+}
 
 /// Collapses per-resource path segments so routes form a bounded label
 /// set: any segment that looks like a job id ("j" + digits) or a bare
@@ -247,8 +261,15 @@ void HttpServer::AcceptLoop() {
   for (;;) {
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) {
+      const int err = errno;
       if (stopping_.load(std::memory_order_relaxed)) return;
-      if (errno == EINTR || errno == ECONNABORTED) continue;
+      if (RetryAcceptNow(err)) continue;
+      if (err == EMFILE || err == ENFILE || err == ENOBUFS || err == ENOMEM) {
+        // Out of fds or memory: the connection stays queued until an
+        // accept succeeds, so wait for resources instead of going deaf.
+        std::this_thread::sleep_for(kAcceptBackoff);
+        continue;
+      }
       return;  // listen socket gone
     }
     // A client that connects and then hangs must not wedge the accept

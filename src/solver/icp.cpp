@@ -4,13 +4,11 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
-#include <unordered_map>
 #include <utility>
 
 #include <bit>
 
 #include "cache/verdict_cache.h"
-#include "expr/eval.h"
 #include "expr/optimize.h"
 #include "obs/trace.h"
 #include "support/check.h"
@@ -35,15 +33,18 @@ std::string SatKindName(SatKind kind) {
 }
 
 DeltaSolver::DeltaSolver(expr::BoolExpr formula, SolverOptions options)
-    : formula_(std::move(formula)), options_(options) {
-  XCV_CHECK(!formula_.IsNull());
+    : exact_(formula), options_(options) {
   XCV_CHECK_MSG(options_.delta > 0.0, "delta must be positive");
   XCV_CHECK_MSG(
       options_.wave_width >= 1 && options_.wave_width <= kMaxWaveWidth,
       "wave width must be in [1, " << kMaxWaveWidth << "], got "
                                    << options_.wave_width);
-  skeleton_ = CompileFormula(formula_);
-  CollectRequiredAtoms(skeleton_, required_atoms_);
+  // Interval tapes: Optimize of each exact tape, which is exactly
+  // CompileOptimized of the atom, so each atom is compiled once.
+  atoms_.reserve(exact_.atoms().size());
+  for (const Atom& atom : exact_.atoms())
+    atoms_.push_back({expr::Optimize(atom.tape), atom.rel});
+  CollectRequiredAtoms(exact_.skeleton(), required_atoms_);
   std::sort(required_atoms_.begin(), required_atoms_.end());
   required_atoms_.erase(
       std::unique(required_atoms_.begin(), required_atoms_.end()),
@@ -55,11 +56,14 @@ DeltaSolver::DeltaSolver(expr::BoolExpr formula, SolverOptions options)
   // Reserve every evaluation scratch once, up front: the hot loop must not
   // grow buffers lazily (one solver serves thousands of nodes per Check,
   // and campaign workers each own a solver from the engine's free-list).
-  std::size_t max_slots = 0;
+  std::size_t max_slots = 0, max_exact_slots = 0;
   for (const Atom& atom : atoms_)
     max_slots = std::max(max_slots, atom.tape.size());
+  for (const Atom& atom : exact_.atoms())
+    max_exact_slots = std::max(max_exact_slots, atom.tape.size());
   interval_batch_.Reserve(max_slots,
                           static_cast<std::size_t>(options_.wave_width));
+  exact_scratch_.Reserve(max_exact_slots, 1);
   // The presample lattice never exceeds presample_points points, so cap the
   // chunk reservation accordingly (and skip it entirely when presampling is
   // off — engine workers each own a solver, so idle scratch multiplies).
@@ -90,14 +94,14 @@ std::uint64_t DeltaSolver::ComputeCacheScope() const {
     h = FnvMix(h, expr::TapeFingerprint(atom.tape));
     h = FnvMix(h, static_cast<std::uint64_t>(atom.rel));
   }
-  auto hash_skeleton = [&h](auto&& self, const FNode& node) -> void {
+  auto hash_skeleton = [&h](auto&& self, const Node& node) -> void {
     h = FnvMix(h, static_cast<std::uint64_t>(node.kind));
     h = FnvMix(h, static_cast<std::uint64_t>(
                       static_cast<std::int64_t>(node.atom)));
     h = FnvMix(h, node.children.size());
-    for (const FNode& c : node.children) self(self, c);
+    for (const Node& c : node.children) self(self, c);
   };
-  hash_skeleton(hash_skeleton, skeleton_);
+  hash_skeleton(hash_skeleton, exact_.skeleton());
   // Every verdict-affecting option. wave_width is deliberately absent: it
   // batches evaluation without changing any verdict, model, or node count,
   // so caches stay valid across wave-width changes.
@@ -140,58 +144,14 @@ void DeltaSolver::MaybeRecord(const Box& domain, const CheckResult& result,
   options_.cache->Store(cache_scope_, domain.dims(), std::move(cv));
 }
 
-namespace {
-
-// Atom identity: interned expression id + relation, in one hashable key.
-std::uint64_t AtomKey(const expr::Expr& e, expr::Rel rel) {
-  return (static_cast<std::uint64_t>(e.id()) << 1) |
-         static_cast<std::uint64_t>(rel);
-}
-
-}  // namespace
-
-DeltaSolver::FNode DeltaSolver::CompileFormula(const BoolExpr& b) {
-  // Dedup map shared across the whole recursive compilation (O(1) per atom;
-  // conditions with many repeated atoms used to pay O(n²) scans here).
-  std::unordered_map<std::uint64_t, int> atom_index;
-  auto compile = [&](auto&& self, const BoolExpr& node_expr) -> FNode {
-    FNode node;
-    node.kind = node_expr.kind();
-    switch (node_expr.kind()) {
-      case BoolExpr::Kind::kTrue:
-      case BoolExpr::Kind::kFalse:
-        return node;
-      case BoolExpr::Kind::kAtom: {
-        const auto key = AtomKey(node_expr.atom(), node_expr.rel());
-        auto [it, inserted] =
-            atom_index.emplace(key, static_cast<int>(atoms_.size()));
-        if (inserted)
-          atoms_.push_back(
-              {expr::CompileOptimized(node_expr.atom()), node_expr.rel()});
-        node.atom = it->second;
-        return node;
-      }
-      case BoolExpr::Kind::kAnd:
-      case BoolExpr::Kind::kOr:
-        node.children.reserve(node_expr.children().size());
-        for (const BoolExpr& c : node_expr.children())
-          node.children.push_back(self(self, c));
-        return node;
-    }
-    XCV_CHECK_MSG(false, "unhandled formula kind");
-    return node;
-  };
-  return compile(compile, b);
-}
-
-void DeltaSolver::CollectRequiredAtoms(const FNode& node,
+void DeltaSolver::CollectRequiredAtoms(const Node& node,
                                        std::vector<int>& out) const {
   switch (node.kind) {
     case BoolExpr::Kind::kAtom:
       out.push_back(node.atom);
       return;
     case BoolExpr::Kind::kAnd:
-      for (const FNode& c : node.children) CollectRequiredAtoms(c, out);
+      for (const Node& c : node.children) CollectRequiredAtoms(c, out);
       return;
     default:
       return;  // atoms under Or are not necessary conditions
@@ -211,7 +171,7 @@ DeltaSolver::Tri DeltaSolver::ClassifyRoot(const Interval& root,
   return Tri::kUnknown;
 }
 
-DeltaSolver::Tri DeltaSolver::EvaluateSkeleton(const FNode& node,
+DeltaSolver::Tri DeltaSolver::EvaluateSkeleton(const Node& node,
                                                const Tri* atom_status) const {
   switch (node.kind) {
     case BoolExpr::Kind::kTrue: return Tri::kTrue;
@@ -220,7 +180,7 @@ DeltaSolver::Tri DeltaSolver::EvaluateSkeleton(const FNode& node,
       return atom_status[static_cast<std::size_t>(node.atom)];
     case BoolExpr::Kind::kAnd: {
       Tri acc = Tri::kTrue;
-      for (const FNode& c : node.children) {
+      for (const Node& c : node.children) {
         const Tri t = EvaluateSkeleton(c, atom_status);
         if (t == Tri::kFalse) return Tri::kFalse;
         if (t == Tri::kUnknown) acc = Tri::kUnknown;
@@ -229,7 +189,7 @@ DeltaSolver::Tri DeltaSolver::EvaluateSkeleton(const FNode& node,
     }
     case BoolExpr::Kind::kOr: {
       Tri acc = Tri::kFalse;
-      for (const FNode& c : node.children) {
+      for (const Node& c : node.children) {
         const Tri t = EvaluateSkeleton(c, atom_status);
         if (t == Tri::kTrue) return Tri::kTrue;
         if (t == Tri::kUnknown) acc = Tri::kUnknown;
@@ -240,27 +200,8 @@ DeltaSolver::Tri DeltaSolver::EvaluateSkeleton(const FNode& node,
   return Tri::kUnknown;
 }
 
-bool DeltaSolver::ValidateModel(std::span<const double> model) const {
-  return expr::EvalBool(formula_, model);
-}
-
-bool DeltaSolver::EvaluateSkeletonExact(
-    const FNode& node, const std::vector<char>& atom_truth) const {
-  switch (node.kind) {
-    case BoolExpr::Kind::kTrue: return true;
-    case BoolExpr::Kind::kFalse: return false;
-    case BoolExpr::Kind::kAtom:
-      return atom_truth[static_cast<std::size_t>(node.atom)] != 0;
-    case BoolExpr::Kind::kAnd:
-      for (const FNode& c : node.children)
-        if (!EvaluateSkeletonExact(c, atom_truth)) return false;
-      return true;
-    case BoolExpr::Kind::kOr:
-      for (const FNode& c : node.children)
-        if (EvaluateSkeletonExact(c, atom_truth)) return true;
-      return false;
-  }
-  return false;
+bool DeltaSolver::ValidateModel(std::span<const double> model) {
+  return exact_.Holds(model, 0.0, exact_scratch_);
 }
 
 bool DeltaSolver::PresampleLattice(const Box& domain, CheckResult& result) {
@@ -303,19 +244,18 @@ bool DeltaSolver::PresampleLattice(const Box& domain, CheckResult& result) {
     }
   }
 
-  std::vector<char> atom_truth(atoms_.size(), 0);
+  auto& point_values = presample_.point_values;
+  point_values.resize(atoms_.size());
   std::vector<double> point(dims);
   for (std::size_t i = 0; i < total; ++i) {
-    for (std::size_t a = 0; a < atoms_.size(); ++a) {
-      const double v = values[a][i];
-      atom_truth[a] = atoms_[a].rel == expr::Rel::kLe ? v <= 0.0 : v < 0.0;
-    }
-    if (!EvaluateSkeletonExact(skeleton_, atom_truth)) continue;
+    for (std::size_t a = 0; a < atoms_.size(); ++a)
+      point_values[a] = values[a][i];
+    if (!exact_.HoldsGiven(point_values, 0.0)) continue;
     for (std::size_t d = 0; d < dims; ++d) point[d] = coords[d][i];
-    // The batch screen ran on optimized tapes; confirm with the exact
-    // evaluator before reporting, so returned models are genuine under
-    // IEEE semantics exactly as before.
-    if (!expr::EvalBool(formula_, point)) continue;
+    // The batch screen ran on optimized tapes; confirm on the exact tapes
+    // before reporting, so returned models are genuine under IEEE
+    // semantics.
+    if (!exact_.Holds(point, 0.0, exact_scratch_)) continue;
     result.kind = SatKind::kDeltaSat;
     result.model = point;
     std::vector<Interval> dims_iv;
@@ -394,8 +334,6 @@ void DeltaSolver::ClassifyContractWave() {
 
   const std::size_t atoms = atoms_.size();
   const std::size_t nreq = required_atoms_.size();
-  const bool measure = options_.measure_phases && phase_stats_ != nullptr;
-  Stopwatch classify_watch;
   // Per-wave (not per-node) phase spans: one relaxed load when no trace is
   // armed, so the kernels stay clean of clock reads in normal runs.
   obs::TraceRecorder& trec = obs::TraceRecorder::Global();
@@ -420,7 +358,6 @@ void DeltaSolver::ClassifyContractWave() {
   }
   for (std::size_t k = 0; k < k_boxes; ++k)
     classified_[static_cast<std::size_t>(wave_refs_[k])] = 1;
-  if (measure) phase_stats_->classify_seconds += classify_watch.ElapsedSeconds();
   if (tracing)
     trec.RecordComplete("classify", "xcv", trace_t0,
                         trec.NowUs() - trace_t0,
@@ -432,7 +369,6 @@ void DeltaSolver::ClassifyContractWave() {
   // its box proves empty, and leaves the loop after a round with no
   // contraction — so its narrowing sequence, final box, and
   // contraction-call count do not depend on its wave-mates.
-  Stopwatch contract_watch;
   const std::uint64_t trace_t1 = tracing ? trec.NowUs() : 0;
   wave_active_.resize(width);
   wave_any_.resize(width);
@@ -447,7 +383,8 @@ void DeltaSolver::ClassifyContractWave() {
     // Decided lanes are pruned or accepted at pop before any contraction;
     // only Tri::kUnknown lanes consult the arena.
     const bool unknown =
-        EvaluateSkeleton(skeleton_, status_arena_.data() + ref_k * atoms) ==
+        EvaluateSkeleton(exact_.skeleton(),
+                         status_arena_.data() + ref_k * atoms) ==
         Tri::kUnknown;
     wave_done_[k] = !unknown;
     wave_unknown_[k] = unknown;
@@ -456,8 +393,6 @@ void DeltaSolver::ClassifyContractWave() {
     undecided += unknown;
   }
   if (undecided == 0) {
-    if (measure)
-      phase_stats_->contract_seconds += contract_watch.ElapsedSeconds();
     if (tracing)
       trec.RecordComplete("contract", "xcv", trace_t1,
                           trec.NowUs() - trace_t1,
@@ -525,7 +460,6 @@ void DeltaSolver::ClassifyContractWave() {
       }
     }
   }
-  if (measure) phase_stats_->contract_seconds += contract_watch.ElapsedSeconds();
   if (tracing)
     trec.RecordComplete("contract", "xcv", trace_t1,
                         trec.NowUs() - trace_t1,
@@ -606,7 +540,7 @@ CheckResult DeltaSolver::Check(const Box& domain, bool consult_cache) {
 
   // Model guessing: probe an interior lattice before any interval work. The
   // lattice is evaluated in batch over the atoms' optimized tapes; hits are
-  // confirmed with the exact evaluator before being reported.
+  // confirmed on the exact tapes before being reported.
   if (options_.presample_points > 0 && PresampleLattice(domain, result)) {
     MaybeRecord(domain, result, /*deadline_stopped=*/false);
     result.stats.seconds = watch.ElapsedSeconds();
@@ -626,7 +560,6 @@ CheckResult DeltaSolver::Check(const Box& domain, bool consult_cache) {
   bwd_count_arena_.clear();
   bwd_box_arena_.clear();
   child_arena_.clear();
-  phase_stats_ = &result.stats;
   const auto width = static_cast<std::size_t>(options_.wave_width);
   wave_lo_.resize(dims * width);
   wave_hi_.resize(dims * width);
@@ -681,8 +614,8 @@ CheckResult DeltaSolver::Check(const Box& domain, bool consult_cache) {
     // pops); otherwise the statuses were computed by an earlier wave on
     // these exact bounds.
     if (!classified_[slot]) ClassifyWave(ref);
-    const Tri truth =
-        EvaluateSkeleton(skeleton_, status_arena_.data() + slot * atoms);
+    const Tri truth = EvaluateSkeleton(exact_.skeleton(),
+                                       status_arena_.data() + slot * atoms);
     if (truth == Tri::kFalse) {
       ++result.stats.prunes;
       store_.Release(ref);
@@ -702,8 +635,6 @@ CheckResult DeltaSolver::Check(const Box& domain, bool consult_cache) {
     // 2) Contract with necessary atoms (HC4 fixpoint rounds): replay the
     // fixpoint the wave precomputed for these bounds — final box,
     // emptiness, and contraction-call count.
-    const bool measure = options_.measure_phases;
-    Stopwatch contract_watch;
     result.stats.contractions += bwd_count_arena_[slot];
     const bool empty = bwd_empty_arena_[slot] != 0;
     if (!empty) {
@@ -711,7 +642,6 @@ CheckResult DeltaSolver::Check(const Box& domain, bool consult_cache) {
       for (std::size_t d = 0; d < dims; ++d)
         box[d] = Interval(src[2 * d], src[2 * d + 1]);
     }
-    if (measure) result.stats.contract_seconds += contract_watch.ElapsedSeconds();
     if (empty) {
       ++result.stats.prunes;
       store_.Release(ref);
@@ -726,7 +656,7 @@ CheckResult DeltaSolver::Check(const Box& domain, bool consult_cache) {
     // is the paper's "inconclusive" path.
     if (solver::MaxWidth(box) <= options_.delta) {
       std::vector<double> model = solver::Midpoint(box);
-      if (expr::EvalBool(formula_, model) ||
+      if (exact_.Holds(model, 0.0, exact_scratch_) ||
           invalid_candidates >= options_.max_invalid_models) {
         result.kind = SatKind::kDeltaSat;
         result.model = std::move(model);
@@ -809,7 +739,8 @@ void DeltaSolver::ClassifyBoxes(std::span<const Box> boxes,
   }
 
   for (std::size_t k = 0; k < n; ++k) {
-    const Tri truth = EvaluateSkeleton(skeleton_, status.data() + k * atoms);
+    const Tri truth =
+        EvaluateSkeleton(exact_.skeleton(), status.data() + k * atoms);
     out[k] = truth == Tri::kTrue ? 1 : truth == Tri::kFalse ? -1 : 0;
   }
 }

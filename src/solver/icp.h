@@ -56,9 +56,9 @@ struct SolverOptions {
   int max_invalid_models = 32;
   /// Before branch-and-prune, probe a deterministic lattice of this many
   /// points; a point that exactly satisfies the formula is returned as a
-  /// (genuine) model immediately. Sound — candidates are validated with
-  /// exact evaluation — and decouples counterexample discovery from the
-  /// delta-resolution crawl. 0 disables.
+  /// (genuine) model immediately. Sound — candidates are confirmed on the
+  /// formula's exact tapes (expr::CompiledFormula::Holds) — and decouples
+  /// counterexample discovery from the delta-resolution crawl. 0 disables.
   int presample_points = 225;
   /// Up to this many open sibling boxes are classified per batched interval
   /// sweep (the SoA wave): when the solver pops a box whose atoms are not
@@ -82,11 +82,6 @@ struct SolverOptions {
   /// condition id so cache keys spell out (functional tape, condition,
   /// options, box) even if two conditions compiled to equal tapes.
   std::uint64_t cache_salt = 0;
-  /// Collect per-phase timings (forward wave classification vs backward
-  /// contraction) into SolverStats. Purely observational — deliberately
-  /// excluded from the cache scope hash, like wave_width — and off by
-  /// default to keep clock reads out of the hot loop.
-  bool measure_phases = false;
 };
 
 enum class SatKind { kUnsat, kDeltaSat, kTimeout };
@@ -98,10 +93,6 @@ struct SolverStats {
   std::uint64_t contractions = 0;  // HC4 passes executed
   std::uint64_t prunes = 0;        // boxes discarded by certainty/emptiness
   double seconds = 0.0;
-  // Phase split, populated only when SolverOptions::measure_phases is set
-  // (forward wave sweeps vs backward contraction incl. arena replay).
-  double classify_seconds = 0.0;
-  double contract_seconds = 0.0;
 };
 
 struct CheckResult {
@@ -133,7 +124,6 @@ class DeltaSolver {
   /// overwrites the bad entry).
   CheckResult Check(const Box& domain, bool consult_cache);
 
-  const expr::BoolExpr& formula() const { return formula_; }
   const SolverOptions& options() const { return options_; }
 
   /// Scope half of the verdict-cache key: canonical tape fingerprints of
@@ -141,9 +131,9 @@ class DeltaSolver {
   /// wave_width is deliberately excluded (batching never changes verdicts).
   std::uint64_t cache_scope() const { return cache_scope_; }
 
-  /// Validates a model against the exact (unweakened) formula using IEEE
-  /// double evaluation — Algorithm 1's valid(x).
-  bool ValidateModel(std::span<const double> model) const;
+  /// Validates a model against the exact (unweakened) formula in IEEE
+  /// doubles, on its unoptimized tapes at width 1 — Algorithm 1's valid(x).
+  bool ValidateModel(std::span<const double> model);
 
   /// Classifies the formula skeleton over `boxes` with one batched interval
   /// sweep per atom (EvalTapeIntervalBatch): out[k] is +1 when the formula
@@ -154,31 +144,16 @@ class DeltaSolver {
   void ClassifyBoxes(std::span<const Box> boxes, std::vector<int>& out);
 
  private:
-  // Formula skeleton over atom indices (atoms deduplicated by expression
-  // identity + relation).
-  struct FNode {
-    expr::BoolExpr::Kind kind;
-    int atom = -1;
-    std::vector<FNode> children;
-  };
+  using Atom = expr::CompiledFormula::Atom;
+  using Node = expr::CompiledFormula::Node;
   enum class Tri : char { kTrue, kFalse, kUnknown };
-  // One distinct atom "tape rel 0" (tape optimized by CompileOptimized).
-  struct Atom {
-    expr::Tape tape;
-    expr::Rel rel;
-  };
 
-  FNode CompileFormula(const expr::BoolExpr& b);
   /// Truth of an atom over a box from its root enclosure there. An empty
   /// enclosure (the expression is defined nowhere in the box) is kFalse.
   static Tri ClassifyRoot(const Interval& root, expr::Rel rel);
   /// Skeleton truth given one status per atom (atom_status[atom]).
-  Tri EvaluateSkeleton(const FNode& node, const Tri* atom_status) const;
-  /// Exact truth of the skeleton given per-atom IEEE truth values —
-  /// equivalent to expr::EvalBool on the original formula.
-  bool EvaluateSkeletonExact(const FNode& node,
-                             const std::vector<char>& atom_truth) const;
-  void CollectRequiredAtoms(const FNode& node, std::vector<int>& out) const;
+  Tri EvaluateSkeleton(const Node& node, const Tri* atom_status) const;
+  void CollectRequiredAtoms(const Node& node, std::vector<int>& out) const;
   /// Presample lattice probing, batched over the atom tapes. Returns true
   /// and fills `result` when a genuine model was found.
   bool PresampleLattice(const Box& domain, CheckResult& result);
@@ -228,11 +203,11 @@ class DeltaSolver {
   /// into next_refs_ as the next expansion level.
   void ExpandWaveChildren();
 
-  expr::BoolExpr formula_;
+  expr::CompiledFormula exact_;      // atoms, skeleton, exact point truth
   SolverOptions options_;
   std::uint64_t cache_scope_ = 0;
-  FNode skeleton_;
-  std::vector<Atom> atoms_;          // one per distinct atom
+  // exact_'s atoms with expr::Optimize'd tapes, for the interval sweeps.
+  std::vector<Atom> atoms_;
   std::vector<int> required_atoms_;  // atoms on every conjunctive path
   std::vector<char> is_required_;    // atom index -> on a conjunctive path
 
@@ -283,16 +258,18 @@ class DeltaSolver {
   std::vector<signed char> bwd_empty_arena_;     // slot -> went empty
   std::vector<std::uint32_t> bwd_count_arena_;   // slot -> contraction calls
   std::vector<double> bwd_box_arena_;  // slot × dims × {lo, hi} final box
-  SolverStats* phase_stats_ = nullptr;  // Check's stats, for measure_phases
 
   // Reusable presample buffers (Check runs once per verifier subdomain; the
   // lattice is rebuilt but never reallocated).
   struct PresampleBuffers {
     std::vector<std::vector<double>> coords;  // SoA lattice, one row per dim
     std::vector<std::vector<double>> values;  // one row per atom
+    std::vector<double> point_values;         // one point's atom values
     expr::TapeBatchScratch batch;
   };
   PresampleBuffers presample_;
+  // Width-1 scratch for exact point truth (exact_.Holds).
+  expr::TapeBatchScratch exact_scratch_;
 };
 
 }  // namespace xcv::solver

@@ -7,7 +7,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "expr/eval.h"
 #include "expr/optimize.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -97,18 +96,9 @@ void ObserveSolverStats(const solver::SolverStats& stats) {
   static obs::Counter& prunes = obs::Registry::Global().GetCounter(
       "xcv_solver_prunes_total",
       "Boxes discarded by certainty or emptiness.");
-  static const char* kPhaseHelp =
-      "Per-phase solver seconds (populated only when measure_phases is "
-      "on; see SolverOptions).";
-  static obs::Counter& classify = obs::Registry::Global().GetCounter(
-      "xcv_solver_phase_seconds_total", kPhaseHelp, {"phase"}, {"classify"});
-  static obs::Counter& contract = obs::Registry::Global().GetCounter(
-      "xcv_solver_phase_seconds_total", kPhaseHelp, {"phase"}, {"contract"});
   nodes.Add(static_cast<double>(stats.nodes));
   contractions.Add(static_cast<double>(stats.contractions));
   prunes.Add(static_cast<double>(stats.prunes));
-  if (stats.classify_seconds > 0.0) classify.Add(stats.classify_seconds);
-  if (stats.contract_seconds > 0.0) contract.Add(stats.contract_seconds);
 }
 
 obs::Counter& CacheRevalidationCounter() {
@@ -279,6 +269,7 @@ std::vector<Box> SplitBox(const Box& box, bool split_all_dims) {
 PairEngine::PairEngine(expr::BoolExpr psi, VerifierOptions options)
     : psi_(std::move(psi)),
       not_psi_(expr::BoolExpr::Not(psi_)),
+      exact_psi_(psi_),
       options_(options) {
   XCV_CHECK_MSG(options_.split_threshold > 0.0,
                 "split threshold must be positive");
@@ -458,9 +449,11 @@ bool PairEngine::ProcessNext(const std::atomic<bool>* cancel) {
     } else {
       if (result.kind == SatKind::kDeltaSat) {
         // Algorithm 1's valid(x): the model must violate ψ beyond the
-        // witness tolerance (see VerifierOptions::witness_tolerance).
-        const bool violates_psi = !expr::EvalBoolWithSlack(
-            psi_, result.model, options_.witness_tolerance);
+        // witness tolerance (see VerifierOptions::witness_tolerance). The
+        // scratch is per call: worker threads share exact_psi_.
+        expr::TapeBatchScratch scratch;
+        const bool violates_psi = !exact_psi_.Holds(
+            result.model, options_.witness_tolerance, scratch);
         if (violates_psi) {
           status = RegionStatus::kCounterexample;
           witness = result.model;

@@ -140,6 +140,7 @@ class PairEngine {
 
   expr::BoolExpr psi_;
   expr::BoolExpr not_psi_;
+  expr::CompiledFormula exact_psi_;  // valid(x): witness checks on ψ
   VerifierOptions options_;
 
   mutable std::mutex mu_;  // frontier, store, in-flight, report, sink

@@ -406,6 +406,31 @@ TEST(VerdictCache, ConcurrentSavesToOnePathAllSucceed) {
   std::remove(path.c_str());
 }
 
+/// FNV fold of DeltaSolver(¬ψ, options).cache_scope() over the 45
+/// applicable (functional, condition) pairs of the catalogue, in order.
+std::uint64_t CatalogueScopeFold(const solver::SolverOptions& options) {
+  std::vector<functionals::Functional> catalogue =
+      functionals::PaperFunctionals();
+  for (const functionals::Functional& f : functionals::ExtensionFunctionals())
+    catalogue.push_back(f);
+  std::uint64_t fold = expr::kFnvOffset;
+  int pairs = 0;
+  for (const functionals::Functional& f : catalogue) {
+    for (const conditions::ConditionInfo& cond :
+         conditions::AllConditions()) {
+      if (!conditions::Applies(cond, f)) continue;
+      const auto psi = conditions::BuildCondition(cond, f);
+      if (!psi.has_value()) continue;
+      ++pairs;
+      fold = expr::FnvMix(
+          fold,
+          solver::DeltaSolver(expr::BoolExpr::Not(*psi), options).cache_scope());
+    }
+  }
+  XCV_CHECK_MSG(pairs == 45, "catalogue has " << pairs << " applicable pairs");
+  return fold;
+}
+
 TEST(VerdictCache, SolverScopeIgnoresWaveWidthButTracksVerdictKnobs) {
   const auto* pbe = functionals::FindFunctional("PBE");
   const auto psi =
@@ -437,6 +462,24 @@ TEST(VerdictCache, SolverScopeIgnoresWaveWidthButTracksVerdictKnobs) {
   solver::SolverOptions salt = base;
   salt.cache_salt = 1;
   EXPECT_NE(scope_of(salt), reference);
+
+  // Pinned across versions: the scopes of every applicable catalogue pair,
+  // folded in catalogue order. A refactor that reorders atoms or walks the
+  // skeleton differently moves this and would turn every existing cache
+  // cold; change the constant only together with the cache schema. The
+  // builder orders commutative operands by interned expression id, so the
+  // tapes follow the process's construction history: the fold runs in a
+  // fresh process (the threadsafe death-test child re-executes only this
+  // test), as `xcv` would build the catalogue.
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(
+      {
+        const std::uint64_t fold = CatalogueScopeFold(base);
+        std::fprintf(stderr, "catalogue scope fold %016llx\n",
+                     static_cast<unsigned long long>(fold));
+        std::exit(fold == 0x49a735a27eaefc0full ? 0 : 1);
+      },
+      testing::ExitedWithCode(0), "");
 }
 
 TEST(VerdictCache, SolverConsultsAndRecords) {

@@ -3,12 +3,14 @@
 #include <gtest/gtest.h>
 
 #include "expr/compile.h"
-#include "expr/eval.h"
 #include "expr/expr.h"
 #include "test_util.h"
+#include "tests/scalar_reference.h"
 
 namespace xcv::expr {
 namespace {
+
+using oracle::EvalDouble;
 
 using xcv::testing::RandomExprGen;
 using xcv::testing::Rng;

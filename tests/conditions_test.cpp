@@ -4,10 +4,10 @@
 
 #include "conditions/conditions.h"
 #include "conditions/enhancement.h"
-#include "expr/eval.h"
 #include "functionals/functional.h"
 #include "functionals/variables.h"
 #include "test_util.h"
+#include "tests/scalar_reference.h"
 
 namespace xcv::conditions {
 namespace {
@@ -18,7 +18,7 @@ using functionals::Functional;
 double Eval3(const expr::Expr& e, double rs, double s = 0.0,
              double alpha = 1.0) {
   const double env[3] = {rs, s, alpha};
-  return expr::EvalDouble(e, std::span<const double>(env, 3));
+  return oracle::EvalDouble(e, std::span<const double>(env, 3));
 }
 
 TEST(Enhancement, FcSignMirrorsEpsC) {
@@ -143,7 +143,7 @@ TEST(BuildCondition, Ec1AgreesWithEpsCSign) {
   for (double rs : {0.5, 1.0, 4.0})
     for (double s : {0.0, 1.0, 2.0, 3.0}) {
       const double env[2] = {rs, s};
-      const bool holds = expr::EvalBool(psi, std::span<const double>(env, 2));
+      const bool holds = oracle::EvalBool(psi, std::span<const double>(env, 2));
       EXPECT_EQ(holds, Eval3(lyp.eps_c, rs, s) <= 0.0) << rs << " " << s;
     }
 }
@@ -155,7 +155,7 @@ TEST(BuildCondition, Ec5AgreesWithClosedForm) {
   for (double rs : {0.5, 2.0})
     for (double s : {0.0, 2.0, 5.0}) {
       const double env[2] = {rs, s};
-      const bool holds = expr::EvalBool(psi, std::span<const double>(env, 2));
+      const bool holds = oracle::EvalBool(psi, std::span<const double>(env, 2));
       EXPECT_EQ(holds, Eval3(fxc, rs, s) <= kLiebOxford);
     }
 }
@@ -169,7 +169,7 @@ TEST(BuildCondition, Ec7MatchesResidualForm) {
   for (double rs : {0.5, 1.0, 3.0})
     for (double s : {0.5, 2.0, 4.0}) {
       const double env[2] = {rs, s};
-      const bool holds = expr::EvalBool(psi, std::span<const double>(env, 2));
+      const bool holds = oracle::EvalBool(psi, std::span<const double>(env, 2));
       const double residual =
           rs * Eval3(dfc, rs, s) - Eval3(fc, rs, s);
       EXPECT_EQ(holds, residual <= 0.0) << rs << " " << s;
@@ -183,7 +183,7 @@ TEST(BuildCondition, Ec6UsesInfinityLimit) {
   const expr::Expr dfc = DFcDrs(vwn);
   for (double rs : {0.5, 1.0, 3.0}) {
     const double env[1] = {rs};
-    const bool holds = expr::EvalBool(psi, std::span<const double>(env, 1));
+    const bool holds = oracle::EvalBool(psi, std::span<const double>(env, 1));
     const double fc_inf = Eval3(fc, 100.0);
     const double residual =
         rs * Eval3(dfc, rs) - (fc_inf - Eval3(fc, rs));
@@ -215,7 +215,7 @@ TEST(KnownViolations, LypViolatesEveryApplicableCondition) {
     for (double rs = 0.2; rs <= 4.99 && !violated; rs += 0.0995)
       for (double s = 0.1; s <= 5.0 && !violated; s += 0.1) {
         const double env[2] = {rs, s};
-        if (!expr::EvalBool(psi, std::span<const double>(env, 2)))
+        if (!oracle::EvalBool(psi, std::span<const double>(env, 2)))
           violated = true;
       }
     EXPECT_TRUE(violated) << "no violation found for " << cond.short_id;
@@ -232,7 +232,7 @@ TEST(KnownViolations, PbeViolatesOnlyConjecturedTcBound) {
     for (double rs = 0.05; rs <= 5.0 && !violated; rs += 0.1)
       for (double s = 0.05; s <= 5.0 && !violated; s += 0.1) {
         const double env[2] = {rs, s};
-        if (!expr::EvalBool(psi, std::span<const double>(env, 2))) {
+        if (!oracle::EvalBool(psi, std::span<const double>(env, 2))) {
           violated = true;
           where_rs = rs;
           where_s = s;
@@ -257,7 +257,7 @@ TEST(KnownViolations, VwnSatisfiesEverything) {
     const auto psi = *BuildCondition(cond, vwn);
     for (double rs = 0.05; rs <= 5.0; rs += 0.05) {
       const double env[1] = {rs};
-      EXPECT_TRUE(expr::EvalBool(psi, std::span<const double>(env, 1)))
+      EXPECT_TRUE(oracle::EvalBool(psi, std::span<const double>(env, 1)))
           << cond.short_id << " violated at rs=" << rs;
     }
   }

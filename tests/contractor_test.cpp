@@ -7,11 +7,11 @@
 #include <gtest/gtest.h>
 
 #include "expr/compile.h"
-#include "expr/eval.h"
 #include "expr/interval_backward_batch.h"
 #include "expr/optimize.h"
 #include "solver/icp.h"
 #include "test_util.h"
+#include "tests/scalar_reference.h"
 
 namespace xcv::solver {
 namespace {
@@ -265,7 +265,7 @@ TEST(ContractorProperty, NeverRemovesSolutions) {
     std::vector<std::vector<double>> sat;
     for (int pt = 0; pt < 20; ++pt) {
       std::vector<double> p = rng.PointIn(box);
-      const double v = expr::EvalDouble(e, p);
+      const double v = oracle::EvalDouble(e, p);
       const bool holds = rel == Rel::kLe ? v <= 0.0 : v < 0.0;
       if (std::isfinite(v) && holds) sat.push_back(std::move(p));
     }

@@ -2,13 +2,15 @@
 
 #include <gtest/gtest.h>
 
-#include "expr/eval.h"
 #include "expr/expr.h"
 #include "support/check.h"
 #include "test_util.h"
+#include "tests/scalar_reference.h"
 
 namespace xcv::expr {
 namespace {
+
+using oracle::EvalDouble;
 
 using xcv::testing::FiniteDifference;
 using xcv::testing::RandomExprGen;

@@ -5,9 +5,9 @@
 #include <gtest/gtest.h>
 
 #include "conditions/conditions.h"
-#include "expr/eval.h"
 #include "functionals/functional.h"
 #include "verifier/verifier.h"
+#include "tests/scalar_reference.h"
 
 namespace xcv::functionals {
 namespace {
@@ -15,7 +15,7 @@ namespace {
 double Eval3(const expr::Expr& e, double rs, double s = 0.0,
              double alpha = 1.0) {
   const double env[3] = {rs, s, alpha};
-  return expr::EvalDouble(e, std::span<const double>(env, 3));
+  return oracle::EvalDouble(e, std::span<const double>(env, 3));
 }
 
 TEST(Extensions, RegistryAndLookup) {

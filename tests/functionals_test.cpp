@@ -2,12 +2,12 @@
 
 #include <gtest/gtest.h>
 
-#include "expr/eval.h"
 #include "expr/expr.h"
 #include "functionals/functional.h"
 #include "functionals/variables.h"
 #include "support/check.h"
 #include "test_util.h"
+#include "tests/scalar_reference.h"
 
 namespace xcv::functionals {
 namespace {
@@ -15,7 +15,7 @@ namespace {
 double Eval3(const expr::Expr& e, double rs, double s = 0.0,
              double alpha = 1.0) {
   const double env[3] = {rs, s, alpha};
-  return expr::EvalDouble(e, std::span<const double>(env, 3));
+  return oracle::EvalDouble(e, std::span<const double>(env, 3));
 }
 
 TEST(Variables, CanonicalIndices) {

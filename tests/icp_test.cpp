@@ -2,10 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include "expr/eval.h"
 #include "solver/icp.h"
 #include "support/check.h"
 #include "test_util.h"
+#include "tests/scalar_reference.h"
 
 namespace xcv::solver {
 namespace {
@@ -206,7 +206,7 @@ TEST(DeltaSolverProperty, UnsatAnswersAreSound) {
     if (r.kind != SatKind::kUnsat) continue;
     for (int pt = 0; pt < 30; ++pt) {
       const auto p = rng.PointIn(box);
-      const double v = expr::EvalDouble(e, p);
+      const double v = oracle::EvalDouble(e, p);
       ASSERT_FALSE(std::isfinite(v) && v <= 0.0)
           << "UNSAT contradicted by point for " << e.ToString();
     }

@@ -6,7 +6,6 @@
 
 #include "conditions/conditions.h"
 #include "conditions/enhancement.h"
-#include "expr/eval.h"
 #include "functionals/functional.h"
 #include "functionals/variables.h"
 #include "gridsearch/pb_checker.h"
@@ -15,6 +14,7 @@
 #include "report/consistency.h"
 #include "report/tables.h"
 #include "verifier/verifier.h"
+#include "tests/scalar_reference.h"
 
 namespace xcv {
 namespace {
@@ -49,8 +49,8 @@ TEST(Integration, XclangPbeExchangeMatchesBuiltin) {
     for (double s : {0.0, 0.9, 4.2}) {
       const double env[2] = {rs, s};
       std::span<const double> sp(env, 2);
-      EXPECT_NEAR(expr::EvalDouble(parsed, sp),
-                  expr::EvalDouble(pbe.eps_x, sp), 1e-12);
+      EXPECT_NEAR(oracle::EvalDouble(parsed, sp),
+                  oracle::EvalDouble(pbe.eps_x, sp), 1e-12);
     }
 }
 
@@ -108,7 +108,7 @@ TEST(Integration, WitnessesAreGenuineViolations) {
     verifier::Verifier v(psi, BenchScale());
     auto report = v.Run(conditions::PaperDomain(f));
     for (const auto& w : report.witnesses)
-      EXPECT_FALSE(expr::EvalBool(psi, w)) << fname;
+      EXPECT_FALSE(oracle::EvalBool(psi, w)) << fname;
   }
 }
 

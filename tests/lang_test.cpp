@@ -2,9 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include "expr/eval.h"
 #include "lang/lexer.h"
 #include "lang/parser.h"
+#include "tests/scalar_reference.h"
 
 namespace xcv::lang {
 namespace {
@@ -17,7 +17,7 @@ Bindings XyBindings() {
 
 double EvalAt(const Expr& e, double x, double y = 0.0) {
   const double env[2] = {x, y};
-  return expr::EvalDouble(e, std::span<const double>(env, 2));
+  return oracle::EvalDouble(e, std::span<const double>(env, 2));
 }
 
 TEST(Lexer, BasicTokens) {

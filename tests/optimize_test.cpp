@@ -11,7 +11,6 @@
 
 #include "conditions/enhancement.h"
 #include "expr/compile.h"
-#include "expr/eval.h"
 #include "expr/expr.h"
 #include "functionals/functional.h"
 #include "tests/scalar_reference.h"
@@ -19,6 +18,8 @@
 
 namespace xcv::expr {
 namespace {
+
+using oracle::EvalDouble;
 
 using testing::RandomExprGen;
 using testing::Rng;

@@ -13,12 +13,12 @@
 
 #include "conditions/conditions.h"
 #include "expr/compile.h"
-#include "expr/eval.h"
 #include "interval/lambert_w.h"
 #include "functionals/functional.h"
 #include "solver/icp.h"
 #include "test_util.h"
 #include "verifier/verifier.h"
+#include "tests/scalar_reference.h"
 
 namespace xcv {
 namespace {
@@ -160,7 +160,7 @@ TEST_P(VerifiedRegionsSound, NoViolationInsideVerifiedLeaves) {
     if (leaf.status != verifier::RegionStatus::kVerified) continue;
     for (int pt = 0; pt < 20; ++pt) {
       const auto p = rng.PointIn(leaf.box);
-      ASSERT_TRUE(expr::EvalBool(*psi, p))
+      ASSERT_TRUE(oracle::EvalBool(*psi, p))
           << fname << "/" << cname << ": condition violated inside a "
           << "verified region at a sampled point";
       ++sampled;
@@ -207,7 +207,7 @@ TEST_P(SolverConsistency, AnswersAgreeWithSampling) {
     bool any_sat = false;
     for (int pt = 0; pt < 60; ++pt) {
       const auto p = rng.PointIn(box);
-      const double v = expr::EvalDouble(e, p);
+      const double v = oracle::EvalDouble(e, p);
       if (std::isfinite(v) && v <= 0.0) {
         any_sat = true;
         break;
@@ -220,7 +220,7 @@ TEST_P(SolverConsistency, AnswersAgreeWithSampling) {
     // Delta-sat with a model that validates must genuinely satisfy.
     if (result.kind == solver::SatKind::kDeltaSat &&
         ds.ValidateModel(result.model)) {
-      const double v = expr::EvalDouble(e, result.model);
+      const double v = oracle::EvalDouble(e, result.model);
       ASSERT_TRUE(v <= 0.0);
       ASSERT_TRUE(box.Contains(result.model));
     }

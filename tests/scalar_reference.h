@@ -1,7 +1,13 @@
-// Scalar reference evaluators: the independent oracle the bit-identity
-// audits compare the production batched SoA kernels against.
+// Scalar reference evaluators: the independent oracles the bit-identity
+// audits compare the production evaluators against.
 //
-// Everything here walks a tape one instruction at a time over one point or
+// EvalDouble / EvalBool / EvalBoolWithSlack are the recursive tree walk over
+// the expression DAG (IEEE doubles, memoized per distinct node per call) —
+// the reference for exact point truth, which production runs on compiled
+// tapes at width 1 (expr::CompiledFormula::Holds, bool_expr_test's audit);
+// CollectAtoms is the reference for that type's atom order.
+//
+// Everything else walks a tape one instruction at a time over one point or
 // one box, calling the interval functions of src/interval/ directly:
 //   * EvalTape — IEEE double evaluation (the per-point reference for
 //     EvalTapeBatch and the optimizer's constant folder);
@@ -19,8 +25,10 @@
 #include <cstdint>
 #include <limits>
 #include <span>
+#include <unordered_map>
 #include <vector>
 
+#include "expr/bool_expr.h"
 #include "expr/compile.h"
 #include "expr/interval_backward_batch.h"
 #include "interval/interval.h"
@@ -30,10 +38,159 @@
 
 namespace xcv::oracle {
 
+using expr::BoolExpr;
+using expr::Expr;
 using expr::Instr;
+using expr::Node;
 using expr::Op;
 using expr::Rel;
 using expr::Tape;
+
+// ---- Tree walk over the expression DAG --------------------------------------
+
+class DoubleEvaluator {
+ public:
+  explicit DoubleEvaluator(std::span<const double> env) : env_(env) {}
+
+  double Eval(const Expr& e) {
+    auto it = memo_.find(e.id());
+    if (it != memo_.end()) return it->second;
+    double v = Compute(e);
+    memo_.emplace(e.id(), v);
+    return v;
+  }
+
+ private:
+  double Compute(const Expr& e) {
+    const Node& n = e.node();
+    const auto& ch = n.children();
+    switch (n.op()) {
+      case Op::kConst:
+        return n.value();
+      case Op::kVar:
+        XCV_CHECK_MSG(n.var_index() >= 0 &&
+                          static_cast<std::size_t>(n.var_index()) < env_.size(),
+                      "variable '" << n.var_name() << "' (index "
+                                   << n.var_index()
+                                   << ") outside environment of size "
+                                   << env_.size());
+        return env_[static_cast<std::size_t>(n.var_index())];
+      case Op::kAdd: {
+        double s = 0.0;
+        for (const Expr& c : ch) s += Eval(c);
+        return s;
+      }
+      case Op::kMul: {
+        double p = 1.0;
+        for (const Expr& c : ch) p *= Eval(c);
+        return p;
+      }
+      case Op::kDiv:
+        return Eval(ch[0]) / Eval(ch[1]);
+      case Op::kPow:
+        return std::pow(Eval(ch[0]), Eval(ch[1]));
+      case Op::kMin:
+        return std::fmin(Eval(ch[0]), Eval(ch[1]));
+      case Op::kMax:
+        return std::fmax(Eval(ch[0]), Eval(ch[1]));
+      case Op::kNeg:
+        return -Eval(ch[0]);
+      case Op::kExp:
+        return std::exp(Eval(ch[0]));
+      case Op::kLog:
+        return std::log(Eval(ch[0]));
+      case Op::kSqrt:
+        return std::sqrt(Eval(ch[0]));
+      case Op::kCbrt:
+        return std::cbrt(Eval(ch[0]));
+      case Op::kSin:
+        return std::sin(Eval(ch[0]));
+      case Op::kCos:
+        return std::cos(Eval(ch[0]));
+      case Op::kAtan:
+        return std::atan(Eval(ch[0]));
+      case Op::kTanh:
+        return std::tanh(Eval(ch[0]));
+      case Op::kAbs:
+        return std::fabs(Eval(ch[0]));
+      case Op::kLambertW:
+        return LambertW0(Eval(ch[0]));
+      case Op::kIte: {
+        const double l = Eval(ch[0]), r = Eval(ch[1]);
+        const bool cond = n.rel() == Rel::kLe ? l <= r : l < r;
+        return cond ? Eval(ch[2]) : Eval(ch[3]);
+      }
+    }
+    XCV_CHECK_MSG(false, "unhandled op in EvalDouble");
+    return 0.0;
+  }
+
+  std::span<const double> env_;
+  std::unordered_map<std::uint32_t, double> memo_;
+};
+
+/// Evaluates `e` at the point `env` (env[i] is the value of the variable
+/// with index i). Out-of-range variable indices throw InternalError.
+/// May return NaN/inf if the point is outside a function's domain.
+inline double EvalDouble(const Expr& e, std::span<const double> env) {
+  XCV_CHECK(!e.IsNull());
+  return DoubleEvaluator(env).Eval(e);
+}
+
+/// Truth value with slack: an atom "e ≤ 0" counts as satisfied when
+/// e ≤ slack (and "e < 0" when e < slack). slack = 0 is EvalBool.
+inline bool EvalBoolWithSlack(const BoolExpr& b, std::span<const double> env,
+                              double slack) {
+  XCV_CHECK(!b.IsNull());
+  switch (b.kind()) {
+    case BoolExpr::Kind::kTrue: return true;
+    case BoolExpr::Kind::kFalse: return false;
+    case BoolExpr::Kind::kAtom: {
+      const double v = EvalDouble(b.atom(), env);
+      // NaN fails both comparisons — an out-of-domain point satisfies no
+      // atom, matching dReal's semantics on undefined terms.
+      return b.rel() == Rel::kLe ? v <= slack : v < slack;
+    }
+    case BoolExpr::Kind::kAnd:
+      for (const BoolExpr& c : b.children())
+        if (!EvalBoolWithSlack(c, env, slack)) return false;
+      return true;
+    case BoolExpr::Kind::kOr:
+      for (const BoolExpr& c : b.children())
+        if (EvalBoolWithSlack(c, env, slack)) return true;
+      return false;
+  }
+  XCV_CHECK_MSG(false, "unhandled kind in EvalBool");
+  return false;
+}
+
+/// Exact truth value at a point (IEEE double semantics).
+inline bool EvalBool(const BoolExpr& b, std::span<const double> env) {
+  return EvalBoolWithSlack(b, env, 0.0);
+}
+
+/// Every atom occurrence in `b`, in pre-order (repeats included).
+inline std::vector<BoolExpr> CollectAtoms(const BoolExpr& b) {
+  XCV_CHECK(!b.IsNull());
+  std::vector<BoolExpr> atoms;
+  auto walk = [&](auto&& self, const BoolExpr& x) -> void {
+    switch (x.kind()) {
+      case BoolExpr::Kind::kAtom:
+        atoms.push_back(x);
+        return;
+      case BoolExpr::Kind::kAnd:
+      case BoolExpr::Kind::kOr:
+        for (const BoolExpr& c : x.children()) self(self, c);
+        return;
+      default:
+        return;
+    }
+  };
+  walk(walk, b);
+  return atoms;
+}
+
+// ---- Tape walks ---------------------------------------------------------------
 
 /// Scratch buffers reusable across evaluations.
 struct TapeScratch {
@@ -60,7 +217,7 @@ inline double EvalTape(const Tape& tape, std::span<const double> env,
         v[i] = env[static_cast<std::size_t>(ins.var)];
         break;
       case Op::kAdd: {
-        double s = v[ins.a] + v[ins.b];
+        double s = (0.0 + v[ins.a]) + v[ins.b];
         for (auto r : ins.rest) s += v[r];
         v[i] = s;
         break;

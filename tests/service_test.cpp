@@ -3,14 +3,23 @@
 // output-policy rules, the daemon's HTTP surface end to end over loopback
 // (submit -> poll -> report byte-identical to `xcv verify`), warm
 // resubmission through the shared verdict cache, pause -> daemon restart ->
-// resume, and queue-journal durability (truncation sweep, injected torn
-// write, injected read EIO).
+// resume, an accept loop that outlives fd exhaustion, and queue-journal
+// durability (truncation sweep, injected torn write, injected read EIO).
+#include <arpa/inet.h>
+#include <fcntl.h>
+#include <netinet/in.h>
+#include <sys/resource.h>
+#include <sys/socket.h>
 #include <sys/stat.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -159,11 +168,22 @@ std::uint64_t SumSolverCalls(const std::string& csv) {
   return total;
 }
 
+// How many times longer than 60 s WaitForStatus waits by default. ASan and
+// TSan builds run the daemon's solver work 20-30 times slower: on a 4-vCPU
+// VM the restart-to-done phase of PauseSurvivesDaemonRestartAndResumes-
+// ToSameReport took 3.0-3.7 s in Release and 76-89 s under the CI sanitize
+// flags (Debug, ASan + UBSan), past the 60 s deadline.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr double kWaitScale = 5.0;
+#else
+constexpr double kWaitScale = 1.0;
+#endif
+
 /// Polls GET /v1/campaigns/:id until its status is one of `want` (or the
 /// deadline passes); returns the final status token.
 std::string WaitForStatus(int port, const std::string& id,
                           const std::vector<std::string>& want,
-                          double timeout_s = 60.0) {
+                          double timeout_s = 60.0 * kWaitScale) {
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::duration<double>(timeout_s);
   std::string status;
@@ -208,6 +228,123 @@ constexpr char kSlowSpec[] = R"({
   "verifier": {"budget_seconds": 0},
   "solver": {"max_nodes": 1000}
 })";
+
+// ---- HTTP server ---------------------------------------------------------------
+
+/// Takes every free fd number below `below` with a dummy, so the process's
+/// next fds are numbered `below` and up. LowerLimit then caps the soft
+/// RLIMIT_NOFILE at `below`, after which opening any fd fails with EMFILE.
+/// The destructor frees the dummies and restores the limit, on every test
+/// path.
+class FdExhaustion {
+ public:
+  explicit FdExhaustion(int below) : below_(below) {
+    for (;;) {
+      const int fd = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
+      if (fd < 0) return;
+      if (fd >= below) {
+        ::close(fd);
+        filled_ = true;
+        return;
+      }
+      dummies_.push_back(fd);
+    }
+  }
+  ~FdExhaustion() { Release(); }
+  FdExhaustion(const FdExhaustion&) = delete;
+  FdExhaustion& operator=(const FdExhaustion&) = delete;
+
+  /// True when every fd number below `below` is taken.
+  bool filled() const { return filled_; }
+  bool LowerLimit() {
+    if (::getrlimit(RLIMIT_NOFILE, &saved_) != 0) return false;
+    rlimit low = saved_;
+    low.rlim_cur = static_cast<rlim_t>(below_);
+    lowered_ = ::setrlimit(RLIMIT_NOFILE, &low) == 0;
+    return lowered_;
+  }
+  void Release() {
+    if (lowered_) ::setrlimit(RLIMIT_NOFILE, &saved_);
+    lowered_ = false;
+    for (int fd : dummies_) ::close(fd);
+    dummies_.clear();
+  }
+
+ private:
+  int below_;
+  bool filled_ = false;
+  bool lowered_ = false;
+  rlimit saved_{};
+  std::vector<int> dummies_;
+};
+
+/// A loopback client socket with a receive timeout, so a server that has
+/// stopped accepting shows up as a timeout instead of a hung test.
+int TimedClientSocket() {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return fd;
+  timeval tv{};
+  tv.tv_sec = 5;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  return fd;
+}
+
+bool SendPing(int fd, int port) {
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(static_cast<std::uint16_t>(port));
+  const std::string request = "GET /ping HTTP/1.1\r\nHost: x\r\n\r\n";
+  return ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) ==
+             0 &&
+         ::send(fd, request.data(), request.size(), MSG_NOSIGNAL) ==
+             static_cast<ssize_t>(request.size());
+}
+
+std::string ReceiveAll(int fd) {
+  std::string reply;
+  char buf[4096];
+  for (ssize_t n; (n = ::recv(fd, buf, sizeof(buf), 0)) > 0;)
+    reply.append(buf, static_cast<std::size_t>(n));
+  return reply;
+}
+
+TEST(HttpServerTest, AcceptLoopKeepsServingAfterFdExhaustion) {
+  // The server's fds and both clients' land at kBelow and up; then the
+  // limit drops to kBelow, so every accept(2) the server starts fails with
+  // EMFILE. (An accept already blocked when the limit drops has its fd
+  // reserved, and answers one of the two requests.)
+  constexpr int kBelow = 64;
+  FdExhaustion fds(kBelow);
+  ASSERT_TRUE(fds.filled()) << "could not fill the fd table";
+  service::HttpServer server;
+  server.Start(0, [](const HttpRequest&) {
+    HttpResponse resp;
+    resp.content_type = "text/plain";
+    resp.body = "pong\n";
+    return resp;
+  });
+  const int clients[2] = {TimedClientSocket(), TimedClientSocket()};
+  bool sent = clients[0] >= 0 && clients[1] >= 0 && fds.LowerLimit();
+  for (int c : clients) sent = sent && SendPing(c, server.port());
+  if (sent) {
+    // Let the server run into EMFILE, then give the fds back.
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    fds.Release();
+  }
+  std::string replies[2];
+  for (int i = 0; i < 2; ++i) {
+    if (sent) replies[i] = ReceiveAll(clients[i]);
+    if (clients[i] >= 0) ::close(clients[i]);
+  }
+  fds.Release();
+  server.Stop();
+  ASSERT_TRUE(sent) << "client setup failed";
+  for (const std::string& reply : replies) {
+    EXPECT_EQ(reply.rfind("HTTP/1.1 200", 0), 0u) << "reply: " << reply;
+    EXPECT_NE(reply.find("pong"), std::string::npos);
+  }
+}
 
 // ---- Output policy ----------------------------------------------------------
 

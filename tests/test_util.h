@@ -7,11 +7,11 @@
 #include <random>
 #include <vector>
 
-#include "expr/eval.h"
 #include "expr/expr.h"
 #include "interval/interval.h"
 #include "solver/box.h"
 #include "support/simd.h"
+#include "tests/scalar_reference.h"
 
 namespace xcv::testing {
 
@@ -124,9 +124,9 @@ inline double FiniteDifference(const expr::Expr& e,
                                std::vector<double> env,
                                std::size_t var_index, double h = 1e-6) {
   env[var_index] += h;
-  const double hi = expr::EvalDouble(e, env);
+  const double hi = oracle::EvalDouble(e, env);
   env[var_index] -= 2.0 * h;
-  const double lo = expr::EvalDouble(e, env);
+  const double lo = oracle::EvalDouble(e, env);
   return (hi - lo) / (2.0 * h);
 }
 
