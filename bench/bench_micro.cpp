@@ -11,6 +11,7 @@
 // get only the JSON lines.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdio>
@@ -392,6 +393,68 @@ void RunIcpNodeThroughput(const functionals::Functional& f) {
       w1.seconds / w64.seconds, nodes_match ? 1 : 0);
 }
 
+// Lockstep multi-search: the 8 boxes of a three-level widest-first
+// bisection of the PBE EC1 domain, decided one at a time and then in one
+// CheckMany call (wave width 8, presample off, 5,000 nodes each). Results
+// must match box for box (results_match); the time ratio is the gain from
+// filling the lanes.
+void RunLockstep() {
+  const auto& f = *functionals::FindFunctional("PBE");
+  const auto psi =
+      conditions::BuildCondition(*conditions::FindCondition("EC1"), f);
+  std::vector<solver::Box> boxes{conditions::PaperDomain(f)};
+  for (int level = 0; level < 3; ++level) {
+    std::vector<solver::Box> next;
+    for (const solver::Box& box : boxes) {
+      auto [left, right] = box.Bisect(box.WidestDim());
+      next.push_back(std::move(left));
+      next.push_back(std::move(right));
+    }
+    boxes = std::move(next);
+  }
+  solver::SolverOptions opts;
+  opts.max_nodes = 5'000;
+  opts.presample_points = 0;
+  opts.wave_width = 8;
+  solver::DeltaSolver solver(expr::BoolExpr::Not(*psi), opts);
+
+  // Best of 5 each: one call is ~40 ms, too short for one sample.
+  std::vector<solver::CheckResult> alone, lockstep;
+  double alone_s = 1e300, lockstep_s = 1e300;
+  for (int rep = 0; rep < 5; ++rep) {
+    Stopwatch watch;
+    alone.clear();
+    for (const solver::Box& box : boxes) alone.push_back(solver.Check(box));
+    alone_s = std::min(alone_s, watch.ElapsedSeconds());
+    watch.Reset();
+    lockstep = solver.CheckMany(boxes);
+    lockstep_s = std::min(lockstep_s, watch.ElapsedSeconds());
+  }
+
+  bool match = true;
+  std::uint64_t nodes = 0;
+  for (std::size_t i = 0; i < boxes.size(); ++i) {
+    const solver::CheckResult& a = alone[i];
+    const solver::CheckResult& b = lockstep[i];
+    nodes += a.stats.nodes;
+    match = match && a.kind == b.kind && a.stats.nodes == b.stats.nodes &&
+            a.stats.prunes == b.stats.prunes &&
+            a.stats.contractions == b.stats.contractions &&
+            a.model.size() == b.model.size() &&
+            std::equal(a.model.begin(), a.model.end(), b.model.begin(),
+                       [](double x, double y) {
+                         return std::bit_cast<std::uint64_t>(x) ==
+                                std::bit_cast<std::uint64_t>(y);
+                       });
+  }
+  std::printf(
+      "{\"bench\":\"lockstep\",\"functional\":\"%s\",\"boxes\":%zu,"
+      "\"nodes\":%llu,\"alone_s\":%.6f,\"lockstep_s\":%.6f,"
+      "\"speedup\":%.2f,\"results_match\":%d}\n",
+      f.name.c_str(), boxes.size(), static_cast<unsigned long long>(nodes),
+      alone_s, lockstep_s, alone_s / lockstep_s, match ? 1 : 0);
+}
+
 // Scalar HC4 contraction (the oracle's forward sweep + ContractFromForward,
 // box by box) vs the batched backward kernel (EvalTapeIntervalBatch +
 // ContractTapeIntervalBatch per wave) over the same frontier. Outcomes and
@@ -630,6 +693,7 @@ int main(int argc, char** argv) {
   RunContractBatch(*functionals::FindFunctional("SCAN"));
   RunIcpNodeThroughput(*functionals::FindFunctional("PBE"));
   RunIcpNodeThroughput(*functionals::FindFunctional("SCAN"));
+  RunLockstep();
   RunCacheReplay();
   RunShardMerge();
   return 0;

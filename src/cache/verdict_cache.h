@@ -1,4 +1,4 @@
-// Persistent verdict cache: memoizes DeltaSolver::Check results across
+// Persistent verdict cache: memoizes DeltaSolver's per-box results across
 // campaigns, so repeated runs (CI smoke matrices, parameter sweeps, EC×DFA
 // matrices) skip solver work they have already paid for.
 //

@@ -238,9 +238,9 @@ CampaignResult Campaign::Run(ProgressFn progress) {
   }
 
   if (options_.num_threads <= 1) {
-    // Sequential, still globally prioritized: always process the best open
-    // box across every pair's frontier (the same interleaving the shared
-    // pool produces with one worker).
+    // Sequential, still globally prioritized: always process the pair with
+    // the best open box, a lockstep batch of its wave_width best boxes at a
+    // time (verdicts are those of the shared pool with one worker).
     for (;;) {
       if (CancelRequested()) break;
       Entry* best = nullptr;
@@ -254,7 +254,9 @@ CampaignResult Campaign::Run(ProgressFn progress) {
         }
       }
       if (best == nullptr) break;
-      best->engine->ProcessNext(&cancel_);
+      best->engine->ProcessNext(
+          &cancel_, static_cast<std::size_t>(
+                        best->engine->options().solver.wave_width));
       if (best->engine->Finished()) FinishPair(*best, progress);
     }
   } else {

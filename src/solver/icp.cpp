@@ -10,6 +10,7 @@
 
 #include "cache/verdict_cache.h"
 #include "expr/optimize.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "support/check.h"
 
@@ -21,6 +22,19 @@ namespace {
 // Presample lattice chunk: bounds the batch scratch to tape slots × kChunk
 // doubles.
 constexpr std::size_t kPresampleChunk = 1024;
+
+// Lane fill of the classify waves: one relaxed add each per wave (cache
+// revalidation sweeps are not waves). lanes / waves is the mean fill.
+void ObserveWave(std::size_t lanes) {
+  static obs::Counter& waves = obs::Registry::Global().GetCounter(
+      "xcv_solver_waves_total",
+      "Classify waves (batched interval sweeps over up to wave_width "
+      "boxes).");
+  static obs::Counter& wave_lanes = obs::Registry::Global().GetCounter(
+      "xcv_solver_wave_lanes_total", "Boxes classified across all waves.");
+  waves.Inc();
+  wave_lanes.Add(static_cast<double>(lanes));
+}
 }  // namespace
 
 std::string SatKindName(SatKind kind) {
@@ -54,7 +68,7 @@ DeltaSolver::DeltaSolver(expr::BoolExpr formula, SolverOptions options)
     is_required_[static_cast<std::size_t>(atom)] = 1;
 
   // Reserve every evaluation scratch once, up front: the hot loop must not
-  // grow buffers lazily (one solver serves thousands of nodes per Check,
+  // grow buffers lazily (one solver serves thousands of nodes per call,
   // and campaign workers each own a solver from the engine's free-list).
   std::size_t max_slots = 0, max_exact_slots = 0;
   for (const Atom& atom : atoms_)
@@ -267,50 +281,72 @@ bool DeltaSolver::PresampleLattice(const Box& domain, CheckResult& result) {
   return false;
 }
 
-BoxStore::Ref DeltaSolver::NewNodeFromTmp() {
+BoxStore::Ref DeltaSolver::NewNodeFromTmp(std::size_t owner) {
   const BoxStore::Ref ref = store_.AllocateCopy(tmp_box_);
   const std::size_t atoms = atoms_.size();
   if (classified_.size() < store_.capacity()) {
     classified_.resize(store_.capacity(), 0);
+    owner_arena_.resize(store_.capacity());
     status_arena_.resize(store_.capacity() * atoms);
     bwd_empty_arena_.resize(store_.capacity());
     bwd_count_arena_.resize(store_.capacity());
     bwd_box_arena_.resize(store_.capacity() * store_.dims() * 2);
     child_arena_.resize(store_.capacity() * 2, -1);
   }
-  classified_[static_cast<std::size_t>(ref)] = 0;
-  child_arena_[static_cast<std::size_t>(ref) * 2] = -1;
-  child_arena_[static_cast<std::size_t>(ref) * 2 + 1] = -1;
+  const auto slot = static_cast<std::size_t>(ref);
+  classified_[slot] = 0;
+  owner_arena_[slot] = static_cast<std::uint8_t>(owner);
+  child_arena_[slot * 2] = -1;
+  child_arena_[slot * 2 + 1] = -1;
   return ref;
 }
 
-void DeltaSolver::ClassifyWave(BoxStore::Ref popped) {
-  // Level 0: the popped box plus the unclassified open boxes nearest the
-  // top of the stack. Those boxes will be popped later with these exact
-  // bounds (stack entries are immutable until popped), so classifying them
-  // early is pure speculation-free batching: after a split, the two fresh
-  // children ride the same sweep, and deeper stack boxes fill the
-  // remaining lanes.
+void DeltaSolver::RunWave() {
+  // Level 0: every parked box, then the unclassified open boxes nearest the
+  // top of each parked search's stack, one per search in turn. Those boxes
+  // will be popped later with these exact bounds (stack entries are
+  // immutable until popped), so classifying them early is pure
+  // speculation-free batching: after a split, the two fresh children ride
+  // the same sweep, and deeper stack boxes fill the remaining lanes.
   const auto width = static_cast<std::size_t>(options_.wave_width);
   wave_refs_.clear();
-  wave_refs_.push_back(popped);
-  for (auto it = stack_.rbegin();
-       it != stack_.rend() && wave_refs_.size() < width; ++it)
-    if (!classified_[static_cast<std::size_t>(*it)]) wave_refs_.push_back(*it);
+  cursor_.clear();
+  for (const std::size_t i : round_) {
+    const Search& s = searches_[i];
+    if (s.parked < 0) continue;
+    wave_refs_.push_back(s.parked);
+    cursor_.push_back(s.stack.size());
+  }
+  for (bool took = true; took && wave_refs_.size() < width;) {
+    took = false;
+    std::size_t j = 0;
+    for (const std::size_t i : round_) {
+      const Search& s = searches_[i];
+      if (s.parked < 0) continue;
+      std::size_t& c = cursor_[j++];
+      while (c > 0 && classified_[static_cast<std::size_t>(s.stack[c - 1])])
+        --c;
+      if (c == 0 || wave_refs_.size() >= width) continue;
+      wave_refs_.push_back(s.stack[--c]);
+      took = true;
+    }
+  }
 
-  // Speculative breadth-first descent. DFS alone only ever exposes one or
-  // two unclassified siblings per pop, which would starve the wide lanes —
-  // but the fixpoint precompute already yields each surviving lane's final
-  // contracted box, so the split the pop will perform is known right now.
-  // Materialize the two halves and classify the children as the next wave,
-  // doubling the level until it outgrows wave_width (the `expanded` cap
-  // bounds work per call when prunes keep the level narrow). Pops later
-  // walk this prebuilt subtree in plain depth-first order: the tree is the
-  // future search tree, so nothing here is wasted except past an early
-  // return, and verdicts, boxes, and stats are byte-identical throughout.
+  // Speculative breadth-first descent. The fixpoint precompute already
+  // yields each surviving lane's final contracted box, so the split the pop
+  // will perform is known right now: materialize the two halves and
+  // classify the children as the next wave, doubling the level while it
+  // fits wave_width (the `expanded` cap bounds work per round when prunes
+  // keep the level narrow). With a full batch of searches level 0 already
+  // fills the wave, so this runs in a batch's tail. The tree is each
+  // search's future search tree, so nothing here is wasted except past an
+  // early return, and verdicts, boxes, and stats are byte-identical
+  // throughout.
   std::size_t expanded = 0;
   while (!wave_refs_.empty() && wave_refs_.size() <= width &&
          expanded < 2 * width) {
+    for (const BoxStore::Ref ref : wave_refs_)
+      ++searches_[owner_arena_[static_cast<std::size_t>(ref)]].lanes;
     ClassifyContractWave();
     expanded += wave_refs_.size();
     ExpandWaveChildren();
@@ -358,6 +394,7 @@ void DeltaSolver::ClassifyContractWave() {
   }
   for (std::size_t k = 0; k < k_boxes; ++k)
     classified_[static_cast<std::size_t>(wave_refs_[k])] = 1;
+  ObserveWave(k_boxes);
   if (tracing)
     trec.RecordComplete("classify", "xcv", trace_t0,
                         trec.NowUs() - trace_t0,
@@ -489,9 +526,10 @@ void DeltaSolver::ExpandWaveChildren() {
     Interval left, right;
     tmp_box_[widest].Bisect(&left, &right);
     tmp_box_[widest] = right;
-    const BoxStore::Ref right_ref = NewNodeFromTmp();
+    const std::size_t owner = owner_arena_[ref_k];
+    const BoxStore::Ref right_ref = NewNodeFromTmp(owner);
     tmp_box_[widest] = left;
-    const BoxStore::Ref left_ref = NewNodeFromTmp();
+    const BoxStore::Ref left_ref = NewNodeFromTmp(owner);
     child_arena_[ref_k * 2] = left_ref;
     child_arena_[ref_k * 2 + 1] = right_ref;
     next_refs_.push_back(left_ref);
@@ -499,23 +537,17 @@ void DeltaSolver::ExpandWaveChildren() {
   }
 }
 
-CheckResult DeltaSolver::Check(const Box& domain, bool consult_cache) {
-  CheckResult result;
-  Stopwatch watch;
-  const Deadline deadline =
-      std::isfinite(options_.time_budget_seconds)
-          ? Deadline::After(options_.time_budget_seconds)
-          : Deadline::Never();
-
+bool DeltaSolver::DecideUpFront(Search& s, bool consult_cache) {
+  const Box& domain = *s.domain;
+  CheckResult& result = s.result;
   if (domain.AnyEmpty()) {
     result.kind = SatKind::kUnsat;
-    result.stats.seconds = watch.ElapsedSeconds();
-    return result;
+    return true;
   }
 
   // Verdict cache: an exact (scope, box) hit replays the recorded result
   // without any solver work. Callers that must not trust a hit blindly
-  // (the verifier engine) revalidate and re-Check with consult_cache=false
+  // (the verifier engine) revalidate and re-solve with consult_cache=false
   // on contradiction.
   if (consult_cache && options_.cache != nullptr) {
     cache::CachedVerdict cv;
@@ -533,120 +565,109 @@ CheckResult DeltaSolver::Check(const Box& domain, bool consult_cache) {
       }
       result.stats.nodes = cv.nodes;
       result.from_cache = true;
-      result.stats.seconds = watch.ElapsedSeconds();
-      return result;
+      return true;
     }
   }
 
   // Model guessing: probe an interior lattice before any interval work. The
   // lattice is evaluated in batch over the atoms' optimized tapes; hits are
   // confirmed on the exact tapes before being reported.
-  if (options_.presample_points > 0 && PresampleLattice(domain, result)) {
-    MaybeRecord(domain, result, /*deadline_stopped=*/false);
-    result.stats.seconds = watch.ElapsedSeconds();
-    return result;
-  }
-
-  // Frontier setup: pooled flat slots, refs on a LIFO stack. Dimensions can
-  // change between Check calls (different domains), so re-key the store;
-  // its arena memory is retained across calls.
-  const std::size_t dims = domain.size();
-  const std::size_t atoms = atoms_.size();
-  store_.Reset(dims);
-  stack_.clear();
-  classified_.clear();
-  status_arena_.clear();
-  bwd_empty_arena_.clear();
-  bwd_count_arena_.clear();
-  bwd_box_arena_.clear();
-  child_arena_.clear();
-  const auto width = static_cast<std::size_t>(options_.wave_width);
-  wave_lo_.resize(dims * width);
-  wave_hi_.resize(dims * width);
-  wave_lo_ptrs_.resize(dims);
-  wave_hi_ptrs_.resize(dims);
-  bwd_lo_.resize(dims * width);
-  bwd_hi_.resize(dims * width);
-  bwd_lo_ptrs_.resize(dims);
-  bwd_hi_ptrs_.resize(dims);
-  bwd_clo_ptrs_.resize(dims);
-  bwd_chi_ptrs_.resize(dims);
-  for (std::size_t d = 0; d < dims; ++d) {
-    wave_lo_ptrs_[d] = wave_lo_.data() + d * width;
-    wave_hi_ptrs_[d] = wave_hi_.data() + d * width;
-    bwd_clo_ptrs_[d] = bwd_lo_ptrs_[d] = bwd_lo_.data() + d * width;
-    bwd_chi_ptrs_[d] = bwd_hi_ptrs_[d] = bwd_hi_.data() + d * width;
-  }
-
-  tmp_box_.assign(domain.dims().begin(), domain.dims().end());
-  stack_.push_back(NewNodeFromTmp());
-
-  int invalid_candidates = 0;
-  std::vector<double> last_invalid_model;
-  Box last_invalid_box;
-
-  while (!stack_.empty()) {
-    if (result.stats.nodes >= options_.max_nodes ||
-        (result.stats.nodes % 128 == 0 && deadline.Expired())) {
-      // Budget exhausted. A set-aside invalid candidate is still an
-      // unrefuted delta-box, which outranks a plain timeout.
-      const bool by_nodes = result.stats.nodes >= options_.max_nodes;
-      if (invalid_candidates > 0) {
-        result.kind = SatKind::kDeltaSat;
-        result.model = std::move(last_invalid_model);
-        result.model_box = std::move(last_invalid_box);
-      } else {
-        result.kind = SatKind::kTimeout;
-      }
-      // Node-budget exhaustion is deterministic (max_nodes is in the scope
-      // hash) and safe to replay; a wall-clock stop is not.
-      MaybeRecord(domain, result, /*deadline_stopped=*/!by_nodes);
-      result.stats.seconds = watch.ElapsedSeconds();
-      return result;
+  if (options_.presample_points > 0) {
+    obs::Span span("presample");
+    const bool hit = PresampleLattice(domain, result);
+    span.Arg("hit", static_cast<std::uint64_t>(hit ? 1 : 0));
+    if (hit) {
+      MaybeRecord(domain, result, /*deadline_stopped=*/false);
+      return true;
     }
-    const BoxStore::Ref ref = stack_.back();
-    const auto slot = static_cast<std::size_t>(ref);
-    stack_.pop_back();
-    ++result.stats.nodes;
+  }
+  return false;
+}
 
-    // 1) Classify every atom over the box; prune / accept by certainty.
-    // Unclassified pops trigger a batched wave (which also covers upcoming
-    // pops); otherwise the statuses were computed by an earlier wave on
-    // these exact bounds.
-    if (!classified_[slot]) ClassifyWave(ref);
+void DeltaSolver::Accept(Search& s, std::span<const Interval> box,
+                         std::vector<double> model) {
+  s.result.kind = SatKind::kDeltaSat;
+  s.result.model = std::move(model);
+  s.result.model_box = Box(box);
+  MaybeRecord(*s.domain, s.result, /*deadline_stopped=*/false);
+  s.done = true;
+}
+
+void DeltaSolver::Settle(Search& s, SatKind kind, bool deadline_stopped) {
+  if (s.invalid_candidates > 0) {
+    s.result.kind = SatKind::kDeltaSat;
+    s.result.model = std::move(s.last_invalid_model);
+    s.result.model_box = std::move(s.last_invalid_box);
+  } else {
+    s.result.kind = kind;
+  }
+  MaybeRecord(*s.domain, s.result, deadline_stopped);
+  s.done = true;
+}
+
+void DeltaSolver::Advance(Search& s) {
+  const std::size_t dims = store_.dims();
+  const std::size_t atoms = atoms_.size();
+  SolverStats& stats = s.result.stats;
+  for (;;) {
+    BoxStore::Ref ref = s.parked;
+    s.parked = -1;
+    if (ref < 0) {
+      // Stack exhausted: every box was pruned (UNSAT), unless invalid
+      // delta-sat candidates were set aside — their boxes could not be
+      // refuted at precision delta, so the honest answer is delta-sat.
+      if (s.stack.empty()) {
+        Settle(s, SatKind::kUnsat, /*deadline_stopped=*/false);
+        return;
+      }
+      // Budget exhausted. Node-budget exhaustion is deterministic (max_nodes
+      // is in the scope hash) and safe to replay; a wall-clock stop is not.
+      const bool by_nodes = stats.nodes >= options_.max_nodes;
+      if (by_nodes || (stats.nodes % 128 == 0 &&
+                       s.charged >= options_.time_budget_seconds)) {
+        Settle(s, SatKind::kTimeout, /*deadline_stopped=*/!by_nodes);
+        return;
+      }
+      ref = s.stack.back();
+      s.stack.pop_back();
+      ++stats.nodes;
+      // Unclassified: wait for the round's wave, which also covers
+      // upcoming pops. Otherwise an earlier wave computed the statuses on
+      // these exact bounds.
+      if (!classified_[static_cast<std::size_t>(ref)]) {
+        s.parked = ref;
+        return;
+      }
+    }
+    const auto slot = static_cast<std::size_t>(ref);
+
+    // 1) Prune / accept by the classified atoms' certainty.
     const Tri truth = EvaluateSkeleton(exact_.skeleton(),
                                        status_arena_.data() + slot * atoms);
     if (truth == Tri::kFalse) {
-      ++result.stats.prunes;
+      ++stats.prunes;
       store_.Release(ref);
       continue;
     }
     const std::span<Interval> box = store_.View(ref);
     if (truth == Tri::kTrue) {
       // Certainly satisfiable: the midpoint is a genuine model.
-      result.kind = SatKind::kDeltaSat;
-      result.model = solver::Midpoint(box);
-      result.model_box = Box(std::span<const Interval>(box));
-      MaybeRecord(domain, result, /*deadline_stopped=*/false);
-      result.stats.seconds = watch.ElapsedSeconds();
-      return result;
+      Accept(s, box, solver::Midpoint(box));
+      return;
     }
 
     // 2) Contract with necessary atoms (HC4 fixpoint rounds): replay the
     // fixpoint the wave precomputed for these bounds — final box,
     // emptiness, and contraction-call count.
-    result.stats.contractions += bwd_count_arena_[slot];
-    const bool empty = bwd_empty_arena_[slot] != 0;
-    if (!empty) {
-      const double* src = bwd_box_arena_.data() + slot * dims * 2;
-      for (std::size_t d = 0; d < dims; ++d)
-        box[d] = Interval(src[2 * d], src[2 * d + 1]);
-    }
-    if (empty) {
-      ++result.stats.prunes;
+    stats.contractions += bwd_count_arena_[slot];
+    if (bwd_empty_arena_[slot] != 0) {
+      ++stats.prunes;
       store_.Release(ref);
       continue;
     }
+    const double* src = bwd_box_arena_.data() + slot * dims * 2;
+    for (std::size_t d = 0; d < dims; ++d)
+      box[d] = Interval(src[2 * d], src[2 * d + 1]);
 
     // 3) Precision floor: delta-sat candidate on the (possibly contracted)
     // box. If the midpoint fails exact validation, remember it but keep
@@ -657,17 +678,13 @@ CheckResult DeltaSolver::Check(const Box& domain, bool consult_cache) {
     if (solver::MaxWidth(box) <= options_.delta) {
       std::vector<double> model = solver::Midpoint(box);
       if (exact_.Holds(model, 0.0, exact_scratch_) ||
-          invalid_candidates >= options_.max_invalid_models) {
-        result.kind = SatKind::kDeltaSat;
-        result.model = std::move(model);
-        result.model_box = Box(std::span<const Interval>(box));
-        MaybeRecord(domain, result, /*deadline_stopped=*/false);
-        result.stats.seconds = watch.ElapsedSeconds();
-        return result;
+          s.invalid_candidates >= options_.max_invalid_models) {
+        Accept(s, box, std::move(model));
+        return;
       }
-      ++invalid_candidates;
-      last_invalid_model = std::move(model);
-      last_invalid_box = Box(std::span<const Interval>(box));
+      ++s.invalid_candidates;
+      s.last_invalid_model = std::move(model);
+      s.last_invalid_box = Box(std::span<const Interval>(box));
       store_.Release(ref);
       continue;
     }
@@ -680,24 +697,130 @@ CheckResult DeltaSolver::Check(const Box& domain, bool consult_cache) {
     XCV_CHECK_MSG(left_ref >= 0 && right_ref >= 0,
                   "box reached the split step without a wave expansion");
     store_.Release(ref);
-    stack_.push_back(right_ref);
-    stack_.push_back(left_ref);
+    s.stack.push_back(right_ref);
+    s.stack.push_back(left_ref);
+  }
+}
+
+std::vector<CheckResult> DeltaSolver::CheckMany(
+    std::span<const Box> domains, bool consult_cache,
+    const std::atomic<bool>* cancel) {
+  const auto width = static_cast<std::size_t>(options_.wave_width);
+  XCV_CHECK_MSG(domains.size() <= width,
+                "CheckMany takes at most wave_width (" << width
+                                                       << ") boxes, got "
+                                                       << domains.size());
+  // Wall time is charged in consecutive slices, so the charges of a call's
+  // boxes add up to its wall time: each box pays for its own cache lookup
+  // and presample, and each lockstep round is split by wave lanes.
+  Stopwatch watch;
+  double charged_until = 0.0;
+  auto next_slice = [&watch, &charged_until] {
+    const double now = watch.ElapsedSeconds();
+    const double slice = now - charged_until;
+    charged_until = now;
+    return slice;
+  };
+
+  searches_.resize(domains.size());
+  std::size_t live = 0;
+  for (std::size_t i = 0; i < domains.size(); ++i) {
+    Search& s = searches_[i];
+    s.domain = &domains[i];
+    s.stack.clear();
+    s.result = CheckResult{};
+    s.invalid_candidates = 0;
+    s.last_invalid_model.clear();
+    s.last_invalid_box = Box();
+    s.parked = -1;
+    s.done = DecideUpFront(s, consult_cache);
+    s.charged = next_slice();
+    live += s.done ? 0 : 1;
   }
 
-  // Stack exhausted. If invalid delta-sat candidates were set aside, the
-  // honest answer is still delta-sat (their boxes could not be refuted at
-  // precision delta); report the last one. Otherwise every box was pruned:
-  // UNSAT.
-  if (invalid_candidates > 0) {
-    result.kind = SatKind::kDeltaSat;
-    result.model = std::move(last_invalid_model);
-    result.model_box = std::move(last_invalid_box);
-  } else {
-    result.kind = SatKind::kUnsat;
+  if (live > 0) {
+    // Frontier setup: pooled flat slots, refs on per-search LIFO stacks.
+    // Dimensions can change between calls (different domains), so re-key
+    // the store; its arena memory is retained across calls.
+    std::size_t dims = 0;
+    for (const Search& s : searches_)
+      if (!s.done) dims = s.domain->size();
+    store_.Reset(dims);
+    classified_.clear();
+    owner_arena_.clear();
+    status_arena_.clear();
+    bwd_empty_arena_.clear();
+    bwd_count_arena_.clear();
+    bwd_box_arena_.clear();
+    child_arena_.clear();
+    wave_lo_.resize(dims * width);
+    wave_hi_.resize(dims * width);
+    wave_lo_ptrs_.resize(dims);
+    wave_hi_ptrs_.resize(dims);
+    bwd_lo_.resize(dims * width);
+    bwd_hi_.resize(dims * width);
+    bwd_lo_ptrs_.resize(dims);
+    bwd_hi_ptrs_.resize(dims);
+    bwd_clo_ptrs_.resize(dims);
+    bwd_chi_ptrs_.resize(dims);
+    for (std::size_t d = 0; d < dims; ++d) {
+      wave_lo_ptrs_[d] = wave_lo_.data() + d * width;
+      wave_hi_ptrs_[d] = wave_hi_.data() + d * width;
+      bwd_clo_ptrs_[d] = bwd_lo_ptrs_[d] = bwd_lo_.data() + d * width;
+      bwd_chi_ptrs_[d] = bwd_hi_ptrs_[d] = bwd_hi_.data() + d * width;
+    }
+    for (std::size_t i = 0; i < searches_.size(); ++i) {
+      Search& s = searches_[i];
+      if (s.done) continue;
+      XCV_CHECK_MSG(s.domain->size() == dims,
+                    "CheckMany boxes must share one dimensionality");
+      tmp_box_.assign(s.domain->dims().begin(), s.domain->dims().end());
+      s.stack.push_back(NewNodeFromTmp(i));
+    }
   }
-  MaybeRecord(domain, result, /*deadline_stopped=*/false);
-  result.stats.seconds = watch.ElapsedSeconds();
-  return result;
+
+  // Lockstep rounds: advance every live search to its next unclassified box
+  // (or its verdict), then classify all parked boxes in one wave. A round's
+  // wall time is charged by wave lanes; a round without a wave (its
+  // searches all finished) is split evenly.
+  while (live > 0) {
+    if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
+      for (Search& s : searches_) {
+        if (s.done) continue;
+        s.result = CheckResult{};
+        s.result.cancelled = true;
+        s.done = true;
+      }
+      break;
+    }
+    round_.clear();
+    for (std::size_t i = 0; i < searches_.size(); ++i) {
+      Search& s = searches_[i];
+      if (s.done) continue;
+      round_.push_back(i);
+      s.lanes = 0;
+      Advance(s);
+      live -= s.done ? 1 : 0;
+    }
+    RunWave();
+    const double slice = next_slice();
+    std::size_t lanes = 0;
+    for (const std::size_t i : round_) lanes += searches_[i].lanes;
+    for (const std::size_t i : round_) {
+      Search& s = searches_[i];
+      s.charged += lanes == 0 ? slice / static_cast<double>(round_.size())
+                              : slice * static_cast<double>(s.lanes) /
+                                    static_cast<double>(lanes);
+    }
+  }
+
+  std::vector<CheckResult> out;
+  out.reserve(searches_.size());
+  for (Search& s : searches_) {
+    s.result.stats.seconds = s.charged;
+    out.push_back(std::move(s.result));
+  }
+  return out;
 }
 
 void DeltaSolver::ClassifyBoxes(std::span<const Box> boxes,

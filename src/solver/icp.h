@@ -14,8 +14,10 @@
 //                  was exhausted, mirroring the paper's 2-hour dReal limit.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -35,8 +37,9 @@ namespace xcv::solver {
 /// tape slots × wave_width per atom up front; 64 is the widest wave any
 /// benchmark, test, or CI job runs.
 inline constexpr int kMaxWaveWidth = 64;
+static_assert(kMaxWaveWidth <= 255, "slot owners are stored as bytes");
 
-/// Tuning knobs for one CheckSat call.
+/// Tuning knobs for a DeltaSolver.
 struct SolverOptions {
   /// Precision: boxes whose widest side is ≤ delta stop splitting and are
   /// reported delta-sat (with their midpoint as the model).
@@ -44,7 +47,11 @@ struct SolverOptions {
   /// Branch-and-prune node budget; exceeded → kTimeout. This is the
   /// deterministic analogue of the paper's wall-clock solver timeout.
   std::uint64_t max_nodes = 200'000;
-  /// Optional wall-clock budget in seconds (infinity = unlimited).
+  /// Optional wall-clock budget per box in seconds (infinity = unlimited),
+  /// compared against the box's charged time (SolverStats::seconds): its
+  /// own cache lookup and presample, plus a share of every lockstep round
+  /// it took part in (see CheckMany). For a one-box call that is the call's
+  /// wall time. Checked at every 128th node.
   double time_budget_seconds = std::numeric_limits<double>::infinity();
   /// HC4 fixpoint rounds per node (0 disables contraction — the ablation
   /// baseline of pure branch-and-prune).
@@ -60,23 +67,23 @@ struct SolverOptions {
   /// formula's exact tapes (expr::CompiledFormula::Holds) — and decouples
   /// counterexample discovery from the delta-resolution crawl. 0 disables.
   int presample_points = 225;
-  /// Up to this many open sibling boxes are classified per batched interval
-  /// sweep (the SoA wave): when the solver pops a box whose atoms are not
-  /// yet classified, it speculatively classifies it together with the other
-  /// unclassified boxes nearest the top of the stack, one
-  /// EvalTapeIntervalBatch dispatch per atom. Purely an evaluation-batching
-  /// knob: verdicts, models, and stats are byte-identical at every width
-  /// (every lane's endpoints are independent of its wave-mates and the DFS
-  /// order never changes). 1 runs the same kernels one box per sweep; at
-  /// most kMaxWaveWidth.
+  /// Up to this many boxes are classified per batched interval sweep (the
+  /// SoA wave), and CheckMany decides up to this many boxes in lockstep,
+  /// building every wave from all of their searches: the boxes each search
+  /// is parked on, then the unclassified boxes nearest each stack top, then
+  /// speculative levels below them. Purely an evaluation-batching knob:
+  /// verdicts, models, and stats are byte-identical at every width and
+  /// batch size (every lane's endpoints are independent of its wave-mates
+  /// and each search's DFS order never changes). 1 runs the same kernels
+  /// one box per sweep; at most kMaxWaveWidth.
   int wave_width = 8;
-  /// Optional persistent verdict cache (src/cache/). When set, Check
-  /// consults it before any solver work — an exact (formula, options, box)
-  /// hit replays the recorded result with from_cache set — and records its
-  /// own reproducible verdicts (UNSAT, delta-sat, node-budget timeouts;
-  /// never wall-clock timeouts). Non-owning; never serialized. The cache
-  /// only skips work: a cache-less rerun of a deterministic run produces
-  /// byte-identical results.
+  /// Optional persistent verdict cache (src/cache/). When set, the solver
+  /// consults it per box before any solver work — an exact (formula,
+  /// options, box) hit replays the recorded result with from_cache set —
+  /// and records its own reproducible verdicts (UNSAT, delta-sat,
+  /// node-budget timeouts; never wall-clock timeouts). Non-owning; never
+  /// serialized. The cache only skips work: a cache-less rerun of a
+  /// deterministic run produces byte-identical results.
   cache::VerdictCache* cache = nullptr;
   /// Extra word folded into the cache scope hash. Campaigns salt with the
   /// condition id so cache keys spell out (functional tape, condition,
@@ -92,6 +99,8 @@ struct SolverStats {
   std::uint64_t nodes = 0;         // boxes popped
   std::uint64_t contractions = 0;  // HC4 passes executed
   std::uint64_t prunes = 0;        // boxes discarded by certainty/emptiness
+  /// Wall time charged to this box (see time_budget_seconds): the call's
+  /// wall time for a one-box call, a fair share of it in a batch.
   double seconds = 0.0;
 };
 
@@ -105,24 +114,38 @@ struct CheckResult {
   /// True when the result was replayed from the verdict cache (stats.nodes
   /// then reports the recorded cold-run node count; no solver work ran).
   bool from_cache = false;
+  /// True when CheckMany's cancel flag stopped the call before this box was
+  /// decided; nothing else in the result is meaningful and nothing was
+  /// cached.
+  bool cancelled = false;
 };
 
 /// Decision engine for one fixed formula, reusable across many boxes (the
-/// verifier calls Check once per subdomain). Not thread-safe; create one
-/// instance per worker thread.
+/// verifier decides every subdomain with it, up to wave_width at a time).
+/// Not thread-safe; create one instance per worker thread.
 class DeltaSolver {
  public:
   /// `formula` is an NNF BoolExpr (True/False/atoms/and/or).
   DeltaSolver(expr::BoolExpr formula, SolverOptions options);
 
-  /// Decides `formula` over `domain`, consulting the verdict cache when one
-  /// is configured.
-  CheckResult Check(const Box& domain) { return Check(domain, true); }
+  /// Decides `formula` over each of `domains` (at most wave_width boxes, all
+  /// of one dimensionality) in lockstep: one independent depth-first search
+  /// per box, every classify/contract wave built from all of them. Each box
+  /// keeps its own stack, pop order, node budget, stats, and verdict, so
+  /// out[i] is byte-identical to a one-box call on domains[i] (bar
+  /// stats.seconds). consult_cache=false skips the cache lookups and forces
+  /// full solves (used after a cache hit fails revalidation; the fresh
+  /// results overwrite the bad entries). `cancel`, when set, is checked
+  /// between lockstep rounds: the searches still running are dropped and
+  /// their results come back with `cancelled` set.
+  std::vector<CheckResult> CheckMany(std::span<const Box> domains,
+                                     bool consult_cache = true,
+                                     const std::atomic<bool>* cancel = nullptr);
 
-  /// Check with explicit cache control: consult_cache=false forces a full
-  /// solve (used after a cache hit fails revalidation; the fresh result
-  /// overwrites the bad entry).
-  CheckResult Check(const Box& domain, bool consult_cache);
+  /// CheckMany on one box.
+  CheckResult Check(const Box& domain, bool consult_cache = true) {
+    return std::move(CheckMany({&domain, 1}, consult_cache).front());
+  }
 
   const SolverOptions& options() const { return options_; }
 
@@ -148,6 +171,22 @@ class DeltaSolver {
   using Node = expr::CompiledFormula::Node;
   enum class Tri : char { kTrue, kFalse, kUnknown };
 
+  /// One depth-first search of a CheckMany call. Slots of the shared
+  /// BoxStore each belong to one search (owner_arena_).
+  struct Search {
+    const Box* domain = nullptr;
+    std::vector<BoxStore::Ref> stack;  // LIFO: depth-first
+    CheckResult result;                // kind, model, and stats accrue here
+    // Delta-boxes whose midpoint failed exact validation, set aside.
+    int invalid_candidates = 0;
+    std::vector<double> last_invalid_model;
+    Box last_invalid_box;
+    double charged = 0.0;        // seconds, see time_budget_seconds
+    BoxStore::Ref parked = -1;   // popped, unclassified: awaits the wave
+    std::size_t lanes = 0;       // wave lanes it held this round
+    bool done = false;
+  };
+
   /// Truth of an atom over a box from its root enclosure there. An empty
   /// enclosure (the expression is defined nowhere in the box) is kFalse.
   static Tri ClassifyRoot(const Interval& root, expr::Rel rel);
@@ -169,23 +208,38 @@ class DeltaSolver {
   void MaybeRecord(const Box& domain, const CheckResult& result,
                    bool deadline_stopped) const;
 
-  /// Allocates a frontier slot holding `tmp_box_` and marks it
-  /// unclassified (sizing the per-slot side arrays as needed).
-  BoxStore::Ref NewNodeFromTmp();
-  /// Classifies `popped` plus up to wave_width-1 other unclassified stack
-  /// boxes, then speculatively expands the subtree below them breadth-first
-  /// — DFS alone only ever exposes a couple of unclassified siblings, which
-  /// would starve the wide lanes. Each level runs ClassifyContractWave
-  /// (batched classify + full HC4 fixpoint precompute); because the
-  /// fixpoint yields every surviving lane's final contracted box, the split
-  /// the pop will perform is known now, so ExpandWaveChildren materializes
-  /// the two halves and they become the next level's wave, doubling until
-  /// the level outgrows wave_width (total work per call is capped at
-  /// ~2×wave_width lanes). Pops later walk this prebuilt subtree in plain
-  /// depth-first order; verdicts, boxes, and stats are bit-identical at
-  /// every wave width and ISA tier — speculation past an early return only
-  /// costs wall time.
-  void ClassifyWave(BoxStore::Ref popped);
+  /// Decides `s` before any branching when it can: an empty domain, a
+  /// verdict-cache hit, or a presample model. Returns true when decided.
+  bool DecideUpFront(Search& s, bool consult_cache);
+  /// Runs `s` depth-first until it pops a box no wave has classified yet
+  /// (and parks on it) or reaches its verdict (and is done).
+  void Advance(Search& s);
+  /// Ends `s` with a delta-sat model on `box`.
+  void Accept(Search& s, std::span<const Interval> box,
+              std::vector<double> model);
+  /// Ends `s` on an exhausted stack (kUnsat) or budget (kTimeout); a
+  /// set-aside invalid candidate is still an unrefuted delta-box and
+  /// outranks either.
+  void Settle(Search& s, SatKind kind, bool deadline_stopped);
+
+  /// Allocates a frontier slot holding `tmp_box_`, owned by search `owner`,
+  /// and marks it unclassified (sizing the per-slot side arrays as needed).
+  BoxStore::Ref NewNodeFromTmp(std::size_t owner);
+  /// The lockstep round's wave: every parked box, then the unclassified
+  /// boxes nearest each parked search's stack top (round-robin) up to
+  /// wave_width, then speculative breadth-first levels below them — DFS
+  /// alone only ever exposes a couple of unclassified siblings, which would
+  /// starve the wide lanes. Each level runs ClassifyContractWave (batched
+  /// classify + full HC4 fixpoint precompute); because the fixpoint yields
+  /// every surviving lane's final contracted box, the split the pop will
+  /// perform is known now, so ExpandWaveChildren materializes the two
+  /// halves and they become the next level's wave, while a level fits
+  /// wave_width (total work per round is capped at ~2×wave_width lanes).
+  /// Pops later walk this prebuilt subtree in plain depth-first order;
+  /// verdicts, boxes, and stats are bit-identical at every wave width,
+  /// batch size, and ISA tier — speculation past an early return only
+  /// costs wall time. Counts each search's lanes into Search::lanes.
+  void RunWave();
   /// One batched pass over wave_refs_ (≤ wave_width lanes): forward
   /// classification sweeps per atom into status_arena_, then the complete
   /// rounds × required-atoms HC4 fixpoint loop over every skeleton-undecided
@@ -211,19 +265,23 @@ class DeltaSolver {
   std::vector<int> required_atoms_;  // atoms on every conjunctive path
   std::vector<char> is_required_;    // atom index -> on a conjunctive path
 
-  // Pooled branch-and-prune frontier: one BoxStore slot per open box, the
-  // stack holds slot refs, and the per-slot side arrays carry the wave
-  // classifier's results to the (possibly much later) pop.
+  // Pooled branch-and-prune frontier shared by a call's searches: one
+  // BoxStore slot per open box, each search's stack holds slot refs, and
+  // the per-slot side arrays carry the wave classifier's results to the
+  // (possibly much later) pop.
   BoxStore store_;
-  std::vector<BoxStore::Ref> stack_;
+  std::vector<Search> searches_;    // one per CheckMany box
+  std::vector<std::size_t> round_;  // searches live at the round's start
+  std::vector<std::size_t> cursor_; // RunWave: per-round stack scan
   std::vector<char> classified_;   // slot -> atoms classified?
+  std::vector<std::uint8_t> owner_arena_;  // slot -> owning search
   std::vector<Tri> status_arena_;  // slot * num_atoms + atom -> truth
   std::vector<Interval> tmp_box_;  // bisect staging
   // Speculatively materialized split: slot*2 -> {left, right} child refs
   // (-1 = not expanded; every box that reaches pop step 4 has been).
   std::vector<BoxStore::Ref> child_arena_;
 
-  // Wave classification buffers (sized once per Check).
+  // Wave classification buffers (sized once per CheckMany).
   std::vector<BoxStore::Ref> wave_refs_;
   std::vector<BoxStore::Ref> next_refs_;  // children feeding the next level
   std::vector<double> wave_lo_, wave_hi_;          // dims × wave_width SoA
@@ -236,7 +294,7 @@ class DeltaSolver {
   std::vector<const double*> reval_lo_ptrs_, reval_hi_ptrs_;
   std::vector<Tri> reval_status_;  // box * atoms + atom
 
-  // Batched backward contraction over the wave: ClassifyWave runs the whole
+  // Batched backward contraction over the wave: each level runs the whole
   // HC4 fixpoint loop (rounds × required atoms, forward + backward sweeps)
   // over every undecided lane at once, with per-lane empty/fixpoint masks.
   // Required atoms get their own forward scratch so their classification
@@ -259,7 +317,7 @@ class DeltaSolver {
   std::vector<std::uint32_t> bwd_count_arena_;   // slot -> contraction calls
   std::vector<double> bwd_box_arena_;  // slot × dims × {lo, hi} final box
 
-  // Reusable presample buffers (Check runs once per verifier subdomain; the
+  // Reusable presample buffers (one lattice per verifier subdomain; the
   // lattice is rebuilt but never reallocated).
   struct PresampleBuffers {
     std::vector<std::vector<double>> coords;  // SoA lattice, one row per dim

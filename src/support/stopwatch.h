@@ -1,9 +1,8 @@
-// Wall-clock timing utilities: Stopwatch for measuring elapsed time and
-// Deadline for budgeted computations (the solver's per-call time limit).
+// Wall-clock timing: Stopwatch measures elapsed time (the solver charges
+// its per-box time budget from it, see solver::SolverOptions).
 #pragma once
 
 #include <chrono>
-#include <limits>
 
 namespace xcv {
 
@@ -26,37 +25,6 @@ class Stopwatch {
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
-};
-
-/// A point in monotonic time after which budgeted work should stop.
-/// A default-constructed Deadline never expires.
-class Deadline {
- public:
-  /// Never-expiring deadline.
-  Deadline() : expiry_(Clock::time_point::max()) {}
-
-  /// Deadline `seconds` from now. Negative values expire immediately.
-  static Deadline After(double seconds) {
-    Deadline d;
-    d.expiry_ = Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                                   std::chrono::duration<double>(seconds));
-    return d;
-  }
-
-  static Deadline Never() { return Deadline(); }
-
-  bool Expired() const { return Clock::now() >= expiry_; }
-
-  /// Seconds remaining; +inf for a never-expiring deadline.
-  double RemainingSeconds() const {
-    if (expiry_ == Clock::time_point::max())
-      return std::numeric_limits<double>::infinity();
-    return std::chrono::duration<double>(expiry_ - Clock::now()).count();
-  }
-
- private:
-  using Clock = std::chrono::steady_clock;
-  Clock::time_point expiry_;
 };
 
 }  // namespace xcv

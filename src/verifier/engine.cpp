@@ -72,7 +72,7 @@ obs::Counter& CacheLookupCounter(const char* outcome) {
 
 obs::Counter& SolverCallCounter(SatKind kind) {
   static const char* kHelp =
-      "DeltaSolver::Check invocations by result (sums to the report's "
+      "Boxes the solver decided, by result (sums to the report's "
       "solver_calls column; result=\"timeout\" is solver_timeouts).";
   static obs::Counter& unsat = obs::Registry::Global().GetCounter(
       "xcv_solver_calls_total", kHelp, {"result"}, {"unsat"});
@@ -363,24 +363,33 @@ void PairEngine::ReleaseSolver(std::unique_ptr<DeltaSolver> s) {
   free_solvers_.push_back(std::move(s));
 }
 
-bool PairEngine::ProcessNext(const std::atomic<bool>* cancel) {
+bool PairEngine::ProcessNext(const std::atomic<bool>* cancel,
+                             std::size_t max_boxes) {
   if (cancel != nullptr && cancel->load(std::memory_order_relaxed))
     return false;
 
-  OpenBox item;
-  Box box;
+  // Claim the batch: the best open boxes, up to max_boxes and wave_width.
+  // Materialize value copies for the unlocked solver call; the pooled slots
+  // stay live (and in the in-flight set) until the outcomes are recorded,
+  // so Snapshot still sees the boxes.
+  const std::size_t limit = std::clamp<std::size_t>(
+      max_boxes, 1, static_cast<std::size_t>(options_.solver.wave_width));
+  std::vector<Claim> claims;
+  std::vector<Box> boxes;
+  claims.reserve(limit);  // allocate before taking the lock
+  boxes.reserve(limit);
   bool expired;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (open_.empty()) return false;
-    std::pop_heap(open_.begin(), open_.end(), OpenBoxLess{});
-    item = open_.back();
-    open_.pop_back();
-    // Materialize a value copy for the unlocked solver call; the pooled
-    // slot stays live (and in the in-flight set) until the outcome is
-    // recorded, so Snapshot still sees the box.
-    box = Box(store_.View(item.box_ref));
-    in_flight_.emplace_back(item.seq, item.box_ref);
+    while (claims.size() < limit && !open_.empty()) {
+      std::pop_heap(open_.begin(), open_.end(), OpenBoxLess{});
+      OpenBox& item = claims.emplace_back().item;
+      item = open_.back();
+      open_.pop_back();
+      boxes.push_back(Box(store_.View(item.box_ref)));
+      in_flight_.emplace_back(item.seq, item.box_ref);
+    }
     // The budget covers this pair's own processing time, not the wall time
     // it spent queued behind other pairs on the shared pool (and not other
     // pairs' work): compare against accumulated busy seconds.
@@ -389,64 +398,80 @@ bool PairEngine::ProcessNext(const std::atomic<bool>* cancel) {
 
   Stopwatch watch;
 
-  RegionStatus status = RegionStatus::kTimeout;
-  std::vector<double> witness;
-  bool is_leaf = true;
-  bool hit_rejected = false;
-  std::vector<Box> children;
-  std::vector<char> child_suspect;
-
-  if (expired) {
-    // Overall budget exhausted: classify the remaining area as timeout
-    // without spending solver time (keeps the partition total).
-  } else {
+  // Overall budget exhausted: classify the remaining area as timeout
+  // without spending solver time (keeps the partition total).
+  if (!expired) {
     auto solver = AcquireSolver();
-    CheckResult result;
+    std::vector<CheckResult> results;
     {
       obs::Span solve_span("solve");
-      result = solver->Check(box);
-      if (result.from_cache &&
-          !RevalidateCachedResult(*solver, item.seq, box, result)) {
-        // The cached entry contradicts a fresh interval sweep (scope-hash
-        // collision or a tampered file): distrust it and solve for real.
-        // The fresh result overwrites the bad entry.
-        hit_rejected = true;
-        cache_rejected_.fetch_add(1, std::memory_order_relaxed);
-        CacheLookupCounter("rejected").Inc();
-        result = solver->Check(box, /*consult_cache=*/false);
+      results = solver->CheckMany(boxes, /*consult_cache=*/true, cancel);
+      if (options_.solver.cache != nullptr) {
+        RevalidateCachedResults(*solver, claims, boxes, results);
+        // A cached entry that contradicts a fresh interval sweep (scope-hash
+        // collision or a tampered file) is distrusted and solved for real,
+        // in a call of its own; the fresh result overwrites the bad entry.
+        std::vector<Box> again;
+        for (std::size_t i = 0; i < claims.size(); ++i)
+          if (claims[i].rejected) again.push_back(boxes[i]);
+        if (!again.empty()) {
+          std::vector<CheckResult> fresh =
+              solver->CheckMany(again, /*consult_cache=*/false, cancel);
+          for (std::size_t i = 0, j = 0; i < claims.size(); ++i)
+            if (claims[i].rejected) results[i] = std::move(fresh[j++]);
+        }
       }
       if (solve_span.armed()) {
         // Deterministic args only (no wall seconds): replays of the same
         // run under the fixed trace clock stay byte-identical.
-        solve_span.Arg("result", solver::SatKindName(result.kind));
-        solve_span.Arg("nodes", result.stats.nodes);
+        std::uint64_t nodes = 0;
+        bool all_cached = true;
+        for (const CheckResult& r : results) {
+          nodes += r.stats.nodes;
+          all_cached = all_cached && r.from_cache;
+        }
+        solve_span.Arg("boxes", static_cast<std::uint64_t>(results.size()));
+        solve_span.Arg("nodes", nodes);
         solve_span.Arg("from_cache",
-                       static_cast<std::uint64_t>(result.from_cache ? 1 : 0));
+                       static_cast<std::uint64_t>(all_cached ? 1 : 0));
       }
     }
     ReleaseSolver(std::move(solver));
-    if (result.from_cache) {
-      // No solver ran; the replayed result is byte-equivalent to the cold
-      // run's, so everything below (status, witness, split) replays too.
-      cache_hits_.fetch_add(1, std::memory_order_relaxed);
-      CacheLookupCounter("hit").Inc();
-    } else {
-      // hits / misses / rejected are disjoint per box (see region.h): a
-      // rejected hit was not a miss — the lookup found an entry.
-      if (options_.solver.cache != nullptr && !hit_rejected) {
-        cache_misses_.fetch_add(1, std::memory_order_relaxed);
-        CacheLookupCounter("miss").Inc();
-      }
-      solver_calls_.fetch_add(1, std::memory_order_relaxed);
-      SolverCallCounter(result.kind).Inc();
-      if (result.kind == SatKind::kTimeout)
-        solver_timeouts_.fetch_add(1, std::memory_order_relaxed);
-      if (obs::MetricsEnabled()) ObserveSolverStats(result.stats);
-    }
 
-    if (result.kind == SatKind::kUnsat) {
-      status = RegionStatus::kVerified;
-    } else {
+    for (std::size_t i = 0; i < claims.size(); ++i) {
+      const CheckResult& result = results[i];
+      Claim& claim = claims[i];
+      if (result.cancelled) {
+        claim.requeue = true;
+        continue;
+      }
+      if (claim.rejected) {
+        cache_rejected_.fetch_add(1, std::memory_order_relaxed);
+        CacheLookupCounter("rejected").Inc();
+      }
+      if (result.from_cache) {
+        // No solver ran; the replayed result is byte-equivalent to the cold
+        // run's, so everything below (status, witness, split) replays too.
+        cache_hits_.fetch_add(1, std::memory_order_relaxed);
+        CacheLookupCounter("hit").Inc();
+      } else {
+        // hits / misses / rejected are disjoint per box (see region.h): a
+        // rejected hit was not a miss — the lookup found an entry.
+        if (options_.solver.cache != nullptr && !claim.rejected) {
+          cache_misses_.fetch_add(1, std::memory_order_relaxed);
+          CacheLookupCounter("miss").Inc();
+        }
+        solver_calls_.fetch_add(1, std::memory_order_relaxed);
+        SolverCallCounter(result.kind).Inc();
+        if (result.kind == SatKind::kTimeout)
+          solver_timeouts_.fetch_add(1, std::memory_order_relaxed);
+        if (obs::MetricsEnabled()) ObserveSolverStats(result.stats);
+      }
+
+      if (result.kind == SatKind::kUnsat) {
+        claim.status = RegionStatus::kVerified;
+        continue;
+      }
       if (result.kind == SatKind::kDeltaSat) {
         // Algorithm 1's valid(x): the model must violate ψ beyond the
         // witness tolerance (see VerifierOptions::witness_tolerance). The
@@ -455,20 +480,20 @@ bool PairEngine::ProcessNext(const std::atomic<bool>* cancel) {
         const bool violates_psi = !exact_psi_.Holds(
             result.model, options_.witness_tolerance, scratch);
         if (violates_psi) {
-          status = RegionStatus::kCounterexample;
-          witness = result.model;
+          claim.status = RegionStatus::kCounterexample;
+          claim.witness = result.model;
         } else {
-          status = RegionStatus::kInconclusive;
+          claim.status = RegionStatus::kInconclusive;
         }
       }
       // Leaf when children would fall below the threshold t.
+      const Box& box = boxes[i];
       if (box.MaxWidth() / 2.0 >= options_.split_threshold) {
-        is_leaf = false;
-        children = SplitBox(box, options_.split_all_dims);
-        child_suspect.resize(children.size(), 0);
+        claim.children = SplitBox(box, options_.split_all_dims);
+        claim.child_suspect.resize(claim.children.size(), 0);
         if (result.kind == SatKind::kDeltaSat) {
-          for (std::size_t i = 0; i < children.size(); ++i)
-            child_suspect[i] = children[i].Contains(result.model) ? 1 : 0;
+          for (std::size_t c = 0; c < claim.children.size(); ++c)
+            claim.child_suspect[c] = claim.children[c].Contains(result.model);
         }
       }
     }
@@ -480,21 +505,34 @@ bool PairEngine::ProcessNext(const std::atomic<bool>* cancel) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     busy_seconds_ += elapsed;
-    for (auto it = in_flight_.begin(); it != in_flight_.end(); ++it) {
-      if (it->first == item.seq) {
-        in_flight_.erase(it);
-        break;
+    for (std::size_t i = 0; i < claims.size(); ++i) {
+      Claim& claim = claims[i];
+      const OpenBox& item = claim.item;
+      for (auto it = in_flight_.begin(); it != in_flight_.end(); ++it) {
+        if (it->first == item.seq) {
+          in_flight_.erase(it);
+          break;
+        }
       }
-    }
-    store_.Release(item.box_ref);  // leaf or split: the slot is recycled
-    reval_tri_.erase(item.seq);    // wave classification is spent either way
-    if (!witness.empty()) report_.witnesses.push_back(witness);
-    if (is_leaf) {
-      report_.leaves.push_back(
-          {std::move(box), status, std::move(witness)});
-    } else {
-      for (std::size_t i = 0; i < children.size(); ++i)
-        PushLocked(children[i].dims(), child_suspect[i] != 0, &tickets);
+      if (claim.requeue) {
+        // Back on the frontier unchanged: same slot, priority, and seq. Its
+        // pool ticket was spent on this call, so it needs a new one.
+        open_.push_back(item);
+        std::push_heap(open_.begin(), open_.end(), OpenBoxLess{});
+        tickets.push_back(item.priority);
+        continue;
+      }
+      store_.Release(item.box_ref);  // leaf or split: the slot is recycled
+      reval_tri_.erase(item.seq);    // wave classification is spent either way
+      if (!claim.witness.empty()) report_.witnesses.push_back(claim.witness);
+      if (claim.children.empty()) {
+        report_.leaves.push_back(
+            {std::move(boxes[i]), claim.status, std::move(claim.witness)});
+      } else {
+        for (std::size_t c = 0; c < claim.children.size(); ++c)
+          PushLocked(claim.children[c].dims(), claim.child_suspect[c] != 0,
+                     &tickets);
+      }
     }
     sink = sink_;
   }
@@ -502,27 +540,63 @@ bool PairEngine::ProcessNext(const std::atomic<bool>* cancel) {
   return true;
 }
 
-bool PairEngine::RevalidateCachedResult(DeltaSolver& solver,
-                                        std::uint64_t seq, const Box& box,
-                                        const CheckResult& result) {
-  int tri = kRevalPending;
+void PairEngine::RevalidateCachedResults(DeltaSolver& solver,
+                                         std::span<Claim> claims,
+                                         std::span<const Box> boxes,
+                                         std::span<const CheckResult> results) {
+  if (std::none_of(results.begin(), results.end(),
+                   [](const CheckResult& r) { return r.from_cache; }))
+    return;
+  // The sweep classifies ¬ψ over the box: +1 = certainly satisfiable
+  // everywhere, -1 = certainly unsatisfiable, 0 = undecided. A verdict that
+  // contradicts its box's classification cannot have come from a run of
+  // this solver on this box.
+  auto reject = [&](std::size_t i, int tri) {
+    const CheckResult& result = results[i];
+    bool trusted = false;
+    switch (result.kind) {
+      case SatKind::kUnsat:
+        trusted = tri != 1;
+        break;
+      case SatKind::kDeltaSat:
+        trusted = tri != -1 && !result.model.empty() &&
+                  boxes[i].Contains(result.model);
+        break;
+      case SatKind::kTimeout:
+        // A box decidable by one forward sweep is decided at node 1 — it
+        // can never exhaust a node budget.
+        trusted = tri == 0;
+        break;
+    }
+    claims[i].rejected = !trusted;
+  };
+
+  // A hit's classification comes from the map when an earlier wave covered
+  // its box; the rest ride this call's sweep (own[j] is the batch index of
+  // wave[j]; members are the frontier boxes topping the wave up).
   std::vector<Box> wave;
-  std::vector<std::uint64_t> members;  // seqs of wave[1..]
+  std::vector<std::size_t> own;
+  std::vector<std::uint64_t> members;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (const auto it = reval_tri_.find(seq); it != reval_tri_.end())
-      tri = it->second;
-    if (tri == kRevalPending) {
-      // Build a revalidation wave: this box plus open frontier boxes no
-      // earlier wave classified or claimed, up to the solver's wave width,
-      // so one batched sweep covers the pops that follow. Members are
-      // claimed (marked pending) here, so a concurrent wave skips them.
-      // (Boxes are copied out under the lock; frontier entries are
-      // immutable until popped, so a classification stays valid whenever
-      // it is consumed.)
-      const auto width = static_cast<std::size_t>(
-          std::max(1, options_.solver.wave_width));
-      wave.push_back(box);
+    for (std::size_t i = 0; i < claims.size(); ++i) {
+      if (!results[i].from_cache) continue;
+      const auto it = reval_tri_.find(claims[i].item.seq);
+      if (it != reval_tri_.end() && it->second != kRevalPending) {
+        reject(i, it->second);
+        continue;
+      }
+      own.push_back(i);
+      wave.push_back(boxes[i]);
+    }
+    if (!wave.empty()) {
+      // Top the wave up with open frontier boxes no earlier wave classified
+      // or claimed, up to the solver's wave width, so one batched sweep
+      // covers the pops that follow. Members are claimed (marked pending)
+      // here, so a concurrent wave skips them. (Boxes are copied out under
+      // the lock; frontier entries are immutable until popped, so a
+      // classification stays valid whenever it is consumed.)
+      const auto width = static_cast<std::size_t>(options_.solver.wave_width);
       for (const OpenBox& b : open_) {
         if (wave.size() >= width) break;
         if (!reval_tri_.try_emplace(b.seq, kRevalPending).second) continue;
@@ -531,41 +605,23 @@ bool PairEngine::RevalidateCachedResult(DeltaSolver& solver,
       }
     }
   }
-  if (tri == kRevalPending) {
-    std::vector<int> tris;
-    {
-      obs::Span reval_span("cache-revalidate");
-      reval_span.Arg("wave", static_cast<std::uint64_t>(wave.size()));
-      solver.ClassifyBoxes(wave, tris);
-    }
-    CacheRevalidationCounter().Inc();
-    tri = tris[0];
-    std::lock_guard<std::mutex> lock(mu_);
-    // Fill in only the claims still pending: a member popped and recorded
-    // while the sweep ran already had its entry erased.
-    for (std::size_t i = 0; i < members.size(); ++i) {
-      const auto it = reval_tri_.find(members[i]);
-      if (it != reval_tri_.end() && it->second == kRevalPending)
-        it->second = tris[i + 1];
-    }
+  if (wave.empty()) return;
+  std::vector<int> tris;
+  {
+    obs::Span reval_span("cache-revalidate");
+    reval_span.Arg("wave", static_cast<std::uint64_t>(wave.size()));
+    solver.ClassifyBoxes(wave, tris);
   }
-
-  // The sweep classifies ¬ψ over the box: +1 = certainly satisfiable
-  // everywhere, -1 = certainly unsatisfiable, 0 = undecided. A verdict that
-  // contradicts its box's classification cannot have come from a run of
-  // this solver on this box.
-  switch (result.kind) {
-    case SatKind::kUnsat:
-      return tri != 1;
-    case SatKind::kDeltaSat:
-      if (tri == -1) return false;
-      return !result.model.empty() && box.Contains(result.model);
-    case SatKind::kTimeout:
-      // A box decidable by one forward sweep is decided at node 1 — it can
-      // never exhaust a node budget.
-      return tri == 0;
+  CacheRevalidationCounter().Inc();
+  for (std::size_t j = 0; j < own.size(); ++j) reject(own[j], tris[j]);
+  std::lock_guard<std::mutex> lock(mu_);
+  // Fill in only the claims still pending: a member popped and recorded
+  // while the sweep ran already had its entry erased.
+  for (std::size_t j = 0; j < members.size(); ++j) {
+    const auto it = reval_tri_.find(members[j]);
+    if (it != reval_tri_.end() && it->second == kRevalPending)
+      it->second = tris[own.size() + j];
   }
-  return false;
 }
 
 bool PairEngine::Finished() const {
@@ -642,7 +698,9 @@ std::vector<Box> PairEngine::TakeOpenFrontier() {
 
 void RunEngineToCompletion(PairEngine& engine, int num_threads) {
   if (num_threads <= 1) {
-    while (engine.ProcessNext(nullptr)) {
+    const auto batch =
+        static_cast<std::size_t>(engine.options().solver.wave_width);
+    while (engine.ProcessNext(nullptr, batch)) {
     }
     return;
   }

@@ -3,19 +3,20 @@
 // One PairEngine owns the verification of a single (ψ, domain) pair,
 // decomposed into box tasks on a prioritized open frontier. The engine does
 // no threading of its own: drivers pull work with ProcessNext(), which pops
-// the best open box, runs one solver call, and either records a leaf or
-// pushes the children back onto the frontier. This factors the old
-// Verifier::Run internals (RunContext/ProcessBox/SplitBox) into a form that
-// many pairs can share: Verifier::Run drives one engine; a campaign
-// (src/campaign/) interleaves dozens on the shared scheduler.
+// a batch of the best open boxes, decides them in one lockstep solver call,
+// and records each as a leaf or pushes its children back onto the
+// frontier. This factors the old Verifier::Run internals
+// (RunContext/ProcessBox/SplitBox) into a form that many pairs can share:
+// Verifier::Run drives one engine; a campaign (src/campaign/) interleaves
+// dozens on the shared scheduler.
 //
 // Concurrency: ProcessNext is safe to call from many threads. Bookkeeping
 // (frontier, in-flight set, report) lives behind one mutex taken exactly
-// twice per processed box — once to pop, once to record the outcome — while
-// the solver call itself runs unlocked; solver-call counters are atomics.
-// Because in-flight boxes are tracked, Snapshot() can produce a consistent
-// (report, open frontier) pair at any moment, which is what campaign
-// checkpoints serialize.
+// twice per processed batch — once to claim, once to record the outcomes —
+// while the solver call itself runs unlocked; solver-call counters are
+// atomics. Because in-flight boxes are tracked, Snapshot() can produce a
+// consistent (report, open frontier) pair at any moment, which is what
+// campaign checkpoints serialize.
 #pragma once
 
 #include <atomic>
@@ -80,11 +81,21 @@ class PairEngine {
   /// restored report's seconds count against total_time_budget_seconds).
   void Restore(VerificationReport partial, std::vector<solver::Box> open);
 
-  /// Pops the best open box and processes it (one solver call; leaf or
-  /// split). Returns false when nothing was processed: the frontier is
-  /// empty, or `cancel` is set — cancellation leaves the frontier intact
-  /// for Snapshot()/TakeOpenFrontier(). Thread-safe.
-  bool ProcessNext(const std::atomic<bool>* cancel);
+  /// Claims the best open boxes — up to max_boxes, capped at the solver's
+  /// wave_width — and decides them in one lockstep DeltaSolver::CheckMany
+  /// call, recording each box as a leaf or splitting it. The sequential
+  /// drivers pass wave_width, so every interval wave runs near full; pool
+  /// tickets claim one box each, so scheduler priorities track frontier
+  /// priorities box by box. Verdicts are the same for every batch size:
+  /// each box's decision is independent of its batch-mates. The per-pair
+  /// budget is checked once per batch, and the batch's wall time adds to
+  /// the busy clock. Returns false when nothing was processed: the
+  /// frontier is empty, or `cancel` is set. Cancellation leaves the
+  /// frontier intact for Snapshot()/TakeOpenFrontier(): the solver checks
+  /// the flag between lockstep rounds, and boxes it did not decide go back
+  /// on the frontier unchanged. Thread-safe.
+  bool ProcessNext(const std::atomic<bool>* cancel,
+                   std::size_t max_boxes = 1);
 
   /// True once the pair is fully decided: seeded, frontier empty, nothing
   /// in flight.
@@ -121,22 +132,35 @@ class PairEngine {
     std::uint64_t seq = 0;
   };
 
+  // One box of a ProcessNext batch: its frontier entry and its outcome.
+  struct Claim {
+    OpenBox item;
+    RegionStatus status = RegionStatus::kTimeout;
+    std::vector<double> witness;
+    std::vector<solver::Box> children;  // empty: a leaf
+    std::vector<char> child_suspect;
+    bool rejected = false;  // a cache hit that failed revalidation
+    bool requeue = false;   // cancelled before it was decided
+  };
+
   void PushLocked(std::span<const Interval> box, bool suspect,
                   std::vector<double>* ticket_priorities);
   std::unique_ptr<solver::DeltaSolver> AcquireSolver();
   void ReleaseSolver(std::unique_ptr<solver::DeltaSolver> s);
 
-  /// Decides whether a cache-replayed CheckResult for `box` may be trusted.
-  /// The box's interval classification comes from the revalidation map if an
-  /// earlier wave classified it; otherwise one batched sweep classifies the
-  /// box together with up to wave_width-1 unclaimed open frontier boxes (so
-  /// a warm replay pays one EvalTapeIntervalBatch dispatch per wave, not per
-  /// box). Returns false when the classification or the cached model
-  /// contradicts the cached verdict — the caller then re-solves with the
-  /// cache bypassed.
-  bool RevalidateCachedResult(solver::DeltaSolver& solver, std::uint64_t seq,
-                              const solver::Box& box,
-                              const solver::CheckResult& result);
+  /// Decides which cache-replayed results of a batch may be trusted: sets
+  /// claims[i].rejected for every from_cache result i whose box's interval
+  /// classification or cached model contradicts the cached verdict (the
+  /// caller re-solves those with the cache bypassed). A box's
+  /// classification comes from the revalidation map if an earlier wave
+  /// classified it; the batch's other hits are classified in one batched
+  /// sweep, topped up to wave_width with unclaimed open frontier boxes (so
+  /// a warm replay pays one EvalTapeIntervalBatch dispatch per wave, not
+  /// per box).
+  void RevalidateCachedResults(solver::DeltaSolver& solver,
+                               std::span<Claim> claims,
+                               std::span<const solver::Box> boxes,
+                               std::span<const solver::CheckResult> results);
 
   expr::BoolExpr psi_;
   expr::BoolExpr not_psi_;
@@ -209,9 +233,9 @@ std::size_t CanonicalizeOpenBoxes(std::vector<solver::Box>& open,
 /// bisects the widest dimension when `split_all_dims` is false.
 std::vector<solver::Box> SplitBox(const solver::Box& box, bool split_all_dims);
 
-/// Drives `engine` to completion: inline when num_threads <= 1, otherwise
-/// as prioritized tickets on the shared global pool, capped at num_threads
-/// concurrent boxes.
+/// Drives `engine` to completion: inline when num_threads <= 1 (batches of
+/// wave_width boxes), otherwise as prioritized one-box tickets on the
+/// shared global pool, capped at num_threads concurrent boxes.
 void RunEngineToCompletion(PairEngine& engine, int num_threads);
 
 }  // namespace xcv::verifier

@@ -268,7 +268,18 @@ TEST(VerdictCache, MultiThreadedWarmReplayAtEveryWaveWidth) {
   const auto written = InodeAndMtime(path);
   ASSERT_NE(written.first, 0u);
 
-  for (const int threads : {2, 4}) {
+  // The cold run decided lockstep batches of wave_width (8) boxes; one box
+  // per batch stores the same entries, and the file saves the same bytes.
+  const std::string path_w1 = TempPath("cache_mt_replay_w1.json");
+  std::remove(path_w1.c_str());
+  CampaignOptions cached_w1 = cached;
+  cached_w1.cache_path = path_w1;
+  cached_w1.verifier.solver.wave_width = 1;
+  ASSERT_EQ(DeterministicFace(RunMatrixCampaign(cached_w1)), bare);
+  EXPECT_EQ(ReadAll(path_w1), ReadAll(path));
+  std::remove(path_w1.c_str());
+
+  for (const int threads : {1, 2, 4}) {
     for (const int width : {1, 8, 64}) {
       SCOPED_TRACE("threads=" + std::to_string(threads) +
                    " wave_width=" + std::to_string(width));

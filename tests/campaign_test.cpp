@@ -93,15 +93,23 @@ TEST(Campaign, MatchesSequentialVerifierLoop) {
 }
 
 TEST(Campaign, ParallelRunIsByteIdenticalToSequentialRun) {
-  auto run = [](int threads) {
-    Campaign campaign(FastCampaignOptions(threads));
+  // One thread decides lockstep batches of wave_width boxes; the pool
+  // decides one box per ticket. Every combination writes the same bytes.
+  auto run = [](int threads, int width) {
+    CampaignOptions options = FastCampaignOptions(threads);
+    options.verifier.solver.wave_width = width;
+    Campaign campaign(options);
     for (const ConditionInfo* cond : TestConditions())
       for (const Functional* f : LdaPbeMatrix()) campaign.Add(*f, *cond);
     CampaignResult result = campaign.Run();
     ZeroSeconds(result.pairs);
     return CheckpointToJson(FastCampaignOptions(1), result.pairs, false);
   };
-  EXPECT_EQ(run(1), run(4));
+  const std::string reference = run(1, 1);
+  for (const auto& [threads, width] :
+       {std::pair{1, 8}, std::pair{1, 64}, std::pair{4, 8}})
+    EXPECT_EQ(run(threads, width), reference)
+        << "threads=" << threads << " wave_width=" << width;
 }
 
 TEST(Campaign, CheckpointRoundTripsExactly) {
@@ -159,6 +167,8 @@ TEST(Campaign, CheckpointRoundTripsExactly) {
 }
 
 TEST(Campaign, CancelledRunCheckpointsAndResumesToIdenticalVerdicts) {
+  // Two threads cancel between pool tickets; one thread cancels inside a
+  // lockstep batch, whose undecided boxes go back on the frontier.
   // Reference: an uninterrupted run. LYP pairs end in counterexamples, the
   // VWN pairs in full verification — both verdict kinds cross the resume.
   std::vector<const Functional*> funcs = {
@@ -177,58 +187,72 @@ TEST(Campaign, CancelledRunCheckpointsAndResumesToIdenticalVerdicts) {
     for (const Functional* f : funcs) reference.Add(*f, *c);
   const CampaignResult expected = reference.Run();
 
-  // Interrupted run: cancel from another thread shortly after it starts.
-  const std::string path =
-      ::testing::TempDir() + "/xcv_campaign_cancel_test.json";
-  CampaignOptions copts = options;
-  copts.num_threads = 2;
-  copts.checkpoint_path = path;
-  Campaign interrupted(copts);
-  for (const ConditionInfo* c : conds)
-    for (const Functional* f : funcs) interrupted.Add(*f, *c);
-  std::thread canceller([&interrupted] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    interrupted.RequestCancel();
-  });
-  const CampaignResult partial = interrupted.Run();
-  canceller.join();
+  for (const int threads : {2, 1}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    // Interrupted run: cancel from another thread shortly after it starts.
+    const std::string path =
+        ::testing::TempDir() + "/xcv_campaign_cancel_test.json";
+    CampaignOptions copts = options;
+    copts.num_threads = threads;
+    copts.checkpoint_path = path;
+    Campaign interrupted(copts);
+    for (const ConditionInfo* c : conds)
+      for (const Functional* f : funcs) interrupted.Add(*f, *c);
+    std::thread canceller([&interrupted] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      interrupted.RequestCancel();
+    });
+    const CampaignResult partial = interrupted.Run();
+    canceller.join();
 
-  // Whether or not the cancel landed mid-run, the checkpoint must load and
-  // resume to the reference verdicts.
-  Checkpoint cp = LoadCheckpointFile(path);
-  ASSERT_EQ(cp.pairs.size(), expected.pairs.size());
-  if (partial.cancelled) {
-    EXPECT_TRUE(cp.cancelled);
-    std::size_t open_boxes = 0;
-    for (const PairState& p : cp.pairs) open_boxes += p.open.size();
-    // A mid-run cancellation leaves at least one pair unfinished with a
-    // non-empty frontier.
-    if (partial.CompletedCount() < partial.pairs.size())
-      EXPECT_GT(open_boxes, 0u);
+    // Whether or not the cancel landed mid-run, the checkpoint must load and
+    // resume to the reference verdicts.
+    Checkpoint cp = LoadCheckpointFile(path);
+    ASSERT_EQ(cp.pairs.size(), expected.pairs.size());
+    if (partial.cancelled) {
+      EXPECT_TRUE(cp.cancelled);
+      std::size_t open_boxes = 0;
+      for (const PairState& p : cp.pairs) open_boxes += p.open.size();
+      // A mid-run cancellation leaves at least one pair unfinished with a
+      // non-empty frontier.
+      if (partial.CompletedCount() < partial.pairs.size()) {
+        EXPECT_GT(open_boxes, 0u);
+      }
+    }
+    // An interrupted pair can never claim the full-domain ✓: undecided open
+    // boxes could still hide a counterexample.
+    for (const PairState& p : partial.pairs) {
+      if (!p.done) {
+        EXPECT_NE(p.verdict, verifier::Verdict::kVerified)
+            << p.functional << " x " << p.condition;
+      }
+    }
+
+    CampaignOptions ropts = cp.options;
+    ropts.checkpoint_path.clear();
+    Campaign resumed(ropts);
+    for (PairState& p : cp.pairs) resumed.Restore(std::move(p));
+    const CampaignResult final_result = resumed.Run();
+
+    ASSERT_EQ(final_result.pairs.size(), expected.pairs.size());
+    for (std::size_t i = 0; i < expected.pairs.size(); ++i) {
+      EXPECT_EQ(final_result.pairs[i].functional, expected.pairs[i].functional);
+      EXPECT_EQ(final_result.pairs[i].condition, expected.pairs[i].condition);
+      EXPECT_TRUE(final_result.pairs[i].done);
+      EXPECT_EQ(final_result.pairs[i].verdict, expected.pairs[i].verdict)
+          << expected.pairs[i].functional << " x "
+          << expected.pairs[i].condition;
+    }
+    // ... and to the same bytes: no box the cancel caught mid-call was lost
+    // or decided twice.
+    std::vector<PairState> resumed_pairs = final_result.pairs;
+    std::vector<PairState> expected_pairs = expected.pairs;
+    ZeroSeconds(resumed_pairs);
+    ZeroSeconds(expected_pairs);
+    EXPECT_EQ(CheckpointToJson(options, resumed_pairs, false),
+              CheckpointToJson(options, expected_pairs, false));
+    std::remove(path.c_str());
   }
-  // An interrupted pair can never claim the full-domain ✓: undecided open
-  // boxes could still hide a counterexample.
-  for (const PairState& p : partial.pairs)
-    if (!p.done)
-      EXPECT_NE(p.verdict, verifier::Verdict::kVerified)
-          << p.functional << " x " << p.condition;
-
-  CampaignOptions ropts = cp.options;
-  ropts.checkpoint_path.clear();
-  Campaign resumed(ropts);
-  for (PairState& p : cp.pairs) resumed.Restore(std::move(p));
-  const CampaignResult final_result = resumed.Run();
-
-  ASSERT_EQ(final_result.pairs.size(), expected.pairs.size());
-  for (std::size_t i = 0; i < expected.pairs.size(); ++i) {
-    EXPECT_EQ(final_result.pairs[i].functional, expected.pairs[i].functional);
-    EXPECT_EQ(final_result.pairs[i].condition, expected.pairs[i].condition);
-    EXPECT_TRUE(final_result.pairs[i].done);
-    EXPECT_EQ(final_result.pairs[i].verdict, expected.pairs[i].verdict)
-        << expected.pairs[i].functional << " x "
-        << expected.pairs[i].condition;
-  }
-  std::remove(path.c_str());
 }
 
 TEST(Campaign, NonApplicablePairsAreReportedNotRun) {

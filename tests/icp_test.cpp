@@ -1,4 +1,6 @@
+#include <atomic>
 #include <cmath>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -155,6 +157,29 @@ TEST(DeltaSolver, TrivialFormulas) {
 TEST(DeltaSolver, EmptyDomainIsUnsat) {
   DeltaSolver solver(BoolExpr::Le(X(), C(100)), Fast());
   EXPECT_EQ(solver.Check(Box({Interval::Empty()})).kind, SatKind::kUnsat);
+}
+
+TEST(DeltaSolver, CancelDropsOnlyTheSearchesStillRunning) {
+  // The empty box is decided before the first lockstep round; the other
+  // two need branching, so a set flag drops them before any node.
+  DeltaSolver solver(BoolExpr::Lt(X() * X() + C(1), C(0)), Fast());
+  const std::vector<Box> batch{Box({Interval(-2.0, 2.0)}),
+                               Box({Interval::Empty()}),
+                               Box({Interval(3.0, 4.0)})};
+  const std::atomic<bool> cancel{true};
+  const auto dropped = solver.CheckMany(batch, true, &cancel);
+  ASSERT_EQ(dropped.size(), 3u);
+  EXPECT_TRUE(dropped[0].cancelled);
+  EXPECT_FALSE(dropped[1].cancelled);
+  EXPECT_EQ(dropped[1].kind, SatKind::kUnsat);
+  EXPECT_TRUE(dropped[2].cancelled);
+  // The same solver then decides the batch in full, each box as alone.
+  const auto decided = solver.CheckMany(batch);
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    EXPECT_FALSE(decided[i].cancelled);
+    EXPECT_EQ(decided[i].kind, SatKind::kUnsat);
+    EXPECT_EQ(decided[i].stats.nodes, solver.Check(batch[i]).stats.nodes);
+  }
 }
 
 TEST(DeltaSolver, RejectsBadOptions) {

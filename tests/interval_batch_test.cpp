@@ -13,9 +13,11 @@
 //   4. DeltaSolver verdicts, models, and stats are identical at every wave
 //      width and equal to pinned values, and verifier reports are byte-equal
 //      across wave widths and thread counts.
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <span>
 
 #include <gtest/gtest.h>
 
@@ -28,6 +30,7 @@
 #include "solver/icp.h"
 #include "test_util.h"
 #include "tests/scalar_reference.h"
+#include "verifier/engine.h"
 #include "verifier/verifier.h"
 
 namespace xcv {
@@ -221,7 +224,10 @@ TEST(BoxStoreTest, ResetKeepsNothingLive) {
 // and stats. The inputs cover the default options, contraction off
 // (contraction_rounds = 0), a disjunction with no required atom (nothing to
 // contract), and presampling off (the lattice would have found LYP's
-// counterexample before any branching).
+// counterexample before any branching). At widths above 1 the domain is
+// also decided in one lockstep CheckMany call beside sibling boxes — its
+// 2^d children, then an empty box, up to the width — and every box of the
+// batch must equal a fresh solver's one-box result.
 TEST(WaveInvariance, SolverResultsIdenticalAtEveryWidth) {
   const auto& pbe = *functionals::FindFunctional("PBE");
   const auto& scan = *functionals::FindFunctional("SCAN");
@@ -268,12 +274,36 @@ TEST(WaveInvariance, SolverResultsIdenticalAtEveryWidth) {
        conditions::PaperDomain(lyp), no_presample, solver::SatKind::kTimeout,
        {}, 1500, 740, 2117},
   };
+  auto bits_of = [](const solver::CheckResult& r) {
+    std::vector<std::uint64_t> bits;
+    for (double v : r.model) bits.push_back(Bits(v));
+    for (const Interval& iv : r.model_box.dims()) {
+      bits.push_back(Bits(iv.lo()));
+      bits.push_back(Bits(iv.hi()));
+    }
+    return bits;
+  };
   for (const Case& c : cases) {
+    // The lockstep batch: the domain, its children, then an empty box.
+    std::vector<solver::Box> batch{c.domain};
+    for (solver::Box& child : verifier::SplitBox(c.domain, true))
+      batch.push_back(std::move(child));
+    batch.push_back(solver::Box(std::vector<Interval>(
+        c.domain.size(), Interval::Empty())));
+    std::vector<solver::CheckResult> alone;
+    for (const solver::Box& box : batch)
+      alone.push_back(solver::DeltaSolver(c.formula, c.options).Check(box));
+
     for (int width : {1, 2, 7, 8, 64}) {
       solver::SolverOptions opts = c.options;
       opts.wave_width = width;
       solver::DeltaSolver s(c.formula, opts);
-      const auto result = s.Check(c.domain);
+      const std::size_t n =
+          std::min(batch.size(), static_cast<std::size_t>(width));
+      const auto results =
+          s.CheckMany(std::span<const solver::Box>(batch).first(n));
+      ASSERT_EQ(results.size(), n);
+      const auto& result = results[0];
       std::vector<std::uint64_t> model_bits;
       for (double v : result.model) model_bits.push_back(Bits(v));
       EXPECT_EQ(result.kind, c.kind) << c.name << " width " << width;
@@ -283,6 +313,17 @@ TEST(WaveInvariance, SolverResultsIdenticalAtEveryWidth) {
           << c.name << " width " << width;
       EXPECT_EQ(result.stats.contractions, c.contractions)
           << c.name << " width " << width;
+      for (std::size_t i = 0; i < n; ++i) {
+        SCOPED_TRACE(std::string(c.name) + " width " + std::to_string(width) +
+                     " box " + std::to_string(i));
+        EXPECT_FALSE(results[i].cancelled);
+        EXPECT_EQ(results[i].kind, alone[i].kind);
+        EXPECT_EQ(bits_of(results[i]), bits_of(alone[i]));
+        EXPECT_EQ(results[i].stats.nodes, alone[i].stats.nodes);
+        EXPECT_EQ(results[i].stats.prunes, alone[i].stats.prunes);
+        EXPECT_EQ(results[i].stats.contractions,
+                  alone[i].stats.contractions);
+      }
     }
   }
 }

@@ -99,20 +99,6 @@ TEST(Stopwatch, MeasuresElapsedTime) {
   EXPECT_GE(w.ElapsedSeconds(), 0.0);
 }
 
-TEST(Deadline, NeverExpiresByDefault) {
-  Deadline d;
-  EXPECT_FALSE(d.Expired());
-  EXPECT_TRUE(std::isinf(d.RemainingSeconds()));
-}
-
-TEST(Deadline, ExpiresAfterDuration) {
-  Deadline d = Deadline::After(-1.0);
-  EXPECT_TRUE(d.Expired());
-  Deadline future = Deadline::After(60.0);
-  EXPECT_FALSE(future.Expired());
-  EXPECT_GT(future.RemainingSeconds(), 0.0);
-}
-
 TEST(ThreadPool, RunsSubmittedTasks) {
   ThreadPool pool(4);
   std::atomic<int> counter{0};
