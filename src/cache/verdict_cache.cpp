@@ -16,7 +16,6 @@
 namespace xcv::cache {
 
 using expr::FnvMix;
-using json::JsonValue;
 
 std::string CachedKindToken(CachedKind kind) {
   switch (kind) {
@@ -224,22 +223,55 @@ bool VerdictCache::FromJson(const std::string& json_text) {
 
 support::DocumentParsers VerdictCache::Parsers(Buckets& staged,
                                                std::size_t& count) {
-  return {nullptr, [&staged, &count](const JsonValue& ev) {
+  // Each entry is read straight off the cursor, field by field. Unknown
+  // keys are skipped and a repeated key keeps its first value, as
+  // JsonValue::Find reads a parsed entry.
+  static constexpr const char* kFields[] = {"scope", "box",   "kind",
+                                            "nodes", "model", "model_box"};
+  enum Field { kScope, kBox, kKind, kNodes, kModel, kModelBox, kNone };
+  return {nullptr, [&staged, &count, key = std::string(),
+                    text = std::string()](json::Cursor& cursor) mutable {
             Entry e;
-            const std::string& scope_hex = ev.At("scope").AsString();
-            char* end = nullptr;
-            e.scope = std::strtoull(scope_hex.c_str(), &end, 16);
-            XCV_CHECK_MSG(end != scope_hex.c_str() && *end == '\0',
-                          "bad cache scope '" << scope_hex << "'");
-            e.box = solver::BoxFromJson(ev.At("box"));
-            e.verdict.kind = CachedKindFromToken(ev.At("kind").AsString());
-            e.verdict.nodes = static_cast<std::uint64_t>(json::CheckedInteger(
-                ev.At("nodes").AsDouble(), 0, json::kMaxExactInteger,
-                "nodes"));
-            if (const JsonValue* m = ev.Find("model"))
-              e.verdict.model = solver::PointFromJson(*m);
-            if (const JsonValue* mb = ev.Find("model_box"))
-              e.verdict.model_box = solver::BoxFromJson(*mb);
+            bool seen[kNone] = {};
+            cursor.BeginObject();
+            while (cursor.NextKey(&key)) {
+              int field = 0;
+              while (field < kNone && key != kFields[field]) ++field;
+              if (field == kNone || seen[field]) {
+                cursor.Skip();
+                continue;
+              }
+              seen[field] = true;
+              switch (field) {
+                case kScope: {
+                  cursor.String(&text);
+                  char* end = nullptr;
+                  e.scope = std::strtoull(text.c_str(), &end, 16);
+                  XCV_CHECK_MSG(end != text.c_str() && *end == '\0',
+                                "bad cache scope '" << text << "'");
+                  break;
+                }
+                case kBox: e.box = solver::BoxFromJson(cursor); break;
+                case kKind:
+                  cursor.String(&text);
+                  e.verdict.kind = CachedKindFromToken(text);
+                  break;
+                case kNodes:
+                  e.verdict.nodes = static_cast<std::uint64_t>(
+                      json::CheckedInteger(cursor.Number(), 0,
+                                           json::kMaxExactInteger, "nodes"));
+                  break;
+                case kModel:
+                  e.verdict.model = solver::PointFromJson(cursor);
+                  break;
+                case kModelBox:
+                  e.verdict.model_box = solver::BoxFromJson(cursor);
+                  break;
+              }
+            }
+            for (int field : {kScope, kBox, kKind, kNodes})
+              XCV_CHECK_MSG(seen[field], "JSON document missing key '"
+                                             << kFields[field] << "'");
             staged[MapKey(e.scope, e.box)].push_back(std::move(e));
             ++count;
           }};
@@ -257,6 +289,7 @@ void VerdictCache::Install(Buckets staged, std::size_t count, bool persisted) {
 
 bool VerdictCache::Load(const std::string& path,
                         support::LoadOutcome* outcome) {
+  obs::Span span("cache-load");
   Buckets staged;
   std::size_t count = 0;
   const support::LoadOutcome load =
@@ -265,6 +298,10 @@ bool VerdictCache::Load(const std::string& path,
   // file (cold, or a salvaged prefix), so the next SaveIfChanged rewrites
   // it.
   Install(std::move(staged), count, /*persisted=*/load.clean);
+  // Deterministic args only, as cache-save's.
+  span.Arg("entries", static_cast<std::uint64_t>(count));
+  span.Arg("bytes", static_cast<std::uint64_t>(load.bytes));
+  span.Arg("outcome", std::uint64_t{load.clean ? 0u : load.salvaged ? 1u : 2u});
   if (outcome != nullptr) *outcome = load;
   return load.clean || count > 0;
 }

@@ -254,9 +254,7 @@ CampaignResult Campaign::Run(ProgressFn progress) {
         }
       }
       if (best == nullptr) break;
-      best->engine->ProcessNext(
-          &cancel_, static_cast<std::size_t>(
-                        best->engine->options().solver.wave_width));
+      best->engine->ProcessNext(&cancel_);
       if (best->engine->Finished()) FinishPair(*best, progress);
     }
   } else {
@@ -264,6 +262,8 @@ CampaignResult Campaign::Run(ProgressFn progress) {
         ThreadPool::Global(static_cast<std::size_t>(options_.num_threads));
     auto group =
         pool.MakeGroup(static_cast<std::size_t>(options_.num_threads));
+    // Each ticket decides a batch of its pair's current best boxes; the
+    // engine hands out tickets as its frontier grows (SetTicketSink).
     for (Entry* e : running) {
       e->engine->SetTicketSink([this, &pool, &group, e,
                                 &progress](double priority) {

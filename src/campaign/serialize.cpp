@@ -221,8 +221,8 @@ void HeaderFromJson(const JsonValue& root, Checkpoint& cp) {
 // The checkpoint's parsers for support/document.h, filling `cp`.
 support::DocumentParsers CheckpointParsers(Checkpoint& cp) {
   return {[&cp](const JsonValue& root) { HeaderFromJson(root, cp); },
-          [&cp](const JsonValue& pv) {
-            cp.pairs.push_back(PairStateFromJson(pv));
+          [&cp](json::Cursor& pair) {
+            cp.pairs.push_back(PairStateFromJson(pair.Value()));
           }};
 }
 

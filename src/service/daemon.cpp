@@ -270,7 +270,8 @@ support::LoadOutcome Daemon::LoadJournal() {
              root.At("next_id").AsDouble(), 0, json::kMaxExactInteger,
              "next_id"));
        },
-       [&](const JsonValue& e) {
+       [&](json::Cursor& record) {
+         const JsonValue e = record.Value();
          try {
            restore_entry(e);
          } catch (const InternalError&) {

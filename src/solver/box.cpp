@@ -121,6 +121,8 @@ void AppendBoxJson(std::string& out, std::span<const Interval> dims) {
 }
 
 std::vector<double> PointFromJson(const json::JsonValue& v) {
+  XCV_CHECK_MSG(v.kind == json::JsonValue::Kind::kArray,
+                "a point needs [x, ...]");
   std::vector<double> point;
   point.reserve(v.array.size());
   for (const json::JsonValue& c : v.array) point.push_back(c.AsDouble());
@@ -128,11 +130,39 @@ std::vector<double> PointFromJson(const json::JsonValue& v) {
 }
 
 std::vector<Interval> BoxFromJson(const json::JsonValue& v) {
+  XCV_CHECK_MSG(v.kind == json::JsonValue::Kind::kArray,
+                "a box needs [[lo, hi], ...]");
   std::vector<Interval> dims;
   dims.reserve(v.array.size());
   for (const json::JsonValue& d : v.array) {
-    XCV_CHECK_MSG(d.array.size() == 2, "box dimension needs [lo, hi]");
+    XCV_CHECK_MSG(d.kind == json::JsonValue::Kind::kArray &&
+                      d.array.size() == 2,
+                  "box dimension needs [lo, hi]");
     dims.emplace_back(d.array[0].AsDouble(), d.array[1].AsDouble());
+  }
+  return dims;
+}
+
+std::vector<double> PointFromJson(json::Cursor& cursor) {
+  std::vector<double> point;
+  cursor.BeginArray();
+  while (cursor.NextElement()) point.push_back(cursor.Number());
+  return point;
+}
+
+std::vector<Interval> BoxFromJson(json::Cursor& cursor) {
+  std::vector<Interval> dims;
+  cursor.BeginArray();
+  while (cursor.NextElement()) {
+    double ends[2] = {};
+    std::size_t n = 0;
+    cursor.BeginArray();
+    while (cursor.NextElement()) {
+      XCV_CHECK_MSG(n < 2, "box dimension needs [lo, hi]");
+      ends[n++] = cursor.Number();
+    }
+    XCV_CHECK_MSG(n == 2, "box dimension needs [lo, hi]");
+    dims.emplace_back(ends[0], ends[1]);
   }
   return dims;
 }

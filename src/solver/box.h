@@ -81,9 +81,13 @@ inline bool BoxBitsLess(std::span<const Interval> a,
 
 void AppendPointJson(std::string& out, std::span<const double> point);
 void AppendBoxJson(std::string& out, std::span<const Interval> dims);
+/// Throws xcv::InternalError unless `v` is an array of numbers.
 std::vector<double> PointFromJson(const json::JsonValue& v);
-/// Throws xcv::InternalError unless every dimension is a [lo, hi] pair.
+/// Throws xcv::InternalError unless `v` is an array of [lo, hi] pairs.
 std::vector<Interval> BoxFromJson(const json::JsonValue& v);
+/// The same two forms, read off the cursor's next value.
+std::vector<double> PointFromJson(json::Cursor& cursor);
+std::vector<Interval> BoxFromJson(json::Cursor& cursor);
 
 /// Interval vector indexed by variable index. Value type; cheap to copy for
 /// the dimensionalities used here (2–3 variables).

@@ -2,7 +2,6 @@
 
 #include <fstream>
 #include <utility>
-#include <vector>
 
 #include "support/check.h"
 #include "support/io.h"
@@ -27,25 +26,65 @@ std::string QuarantineFile(const std::string& path, const std::string& bytes) {
   return os.good() ? qpath : "";
 }
 
-/// Checks the envelope every document shares, runs the header parser, and
-/// returns the records array.
-const JsonValue& ParseHeader(const JsonValue& root, const DocumentKind& kind,
-                             const DocumentParsers& parsers) {
+/// Reads the members before the records array into a root object, checks
+/// the envelope every document shares on it, runs the header parser, and
+/// opens the records array.
+void ReadHeader(json::Cursor& cursor, const DocumentKind& kind,
+                const DocumentParsers& parsers) {
+  JsonValue root;
+  root.kind = JsonValue::Kind::kObject;
+  cursor.BeginObject();
+  std::string key;
+  bool has_records = false;
+  while (!has_records && cursor.NextKey(&key)) {
+    has_records = key == kind.records;
+    if (!has_records) root.object.emplace_back(std::move(key), cursor.Value());
+  }
   XCV_CHECK_MSG(root.At("format").AsString() == kind.format,
                 "not an " << kind.format << " document");
   json::RequireSupportedSchema(root, kind.format, kind.schema);
-  const JsonValue& records = root.At(kind.records);
+  XCV_CHECK_MSG(has_records, "JSON document missing key '" << kind.records
+                                                           << "'");
   if (parsers.header) parsers.header(root);
-  return records;
+  cursor.BeginArray();
+}
+
+/// Streams the records through the record parser, counting the accepted
+/// ones in `*records`, then reads the rest of the document to its end.
+void ReadRecords(json::Cursor& cursor, const DocumentParsers& parsers,
+                 std::size_t* records) {
+  const int depth = cursor.depth();
+  while (cursor.NextElement()) {
+    parsers.record(cursor);
+    XCV_CHECK_MSG(cursor.depth() == depth,
+                  "a record parser must consume exactly its record");
+    ++*records;
+  }
+  std::string key;
+  while (cursor.NextKey(&key)) cursor.Skip();
+  cursor.End();
+}
+
+/// True when `text` is one whole JSON value, checked without building it.
+bool IsComplete(const std::string& text) {
+  try {
+    json::Cursor cursor(text);
+    cursor.Skip();
+    cursor.End();
+    return true;
+  } catch (const InternalError&) {
+    return false;
+  }
 }
 
 }  // namespace
 
 void ParseDocument(const std::string& text, const DocumentKind& kind,
                    const DocumentParsers& parsers) {
-  const JsonValue root = json::ParseJson(text);
-  for (const JsonValue& record : ParseHeader(root, kind, parsers).array)
-    parsers.record(record);
+  json::Cursor cursor(text);
+  ReadHeader(cursor, kind, parsers);
+  std::size_t records = 0;
+  ReadRecords(cursor, parsers, &records);
 }
 
 void ReadDocument(const std::string& path, const DocumentKind& kind,
@@ -69,31 +108,17 @@ LoadOutcome RecoverDocument(const std::string& path, const DocumentKind& kind,
     out.detail = "cannot read '" + path + "'";
     return out;
   }
-  // Hashed before the parse: the hash's copy of the text is gone by the
-  // time the parsed tree exists, which keeps the load's peak memory down.
-  const ChecksumStatus checksum = VerifyDocumentChecksum(text);
-  JsonValue root;
-  bool torn = false;
+  out.bytes = text.size();
+  json::Cursor cursor(text);
   try {
-    root = json::ParseJson(text);
-  } catch (const InternalError&) {
-    torn = true;
-  }
-  // A torn file keeps its header: the records array is written last, so the
-  // bytes through its '[', closed off, still parse.
-  const std::string marker = std::string("\"") + kind.records + "\": [";
-  const std::size_t records_at = torn ? text.find(marker) : 0;
-  const JsonValue* records = nullptr;
-  try {
-    // A file that parses but hashes wrong changed in place (a torn tail
-    // cannot parse), so none of its records can be trusted.
-    if (!torn && checksum == ChecksumStatus::kMismatch)
+    // A complete document that fails its checksum changed in place (a torn
+    // tail cannot be complete), so none of its records can be trusted and
+    // the parsers never see them. Only such a file pays for the skip pass
+    // that tells the two apart; a torn one streams on and is salvaged.
+    if (VerifyDocumentChecksum(text) == ChecksumStatus::kMismatch &&
+        IsComplete(text))
       throw InternalError("checksum mismatch (content corruption)");
-    if (records_at == std::string::npos)
-      throw InternalError(std::string("damaged before its ") + kind.records);
-    if (torn)
-      root = json::ParseJson(text.substr(0, records_at + marker.size()) + "]}");
-    records = &ParseHeader(root, kind, parsers);
+    ReadHeader(cursor, kind, parsers);
   } catch (const InternalError& e) {
     out.cold = true;
     out.quarantine_path = QuarantineFile(path, text);
@@ -101,42 +126,20 @@ LoadOutcome RecoverDocument(const std::string& path, const DocumentKind& kind,
     return out;
   }
 
-  // A torn file's records are carved out one by one with the
-  // balanced-bracket scanner, up to the torn tail or the first that fails
-  // to parse on its own.
-  std::vector<JsonValue> carved;
-  std::size_t pos = records_at + marker.size();
-  while (torn && (pos = text.find_first_not_of(", \t\r\n", pos)) !=
-                     std::string::npos && text[pos] == '{') {
-    const std::size_t end = json::SkipBalanced(text, pos);
-    if (end == std::string::npos) break;
-    try {
-      carved.push_back(json::ParseJson(text.substr(pos, end - pos)));
-    } catch (const InternalError&) {
-      break;
-    }
-    pos = end;
-  }
-  std::string refused;
-  for (const JsonValue& record : torn ? carved : records->array) {
-    try {
-      parsers.record(record);
-    } catch (const InternalError& e) {
-      refused = e.what();
-      break;
-    }
-    ++out.records;
-  }
-  if (!torn && refused.empty()) {
+  // A syntax error or the end of the text after the header is the torn
+  // tail, and a refused record ends the load: either way the records
+  // before it are salvaged.
+  try {
+    ReadRecords(cursor, parsers, &out.records);
     out.clean = true;
     return out;
+  } catch (const InternalError& e) {
+    out.salvaged = true;
+    out.quarantine_path = QuarantineFile(path, text);
+    out.detail = "salvaged " + std::to_string(out.records) + " " +
+                 kind.records + " from " + path + ", stopped by: " + e.what();
+    return out;
   }
-  out.salvaged = true;
-  out.quarantine_path = QuarantineFile(path, text);
-  out.detail = "salvaged " + std::to_string(out.records) + " " +
-               kind.records + " from " + (torn ? "torn " : "") + path +
-               (refused.empty() ? "" : ", refusing the next: " + refused);
-  return out;
 }
 
 std::size_t SaveDocument(const std::string& path, const DocumentKind& kind,

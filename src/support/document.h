@@ -5,12 +5,14 @@
 // Each is one JSON object: a header (format, version, checksum,
 // schema_version, the format's own fields) and one records array, written
 // last. A format declares a DocumentKind and two parsers, and
-// RecoverDocument loads it under one policy. Unreadable: cold. Parses but
-// fails its checksum, or a bad header (format, newer schema, a field):
-// cold, quarantined. Torn: the header and the longest intact prefix of
-// records, salvaged and quarantined. A refused record ends the load, the
-// records before it salvaged and quarantined. Quarantine copies the bytes
-// to "<path>.corrupt"; a document without a checksum (a legacy writer) is
+// RecoverDocument loads it under one policy, in one streaming pass of a
+// json::Cursor that never builds a tree of the whole file. Unreadable:
+// cold. Complete but failing its checksum, or a bad header (format, newer
+// schema, a field): cold, quarantined. Torn (the text ends or breaks after
+// the header): the header and the records before the break, salvaged and
+// quarantined. A refused record ends the load, the records before it
+// salvaged and quarantined. Quarantine copies the bytes to
+// "<path>.corrupt"; a document without a checksum (a legacy writer) is
 // accepted.
 #pragma once
 
@@ -29,12 +31,14 @@ struct DocumentKind {
   const char* fault_prefix;  ///< "<prefix>.load.eio", "<prefix>.save.*"
 };
 
-/// `header` sees the root (may be empty), `record` one element of the
-/// records array. Both fill caller-owned state and throw
+/// `header` sees the root's members that come before the records array
+/// (may be empty). `record` gets the cursor standing at one element of
+/// the records array and must consume exactly that element (Value() it,
+/// or read it field by field). Both fill caller-owned state and throw
 /// xcv::InternalError on input they refuse.
 struct DocumentParsers {
   std::function<void(const json::JsonValue& root)> header;
-  std::function<void(const json::JsonValue& record)> record;
+  std::function<void(json::Cursor& record)> record;
 };
 
 /// Exactly one of clean, salvaged, cold is true. A cold load never reached
@@ -44,11 +48,14 @@ struct LoadOutcome {
   bool salvaged = false;
   bool cold = false;
   std::size_t records = 0;      ///< records the parser accepted
+  std::size_t bytes = 0;        ///< size of the file read (0: unreadable)
   std::string quarantine_path;  ///< "<path>.corrupt" when quarantined
   std::string detail;           ///< why, when not clean
 };
 
-/// Strict parse of a whole document. Throws xcv::InternalError.
+/// Strict parse of a whole document, in the same streaming pass as
+/// RecoverDocument. Throws xcv::InternalError; the parsers may have run on
+/// the records before the error.
 void ParseDocument(const std::string& text, const DocumentKind& kind,
                    const DocumentParsers& parsers);
 

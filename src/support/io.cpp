@@ -4,8 +4,9 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
+#include <iterator>
 #include <string>
+#include <utility>
 
 #ifndef _WIN32
 #include <fcntl.h>
@@ -101,10 +102,22 @@ bool ReadFileToString(const std::string& path, std::string* out,
     return false;
   std::ifstream is(path, std::ios::binary);
   if (!is.good()) return false;
-  std::ostringstream buf;
-  buf << is.rdbuf();
-  if (is.bad()) return false;
-  *out = buf.str();
+  std::string text;
+  if (is.seekg(0, std::ios::end)) {
+    // One read into a buffer sized from the file: documents run to
+    // megabytes, and a stream copy would hold the text twice.
+    const std::streamoff size = is.tellg();
+    if (size < 0 || !is.seekg(0)) return false;
+    text.resize(static_cast<std::size_t>(size));
+    if (!is.read(text.data(), size)) return false;
+  } else {
+    // A stream that cannot seek (a pipe) is read as it comes.
+    is.clear();
+    text.assign(std::istreambuf_iterator<char>(is),
+                std::istreambuf_iterator<char>());
+    if (is.bad()) return false;
+  }
+  *out = std::move(text);
   return true;
 }
 
@@ -122,8 +135,7 @@ void TouchFile(const std::string& path) {
 
 // ---- Document checksums -----------------------------------------------------
 
-std::uint64_t HashBytes(std::string_view text) {
-  std::uint64_t h = 1469598103934665603ull;  // FNV-1a offset basis
+std::uint64_t HashBytes(std::string_view text, std::uint64_t h) {
   for (const char c : text) {
     h ^= static_cast<unsigned char>(c);
     h *= 1099511628211ull;  // FNV-1a prime
@@ -161,16 +173,18 @@ ChecksumStatus VerifyDocumentChecksum(const std::string& text) {
   if (field == std::string::npos) return ChecksumStatus::kAbsent;
   const std::size_t hex = field + sizeof(kChecksumField) - 1;
   if (hex + 16 > text.size()) return ChecksumStatus::kMismatch;
-  const std::string recorded = text.substr(hex, 16);
-  // Excise the whole checksum line: from the start of its line through the
-  // trailing newline (when present).
-  std::size_t line_start = text.rfind('\n', field);
-  line_start = line_start == std::string::npos ? 0 : line_start + 1;
-  std::size_t line_end = text.find('\n', field);
-  line_end = line_end == std::string::npos ? text.size() : line_end + 1;
-  std::string rest = text.substr(0, line_start) + text.substr(line_end);
-  return HexChecksum(HashBytes(rest)) == recorded ? ChecksumStatus::kOk
-                                                  : ChecksumStatus::kMismatch;
+  const std::string_view view(text);
+  // Hash around the whole checksum line, from the start of its line through
+  // the trailing newline (when present), in place: FNV-1a chains, so the two
+  // spans hash as their concatenation would.
+  std::size_t line_start = view.rfind('\n', field);
+  line_start = line_start == std::string_view::npos ? 0 : line_start + 1;
+  std::size_t line_end = view.find('\n', field);
+  line_end = line_end == std::string_view::npos ? view.size() : line_end + 1;
+  const std::uint64_t h =
+      HashBytes(view.substr(line_end), HashBytes(view.substr(0, line_start)));
+  return HexChecksum(h) == view.substr(hex, 16) ? ChecksumStatus::kOk
+                                                : ChecksumStatus::kMismatch;
 }
 
 }  // namespace xcv::support

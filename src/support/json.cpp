@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
-#include <string_view>
 
 #include "support/check.h"
 
@@ -86,242 +85,253 @@ std::int64_t CheckedInteger(double v, std::int64_t lo, std::int64_t hi,
 
 namespace {
 
-class JsonParser {
- public:
-  explicit JsonParser(std::string_view text) : text_(text) {}
+bool IsSpace(char c) {
+  return c == ' ' || c == '\n' || c == '\t' || c == '\r' || c == '\v' ||
+         c == '\f';
+}
 
-  JsonValue Parse() {
-    JsonValue v = ParseValue();
-    SkipSpace();
-    XCV_CHECK_MSG(pos_ == text_.size(), "trailing bytes after JSON document");
-    return v;
-  }
-
- private:
-  void SkipSpace() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])))
-      ++pos_;
-  }
-
-  char Peek() {
-    SkipSpace();
-    XCV_CHECK_MSG(pos_ < text_.size(), "unexpected end of JSON");
-    return text_[pos_];
-  }
-
-  void Expect(char c) {
-    XCV_CHECK_MSG(Peek() == c, "expected '" << c << "' at offset " << pos_);
-    ++pos_;
-  }
-
-  bool Consume(char c) {
-    SkipSpace();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  JsonValue ParseValue() {
-    const char c = Peek();
-    if (c == '{' || c == '[') {
-      XCV_CHECK_MSG(depth_ < kMaxDepth, "JSON nesting deeper than "
-                                            << kMaxDepth << " levels at offset "
-                                            << pos_);
-      ++depth_;
-      JsonValue v = c == '{' ? ParseObject() : ParseArray();
-      --depth_;
-      return v;
-    }
-    if (c == '"') {
-      JsonValue v;
-      v.kind = JsonValue::Kind::kString;
-      v.str = ParseString();
-      return v;
-    }
-    if (c == 't' || c == 'f') return ParseKeyword();
-    if (c == 'n') return ParseKeyword();
-    return ParseNumber();
-  }
-
-  JsonValue ParseObject() {
-    JsonValue v;
-    v.kind = JsonValue::Kind::kObject;
-    Expect('{');
-    if (Consume('}')) return v;
-    for (;;) {
-      std::string key = ParseString();
-      Expect(':');
-      v.object.emplace_back(std::move(key), ParseValue());
-      if (Consume(',')) continue;
-      Expect('}');
-      return v;
-    }
-  }
-
-  JsonValue ParseArray() {
-    JsonValue v;
-    v.kind = JsonValue::Kind::kArray;
-    Expect('[');
-    if (Consume(']')) return v;
-    for (;;) {
-      v.array.push_back(ParseValue());
-      if (Consume(',')) continue;
-      Expect(']');
-      return v;
-    }
-  }
-
-  std::string ParseString() {
-    Expect('"');
-    std::string out;
-    while (pos_ < text_.size()) {
-      char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c == '\\') {
-        XCV_CHECK_MSG(pos_ < text_.size(), "unterminated escape");
-        char e = text_[pos_++];
-        switch (e) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          case 'r': out += '\r'; break;
-          case 'b': out += '\b'; break;
-          case 'f': out += '\f'; break;
-          case 'u': {
-            XCV_CHECK_MSG(pos_ + 4 <= text_.size(), "short \\u escape");
-            const std::string hex(text_.substr(pos_, 4));
-            pos_ += 4;
-            const long code = std::strtol(hex.c_str(), nullptr, 16);
-            // The writers only escape control characters; anything beyond
-            // Latin-1 would need surrogate handling this reader omits.
-            XCV_CHECK_MSG(code >= 0 && code < 256, "unsupported \\u escape");
-            out += static_cast<char>(code);
-            break;
-          }
-          default:
-            XCV_CHECK_MSG(false, "bad escape '\\" << e << "'");
-        }
-        continue;
-      }
-      out += c;
-    }
-    XCV_CHECK_MSG(false, "unterminated string");
-    return out;
-  }
-
-  JsonValue ParseKeyword() {
-    static constexpr std::string_view kTrue = "true", kFalse = "false",
-                                      kNull = "null";
-    SkipSpace();
-    JsonValue v;
-    auto match = [&](std::string_view kw) {
-      if (text_.substr(pos_, kw.size()) != kw) return false;
-      pos_ += kw.size();
-      return true;
-    };
-    if (match(kTrue)) {
-      v.kind = JsonValue::Kind::kBool;
-      v.boolean = true;
-    } else if (match(kFalse)) {
-      v.kind = JsonValue::Kind::kBool;
-      v.boolean = false;
-    } else if (match(kNull)) {
-      v.kind = JsonValue::Kind::kNull;
-    } else {
-      XCV_CHECK_MSG(false, "bad JSON keyword at offset " << pos_);
-    }
-    return v;
-  }
-
-  // RFC 8259 numbers only, -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?;
-  // strtod alone would also take inf, nan, hex, and a leading '+' or '.'.
-  // The text is a std::string's, so the scan stops at its closing NUL.
-  JsonValue ParseNumber() {
-    SkipSpace();
-    const char* const begin = text_.data() + pos_;
-    const char* p = begin;
-    const auto digits = [&p] {
-      const char* const first = p;
-      while (*p >= '0' && *p <= '9') ++p;
-      return p > first;
-    };
-    if (*p == '-') ++p;
-    bool ok = true;
-    if (*p == '0')
-      ++p;
-    else
-      ok = digits();
-    if (ok && *p == '.') {
-      ++p;
-      ok = digits();
-    }
-    if (ok && (*p == 'e' || *p == 'E')) {
-      ++p;
-      if (*p == '+' || *p == '-') ++p;
-      ok = digits();
-    }
-    // The literal ends here: "01", "0x10" and "1.5.2" are not numbers.
-    XCV_CHECK_MSG(ok && !std::isalnum(static_cast<unsigned char>(*p)) &&
-                      *p != '.' && *p != '+' && *p != '-',
-                  "bad JSON number at offset " << pos_);
-    // strtod converts exactly the checked span: the byte after it cannot
-    // continue a number.
-    char* end = nullptr;
-    const double value = std::strtod(begin, &end);
-    XCV_CHECK(end == p);
-    XCV_CHECK_MSG(std::isfinite(value),
-                  "JSON number at offset " << pos_ << " overflows a double");
-    pos_ += static_cast<std::size_t>(p - begin);
-    JsonValue v;
-    v.kind = JsonValue::Kind::kNumber;
-    v.number = value;
-    return v;
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-  int depth_ = 0;  // arrays/objects currently open
-};
+int HexDigit(char c) {
+  if (c >= '0' && c <= '9') return c - '0';
+  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
+  if (c >= 'A' && c <= 'F') return c - 'A' + 10;
+  return -1;
+}
 
 }  // namespace
 
-JsonValue ParseJson(const std::string& text) {
-  JsonParser parser(text);
-  return parser.Parse();
+char Cursor::Peek() {
+  while (pos_ < text_.size() && IsSpace(text_[pos_])) ++pos_;
+  XCV_CHECK_MSG(pos_ < text_.size(), "unexpected end of JSON");
+  return text_[pos_];
 }
 
-std::size_t SkipBalanced(const std::string& text, std::size_t start) {
-  if (start >= text.size() || (text[start] != '{' && text[start] != '['))
-    return std::string::npos;
-  int depth = 0;
-  bool in_string = false;
-  for (std::size_t i = start; i < text.size(); ++i) {
-    const char c = text[i];
-    if (in_string) {
-      if (c == '\\') {
-        ++i;  // skip the escaped character (may run off the end: torn file)
-      } else if (c == '"') {
-        in_string = false;
-      }
-      continue;
-    }
-    switch (c) {
-      case '"': in_string = true; break;
-      case '{':
-      case '[': ++depth; break;
-      case '}':
-      case ']':
-        if (--depth == 0) return i + 1;
-        break;
-      default: break;
-    }
+void Cursor::Expect(char c) {
+  XCV_CHECK_MSG(Peek() == c, "expected '" << c << "' at offset " << pos_);
+  ++pos_;
+}
+
+void Cursor::Open(char bracket) {
+  XCV_CHECK_MSG(Peek() != bracket || depth_ < kMaxDepth,
+                "JSON nesting deeper than " << kMaxDepth << " levels at offset "
+                                            << pos_);
+  Expect(bracket);
+  ++depth_;
+  first_ = true;
+}
+
+void Cursor::BeginObject() { Open('{'); }
+void Cursor::BeginArray() { Open('['); }
+
+// At a boundary of the innermost open container: consumes its closing
+// `bracket` and returns true, or the ',' before the next member (none
+// before the first) and returns false.
+bool Cursor::Close(char bracket) {
+  const char c = Peek();
+  if (c == bracket) {
+    ++pos_;
+    --depth_;
+    first_ = false;  // the closed container was an element of its parent
+    return true;
   }
-  return std::string::npos;
+  if (!first_) {
+    XCV_CHECK_MSG(c == ',', "expected ',' or '" << bracket << "' at offset "
+                                                << pos_);
+    ++pos_;
+  }
+  first_ = false;
+  return false;
+}
+
+bool Cursor::NextKey(std::string* key) {
+  if (Close('}')) return false;
+  String(key);
+  Expect(':');
+  return true;
+}
+
+bool Cursor::NextElement() { return !Close(']'); }
+
+void Cursor::String(std::string* out) {
+  Expect('"');
+  if (out != nullptr) out->clear();
+  for (;;) {
+    std::size_t stop = pos_;
+    while (stop < text_.size() && text_[stop] != '"' && text_[stop] != '\\')
+      ++stop;
+    XCV_CHECK_MSG(stop < text_.size(), "unterminated string");
+    if (out != nullptr) out->append(text_.data() + pos_, stop - pos_);
+    pos_ = stop + 1;
+    if (text_[stop] == '"') return;
+    XCV_CHECK_MSG(pos_ < text_.size(), "unterminated escape");
+    const char e = text_[pos_++];
+    char decoded = e;
+    switch (e) {
+      case '"':
+      case '\\':
+      case '/': break;
+      case 'n': decoded = '\n'; break;
+      case 't': decoded = '\t'; break;
+      case 'r': decoded = '\r'; break;
+      case 'b': decoded = '\b'; break;
+      case 'f': decoded = '\f'; break;
+      case 'u': {
+        XCV_CHECK_MSG(pos_ + 4 <= text_.size(), "short \\u escape");
+        int code = 0;
+        for (int i = 0; i < 4; ++i) {
+          const int digit = HexDigit(text_[pos_ + i]);
+          XCV_CHECK_MSG(digit >= 0, "\\u escape needs four hex digits at "
+                                    "offset "
+                                        << pos_);
+          code = code * 16 + digit;
+        }
+        pos_ += 4;
+        // The writers only escape control characters; anything beyond
+        // Latin-1 would need surrogate handling this reader omits.
+        XCV_CHECK_MSG(code < 256, "unsupported \\u escape");
+        decoded = static_cast<char>(code);
+        break;
+      }
+      default:
+        XCV_CHECK_MSG(false, "bad escape '\\" << e << "'");
+    }
+    if (out != nullptr) *out += decoded;
+  }
+}
+
+// RFC 8259 numbers only, -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?;
+// strtod alone would also take inf, nan, hex, and a leading '+' or '.'.
+// The text is a std::string's, so the scan stops at its closing NUL.
+double Cursor::ReadNumber() {
+  Peek();
+  const char* const begin = text_.data() + pos_;
+  const char* p = begin;
+  const auto digits = [&p] {
+    const char* const first = p;
+    while (*p >= '0' && *p <= '9') ++p;
+    return p > first;
+  };
+  if (*p == '-') ++p;
+  bool ok = true;
+  if (*p == '0')
+    ++p;
+  else
+    ok = digits();
+  if (ok && *p == '.') {
+    ++p;
+    ok = digits();
+  }
+  if (ok && (*p == 'e' || *p == 'E')) {
+    ++p;
+    if (*p == '+' || *p == '-') ++p;
+    ok = digits();
+  }
+  // The literal ends here: "01", "0x10" and "1.5.2" are not numbers.
+  XCV_CHECK_MSG(ok && !std::isalnum(static_cast<unsigned char>(*p)) &&
+                    *p != '.' && *p != '+' && *p != '-',
+                "bad JSON number at offset " << pos_);
+  // strtod converts exactly the checked span: the byte after it cannot
+  // continue a number.
+  char* end = nullptr;
+  const double value = std::strtod(begin, &end);
+  XCV_CHECK(end == p);
+  XCV_CHECK_MSG(std::isfinite(value),
+                "JSON number at offset " << pos_ << " overflows a double");
+  pos_ += static_cast<std::size_t>(p - begin);
+  return value;
+}
+
+double Cursor::Number() {
+  if (Peek() != '"') return ReadNumber();
+  String(&token_);
+  if (token_ == "inf") return std::numeric_limits<double>::infinity();
+  if (token_ == "-inf") return -std::numeric_limits<double>::infinity();
+  if (token_ == "nan") return std::numeric_limits<double>::quiet_NaN();
+  XCV_CHECK_MSG(false, "expected a number, got '" << token_ << "'");
+  return 0.0;
+}
+
+bool Cursor::Keyword(std::string_view word) {
+  Peek();
+  if (text_.substr(pos_, word.size()) != word) return false;
+  pos_ += word.size();
+  return true;
+}
+
+bool Cursor::Bool() {
+  if (Keyword("true")) return true;
+  XCV_CHECK_MSG(Keyword("false"), "expected a boolean at offset " << pos_);
+  return false;
+}
+
+void Cursor::Skip() {
+  switch (Peek()) {
+    case '{':
+      BeginObject();
+      while (NextKey(nullptr)) Skip();
+      return;
+    case '[':
+      BeginArray();
+      while (NextElement()) Skip();
+      return;
+    case '"':
+      String(nullptr);
+      return;
+    case 't':
+    case 'f':
+      Bool();
+      return;
+    case 'n':
+      XCV_CHECK_MSG(Keyword("null"), "bad JSON keyword at offset " << pos_);
+      return;
+    default:
+      ReadNumber();
+  }
+}
+
+JsonValue Cursor::Value() {
+  JsonValue v;
+  switch (Peek()) {
+    case '{': {
+      v.kind = JsonValue::Kind::kObject;
+      BeginObject();
+      std::string key;
+      while (NextKey(&key)) v.object.emplace_back(std::move(key), Value());
+      break;
+    }
+    case '[':
+      v.kind = JsonValue::Kind::kArray;
+      BeginArray();
+      while (NextElement()) v.array.push_back(Value());
+      break;
+    case '"':
+      v.kind = JsonValue::Kind::kString;
+      String(&v.str);
+      break;
+    case 't':
+    case 'f':
+      v.kind = JsonValue::Kind::kBool;
+      v.boolean = Bool();
+      break;
+    case 'n':
+      XCV_CHECK_MSG(Keyword("null"), "bad JSON keyword at offset " << pos_);
+      break;
+    default:
+      v.kind = JsonValue::Kind::kNumber;
+      v.number = ReadNumber();
+  }
+  return v;
+}
+
+void Cursor::End() {
+  while (pos_ < text_.size() && IsSpace(text_[pos_])) ++pos_;
+  XCV_CHECK_MSG(pos_ == text_.size(), "trailing bytes after JSON document");
+}
+
+JsonValue ParseJson(const std::string& text) {
+  Cursor cursor(text);
+  JsonValue v = cursor.Value();
+  cursor.End();
+  return v;
 }
 
 int SchemaVersionOf(const JsonValue& root) {

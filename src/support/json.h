@@ -8,12 +8,13 @@
 //     no literals for them); readers accept numbers or those strings;
 //   * numbers parse in RFC 8259 grammar only, and one that overflows a
 //     double is an error (subnormal underflow is kept).
-// No external JSON dependency: the writer helpers and the small
-// recursive-descent reader live in json.cpp.
+// No external JSON dependency: the writer helpers and the one reader, a
+// pull cursor (Cursor below), live in json.cpp.
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -56,22 +57,74 @@ std::int64_t CheckedInteger(double v, std::int64_t lo, std::int64_t hi,
 /// upper bound for 64-bit counters read through CheckedInteger.
 inline constexpr std::int64_t kMaxExactInteger = std::int64_t{1} << 53;
 
-/// Deepest array/object nesting ParseJson accepts. Every document the repo
-/// writes nests fewer than ten levels; the bound keeps hostile input (a
-/// body of a million '[') from overflowing the recursive reader's stack.
+/// Deepest array/object nesting the reader accepts. Every document the
+/// repo writes nests fewer than ten levels; the bound keeps hostile input
+/// (a body of a million '[') from overflowing the recursive reader's stack.
 inline constexpr int kMaxDepth = 256;
 
-/// Parses one JSON document (trailing bytes are an error). Throws
-/// xcv::InternalError on malformed input, including nesting deeper than
-/// kMaxDepth.
-JsonValue ParseJson(const std::string& text);
+/// Pull cursor over one JSON text, the repo's one JSON reader. A caller
+/// walks the text value by value: it opens an object or array and steps
+/// through its members or elements, reads a scalar, skips a value, or
+/// materializes the next value as a JsonValue. So support/document.h
+/// streams a document record by record and never builds a tree of the
+/// whole file; a torn file needs no separate bracket scanner, since the
+/// cursor stops where the text does. Every read keeps one grammar: nesting
+/// up to kMaxDepth, RFC 8259 numbers, `\u` escapes of exactly four hex
+/// digits. Text the grammar refuses, a value of the wrong type, and the end
+/// of the text inside a value throw xcv::InternalError; the cursor is then
+/// left where it stopped.
+class Cursor {
+ public:
+  /// `text` must outlive the cursor.
+  explicit Cursor(const std::string& text) : text_(text) {}
+  explicit Cursor(std::string&&) = delete;
 
-/// Given `text[start]` == '{' or '[', returns the index one past the
-/// matching close bracket — string- and escape-aware, so braces inside
-/// string values do not confuse it. Returns std::string::npos when the
-/// value is incomplete (a torn document) or `start` is not a bracket.
-/// support/document.cpp carves intact records out of torn files with it.
-std::size_t SkipBalanced(const std::string& text, std::size_t start);
+  /// Opens the object (array) that comes next.
+  void BeginObject();
+  void BeginArray();
+  /// Steps to the next member of the innermost open object: reads its key
+  /// into `*key` (a null `key` skips it) and returns true (the member's
+  /// value comes next), or consumes the closing '}' and returns false.
+  bool NextKey(std::string* key);
+  /// Steps to the next element of the innermost open array: true when a
+  /// value comes next, false after consuming the closing ']'.
+  bool NextElement();
+
+  /// Reads a string into `*out`, reusing its capacity; a null `out` skips
+  /// the string.
+  void String(std::string* out);
+  /// Reads a number, or one of the quoted tokens "inf"/"-inf"/"nan".
+  double Number();
+  bool Bool();
+  /// Skips the next value, checking it as Value() would, allocating nothing.
+  void Skip();
+  /// Materializes the next value. An object keeps every member in order,
+  /// so a repeated key reads first-wins through JsonValue::Find.
+  JsonValue Value();
+  /// Requires that only whitespace remains.
+  void End();
+
+  /// Objects and arrays currently open.
+  int depth() const { return depth_; }
+
+ private:
+  char Peek();  // next non-space byte; throws at the end of the text
+  void Expect(char c);
+  void Open(char bracket);
+  bool Close(char bracket);
+  bool Keyword(std::string_view word);
+  double ReadNumber();  // a number literal only
+
+  std::string_view text_;  // a std::string's: text_.data()[size] is NUL
+  std::size_t pos_ = 0;
+  int depth_ = 0;
+  bool first_ = false;  // the innermost open container has no element yet
+  std::string token_;   // reused for the quoted non-finite tokens
+};
+
+/// Parses one JSON document: Cursor::Value, then Cursor::End (trailing
+/// bytes are an error). Throws xcv::InternalError on malformed input.
+JsonValue ParseJson(const std::string& text);
 
 // ---- Schema versioning ------------------------------------------------------
 //

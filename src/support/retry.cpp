@@ -172,7 +172,8 @@ bool NodeLedger::Load(const std::string& path, LoadOutcome* outcome) {
   path_ = path;
   std::vector<NodeHealth> parsed;
   const LoadOutcome load = RecoverDocument(
-      path, kLedgerDocument, {nullptr, [&parsed](const json::JsonValue& v) {
+      path, kLedgerDocument, {nullptr, [&parsed](json::Cursor& record) {
+        const json::JsonValue v = record.Value();
         // Counters and epoch counts are checked before they are narrowed.
         const auto count = [&v](const char* key) {
           return static_cast<std::uint64_t>(json::CheckedInteger(

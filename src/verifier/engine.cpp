@@ -279,22 +279,37 @@ PairEngine::PairEngine(expr::BoolExpr psi, VerifierOptions options)
 void PairEngine::SetTicketSink(std::function<void(double)> sink) {
   std::lock_guard<std::mutex> lock(mu_);
   sink_ = std::move(sink);
+  queued_tickets_ = 0;
+}
+
+PairEngine::Tickets PairEngine::TopUpTicketsLocked() {
+  Tickets t;
+  if (!sink_) return t;
+  const auto width = static_cast<std::size_t>(options_.solver.wave_width);
+  const std::size_t needed = (open_.size() + width - 1) / width;
+  if (needed <= queued_tickets_) return t;
+  t.count = needed - queued_tickets_;
+  queued_tickets_ = needed;
+  t.priority = open_.front().priority;
+  t.sink = sink_;
+  return t;
+}
+
+void PairEngine::HandOut(const Tickets& tickets) {
+  for (std::size_t i = 0; i < tickets.count; ++i)
+    tickets.sink(tickets.priority);
 }
 
 void PairEngine::EmitTicketsForOpen() {
-  std::vector<double> tickets;
-  std::function<void(double)> sink;
+  Tickets tickets;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    sink = sink_;
-    tickets.reserve(open_.size());
-    for (const OpenBox& b : open_) tickets.push_back(b.priority);
+    tickets = TopUpTicketsLocked();
   }
-  if (sink) for (double p : tickets) sink(p);
+  HandOut(tickets);
 }
 
-void PairEngine::PushLocked(std::span<const Interval> box, bool suspect,
-                            std::vector<double>* ticket_priorities) {
+void PairEngine::PushLocked(std::span<const Interval> box, bool suspect) {
   if (store_.dims() != box.size()) {
     // Re-keying the store drops every slot; with live refs on the frontier
     // that would dangle them (possible only via a checkpoint whose open
@@ -308,27 +323,23 @@ void PairEngine::PushLocked(std::span<const Interval> box, bool suspect,
   entry.priority =
       FrontierPriority(options_.frontier, box, suspect, entry.seq);
   entry.box_ref = store_.AllocateCopy(box);
-  if (ticket_priorities != nullptr)
-    ticket_priorities->push_back(entry.priority);
   open_.push_back(entry);
   std::push_heap(open_.begin(), open_.end(), OpenBoxLess{});
 }
 
 void PairEngine::Seed(const Box& domain) {
-  std::vector<double> tickets;
-  std::function<void(double)> sink;
+  Tickets tickets;
   {
     std::lock_guard<std::mutex> lock(mu_);
     seeded_ = true;
-    PushLocked(domain.dims(), /*suspect=*/false, &tickets);
-    sink = sink_;
+    PushLocked(domain.dims(), /*suspect=*/false);
+    tickets = TopUpTicketsLocked();
   }
-  if (sink) for (double p : tickets) sink(p);
+  HandOut(tickets);
 }
 
 void PairEngine::Restore(VerificationReport partial, std::vector<Box> open) {
-  std::vector<double> tickets;
-  std::function<void(double)> sink;
+  Tickets tickets;
   {
     std::lock_guard<std::mutex> lock(mu_);
     seeded_ = true;
@@ -339,11 +350,10 @@ void PairEngine::Restore(VerificationReport partial, std::vector<Box> open) {
     cache_rejected_.store(partial.cache_rejected);
     busy_seconds_ = partial.seconds;
     report_ = std::move(partial);
-    for (const Box& b : open)
-      PushLocked(b.dims(), /*suspect=*/false, &tickets);
-    sink = sink_;
+    for (const Box& b : open) PushLocked(b.dims(), /*suspect=*/false);
+    tickets = TopUpTicketsLocked();
   }
-  if (sink) for (double p : tickets) sink(p);
+  HandOut(tickets);
 }
 
 std::unique_ptr<DeltaSolver> PairEngine::AcquireSolver() {
@@ -363,17 +373,12 @@ void PairEngine::ReleaseSolver(std::unique_ptr<DeltaSolver> s) {
   free_solvers_.push_back(std::move(s));
 }
 
-bool PairEngine::ProcessNext(const std::atomic<bool>* cancel,
-                             std::size_t max_boxes) {
-  if (cancel != nullptr && cancel->load(std::memory_order_relaxed))
-    return false;
-
-  // Claim the batch: the best open boxes, up to max_boxes and wave_width.
-  // Materialize value copies for the unlocked solver call; the pooled slots
-  // stay live (and in the in-flight set) until the outcomes are recorded,
-  // so Snapshot still sees the boxes.
-  const std::size_t limit = std::clamp<std::size_t>(
-      max_boxes, 1, static_cast<std::size_t>(options_.solver.wave_width));
+bool PairEngine::ProcessNext(const std::atomic<bool>* cancel) {
+  // Claim the batch: the best open boxes, up to wave_width. Materialize
+  // value copies for the unlocked solver call; the pooled slots stay live
+  // (and in the in-flight set) until the outcomes are recorded, so
+  // Snapshot still sees the boxes.
+  const auto limit = static_cast<std::size_t>(options_.solver.wave_width);
   std::vector<Claim> claims;
   std::vector<Box> boxes;
   claims.reserve(limit);  // allocate before taking the lock
@@ -381,6 +386,11 @@ bool PairEngine::ProcessNext(const std::atomic<bool>* cancel,
   bool expired;
   {
     std::lock_guard<std::mutex> lock(mu_);
+    // A pool ticket is spent when it starts, whether or not it finds work:
+    // the tickets still queued cover the open frontier (SetTicketSink).
+    if (queued_tickets_ > 0) --queued_tickets_;
+    if (cancel != nullptr && cancel->load(std::memory_order_relaxed))
+      return false;
     if (open_.empty()) return false;
     while (claims.size() < limit && !open_.empty()) {
       std::pop_heap(open_.begin(), open_.end(), OpenBoxLess{});
@@ -500,8 +510,7 @@ bool PairEngine::ProcessNext(const std::atomic<bool>* cancel,
   }
 
   const double elapsed = watch.ElapsedSeconds();
-  std::vector<double> tickets;
-  std::function<void(double)> sink;
+  Tickets tickets;
   {
     std::lock_guard<std::mutex> lock(mu_);
     busy_seconds_ += elapsed;
@@ -515,11 +524,9 @@ bool PairEngine::ProcessNext(const std::atomic<bool>* cancel,
         }
       }
       if (claim.requeue) {
-        // Back on the frontier unchanged: same slot, priority, and seq. Its
-        // pool ticket was spent on this call, so it needs a new one.
+        // Back on the frontier unchanged: same slot, priority, and seq.
         open_.push_back(item);
         std::push_heap(open_.begin(), open_.end(), OpenBoxLess{});
-        tickets.push_back(item.priority);
         continue;
       }
       store_.Release(item.box_ref);  // leaf or split: the slot is recycled
@@ -530,13 +537,12 @@ bool PairEngine::ProcessNext(const std::atomic<bool>* cancel,
             {std::move(boxes[i]), claim.status, std::move(claim.witness)});
       } else {
         for (std::size_t c = 0; c < claim.children.size(); ++c)
-          PushLocked(claim.children[c].dims(), claim.child_suspect[c] != 0,
-                     &tickets);
+          PushLocked(claim.children[c].dims(), claim.child_suspect[c] != 0);
       }
     }
-    sink = sink_;
+    tickets = TopUpTicketsLocked();
   }
-  if (sink) for (double p : tickets) sink(p);
+  HandOut(tickets);
   return true;
 }
 
@@ -698,16 +704,13 @@ std::vector<Box> PairEngine::TakeOpenFrontier() {
 
 void RunEngineToCompletion(PairEngine& engine, int num_threads) {
   if (num_threads <= 1) {
-    const auto batch =
-        static_cast<std::size_t>(engine.options().solver.wave_width);
-    while (engine.ProcessNext(nullptr, batch)) {
+    while (engine.ProcessNext(nullptr)) {
     }
     return;
   }
   ThreadPool& pool = ThreadPool::Global(static_cast<std::size_t>(num_threads));
   auto group = pool.MakeGroup(static_cast<std::size_t>(num_threads));
-  // One ticket per open box; each ticket pops the engine's *current* best
-  // box, so scheduler priorities track frontier priorities.
+  // Each ticket decides a batch of the engine's *current* best boxes.
   engine.SetTicketSink([&pool, &group, &engine](double priority) {
     pool.Submit(group, priority, [&engine] { engine.ProcessNext(nullptr); });
   });

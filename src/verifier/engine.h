@@ -63,14 +63,22 @@ class PairEngine {
   PairEngine(const PairEngine&) = delete;
   PairEngine& operator=(const PairEngine&) = delete;
 
-  /// Called with the priority of every box pushed onto the frontier; a pool
-  /// driver submits one scheduler ticket per call. Pass nullptr to clear.
-  /// Boxes already open when the sink is installed get no call — use
-  /// EmitTicketsForOpen() to cover them.
+  /// Called once per pool ticket the engine hands out; the pool path (the
+  /// campaign, RunEngineToCompletion) submits one scheduler task per call,
+  /// and the task calls ProcessNext. The engine counts its queued tickets:
+  /// after every frontier change (Seed, Restore, EmitTicketsForOpen, a
+  /// recorded batch, a requeue after cancel) it hands out tickets until
+  /// queued × wave_width ≥ open boxes, each at the frontier's top
+  /// priority. A ticket is spent when its ProcessNext starts, also when it
+  /// finds the frontier empty or the cancel flag set; every ticket claims
+  /// up to wave_width boxes, so no open box is left without one. Pass
+  /// nullptr to clear (the count resets). Boxes already open when the sink
+  /// is installed get no ticket until the next frontier change;
+  /// EmitTicketsForOpen() covers them.
   void SetTicketSink(std::function<void(double priority)> sink);
 
-  /// Invokes the ticket sink once per currently open box (driver start-up
-  /// after Seed/Restore happened before the sink was installed).
+  /// Hands out tickets for the open frontier by the rule above (driver
+  /// start-up after Seed/Restore happened before the sink was installed).
   void EmitTicketsForOpen();
 
   /// Enqueues the root domain.
@@ -81,21 +89,19 @@ class PairEngine {
   /// restored report's seconds count against total_time_budget_seconds).
   void Restore(VerificationReport partial, std::vector<solver::Box> open);
 
-  /// Claims the best open boxes — up to max_boxes, capped at the solver's
-  /// wave_width — and decides them in one lockstep DeltaSolver::CheckMany
-  /// call, recording each box as a leaf or splitting it. The sequential
-  /// drivers pass wave_width, so every interval wave runs near full; pool
-  /// tickets claim one box each, so scheduler priorities track frontier
-  /// priorities box by box. Verdicts are the same for every batch size:
-  /// each box's decision is independent of its batch-mates. The per-pair
-  /// budget is checked once per batch, and the batch's wall time adds to
-  /// the busy clock. Returns false when nothing was processed: the
-  /// frontier is empty, or `cancel` is set. Cancellation leaves the
-  /// frontier intact for Snapshot()/TakeOpenFrontier(): the solver checks
-  /// the flag between lockstep rounds, and boxes it did not decide go back
-  /// on the frontier unchanged. Thread-safe.
-  bool ProcessNext(const std::atomic<bool>* cancel,
-                   std::size_t max_boxes = 1);
+  /// Claims the best open boxes, up to the solver's wave_width, and
+  /// decides them in one lockstep DeltaSolver::CheckMany call, recording
+  /// each box as a leaf or splitting it. The sequential drivers and the
+  /// pool tickets both call it, so every interval wave runs near full on
+  /// either path. Verdicts are the same for every batch size: each box's
+  /// decision is independent of its batch-mates. The per-pair budget is
+  /// checked once per batch, and the batch's wall time adds to the busy
+  /// clock. Returns false when nothing was processed: the frontier is
+  /// empty, or `cancel` is set. Cancellation leaves the frontier intact
+  /// for Snapshot()/TakeOpenFrontier(): the solver checks the flag between
+  /// lockstep rounds, and boxes it did not decide go back on the frontier
+  /// unchanged. Thread-safe.
+  bool ProcessNext(const std::atomic<bool>* cancel);
 
   /// True once the pair is fully decided: seeded, frontier empty, nothing
   /// in flight.
@@ -143,8 +149,18 @@ class PairEngine {
     bool requeue = false;   // cancelled before it was decided
   };
 
-  void PushLocked(std::span<const Interval> box, bool suspect,
-                  std::vector<double>* ticket_priorities);
+  // Tickets to hand out once mu_ is released: `count` calls of `sink`.
+  struct Tickets {
+    std::function<void(double)> sink;
+    std::size_t count = 0;
+    double priority = 0.0;
+  };
+
+  void PushLocked(std::span<const Interval> box, bool suspect);
+  /// Counts the tickets the open frontier needs beyond those queued (see
+  /// SetTicketSink) as queued, and returns them for HandOut.
+  Tickets TopUpTicketsLocked();
+  static void HandOut(const Tickets& tickets);
   std::unique_ptr<solver::DeltaSolver> AcquireSolver();
   void ReleaseSolver(std::unique_ptr<solver::DeltaSolver> s);
 
@@ -173,6 +189,7 @@ class PairEngine {
   std::vector<std::pair<std::uint64_t, solver::BoxStore::Ref>> in_flight_;
   VerificationReport report_;
   std::function<void(double)> sink_;
+  std::size_t queued_tickets_ = 0;  // handed to sink_, not yet started
   std::uint64_t next_seq_ = 0;
   double busy_seconds_ = 0.0;  // also the budget clock, see ProcessNext
   bool seeded_ = false;
@@ -233,9 +250,10 @@ std::size_t CanonicalizeOpenBoxes(std::vector<solver::Box>& open,
 /// bisects the widest dimension when `split_all_dims` is false.
 std::vector<solver::Box> SplitBox(const solver::Box& box, bool split_all_dims);
 
-/// Drives `engine` to completion: inline when num_threads <= 1 (batches of
-/// wave_width boxes), otherwise as prioritized one-box tickets on the
-/// shared global pool, capped at num_threads concurrent boxes.
+/// Drives `engine` to completion: inline when num_threads <= 1, otherwise
+/// as prioritized tickets on the shared global pool (see SetTicketSink),
+/// capped at num_threads concurrent batches. Either way each ProcessNext
+/// decides a batch of up to wave_width boxes.
 void RunEngineToCompletion(PairEngine& engine, int num_threads);
 
 }  // namespace xcv::verifier

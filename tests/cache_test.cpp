@@ -24,6 +24,7 @@
 #include "conditions/conditions.h"
 #include "expr/optimize.h"
 #include "functionals/functional.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "solver/icp.h"
 #include "support/check.h"
@@ -279,6 +280,8 @@ TEST(VerdictCache, MultiThreadedWarmReplayAtEveryWaveWidth) {
   EXPECT_EQ(ReadAll(path_w1), ReadAll(path));
   std::remove(path_w1.c_str());
 
+  const obs::Counter& pool_tasks = obs::Registry::Global().GetCounter(
+      "xcv_scheduler_tasks_total", "Tasks submitted to the shared pools.");
   for (const int threads : {1, 2, 4}) {
     for (const int width : {1, 8, 64}) {
       SCOPED_TRACE("threads=" + std::to_string(threads) +
@@ -286,13 +289,19 @@ TEST(VerdictCache, MultiThreadedWarmReplayAtEveryWaveWidth) {
       CampaignOptions warm_options = cached;
       warm_options.num_threads = threads;
       warm_options.verifier.solver.wave_width = width;
+      const double tasks_before = pool_tasks.Value();
       const CampaignResult warm = RunMatrixCampaign(warm_options);
+      const double tasks = pool_tasks.Value() - tasks_before;
       EXPECT_EQ(DeterministicFace(warm), bare);
       EXPECT_EQ(warm.CacheHits(), cold_calls);
       EXPECT_EQ(SolverCalls(warm), 0u);
       EXPECT_EQ(warm.CacheRejected(), 0u);
       // It stored nothing, so the file was not rewritten.
       EXPECT_EQ(InodeAndMtime(path), written);
+      // Pool tickets decide batches: far fewer tasks than boxes.
+      if (threads > 1 && width > 1) {
+        EXPECT_LT(tasks * 4, static_cast<double>(cold_calls)) << tasks;
+      }
     }
   }
 
@@ -363,22 +372,32 @@ TEST(VerdictCache, SaveIsTracedWithDeterministicArgs) {
     rec.StartWithClock([&now] { return ++now; });
     cache.Save(path);
     cache.SaveIfChanged(path);  // unchanged: no write, no span
+    VerdictCache loaded;
+    loaded.Load(path);
     return rec.Stop();
   };
   const std::string trace = record();
   EXPECT_EQ(record(), trace);  // fixed clock: byte-identical
 
   const json::JsonValue root = json::ParseJson(trace);
-  std::size_t saves = 0;
+  std::size_t saves = 0, loads = 0;
   for (const json::JsonValue& e : root.At("traceEvents").array) {
     const json::JsonValue* name = e.Find("name");
-    if (name == nullptr || name->AsString() != "cache-save") continue;
-    ++saves;
+    if (name == nullptr) continue;
+    if (name->AsString() == "cache-save") {
+      ++saves;
+    } else if (name->AsString() == "cache-load") {
+      ++loads;
+      EXPECT_EQ(e.At("args").At("outcome").AsDouble(), 0.0);  // clean
+    } else {
+      continue;
+    }
     EXPECT_EQ(e.At("args").At("entries").AsDouble(), 1.0);
     EXPECT_EQ(e.At("args").At("bytes").AsDouble(),
               static_cast<double>(ReadAll(path).size()));
   }
   EXPECT_EQ(saves, 1u);
+  EXPECT_EQ(loads, 1u);
   std::remove(path.c_str());
 }
 

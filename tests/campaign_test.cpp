@@ -93,8 +93,8 @@ TEST(Campaign, MatchesSequentialVerifierLoop) {
 }
 
 TEST(Campaign, ParallelRunIsByteIdenticalToSequentialRun) {
-  // One thread decides lockstep batches of wave_width boxes; the pool
-  // decides one box per ticket. Every combination writes the same bytes.
+  // One thread and every pool ticket decide lockstep batches of up to
+  // wave_width boxes. Every combination writes the same bytes.
   auto run = [](int threads, int width) {
     CampaignOptions options = FastCampaignOptions(threads);
     options.verifier.solver.wave_width = width;
@@ -107,7 +107,8 @@ TEST(Campaign, ParallelRunIsByteIdenticalToSequentialRun) {
   };
   const std::string reference = run(1, 1);
   for (const auto& [threads, width] :
-       {std::pair{1, 8}, std::pair{1, 64}, std::pair{4, 8}})
+       {std::pair{1, 8}, std::pair{1, 64}, std::pair{2, 64}, std::pair{4, 1},
+        std::pair{4, 8}, std::pair{4, 64}})
     EXPECT_EQ(run(threads, width), reference)
         << "threads=" << threads << " wave_width=" << width;
 }
@@ -315,26 +316,40 @@ TEST(Frontier, PriorityFunctions) {
 
 TEST(Frontier, EngineProcessesWidestBoxFirst) {
   // ψ = (1 > 0): every box is immediately verified, so each ProcessNext
-  // consumes exactly the current best box.
-  verifier::VerifierOptions options;
-  options.split_threshold = 100.0;  // everything is a leaf
-  verifier::PairEngine engine(
-      expr::BoolExpr::Gt(expr::Expr::Constant(1.0), expr::Expr::Constant(0.0)),
-      options);
-  VerificationReport empty;
-  std::vector<Box> open = {Box({Interval(0.0, 1.0)}),
-                           Box({Interval(0.0, 4.0)}),
-                           Box({Interval(0.0, 2.0)})};
-  engine.Restore(empty, open);
+  // consumes exactly the current best boxes, up to wave_width of them.
+  for (const int width : {1, 2}) {
+    SCOPED_TRACE("wave_width=" + std::to_string(width));
+    verifier::VerifierOptions options;
+    options.split_threshold = 100.0;  // everything is a leaf
+    options.solver.wave_width = width;
+    verifier::PairEngine engine(
+        expr::BoolExpr::Gt(expr::Expr::Constant(1.0),
+                           expr::Expr::Constant(0.0)),
+        options);
+    VerificationReport empty;
+    std::vector<Box> open = {Box({Interval(0.0, 1.0)}),
+                             Box({Interval(0.0, 4.0)}),
+                             Box({Interval(0.0, 2.0)})};
+    engine.Restore(empty, open);
 
-  EXPECT_DOUBLE_EQ(engine.TopPriority(), 4.0);
-  ASSERT_TRUE(engine.ProcessNext(nullptr));
-  EXPECT_DOUBLE_EQ(engine.TopPriority(), 2.0);
-  ASSERT_TRUE(engine.ProcessNext(nullptr));
-  EXPECT_DOUBLE_EQ(engine.TopPriority(), 1.0);
-  ASSERT_TRUE(engine.ProcessNext(nullptr));
-  EXPECT_TRUE(engine.Finished());
-  EXPECT_FALSE(engine.ProcessNext(nullptr));
+    EXPECT_DOUBLE_EQ(engine.TopPriority(), 4.0);
+    ASSERT_TRUE(engine.ProcessNext(nullptr));
+    if (width == 1) {
+      EXPECT_EQ(engine.OpenCount(), 2u);
+      EXPECT_DOUBLE_EQ(engine.TopPriority(), 2.0);
+      ASSERT_TRUE(engine.ProcessNext(nullptr));
+    }
+    // At width 2 the first call decided 4 and 2 together.
+    EXPECT_EQ(engine.OpenCount(), 1u);
+    EXPECT_DOUBLE_EQ(engine.TopPriority(), 1.0);
+    ASSERT_TRUE(engine.ProcessNext(nullptr));
+    EXPECT_TRUE(engine.Finished());
+    EXPECT_FALSE(engine.ProcessNext(nullptr));
+    std::vector<double> widths;
+    for (const auto& leaf : engine.TakeReport().leaves)
+      widths.push_back(leaf.box.MaxWidth());
+    EXPECT_EQ(widths, (std::vector<double>{1.0, 2.0, 4.0}));
+  }
 }
 
 TEST(Frontier, CancelledEngineKeepsFrontierIntact) {

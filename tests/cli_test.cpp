@@ -179,8 +179,14 @@ int ResumeFrom(const std::string& name, const std::string& text,
 TEST(Cli, ResumeRejectsHostileCheckpoints) {
   std::string err;
   // Unbounded nesting used to overflow the JSON reader's stack (SIGSEGV).
+  // The streaming reader refuses a root that is not an object before it
+  // descends, and stops nesting inside the header at the depth limit.
   EXPECT_EQ(ResumeFrom("xcv_deep_checkpoint.json",
                        std::string(2'000'000, '['), &err),
+            2);
+  EXPECT_NE(err.find("expected '{' at offset 0"), std::string::npos) << err;
+  EXPECT_EQ(ResumeFrom("xcv_deep_checkpoint.json",
+                       "{\"format\": " + std::string(2'000'000, '['), &err),
             2);
   EXPECT_NE(err.find("JSON nesting deeper than"), std::string::npos) << err;
 

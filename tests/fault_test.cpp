@@ -5,12 +5,17 @@
 // sweeps over real checkpoint and cache files (salvage-or-cold, never a
 // crash, never a silently wrong pair), one recovery table run against all
 // four durable documents, and the coordinator's fragment backfill.
+#include <algorithm>
+#include <array>
+#include <cctype>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <random>
 #include <string>
 #include <thread>
 #include <utility>
@@ -26,6 +31,7 @@
 #include "service/daemon.h"
 #include "shard/coordinator.h"
 #include "shard/transport.h"
+#include "solver/box.h"
 #include "support/check.h"
 #include "support/document.h"
 #include "support/fault.h"
@@ -492,6 +498,31 @@ DocumentCase LedgerCase() {
   return doc;
 }
 
+// Given `text[start]` == '{' or '[', the index one past the matching close
+// bracket (string- and escape-aware), or npos when the value is incomplete.
+std::size_t SkipBalanced(const std::string& text, std::size_t start) {
+  if (start >= text.size() || (text[start] != '{' && text[start] != '['))
+    return std::string::npos;
+  int depth = 0;
+  bool in_string = false;
+  for (std::size_t i = start; i < text.size(); ++i) {
+    const char c = text[i];
+    if (in_string) {
+      if (c == '\\')
+        ++i;  // the escaped byte (may run off the end: a torn file)
+      else if (c == '"')
+        in_string = false;
+    } else if (c == '"') {
+      in_string = true;
+    } else if (c == '{' || c == '[') {
+      ++depth;
+    } else if ((c == '}' || c == ']') && --depth == 0) {
+      return i + 1;
+    }
+  }
+  return std::string::npos;
+}
+
 // Byte spans [begin, end) of the records in `doc`'s `key` array.
 std::vector<std::pair<std::size_t, std::size_t>> RecordSpans(
     const std::string& doc, const std::string& key) {
@@ -501,7 +532,7 @@ std::vector<std::pair<std::size_t, std::size_t>> RecordSpans(
   for (std::size_t pos = doc.find('[', array) + 1;;) {
     pos = doc.find_first_not_of(", \t\r\n", pos);
     if (pos == std::string::npos || doc[pos] != '{') break;
-    const std::size_t end = json::SkipBalanced(doc, pos);
+    const std::size_t end = SkipBalanced(doc, pos);
     if (end == std::string::npos) break;
     spans.emplace_back(pos, end);
     pos = end;
@@ -631,6 +662,289 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<DocumentParam>& info) {
       return std::string(info.param.name);
     });
+
+// ---- The streamed verdict-cache load against a tree oracle ------------------
+
+// A verdict-cache load as a whole-document tree sees it: json::ParseJson
+// over the text and entries read from JsonValues. A complete document
+// loads clean, or cold when its checksum or header fails, or salvaged up to
+// the first refused entry. A text that does not parse is torn: its header
+// is the text through `"entries": [`, closed off, and its entries are
+// carved one by one by bracket matching, each parsed alone, up to the
+// first that does not follow its predecessor after one ',' or does not
+// parse.
+struct TreeLoad {
+  int outcome = 2;  // 0 clean, 1 salvaged, 2 cold
+  std::size_t records = 0;
+  std::string entries;  // the loaded cache's ToJson
+};
+
+TreeLoad LoadAsTree(const std::string& text) {
+  cache::VerdictCache cache;
+  TreeLoad out;
+  const auto finish = [&](int outcome) {
+    out.outcome = outcome;
+    out.entries = cache.ToJson();
+    return out;
+  };
+  const auto entry = [&cache](const json::JsonValue& ev) {
+    const std::string& scope_hex = ev.At("scope").AsString();
+    char* end = nullptr;
+    const std::uint64_t scope = std::strtoull(scope_hex.c_str(), &end, 16);
+    XCV_CHECK(end != scope_hex.c_str() && *end == '\0');
+    const std::vector<Interval> box = solver::BoxFromJson(ev.At("box"));
+    cache::CachedVerdict v;
+    v.kind = cache::CachedKindFromToken(ev.At("kind").AsString());
+    v.nodes = static_cast<std::uint64_t>(json::CheckedInteger(
+        ev.At("nodes").AsDouble(), 0, json::kMaxExactInteger, "nodes"));
+    if (const json::JsonValue* m = ev.Find("model"))
+      v.model = solver::PointFromJson(*m);
+    if (const json::JsonValue* mb = ev.Find("model_box"))
+      v.model_box = solver::BoxFromJson(*mb);
+    cache.Store(scope, box, std::move(v));
+  };
+  const auto header_ok = [](const json::JsonValue& root) {
+    try {
+      json::RequireSupportedSchema(root, "xcv-verdict-cache", 1);
+      return root.At("format").AsString() == "xcv-verdict-cache" &&
+             root.At("entries").kind == json::JsonValue::Kind::kArray;
+    } catch (const InternalError&) {
+      return false;
+    }
+  };
+
+  json::JsonValue root;
+  bool torn = false;
+  try {
+    root = json::ParseJson(text);
+  } catch (const InternalError&) {
+    torn = true;
+  }
+  if (!torn) {
+    if (support::VerifyDocumentChecksum(text) == ChecksumStatus::kMismatch ||
+        !header_ok(root))
+      return finish(2);
+    for (const json::JsonValue& ev : root.At("entries").array) {
+      try {
+        entry(ev);
+      } catch (const InternalError&) {
+        return finish(1);
+      }
+      ++out.records;
+    }
+    return finish(0);
+  }
+  const std::string marker = "\"entries\": [";
+  const std::size_t at = text.find(marker);
+  if (at == std::string::npos) return finish(2);
+  try {
+    root = json::ParseJson(text.substr(0, at + marker.size()) + "]}");
+  } catch (const InternalError&) {
+    return finish(2);
+  }
+  if (!header_ok(root)) return finish(2);
+  const auto skip_space = [&text](std::size_t pos) {
+    while (pos < text.size() &&
+           std::isspace(static_cast<unsigned char>(text[pos])))
+      ++pos;
+    return pos;
+  };
+  std::size_t pos = skip_space(at + marker.size());
+  for (bool first = true;; first = false) {
+    if (!first) {
+      if (pos >= text.size() || text[pos] != ',') break;
+      pos = skip_space(pos + 1);
+    }
+    const std::size_t end = SkipBalanced(text, pos);
+    if (end == std::string::npos) break;
+    try {
+      entry(json::ParseJson(text.substr(pos, end - pos)));
+    } catch (const InternalError&) {
+      break;
+    }
+    ++out.records;
+    pos = skip_space(end);
+  }
+  return finish(1);
+}
+
+std::string ToText(const json::JsonValue& v) {
+  using Kind = json::JsonValue::Kind;
+  switch (v.kind) {
+    case Kind::kNull: return "null";
+    case Kind::kBool: return v.boolean ? "true" : "false";
+    case Kind::kNumber: return json::JsonDouble(v.number);
+    case Kind::kString: return json::JsonEscape(v.str);
+    case Kind::kArray: {
+      std::string out = "[";
+      for (std::size_t i = 0; i < v.array.size(); ++i)
+        out += (i ? ", " : "") + ToText(v.array[i]);
+      return out + "]";
+    }
+    case Kind::kObject: {
+      std::string out = "{";
+      for (std::size_t i = 0; i < v.object.size(); ++i)
+        out += (i ? ", " : "") + json::JsonEscape(v.object[i].first) + ": " +
+               ToText(v.object[i].second);
+      return out + "}";
+    }
+  }
+  return "null";
+}
+
+// `doc` without its checksum line.
+std::string Unstamped(std::string doc) {
+  const std::size_t checksum = doc.find("  \"checksum\": ");
+  doc.erase(checksum, doc.find('\n', checksum) + 1 - checksum);
+  return doc;
+}
+
+// Seeded mutants of the tiny campaign's cache file, each loaded by
+// VerdictCache::Load and by the tree oracle above: the same outcome, record
+// count and entries. Truncations and half the byte flips keep the original
+// checksum; every other mutant is re-stamped, so the loader judges the edit
+// itself, and a quarter of those is also torn.
+TEST_F(FaultTest, StreamedCacheLoadMatchesTheTreeOracle) {
+  const std::string path = testing::TempDir() + "fault_cache_oracle.json";
+  RunTinyCampaign(testing::TempDir() + "fault_cache_oracle_ck.json", path);
+  const std::string intact = ReadAll(path);
+  const std::string bare = Unstamped(intact);
+  const auto spans = RecordSpans(bare, "entries");
+  ASSERT_GE(spans.size(), 3u);
+
+  std::mt19937 rng(20261018);
+  const auto pick = [&rng](std::size_t n) {
+    return std::uniform_int_distribution<std::size_t>(0, n - 1)(rng);
+  };
+  const std::string nested =
+      R"({"a": [1, {"b": "x\"y\\z"}, null, true, -2.5e-3], "c": {}})";
+  // `bare` with one record replaced by what `edit` makes of its members.
+  const auto edit_record = [&](const auto& edit) {
+    const auto [begin, end] = spans[pick(spans.size())];
+    json::JsonValue record =
+        json::ParseJson(bare.substr(begin, end - begin));
+    std::string text = edit(record);
+    return bare.substr(0, begin) + text + bare.substr(end);
+  };
+  const auto number_in = [&](json::JsonValue& v) -> json::JsonValue* {
+    std::vector<json::JsonValue*> numbers;
+    std::function<void(json::JsonValue&)> walk = [&](json::JsonValue& x) {
+      if (x.kind == json::JsonValue::Kind::kNumber) numbers.push_back(&x);
+      for (json::JsonValue& c : x.array) walk(c);
+      for (auto& [k, c] : x.object) walk(c);
+    };
+    walk(v);
+    return numbers.empty() ? nullptr : numbers[pick(numbers.size())];
+  };
+
+  std::vector<std::string> mutants;
+  for (int i = 0; i < 40; ++i)
+    mutants.push_back(intact.substr(0, pick(intact.size() + 1)));
+  for (int i = 0; i < 60; ++i) {
+    std::string text = i % 2 ? intact : bare;
+    const std::size_t at = pick(text.size());
+    text[at] = static_cast<char>(
+        (static_cast<unsigned char>(text[at]) + 1 + pick(255)) % 256);
+    mutants.push_back(i % 2 ? text : support::AddDocumentChecksum(text));
+  }
+  std::vector<std::string> edited;
+  const char* const kinds[] = {"unsat", "delta_sat", "timeout", "maybe"};
+  for (int i = 0; i < 20; ++i) {  // a repeated key with another value
+    edited.push_back(edit_record([&](json::JsonValue& record) {
+      const std::size_t at = pick(record.object.size());
+      json::JsonValue other;
+      const std::string& key = record.object[at].first;
+      if (key == "scope" || key == "kind") {
+        other.kind = json::JsonValue::Kind::kString;
+        other.str = key == "kind" ? kinds[pick(4)] : "00000000000000a5";
+      } else if (key == "nodes") {
+        other = json::ParseJson(pick(4) ? std::to_string(pick(100)) : "-1");
+      } else {
+        other = json::ParseJson(key == "model" ? "[0.25]" : "[[0.5, 0.75]]");
+      }
+      record.object.insert(record.object.begin() + at + pick(2),
+                           {key, other});
+      return ToText(record);
+    }));
+  }
+  for (int i = 0; i < 20; ++i) {  // keys in another order
+    edited.push_back(edit_record([&](json::JsonValue& record) {
+      std::shuffle(record.object.begin(), record.object.end(), rng);
+      return ToText(record);
+    }));
+  }
+  for (int i = 0; i < 20; ++i) {  // unknown keys with nested values
+    std::string text = bare;
+    if (i % 4 == 0) {
+      text.insert(text.find("  \"entries\": ["),
+                  "  \"x_header\": " + nested + ",\n");
+    } else if (i % 4 == 1) {
+      text.insert(text.rfind("\n}"), ",\n  \"x_trailer\": " + nested);
+    } else {
+      text = edit_record([&](json::JsonValue& record) {
+        record.object.insert(
+            record.object.begin() + pick(record.object.size() + 1),
+            {"x_unknown", json::ParseJson(nested)});
+        return ToText(record);
+      });
+    }
+    edited.push_back(text);
+  }
+  for (int i = 0; i < 20; ++i) {  // non-finite tokens for numbers
+    edited.push_back(edit_record([&](json::JsonValue& record) {
+      if (json::JsonValue* n = number_in(record)) {
+        n->kind = json::JsonValue::Kind::kString;
+        n->str = std::array{"inf", "-inf", "nan"}[pick(3)];
+      }
+      return ToText(record);
+    }));
+  }
+  for (int i = 0; i < 20; ++i) {  // a string byte written as \u00XX
+    edited.push_back(edit_record([&](json::JsonValue& record) {
+      std::string text = ToText(record);
+      std::vector<std::size_t> letters;
+      bool in_string = false;
+      for (std::size_t c = 0; c < text.size(); ++c) {
+        if (text[c] == '"') in_string = !in_string;
+        else if (in_string && std::isalnum(static_cast<unsigned char>(text[c])))
+          letters.push_back(c);
+      }
+      const std::size_t c = letters[pick(letters.size())];
+      char escape[8];
+      std::snprintf(escape, sizeof(escape), pick(2) ? "\\u%04x" : "\\u%04X",
+                    static_cast<unsigned char>(text[c]));
+      text.replace(c, 1, escape);
+      return text;
+    }));
+  }
+  for (const std::string& text : edited) {
+    const std::string stamped = support::AddDocumentChecksum(text);
+    mutants.push_back(pick(4) ? stamped
+                              : stamped.substr(0, pick(stamped.size())));
+  }
+
+  int outcomes[3] = {};
+  for (std::size_t m = 0; m < mutants.size(); ++m) {
+    SCOPED_TRACE("mutant " + std::to_string(m) + ":\n" + mutants[m]);
+    WriteAll(path, mutants[m]);
+    cache::VerdictCache streamed;
+    support::LoadOutcome outcome;
+    ASSERT_NO_THROW(streamed.Load(path, &outcome));
+    const TreeLoad tree = LoadAsTree(mutants[m]);
+    const int got = outcome.clean ? 0 : outcome.salvaged ? 1 : 2;
+    EXPECT_EQ(got, tree.outcome);
+    EXPECT_EQ(outcome.records, tree.records);
+    EXPECT_EQ(streamed.ToJson(), tree.entries);
+    ++outcomes[got];
+  }
+  EXPECT_EQ(mutants.size(), 200u);
+  // Every outcome is exercised.
+  EXPECT_GT(outcomes[0], 0);
+  EXPECT_GT(outcomes[1], 0);
+  EXPECT_GT(outcomes[2], 0);
+  std::remove(path.c_str());
+  std::remove((path + ".corrupt").c_str());
+}
 
 // ---- Injected-crash death tests ---------------------------------------------
 //

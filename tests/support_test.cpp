@@ -1,14 +1,19 @@
+#include <unistd.h>
+
 #include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "support/check.h"
+#include "support/io.h"
 #include "support/json.h"
 #include "support/stopwatch.h"
 #include "support/strings.h"
@@ -194,6 +199,56 @@ TEST(Json, NumbersFollowTheJsonGrammar) {
               std::bit_cast<std::uint64_t>(expected))
         << literal;
   }
+}
+
+// Documents are read whole from a regular file in one sized read, and from
+// a stream that cannot seek as it comes (`xcv cache-stats <(...)` hands the
+// reader a pipe).
+TEST(Io, ReadFileToStringReadsFilesAndPipes) {
+  const std::string text = "{\"format\": \"x\"}\n" + std::string(4000, 'y');
+  const std::string path = ::testing::TempDir() + "io_read_test.json";
+  {
+    std::ofstream os(path, std::ios::binary | std::ios::trunc);
+    os << text;
+  }
+  std::string got;
+  ASSERT_TRUE(support::ReadFileToString(path, &got));
+  EXPECT_EQ(got, text);
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  ASSERT_EQ(::write(fds[1], text.data(), text.size()),
+            static_cast<ssize_t>(text.size()));
+  ::close(fds[1]);
+  got.clear();
+  EXPECT_TRUE(
+      support::ReadFileToString("/dev/fd/" + std::to_string(fds[0]), &got));
+  ::close(fds[0]);
+  EXPECT_EQ(got, text);
+  { std::ofstream os(path, std::ios::binary | std::ios::trunc); }
+  ASSERT_TRUE(support::ReadFileToString(path, &got));
+  EXPECT_TRUE(got.empty());
+  std::remove(path.c_str());
+  EXPECT_FALSE(support::ReadFileToString(path, &got));
+}
+
+// A \u escape is exactly four hex digits: strtol's looser grammar (a sign,
+// spaces, a "0x" prefix, a stop at the first non-digit) is an error.
+TEST(Json, UnicodeEscapesNeedFourHexDigits) {
+  for (const char* text :
+       {R"("\u00zz")", R"("\u+0ff")", R"("\u 0ff")", R"("\u0x41")"}) {
+    try {
+      json::ParseJson(text);
+      FAIL() << "accepted " << text;
+    } catch (const InternalError& e) {
+      EXPECT_NE(std::string(e.what()).find("four hex digits"),
+                std::string::npos)
+          << text << ": " << e.what();
+    }
+  }
+  EXPECT_EQ(json::ParseJson(R"("\u0041\u00fF\u0000")").str,
+            std::string("A\xff\0", 3));
+  EXPECT_THROW(json::ParseJson(R"("\u0100")"), InternalError);  // not Latin-1
+  EXPECT_THROW(json::ParseJson(R"("\u004")"), InternalError);   // short
 }
 
 }  // namespace
