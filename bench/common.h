@@ -10,7 +10,8 @@
 //                        sequential stand-alone pair)
 //   XCV_SPLIT_THRESHOLD  Algorithm 1 threshold t (default 0.3125)
 //   XCV_SOLVER_NODES     per-solver-call node budget (default 30000)
-//   XCV_WAVE_WIDTH       solver boxes per batched interval sweep (default 8)
+//   XCV_WAVE_WIDTH       solver boxes per batched interval sweep and per
+//                        lockstep solver call (default 8)
 //   XCV_PB_GRID          PB baseline grid points per axis (default 150)
 //   XCV_THREADS          campaign workers on the shared pool (default 1)
 //   XCV_CACHE            persistent verdict-cache file (default: none);

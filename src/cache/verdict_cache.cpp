@@ -82,12 +82,10 @@ bool VerdictCache::Lookup(std::uint64_t scope, std::span<const Interval> box,
     for (const Entry& e : it->second) {
       if (e.scope == scope && SameBoxBits(e.box, box)) {
         *out = e.verdict;
-        hits_.fetch_add(1, std::memory_order_relaxed);
         return true;
       }
     }
   }
-  misses_.fetch_add(1, std::memory_order_relaxed);
   return false;
 }
 
@@ -95,7 +93,6 @@ void VerdictCache::Store(std::uint64_t scope, std::span<const Interval> box,
                          CachedVerdict verdict) {
   const std::uint64_t key = MapKey(scope, box);
   std::lock_guard<std::mutex> lock(mu_);
-  stores_.fetch_add(1, std::memory_order_relaxed);
   ++generation_;
   std::vector<Entry>& bucket = entries_[key];
   for (Entry& e : bucket) {
@@ -156,14 +153,6 @@ void VerdictCache::ForEachLocked(
 std::size_t VerdictCache::size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return count_;
-}
-
-CacheCounters VerdictCache::counters() const {
-  CacheCounters c;
-  c.hits = hits_.load(std::memory_order_relaxed);
-  c.misses = misses_.load(std::memory_order_relaxed);
-  c.stores = stores_.load(std::memory_order_relaxed);
-  return c;
 }
 
 std::string VerdictCache::ToJson() const {

@@ -18,18 +18,17 @@
 // never recorded (they are not reproducible).
 //
 // The cache may only skip work, never change verdicts: a hit replays the
-// exact CheckResult the cold run produced, and the verifier engine
-// batch-revalidates hits against a fresh interval sweep before trusting
-// them (defense against scope-hash collisions and stale files).
+// exact CheckResult the cold run produced, and the solver revalidates a
+// call's hits in one interval sweep before trusting them (defense against
+// scope-hash collisions and stale files; see DeltaSolver::CheckMany).
 //
-// Thread-safe: one mutex around the map; counters are atomics. On disk it
-// is a support/document.h document, so a corrupt, truncated or missing
-// file degrades to a salvaged or empty (cold) cache and never throws out
-// of Load. A change generation lets owners skip rewriting a file that
-// already holds every entry (SaveIfChanged).
+// Thread-safe: one mutex around the map. On disk it is a support/document.h
+// document, so a corrupt, truncated or missing file degrades to a salvaged
+// or empty (cold) cache and never throws out of Load. A change generation
+// lets owners skip rewriting a file that already holds every entry
+// (SaveIfChanged).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <mutex>
@@ -57,13 +56,6 @@ struct CachedVerdict {
   std::vector<double> model;      // delta-sat witness point (may be empty)
   std::vector<Interval> model_box;  // terminal box of a delta-sat result
   std::uint64_t nodes = 0;        // provenance: branch-and-prune nodes spent
-};
-
-/// Counter snapshot (monotonic since construction/Load).
-struct CacheCounters {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::uint64_t stores = 0;
 };
 
 class VerdictCache {
@@ -101,7 +93,6 @@ class VerdictCache {
       const;
 
   std::size_t size() const;
-  CacheCounters counters() const;
 
   /// Serializes every entry as one JSON document, entries in a canonical
   /// order (scope, then box lexicographically) so equal caches produce
@@ -165,10 +156,6 @@ class VerdictCache {
   mutable std::uint64_t saved_generation_ = 0;
   // Serializes saves (taken before mu_, held across the file I/O).
   mutable std::mutex save_mu_;
-
-  mutable std::atomic<std::uint64_t> hits_{0};
-  mutable std::atomic<std::uint64_t> misses_{0};
-  std::atomic<std::uint64_t> stores_{0};
 };
 
 }  // namespace xcv::cache

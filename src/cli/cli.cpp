@@ -81,9 +81,10 @@ Options (verify/resume):
   --split-threshold=T  Algorithm 1 split threshold t.             [0.3125]
   --solver-nodes=N     Per-solver-call node budget.               [30000]
   --delta=D            Solver precision delta.                    [0.001]
-  --wave-width=K       Sibling boxes per batched interval sweep in the
-                       solver, 1..64 (results are identical at any
-                       width, only the speed changes).            [8]
+  --wave-width=K       Boxes per batched interval sweep in the solver,
+                       and boxes one lockstep solver call (one pool
+                       ticket) decides, 1..64 (results are identical at
+                       any width, only the speed changes).        [8]
   --frontier=S         Frontier order: widest | suspect | fifo.   [widest]
   --checkpoint=PATH    Write checkpoints here (after every completed pair,
                        on Ctrl-C, and at the end); resume reads it.

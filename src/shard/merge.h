@@ -21,7 +21,7 @@
 // of shard cache files is a plain set union. Two shards that solved the
 // same (scope, box) must have produced the same verdict; if they did not,
 // the entry is rejected and dropped from the union entirely (and counted),
-// mirroring PairEngine's revalidate-or-re-solve policy — a merged cache
+// mirroring DeltaSolver's revalidate-or-re-solve policy — a merged cache
 // never launders a contradiction into a replayable verdict.
 #pragma once
 

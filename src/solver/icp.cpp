@@ -35,6 +35,14 @@ void ObserveWave(std::size_t lanes) {
   waves.Inc();
   wave_lanes.Add(static_cast<double>(lanes));
 }
+
+// One per CheckMany call with cache hits.
+obs::Counter& CacheRevalidationCounter() {
+  static obs::Counter& c = obs::Registry::Global().GetCounter(
+      "xcv_cache_revalidations_total",
+      "Batched forward sweeps run to revalidate cached verdicts.");
+  return c;
+}
 }  // namespace
 
 std::string SatKindName(SatKind kind) {
@@ -537,7 +545,66 @@ void DeltaSolver::ExpandWaveChildren() {
   }
 }
 
-bool DeltaSolver::DecideUpFront(Search& s, bool consult_cache) {
+void DeltaSolver::ShapeWaveRows(std::size_t dims) {
+  const auto width = static_cast<std::size_t>(options_.wave_width);
+  wave_lo_.resize(dims * width);
+  wave_hi_.resize(dims * width);
+  wave_lo_ptrs_.resize(dims);
+  wave_hi_ptrs_.resize(dims);
+  bwd_lo_.resize(dims * width);
+  bwd_hi_.resize(dims * width);
+  bwd_lo_ptrs_.resize(dims);
+  bwd_hi_ptrs_.resize(dims);
+  bwd_clo_ptrs_.resize(dims);
+  bwd_chi_ptrs_.resize(dims);
+  for (std::size_t d = 0; d < dims; ++d) {
+    wave_lo_ptrs_[d] = wave_lo_.data() + d * width;
+    wave_hi_ptrs_[d] = wave_hi_.data() + d * width;
+    bwd_clo_ptrs_[d] = bwd_lo_ptrs_[d] = bwd_lo_.data() + d * width;
+    bwd_chi_ptrs_[d] = bwd_hi_ptrs_[d] = bwd_hi_.data() + d * width;
+  }
+}
+
+template <typename BoxAt>
+void DeltaSolver::ClassifySweep(std::size_t n, BoxAt box_at,
+                                std::vector<int>& out) {
+  const auto width = static_cast<std::size_t>(options_.wave_width);
+  XCV_CHECK_MSG(n <= width, "ClassifyBoxes takes at most wave_width ("
+                                << width << ") boxes, got " << n);
+  out.assign(n, 0);
+  if (n == 0) return;
+  const std::size_t dims = box_at(0).size();
+  const std::size_t atoms = atoms_.size();
+  ShapeWaveRows(dims);
+  for (std::size_t k = 0; k < n; ++k) {
+    const Box& box = box_at(k);
+    XCV_DCHECK(box.size() == dims);
+    for (std::size_t d = 0; d < dims; ++d) {
+      wave_lo_[d * width + k] = box[d].lo();
+      wave_hi_[d * width + k] = box[d].hi();
+    }
+  }
+
+  // One batched sweep per atom, statuses per (box, atom).
+  status_arena_.resize(n * atoms);
+  for (std::size_t a = 0; a < atoms; ++a) {
+    const Atom& atom = atoms_[a];
+    expr::EvalTapeIntervalBatch(atom.tape, wave_lo_ptrs_, wave_hi_ptrs_, n,
+                                interval_batch_);
+    const auto root = static_cast<std::size_t>(atom.tape.root());
+    for (std::size_t k = 0; k < n; ++k)
+      status_arena_[k * atoms + a] =
+          ClassifyRoot(interval_batch_.At(root, k), atom.rel);
+  }
+
+  for (std::size_t k = 0; k < n; ++k) {
+    const Tri truth =
+        EvaluateSkeleton(exact_.skeleton(), status_arena_.data() + k * atoms);
+    out[k] = truth == Tri::kTrue ? 1 : truth == Tri::kFalse ? -1 : 0;
+  }
+}
+
+bool DeltaSolver::DecideUpFront(Search& s) {
   const Box& domain = *s.domain;
   CheckResult& result = s.result;
   if (domain.AnyEmpty()) {
@@ -546,42 +613,86 @@ bool DeltaSolver::DecideUpFront(Search& s, bool consult_cache) {
   }
 
   // Verdict cache: an exact (scope, box) hit replays the recorded result
-  // without any solver work. Callers that must not trust a hit blindly
-  // (the verifier engine) revalidate and re-solve with consult_cache=false
-  // on contradiction.
-  if (consult_cache && options_.cache != nullptr) {
-    cache::CachedVerdict cv;
-    if (options_.cache->Lookup(cache_scope_, domain.dims(), &cv)) {
-      switch (cv.kind) {
-        case cache::CachedKind::kUnsat: result.kind = SatKind::kUnsat; break;
-        case cache::CachedKind::kDeltaSat:
-          result.kind = SatKind::kDeltaSat;
-          result.model = std::move(cv.model);
-          result.model_box = Box(std::move(cv.model_box));
-          break;
-        case cache::CachedKind::kTimeout:
-          result.kind = SatKind::kTimeout;
-          break;
-      }
-      result.stats.nodes = cv.nodes;
-      result.from_cache = true;
-      return true;
-    }
+  // without any solver work, once RevalidateHits trusts it.
+  cache::CachedVerdict cv;
+  if (options_.cache == nullptr ||
+      !options_.cache->Lookup(cache_scope_, domain.dims(), &cv))
+    return false;
+  switch (cv.kind) {
+    case cache::CachedKind::kUnsat: result.kind = SatKind::kUnsat; break;
+    case cache::CachedKind::kDeltaSat:
+      result.kind = SatKind::kDeltaSat;
+      result.model = std::move(cv.model);
+      result.model_box = Box(std::move(cv.model_box));
+      break;
+    case cache::CachedKind::kTimeout:
+      result.kind = SatKind::kTimeout;
+      break;
   }
+  result.stats.nodes = cv.nodes;
+  result.from_cache = true;
+  return true;
+}
 
+void DeltaSolver::RevalidateHits() {
+  hit_searches_.clear();
+  for (std::size_t i = 0; i < searches_.size(); ++i)
+    if (searches_[i].result.from_cache) hit_searches_.push_back(i);
+  const std::size_t hits = hit_searches_.size();
+  if (hits == 0) return;
+  {
+    obs::Span span("cache-revalidate");
+    span.Arg("wave", static_cast<std::uint64_t>(hits));
+    ClassifySweep(
+        hits,
+        [this](std::size_t k) -> const Box& {
+          return *searches_[hit_searches_[k]].domain;
+        },
+        hit_tri_);
+  }
+  CacheRevalidationCounter().Inc();
+
+  // The sweep classified the formula over each box: +1 = certainly
+  // satisfiable everywhere, -1 = certainly unsatisfiable, 0 = undecided. A
+  // verdict that contradicts its box's classification cannot have come
+  // from a run of this solver on this box (a scope-hash collision or a
+  // tampered file): search the box like a miss.
+  for (std::size_t k = 0; k < hits; ++k) {
+    Search& s = searches_[hit_searches_[k]];
+    const CheckResult& result = s.result;
+    const int tri = hit_tri_[k];
+    bool trusted = false;
+    switch (result.kind) {
+      case SatKind::kUnsat:
+        trusted = tri != 1;
+        break;
+      case SatKind::kDeltaSat:
+        trusted = tri != -1 && !result.model.empty() &&
+                  s.domain->Contains(result.model);
+        break;
+      case SatKind::kTimeout:
+        // A box decidable by one forward sweep is decided at node 1 — it
+        // can never exhaust a node budget.
+        trusted = tri == 0;
+        break;
+    }
+    if (trusted) continue;
+    s.result = CheckResult{};
+    s.result.cache_rejected = true;
+    s.done = false;
+  }
+}
+
+bool DeltaSolver::Presample(Search& s) {
   // Model guessing: probe an interior lattice before any interval work. The
   // lattice is evaluated in batch over the atoms' optimized tapes; hits are
   // confirmed on the exact tapes before being reported.
-  if (options_.presample_points > 0) {
-    obs::Span span("presample");
-    const bool hit = PresampleLattice(domain, result);
-    span.Arg("hit", static_cast<std::uint64_t>(hit ? 1 : 0));
-    if (hit) {
-      MaybeRecord(domain, result, /*deadline_stopped=*/false);
-      return true;
-    }
-  }
-  return false;
+  if (options_.presample_points <= 0) return false;
+  obs::Span span("presample");
+  const bool hit = PresampleLattice(*s.domain, s.result);
+  span.Arg("hit", static_cast<std::uint64_t>(hit ? 1 : 0));
+  if (hit) MaybeRecord(*s.domain, s.result, /*deadline_stopped=*/false);
+  return hit;
 }
 
 void DeltaSolver::Accept(Search& s, std::span<const Interval> box,
@@ -703,8 +814,7 @@ void DeltaSolver::Advance(Search& s) {
 }
 
 std::vector<CheckResult> DeltaSolver::CheckMany(
-    std::span<const Box> domains, bool consult_cache,
-    const std::atomic<bool>* cancel) {
+    std::span<const Box> domains, const std::atomic<bool>* cancel) {
   const auto width = static_cast<std::size_t>(options_.wave_width);
   XCV_CHECK_MSG(domains.size() <= width,
                 "CheckMany takes at most wave_width (" << width
@@ -712,7 +822,8 @@ std::vector<CheckResult> DeltaSolver::CheckMany(
                                                        << domains.size());
   // Wall time is charged in consecutive slices, so the charges of a call's
   // boxes add up to its wall time: each box pays for its own cache lookup
-  // and presample, and each lockstep round is split by wave lanes.
+  // and presample, the call's hits split the revalidation sweep, and each
+  // lockstep round is split by wave lanes.
   Stopwatch watch;
   double charged_until = 0.0;
   auto next_slice = [&watch, &charged_until] {
@@ -723,7 +834,6 @@ std::vector<CheckResult> DeltaSolver::CheckMany(
   };
 
   searches_.resize(domains.size());
-  std::size_t live = 0;
   for (std::size_t i = 0; i < domains.size(); ++i) {
     Search& s = searches_[i];
     s.domain = &domains[i];
@@ -733,8 +843,21 @@ std::vector<CheckResult> DeltaSolver::CheckMany(
     s.last_invalid_model.clear();
     s.last_invalid_box = Box();
     s.parked = -1;
-    s.done = DecideUpFront(s, consult_cache);
+    s.done = DecideUpFront(s);
     s.charged = next_slice();
+  }
+  RevalidateHits();
+  if (!hit_searches_.empty()) {
+    const double share =
+        next_slice() / static_cast<double>(hit_searches_.size());
+    for (const std::size_t i : hit_searches_) searches_[i].charged += share;
+  }
+  std::size_t live = 0;
+  for (Search& s : searches_) {
+    if (!s.done) {
+      s.done = Presample(s);
+      s.charged += next_slice();
+    }
     live += s.done ? 0 : 1;
   }
 
@@ -753,22 +876,7 @@ std::vector<CheckResult> DeltaSolver::CheckMany(
     bwd_count_arena_.clear();
     bwd_box_arena_.clear();
     child_arena_.clear();
-    wave_lo_.resize(dims * width);
-    wave_hi_.resize(dims * width);
-    wave_lo_ptrs_.resize(dims);
-    wave_hi_ptrs_.resize(dims);
-    bwd_lo_.resize(dims * width);
-    bwd_hi_.resize(dims * width);
-    bwd_lo_ptrs_.resize(dims);
-    bwd_hi_ptrs_.resize(dims);
-    bwd_clo_ptrs_.resize(dims);
-    bwd_chi_ptrs_.resize(dims);
-    for (std::size_t d = 0; d < dims; ++d) {
-      wave_lo_ptrs_[d] = wave_lo_.data() + d * width;
-      wave_hi_ptrs_[d] = wave_hi_.data() + d * width;
-      bwd_clo_ptrs_[d] = bwd_lo_ptrs_[d] = bwd_lo_.data() + d * width;
-      bwd_chi_ptrs_[d] = bwd_hi_ptrs_[d] = bwd_hi_.data() + d * width;
-    }
+    ShapeWaveRows(dims);
     for (std::size_t i = 0; i < searches_.size(); ++i) {
       Search& s = searches_[i];
       if (s.done) continue;
@@ -825,47 +933,9 @@ std::vector<CheckResult> DeltaSolver::CheckMany(
 
 void DeltaSolver::ClassifyBoxes(std::span<const Box> boxes,
                                 std::vector<int>& out) {
-  const std::size_t n = boxes.size();
-  out.assign(n, 0);
-  if (n == 0) return;
-  const std::size_t dims = boxes[0].size();
-  const std::size_t atoms = atoms_.size();
-
-  // SoA gather into the revalidation lanes (grown monotonically).
-  reval_lo_.resize(dims * n);
-  reval_hi_.resize(dims * n);
-  reval_lo_ptrs_.resize(dims);
-  reval_hi_ptrs_.resize(dims);
-  for (std::size_t d = 0; d < dims; ++d) {
-    double* lo = reval_lo_.data() + d * n;
-    double* hi = reval_hi_.data() + d * n;
-    for (std::size_t k = 0; k < n; ++k) {
-      XCV_DCHECK(boxes[k].size() == dims);
-      lo[k] = boxes[k][d].lo();
-      hi[k] = boxes[k][d].hi();
-    }
-    reval_lo_ptrs_[d] = lo;
-    reval_hi_ptrs_[d] = hi;
-  }
-
-  // One batched sweep per atom, statuses per (box, atom).
-  std::vector<Tri>& status = reval_status_;
-  status.resize(n * atoms);
-  for (std::size_t a = 0; a < atoms; ++a) {
-    const Atom& atom = atoms_[a];
-    expr::EvalTapeIntervalBatch(atom.tape, reval_lo_ptrs_, reval_hi_ptrs_, n,
-                                interval_batch_);
-    const auto root = static_cast<std::size_t>(atom.tape.root());
-    for (std::size_t k = 0; k < n; ++k)
-      status[k * atoms + a] =
-          ClassifyRoot(interval_batch_.At(root, k), atom.rel);
-  }
-
-  for (std::size_t k = 0; k < n; ++k) {
-    const Tri truth =
-        EvaluateSkeleton(exact_.skeleton(), status.data() + k * atoms);
-    out[k] = truth == Tri::kTrue ? 1 : truth == Tri::kFalse ? -1 : 0;
-  }
+  ClassifySweep(
+      boxes.size(), [boxes](std::size_t k) -> const Box& { return boxes[k]; },
+      out);
 }
 
 }  // namespace xcv::solver

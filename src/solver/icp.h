@@ -78,12 +78,14 @@ struct SolverOptions {
   /// one box per sweep; at most kMaxWaveWidth.
   int wave_width = 8;
   /// Optional persistent verdict cache (src/cache/). When set, the solver
-  /// consults it per box before any solver work — an exact (formula,
-  /// options, box) hit replays the recorded result with from_cache set —
-  /// and records its own reproducible verdicts (UNSAT, delta-sat,
-  /// node-budget timeouts; never wall-clock timeouts). Non-owning; never
-  /// serialized. The cache only skips work: a cache-less rerun of a
-  /// deterministic run produces byte-identical results.
+  /// consults it per box before any solver work and records its own
+  /// reproducible verdicts (UNSAT, delta-sat, node-budget timeouts; never
+  /// wall-clock timeouts). An exact (formula, options, box) hit replays the
+  /// recorded result with from_cache set once a fresh interval sweep has
+  /// revalidated it (see CheckMany); a contradicted hit is solved afresh
+  /// and its verdict replaces the entry. Non-owning; never serialized. The
+  /// cache only skips work: a cache-less rerun of a deterministic run
+  /// produces byte-identical results.
   cache::VerdictCache* cache = nullptr;
   /// Extra word folded into the cache scope hash. Campaigns salt with the
   /// condition id so cache keys spell out (functional tape, condition,
@@ -114,6 +116,10 @@ struct CheckResult {
   /// True when the result was replayed from the verdict cache (stats.nodes
   /// then reports the recorded cold-run node count; no solver work ran).
   bool from_cache = false;
+  /// True when the cache held an entry for the box that its revalidation
+  /// sweep contradicted: the result is a full solve, and its verdict
+  /// replaced the entry. Never set together with from_cache.
+  bool cache_rejected = false;
   /// True when CheckMany's cancel flag stopped the call before this box was
   /// decided; nothing else in the result is meaningful and nothing was
   /// cached.
@@ -133,18 +139,24 @@ class DeltaSolver {
   /// per box, every classify/contract wave built from all of them. Each box
   /// keeps its own stack, pop order, node budget, stats, and verdict, so
   /// out[i] is byte-identical to a one-box call on domains[i] (bar
-  /// stats.seconds). consult_cache=false skips the cache lookups and forces
-  /// full solves (used after a cache hit fails revalidation; the fresh
-  /// results overwrite the bad entries). `cancel`, when set, is checked
-  /// between lockstep rounds: the searches still running are dropped and
-  /// their results come back with `cancelled` set.
+  /// stats.seconds).
+  ///
+  /// With a verdict cache, every box is looked up first, and one
+  /// ClassifyBoxes sweep over the call's hits decides which to trust. The
+  /// sweep classifies the formula over each hit's box (+1 / -1 / 0), and a
+  /// verdict no run of this solver on that box could produce is rejected:
+  /// UNSAT on a +1 box; delta-sat on a -1 box, or with an empty model or
+  /// one outside its box; a timeout on a decided box (one forward sweep
+  /// decides it at node 1). A rejected hit is searched like a miss in the
+  /// same call and comes back with cache_rejected set. `cancel`, when set,
+  /// is checked between lockstep rounds: the searches still running are
+  /// dropped and their results come back with `cancelled` set.
   std::vector<CheckResult> CheckMany(std::span<const Box> domains,
-                                     bool consult_cache = true,
                                      const std::atomic<bool>* cancel = nullptr);
 
   /// CheckMany on one box.
-  CheckResult Check(const Box& domain, bool consult_cache = true) {
-    return std::move(CheckMany({&domain, 1}, consult_cache).front());
+  CheckResult Check(const Box& domain) {
+    return std::move(CheckMany({&domain, 1}).front());
   }
 
   const SolverOptions& options() const { return options_; }
@@ -158,12 +170,12 @@ class DeltaSolver {
   /// doubles, on its unoptimized tapes at width 1 — Algorithm 1's valid(x).
   bool ValidateModel(std::span<const double> model);
 
-  /// Classifies the formula skeleton over `boxes` with one batched interval
-  /// sweep per atom (EvalTapeIntervalBatch): out[k] is +1 when the formula
-  /// certainly holds at every point of box k, -1 when it certainly holds
-  /// nowhere in box k, 0 when interval evaluation cannot decide. This is
-  /// the engine's cache-hit revalidation primitive — one sweep covers a
-  /// whole wave of cached frontier boxes.
+  /// Classifies the formula skeleton over `boxes` (at most wave_width, all
+  /// of one dimensionality) with one batched interval sweep per atom
+  /// (EvalTapeIntervalBatch): out[k] is +1 when the formula certainly holds
+  /// at every point of box k, -1 when it certainly holds nowhere in box k,
+  /// 0 when interval evaluation cannot decide. CheckMany revalidates its
+  /// cache hits with it.
   void ClassifyBoxes(std::span<const Box> boxes, std::vector<int>& out);
 
  private:
@@ -208,9 +220,25 @@ class DeltaSolver {
   void MaybeRecord(const Box& domain, const CheckResult& result,
                    bool deadline_stopped) const;
 
-  /// Decides `s` before any branching when it can: an empty domain, a
-  /// verdict-cache hit, or a presample model. Returns true when decided.
-  bool DecideUpFront(Search& s, bool consult_cache);
+  /// Decides `s` before any solver work when it can: an empty domain, or a
+  /// verdict-cache hit (from_cache set, to be revalidated by
+  /// RevalidateHits). Returns true when decided.
+  bool DecideUpFront(Search& s);
+  /// Collects the call's cache hits into hit_searches_, sweeps them in one
+  /// ClassifyBoxes pass, and reopens every hit whose verdict contradicts
+  /// its box's classification (see CheckMany) as a fresh search with
+  /// cache_rejected set. No sweep runs when the call has no hits.
+  void RevalidateHits();
+  /// Probes the presample lattice of an undecided `s`; a genuine model ends
+  /// it delta-sat. Returns true when decided.
+  bool Presample(Search& s);
+  /// ClassifyBoxes over `n` boxes, box k being box_at(k): gathers them into
+  /// the wave rows and borrows status_arena_ (box k as slot k), so it runs
+  /// only while no call's frontier is live.
+  template <typename BoxAt>
+  void ClassifySweep(std::size_t n, BoxAt box_at, std::vector<int>& out);
+  /// Sizes the wave and working-box rows for `dims`-dimensional boxes.
+  void ShapeWaveRows(std::size_t dims);
   /// Runs `s` depth-first until it pops a box no wave has classified yet
   /// (and parks on it) or reaches its verdict (and is done).
   void Advance(Search& s);
@@ -281,18 +309,18 @@ class DeltaSolver {
   // (-1 = not expanded; every box that reaches pop step 4 has been).
   std::vector<BoxStore::Ref> child_arena_;
 
-  // Wave classification buffers (sized once per CheckMany).
+  // Wave classification buffers (sized by ShapeWaveRows). The revalidation
+  // sweep gathers a call's cache hits into the same rows before its first
+  // wave.
   std::vector<BoxStore::Ref> wave_refs_;
   std::vector<BoxStore::Ref> next_refs_;  // children feeding the next level
   std::vector<double> wave_lo_, wave_hi_;          // dims × wave_width SoA
   std::vector<const double*> wave_lo_ptrs_, wave_hi_ptrs_;
   expr::TapeIntervalBatchScratch interval_batch_;
-
-  // ClassifyBoxes SoA buffers (grown monotonically; warm cache replays run
-  // one revalidation sweep per wave, so this is a hot path too).
-  std::vector<double> reval_lo_, reval_hi_;
-  std::vector<const double*> reval_lo_ptrs_, reval_hi_ptrs_;
-  std::vector<Tri> reval_status_;  // box * atoms + atom
+  // RevalidateHits: the searches holding the call's hits, and their boxes'
+  // classifications.
+  std::vector<std::size_t> hit_searches_;
+  std::vector<int> hit_tri_;
 
   // Batched backward contraction over the wave: each level runs the whole
   // HC4 fixpoint loop (rounds × required atoms, forward + backward sweeps)

@@ -101,13 +101,6 @@ void ObserveSolverStats(const solver::SolverStats& stats) {
   prunes.Add(static_cast<double>(stats.prunes));
 }
 
-obs::Counter& CacheRevalidationCounter() {
-  static obs::Counter& c = obs::Registry::Global().GetCounter(
-      "xcv_cache_revalidations_total",
-      "Batched forward sweeps run to revalidate cached verdicts.");
-  return c;
-}
-
 }  // namespace
 
 double FrontierPriority(FrontierStrategy strategy,
@@ -415,22 +408,7 @@ bool PairEngine::ProcessNext(const std::atomic<bool>* cancel) {
     std::vector<CheckResult> results;
     {
       obs::Span solve_span("solve");
-      results = solver->CheckMany(boxes, /*consult_cache=*/true, cancel);
-      if (options_.solver.cache != nullptr) {
-        RevalidateCachedResults(*solver, claims, boxes, results);
-        // A cached entry that contradicts a fresh interval sweep (scope-hash
-        // collision or a tampered file) is distrusted and solved for real,
-        // in a call of its own; the fresh result overwrites the bad entry.
-        std::vector<Box> again;
-        for (std::size_t i = 0; i < claims.size(); ++i)
-          if (claims[i].rejected) again.push_back(boxes[i]);
-        if (!again.empty()) {
-          std::vector<CheckResult> fresh =
-              solver->CheckMany(again, /*consult_cache=*/false, cancel);
-          for (std::size_t i = 0, j = 0; i < claims.size(); ++i)
-            if (claims[i].rejected) results[i] = std::move(fresh[j++]);
-        }
-      }
+      results = solver->CheckMany(boxes, cancel);
       if (solve_span.armed()) {
         // Deterministic args only (no wall seconds): replays of the same
         // run under the fixed trace clock stay byte-identical.
@@ -455,7 +433,7 @@ bool PairEngine::ProcessNext(const std::atomic<bool>* cancel) {
         claim.requeue = true;
         continue;
       }
-      if (claim.rejected) {
+      if (result.cache_rejected) {
         cache_rejected_.fetch_add(1, std::memory_order_relaxed);
         CacheLookupCounter("rejected").Inc();
       }
@@ -467,7 +445,7 @@ bool PairEngine::ProcessNext(const std::atomic<bool>* cancel) {
       } else {
         // hits / misses / rejected are disjoint per box (see region.h): a
         // rejected hit was not a miss — the lookup found an entry.
-        if (options_.solver.cache != nullptr && !claim.rejected) {
+        if (options_.solver.cache != nullptr && !result.cache_rejected) {
           cache_misses_.fetch_add(1, std::memory_order_relaxed);
           CacheLookupCounter("miss").Inc();
         }
@@ -530,7 +508,6 @@ bool PairEngine::ProcessNext(const std::atomic<bool>* cancel) {
         continue;
       }
       store_.Release(item.box_ref);  // leaf or split: the slot is recycled
-      reval_tri_.erase(item.seq);    // wave classification is spent either way
       if (!claim.witness.empty()) report_.witnesses.push_back(claim.witness);
       if (claim.children.empty()) {
         report_.leaves.push_back(
@@ -544,90 +521,6 @@ bool PairEngine::ProcessNext(const std::atomic<bool>* cancel) {
   }
   HandOut(tickets);
   return true;
-}
-
-void PairEngine::RevalidateCachedResults(DeltaSolver& solver,
-                                         std::span<Claim> claims,
-                                         std::span<const Box> boxes,
-                                         std::span<const CheckResult> results) {
-  if (std::none_of(results.begin(), results.end(),
-                   [](const CheckResult& r) { return r.from_cache; }))
-    return;
-  // The sweep classifies ¬ψ over the box: +1 = certainly satisfiable
-  // everywhere, -1 = certainly unsatisfiable, 0 = undecided. A verdict that
-  // contradicts its box's classification cannot have come from a run of
-  // this solver on this box.
-  auto reject = [&](std::size_t i, int tri) {
-    const CheckResult& result = results[i];
-    bool trusted = false;
-    switch (result.kind) {
-      case SatKind::kUnsat:
-        trusted = tri != 1;
-        break;
-      case SatKind::kDeltaSat:
-        trusted = tri != -1 && !result.model.empty() &&
-                  boxes[i].Contains(result.model);
-        break;
-      case SatKind::kTimeout:
-        // A box decidable by one forward sweep is decided at node 1 — it
-        // can never exhaust a node budget.
-        trusted = tri == 0;
-        break;
-    }
-    claims[i].rejected = !trusted;
-  };
-
-  // A hit's classification comes from the map when an earlier wave covered
-  // its box; the rest ride this call's sweep (own[j] is the batch index of
-  // wave[j]; members are the frontier boxes topping the wave up).
-  std::vector<Box> wave;
-  std::vector<std::size_t> own;
-  std::vector<std::uint64_t> members;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (std::size_t i = 0; i < claims.size(); ++i) {
-      if (!results[i].from_cache) continue;
-      const auto it = reval_tri_.find(claims[i].item.seq);
-      if (it != reval_tri_.end() && it->second != kRevalPending) {
-        reject(i, it->second);
-        continue;
-      }
-      own.push_back(i);
-      wave.push_back(boxes[i]);
-    }
-    if (!wave.empty()) {
-      // Top the wave up with open frontier boxes no earlier wave classified
-      // or claimed, up to the solver's wave width, so one batched sweep
-      // covers the pops that follow. Members are claimed (marked pending)
-      // here, so a concurrent wave skips them. (Boxes are copied out under
-      // the lock; frontier entries are immutable until popped, so a
-      // classification stays valid whenever it is consumed.)
-      const auto width = static_cast<std::size_t>(options_.solver.wave_width);
-      for (const OpenBox& b : open_) {
-        if (wave.size() >= width) break;
-        if (!reval_tri_.try_emplace(b.seq, kRevalPending).second) continue;
-        members.push_back(b.seq);
-        wave.push_back(Box(store_.View(b.box_ref)));
-      }
-    }
-  }
-  if (wave.empty()) return;
-  std::vector<int> tris;
-  {
-    obs::Span reval_span("cache-revalidate");
-    reval_span.Arg("wave", static_cast<std::uint64_t>(wave.size()));
-    solver.ClassifyBoxes(wave, tris);
-  }
-  CacheRevalidationCounter().Inc();
-  for (std::size_t j = 0; j < own.size(); ++j) reject(own[j], tris[j]);
-  std::lock_guard<std::mutex> lock(mu_);
-  // Fill in only the claims still pending: a member popped and recorded
-  // while the sweep ran already had its entry erased.
-  for (std::size_t j = 0; j < members.size(); ++j) {
-    const auto it = reval_tri_.find(members[j]);
-    if (it != reval_tri_.end() && it->second == kRevalPending)
-      it->second = tris[own.size() + j];
-  }
 }
 
 bool PairEngine::Finished() const {
@@ -697,7 +590,6 @@ std::vector<Box> PairEngine::TakeOpenFrontier() {
     store_.Release(b.box_ref);
   }
   open_.clear();
-  reval_tri_.clear();  // nothing is open or in flight any more
   std::sort(out.begin(), out.end(), BoxLess);
   return out;
 }

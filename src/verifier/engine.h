@@ -25,7 +25,6 @@
 #include <memory>
 #include <mutex>
 #include <span>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -94,11 +93,14 @@ class PairEngine {
   /// each box as a leaf or splitting it. The sequential drivers and the
   /// pool tickets both call it, so every interval wave runs near full on
   /// either path. Verdicts are the same for every batch size: each box's
-  /// decision is independent of its batch-mates. The per-pair budget is
-  /// checked once per batch, and the batch's wall time adds to the busy
-  /// clock. Returns false when nothing was processed: the frontier is
-  /// empty, or `cancel` is set. Cancellation leaves the frontier intact
-  /// for Snapshot()/TakeOpenFrontier(): the solver checks the flag between
+  /// decision is independent of its batch-mates. With a verdict cache, the
+  /// same call revalidates the batch's hits and re-solves the rejected ones
+  /// (see CheckMany); the engine only counts hits, misses and rejections
+  /// from the results. The per-pair budget is checked once per batch, and
+  /// the batch's wall time adds to the busy clock. Returns false when
+  /// nothing was processed: the frontier is empty, or `cancel` is set.
+  /// Cancellation leaves the frontier intact for
+  /// Snapshot()/TakeOpenFrontier(): the solver checks the flag between
   /// lockstep rounds, and boxes it did not decide go back on the frontier
   /// unchanged. Thread-safe.
   bool ProcessNext(const std::atomic<bool>* cancel);
@@ -145,8 +147,7 @@ class PairEngine {
     std::vector<double> witness;
     std::vector<solver::Box> children;  // empty: a leaf
     std::vector<char> child_suspect;
-    bool rejected = false;  // a cache hit that failed revalidation
-    bool requeue = false;   // cancelled before it was decided
+    bool requeue = false;  // cancelled before it was decided
   };
 
   // Tickets to hand out once mu_ is released: `count` calls of `sink`.
@@ -163,20 +164,6 @@ class PairEngine {
   static void HandOut(const Tickets& tickets);
   std::unique_ptr<solver::DeltaSolver> AcquireSolver();
   void ReleaseSolver(std::unique_ptr<solver::DeltaSolver> s);
-
-  /// Decides which cache-replayed results of a batch may be trusted: sets
-  /// claims[i].rejected for every from_cache result i whose box's interval
-  /// classification or cached model contradicts the cached verdict (the
-  /// caller re-solves those with the cache bypassed). A box's
-  /// classification comes from the revalidation map if an earlier wave
-  /// classified it; the batch's other hits are classified in one batched
-  /// sweep, topped up to wave_width with unclaimed open frontier boxes (so
-  /// a warm replay pays one EvalTapeIntervalBatch dispatch per wave, not
-  /// per box).
-  void RevalidateCachedResults(solver::DeltaSolver& solver,
-                               std::span<Claim> claims,
-                               std::span<const solver::Box> boxes,
-                               std::span<const solver::CheckResult> results);
 
   expr::BoolExpr psi_;
   expr::BoolExpr not_psi_;
@@ -196,20 +183,11 @@ class PairEngine {
 
   std::atomic<std::uint64_t> solver_calls_{0};
   std::atomic<std::uint64_t> solver_timeouts_{0};
-
-  // Verdict-cache bookkeeping. reval_tri_ holds, per box a revalidation
-  // wave covered, keyed by the box's frontier seq (slot refs recycle, seqs
-  // never do), either its interval classification (+1/-1/0) or
-  // kRevalPending: the box was claimed for a wave whose sweep is still
-  // running (a pop that finds it pending runs a wave of its own). A wave
-  // fills in only the claims still pending when its sweep ends, and a box's
-  // entry is erased when its outcome is recorded, so the map holds only
-  // open or in-flight boxes and each wave costs O(wave), never O(frontier).
-  static constexpr int kRevalPending = 2;
+  // Verdict-cache traffic, counted from the solver's results (the solver
+  // revalidates hits and re-solves the rejected ones in the same call).
   std::atomic<std::uint64_t> cache_hits_{0};
   std::atomic<std::uint64_t> cache_misses_{0};
   std::atomic<std::uint64_t> cache_rejected_{0};
-  std::unordered_map<std::uint64_t, int> reval_tri_;  // guarded by mu_
 
   // Free-list of solver instances (tape compilation is expensive for big
   // functionals; one solver is in use per concurrent box at a time).

@@ -1,16 +1,19 @@
-// Persistent verdict cache: round-trip exactness, warm-replay equality with
-// cache-less runs (also with concurrent workers at every wave width),
-// options-hash (in)sensitivity, revalidation rejection of poisoned entries,
-// corrupt-file degradation, the change generation that spares an unchanged
-// file its rewrite, and concurrent saves.
+// Persistent verdict cache: round-trip exactness, warm and partially warm
+// replay equality with cache-less runs (also with concurrent workers at
+// every wave width), options-hash (in)sensitivity, the solver's trust rules
+// for cache hits and the repair of poisoned entries, corrupt-file
+// degradation, the change generation that spares an unchanged file its
+// rewrite, and concurrent saves.
 #include <sys/stat.h>
 
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <string>
 #include <thread>
 #include <utility>
@@ -249,13 +252,18 @@ TEST(VerdictCache, WarmCampaignReplaysByteIdenticalAndSkipsSolverCalls) {
   std::remove(path.c_str());
 }
 
+// Split fine enough that the open frontier runs to hundreds of boxes, far
+// wider than any batch, so concurrent workers decide batches of one pair
+// side by side.
+CampaignOptions FineCampaignOptions() {
+  CampaignOptions o = FastCampaignOptions();
+  o.verifier.split_threshold = 0.1;
+  o.verifier.solver.max_nodes = 50;
+  return o;
+}
+
 TEST(VerdictCache, MultiThreadedWarmReplayAtEveryWaveWidth) {
-  // Split fine enough that the open frontier runs to hundreds of boxes,
-  // far wider than any revalidation wave, so concurrent workers build
-  // overlapping waves and pop each other's claimed (pending) boxes.
-  CampaignOptions base = FastCampaignOptions();
-  base.verifier.split_threshold = 0.1;
-  base.verifier.solver.max_nodes = 50;
+  const CampaignOptions base = FineCampaignOptions();
   const std::string bare = DeterministicFace(RunMatrixCampaign(base));
 
   const std::string path = TempPath("cache_mt_replay.json");
@@ -327,6 +335,45 @@ TEST(VerdictCache, MultiThreadedWarmReplayAtEveryWaveWidth) {
   EXPECT_EQ(reloaded.size(), cold.cache_entries);
   std::remove(path.c_str());
   std::remove((path + ".corrupt").c_str());
+}
+
+TEST(VerdictCache, PartiallyWarmReplayMixesHitsAndMissesInOneBatch) {
+  // A cache recorded at split threshold 0.2 holds every box the tree at 0.1
+  // visits down to the coarser leaves (a box that splits at 0.2 splits at
+  // 0.1 too), so a replay at 0.1 decides batches of hits and misses
+  // together.
+  const CampaignOptions fine = FineCampaignOptions();
+  const CampaignResult bare_result = RunMatrixCampaign(fine);
+  const std::string bare = DeterministicFace(bare_result);
+  const std::uint64_t fine_calls = SolverCalls(bare_result);
+
+  const std::string path = TempPath("cache_partial_replay.json");
+  std::remove(path.c_str());
+  CampaignOptions coarse = fine;
+  coarse.verifier.split_threshold = 0.2;
+  coarse.cache_path = path;
+  const std::uint64_t coarse_calls = SolverCalls(RunMatrixCampaign(coarse));
+  ASSERT_GT(coarse_calls, 0u);
+  ASSERT_LT(coarse_calls, fine_calls);
+
+  for (const int threads : {1, 2, 4}) {
+    for (const int width : {1, 8, 64}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " wave_width=" + std::to_string(width));
+      CampaignOptions warm_options = fine;
+      warm_options.cache_path = path;
+      warm_options.cache_readonly = true;
+      warm_options.num_threads = threads;
+      warm_options.verifier.solver.wave_width = width;
+      const CampaignResult warm = RunMatrixCampaign(warm_options);
+      EXPECT_EQ(DeterministicFace(warm), bare);
+      EXPECT_EQ(warm.CacheHits(), coarse_calls);
+      EXPECT_EQ(warm.CacheMisses(), fine_calls - coarse_calls);
+      EXPECT_EQ(SolverCalls(warm), fine_calls - coarse_calls);
+      EXPECT_EQ(warm.CacheRejected(), 0u);
+    }
+  }
+  std::remove(path.c_str());
 }
 
 TEST(VerdictCache, SaveIfChangedFollowsTheChangeGeneration) {
@@ -535,11 +582,6 @@ TEST(VerdictCache, SolverConsultsAndRecords) {
   EXPECT_EQ(warm.kind, cold.kind);
   EXPECT_EQ(warm.model, cold.model);
   EXPECT_EQ(warm.stats.nodes, cold.stats.nodes);
-
-  // Bypass flag forces a real solve.
-  const auto fresh = solver.Check(domain, /*consult_cache=*/false);
-  EXPECT_FALSE(fresh.from_cache);
-  EXPECT_EQ(fresh.kind, cold.kind);
 }
 
 TEST(VerdictCache, EngineRejectsPoisonedEntries) {
@@ -562,7 +604,9 @@ TEST(VerdictCache, EngineRejectsPoisonedEntries) {
   const Box domain = conditions::PaperDomain(*pbe);
 
   // A genuine cold solve for reference.
-  const auto truth = probe.Check(domain, /*consult_cache=*/false);
+  solver::SolverOptions bare = opts;
+  bare.cache = nullptr;
+  const auto truth = solver::DeltaSolver(not_psi, bare).Check(domain);
 
   // Poison: a delta-sat whose "model" is far outside the domain.
   CachedVerdict poison;
@@ -588,6 +632,242 @@ TEST(VerdictCache, EngineRejectsPoisonedEntries) {
   CachedVerdict repaired;
   ASSERT_TRUE(cache.Lookup(probe.cache_scope(), domain.dims(), &repaired));
   EXPECT_EQ(repaired.nodes, truth.stats.nodes);
+}
+
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (std::bit_cast<std::uint64_t>(a[i]) !=
+        std::bit_cast<std::uint64_t>(b[i]))
+      return false;
+  }
+  return true;
+}
+
+std::vector<double> BoxBits(std::span<const Interval> box) {
+  std::vector<double> out;
+  for (const Interval& iv : box) {
+    out.push_back(iv.lo());
+    out.push_back(iv.hi());
+  }
+  return out;
+}
+
+// A verdict's replayed content, bit for bit.
+bool SameVerdict(const CachedVerdict& a, const CachedVerdict& b) {
+  return a.kind == b.kind && a.nodes == b.nodes && SameBits(a.model, b.model) &&
+         SameBits(BoxBits(a.model_box), BoxBits(b.model_box));
+}
+
+TEST(VerdictCache, CheckManyAppliesTheTrustRulesInOneCall) {
+  // ¬ψ = x > 0: one forward sweep classifies a box +1 when it lies right of
+  // 0, -1 when it lies left of it, and 0 when it straddles 0.
+  const expr::Expr x = expr::Expr::Variable("x", 0);
+  const expr::BoolExpr formula = expr::BoolExpr::Gt(x, expr::Expr::Constant(0));
+  auto box = [](double lo, double hi) { return Box({Interval(lo, hi)}); };
+  auto delta_sat = [](std::vector<double> model) {
+    CachedVerdict v;
+    v.kind = CachedKind::kDeltaSat;
+    for (double c : model) v.model_box.emplace_back(c);
+    v.model = std::move(model);
+    return v;
+  };
+  struct Row {
+    const char* what;
+    Box domain;
+    bool cached;
+    CachedVerdict entry;
+    bool trusted;
+  };
+  const std::vector<Row> rows = {
+      {"poisoned UNSAT on a +1 box", box(1, 2), true,
+       CachedVerdict{CachedKind::kUnsat, {}, {}, 3}, false},
+      {"poisoned timeout on a decided box", box(-4, -3), true,
+       CachedVerdict{CachedKind::kTimeout, {}, {}, 50}, false},
+      {"poisoned delta-sat on a -1 box", box(-2, -1), true,
+       delta_sat({-1.5}), false},
+      {"delta-sat with its model outside its box", box(-1, 1), true,
+       delta_sat({5.0}), false},
+      {"delta-sat without a model", box(2, 3), true,
+       CachedVerdict{CachedKind::kDeltaSat, {}, {}, 4}, false},
+      {"timeout on an undecided box", box(-3, 5), true,
+       CachedVerdict{CachedKind::kTimeout, {}, {}, 77}, true},
+      {"delta-sat inside a +1 box", box(5, 6), true, delta_sat({5.25}), true},
+      // One sweep cannot refute UNSAT on a box it leaves undecided.
+      {"UNSAT on an undecided box", box(-6, 6), true,
+       CachedVerdict{CachedKind::kUnsat, {}, {}, 9}, true},
+      {"miss", box(-7, 0.5), false, CachedVerdict{}, false},
+  };
+
+  solver::SolverOptions bare_options;
+  bare_options.wave_width = 16;
+  solver::DeltaSolver bare(formula, bare_options);
+  VerdictCache cache;
+  solver::SolverOptions options = bare_options;
+  options.cache = &cache;
+  solver::DeltaSolver cached(formula, options);
+  std::vector<Box> domains;
+  for (const Row& row : rows) {
+    domains.push_back(row.domain);
+    if (row.cached)
+      cache.Store(cached.cache_scope(), row.domain.dims(), row.entry);
+  }
+
+  const obs::Counter& sweeps = obs::Registry::Global().GetCounter(
+      "xcv_cache_revalidations_total",
+      "Batched forward sweeps run to revalidate cached verdicts.");
+  const double sweeps_before = sweeps.Value();
+  const std::vector<solver::CheckResult> results = cached.CheckMany(domains);
+  // One revalidation sweep for the call's eight hits.
+  EXPECT_EQ(sweeps.Value() - sweeps_before, 1.0);
+
+  ASSERT_EQ(results.size(), rows.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const Row& row = rows[i];
+    SCOPED_TRACE(row.what);
+    const solver::CheckResult& r = results[i];
+    CachedVerdict stored;
+    ASSERT_TRUE(cache.Lookup(cached.cache_scope(), row.domain.dims(), &stored));
+    if (row.trusted) {
+      // Replayed as recorded, and the entry is left alone. (CachedKind and
+      // SatKind list the kinds in the same order.)
+      EXPECT_TRUE(r.from_cache);
+      EXPECT_FALSE(r.cache_rejected);
+      EXPECT_EQ(static_cast<int>(r.kind), static_cast<int>(row.entry.kind));
+      EXPECT_TRUE(SameBits(r.model, row.entry.model));
+      EXPECT_EQ(r.stats.nodes, row.entry.nodes);
+      EXPECT_TRUE(SameVerdict(stored, row.entry));
+      continue;
+    }
+    // Rejected hits and the miss are solved as if no cache existed, and the
+    // fresh verdict is what the cache holds afterwards.
+    const solver::CheckResult truth = bare.Check(row.domain);
+    EXPECT_FALSE(r.from_cache);
+    EXPECT_EQ(r.cache_rejected, row.cached);
+    EXPECT_EQ(r.kind, truth.kind);
+    EXPECT_TRUE(SameBits(r.model, truth.model));
+    EXPECT_TRUE(SameBits(BoxBits(r.model_box.dims()),
+                         BoxBits(truth.model_box.dims())));
+    EXPECT_EQ(r.stats.nodes, truth.stats.nodes);
+    EXPECT_EQ(static_cast<int>(stored.kind), static_cast<int>(truth.kind));
+    EXPECT_TRUE(SameBits(stored.model, truth.model));
+    EXPECT_EQ(stored.nodes, truth.stats.nodes);
+  }
+}
+
+// One of six kind and model mutations of `v` (by `m` mod 6) on `box`.
+CachedVerdict Poison(std::size_t m, std::span<const Interval> box,
+                     CachedVerdict v) {
+  std::vector<double> mid, corner;
+  for (const Interval& iv : box) {
+    mid.push_back(0.5 * (iv.lo() + iv.hi()));
+    corner.push_back(iv.lo());
+  }
+  v.model.clear();
+  v.model_box.clear();
+  v.kind = CachedKind::kDeltaSat;
+  switch (m % 6) {
+    case 0: v.kind = CachedKind::kUnsat; break;
+    case 1: v.kind = CachedKind::kTimeout; break;
+    case 2: v.model = mid; break;       // inside its box
+    case 3:                             // outside its box
+      v.model = mid;
+      v.model[0] = box[0].hi() + 1.0;
+      break;
+    case 4: break;                      // no model at all
+    case 5: v.model = corner; break;    // inside, on the box's corner
+  }
+  if (!v.model.empty()) v.model_box.assign(box.begin(), box.end());
+  return v;
+}
+
+// Every entry of `cache`, keyed by its scope and box bits.
+std::map<std::pair<std::uint64_t, std::vector<std::uint64_t>>, CachedVerdict>
+Entries(const VerdictCache& cache) {
+  std::map<std::pair<std::uint64_t, std::vector<std::uint64_t>>, CachedVerdict>
+      out;
+  cache.ForEach([&out](std::uint64_t scope, std::span<const Interval> box,
+                       const CachedVerdict& v) {
+    std::vector<std::uint64_t> bits;
+    for (double c : BoxBits(box))
+      bits.push_back(std::bit_cast<std::uint64_t>(c));
+    out.emplace(std::make_pair(scope, std::move(bits)), v);
+  });
+  return out;
+}
+
+TEST(VerdictCache, PoisonedReplayRepairsExactlyTheRejectedEntries) {
+  const std::string clean_path = TempPath("cache_poison_clean.json");
+  std::remove(clean_path.c_str());
+  CampaignOptions cold = FineCampaignOptions();
+  cold.cache_path = clean_path;
+  RunMatrixCampaign(cold);
+  VerdictCache clean;
+  ASSERT_TRUE(clean.Load(clean_path));
+  const auto clean_entries = Entries(clean);
+
+  // Every 7th entry, in canonical order, gets the next mutation.
+  VerdictCache poisoned;
+  std::size_t index = 0;
+  clean.ForEach([&](std::uint64_t scope, std::span<const Interval> box,
+                    const CachedVerdict& v) {
+    poisoned.Store(scope, box,
+                   index % 7 == 0 ? Poison(index / 7, box, v) : v);
+    ++index;
+  });
+  const auto poisoned_entries = Entries(poisoned);
+
+  std::string face, cache_bytes;
+  for (const int threads : {1, 4}) {
+    for (const int width : {1, 8, 64}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " wave_width=" + std::to_string(width));
+      const std::string path = TempPath("cache_poison_replay.json");
+      std::remove(path.c_str());
+      poisoned.Save(path);
+      CampaignOptions warm = FineCampaignOptions();
+      warm.cache_path = path;
+      warm.num_threads = threads;
+      warm.verifier.solver.wave_width = width;
+      const CampaignResult result = RunMatrixCampaign(warm);
+      VerdictCache after;
+      ASSERT_TRUE(after.Load(path));
+      const auto after_entries = Entries(after);
+
+      // The entries that changed are exactly the rejected hits, each back
+      // to its clean verdict; the entries added are exactly the misses.
+      std::uint64_t changed = 0, added = 0;
+      for (const auto& [key, verdict] : after_entries) {
+        const auto was = poisoned_entries.find(key);
+        if (was == poisoned_entries.end()) {
+          ++added;
+          continue;
+        }
+        if (SameVerdict(verdict, was->second)) continue;
+        ++changed;
+        EXPECT_TRUE(SameVerdict(verdict, clean_entries.at(key)));
+      }
+      EXPECT_EQ(after_entries.size(), poisoned_entries.size() + added);
+      EXPECT_EQ(changed, result.CacheRejected());
+      EXPECT_EQ(added, result.CacheMisses());
+      EXPECT_GT(result.CacheRejected(), 0u);
+
+      // Every (threads, width) replays to the same report and cache bytes.
+      const std::string run_face =
+          DeterministicFace(result) + " hits=" +
+          std::to_string(result.CacheHits()) + " misses=" +
+          std::to_string(result.CacheMisses()) + " rejected=" +
+          std::to_string(result.CacheRejected());
+      if (face.empty()) {
+        face = run_face;
+        cache_bytes = ReadAll(path);
+      }
+      EXPECT_EQ(run_face, face);
+      EXPECT_EQ(ReadAll(path), cache_bytes);
+      std::remove(path.c_str());
+    }
+  }
+  std::remove(clean_path.c_str());
 }
 
 TEST(VerdictCache, CampaignToleratesCorruptCacheFile) {

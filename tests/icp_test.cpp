@@ -167,7 +167,7 @@ TEST(DeltaSolver, CancelDropsOnlyTheSearchesStillRunning) {
                                Box({Interval::Empty()}),
                                Box({Interval(3.0, 4.0)})};
   const std::atomic<bool> cancel{true};
-  const auto dropped = solver.CheckMany(batch, true, &cancel);
+  const auto dropped = solver.CheckMany(batch, &cancel);
   ASSERT_EQ(dropped.size(), 3u);
   EXPECT_TRUE(dropped[0].cancelled);
   EXPECT_FALSE(dropped[1].cancelled);
