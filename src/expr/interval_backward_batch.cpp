@@ -13,8 +13,14 @@
 // through the vectorized kernel calls — their rows carry harmless garbage
 // that nothing reads — but are skipped by every per-lane scalar loop and by
 // the final box fold, so they cannot influence surviving lanes.
+//
+// Dirty slots (see the header): every intersection into a slot goes through
+// intersect() or narrow_lane, which mark the slot dirty when an alive lane's
+// bits changed. Dirtiness is per slot, the union over lanes, so a clean slot
+// is unchanged in every alive lane.
 #include "expr/interval_backward_batch.h"
 
+#include <bit>
 #include <cmath>
 #include <cstring>
 
@@ -27,6 +33,15 @@ namespace xcv::expr {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+bool SameBits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+// The ops whose projections are skipped from a clean slot.
+bool SkipsWhenClean(Op op) {
+  return op == Op::kAdd || op == Op::kMul || op == Op::kDiv || op == Op::kSqr;
+}
 
 }  // namespace
 
@@ -59,8 +74,11 @@ void ContractTapeIntervalBatch(const Tape& tape, TapeIntervalBatchScratch& fwd,
   bs.t2_hi.resize(bs.capacity);
   bs.t3_lo.resize(bs.capacity);
   bs.t3_hi.resize(bs.capacity);
+  bs.prev_lo.resize(bs.capacity);
+  bs.prev_hi.resize(bs.capacity);
   bs.alive.resize(bs.capacity);
   bs.cond.resize(bs.capacity);
+  bs.dirty.assign(slots, 0);
 
   // Mutable per-slot enclosure rows: non-variable slots narrow the forward
   // scratch rows in place; variable slots (which alias the caller's input
@@ -83,6 +101,7 @@ void ContractTapeIntervalBatch(const Tape& tape, TapeIntervalBatchScratch& fwd,
 
   unsigned char* alive = bs.alive.data();
   unsigned char* cond = bs.cond.data();
+  unsigned char* dirty = bs.dirty.data();
   double* t1_lo = bs.t1_lo.data();
   double* t1_hi = bs.t1_hi.data();
   double* t2_lo = bs.t2_lo.data();
@@ -103,20 +122,51 @@ void ContractTapeIntervalBatch(const Tape& tape, TapeIntervalBatchScratch& fwd,
     outcome[j] = kContractLaneEmpty;
     --alive_count;
   };
-  // v[slot] = v[slot].Intersect(projection) for one lane — the scalar
-  // reference sweep's narrow() (rows always hold canonical interval bits,
-  // so the Interval round-trip is lossless).
-  const auto narrow_lane = [&bs](std::int32_t slot, std::size_t j,
-                                 const Interval& projection) {
-    double* slo = bs.lo_rows[static_cast<std::size_t>(slot)];
-    double* shi = bs.hi_rows[static_cast<std::size_t>(slot)];
+  // v[slot] = v[slot].Intersect(projection) for one alive lane — the
+  // scalar reference sweep's narrow() (rows always hold canonical interval
+  // bits, so the Interval round-trip is lossless).
+  const auto narrow_lane = [&bs, dirty](std::int32_t slot, std::size_t j,
+                                        const Interval& projection) {
+    const auto s = static_cast<std::size_t>(slot);
+    double* slo = bs.lo_rows[s];
+    double* shi = bs.hi_rows[s];
     const Interval next = Interval(slo[j], shi[j]).Intersect(projection);
+    if (!SameBits(next.lo(), slo[j]) || !SameBits(next.hi(), shi[j]))
+      dirty[s] = 1;
     slo[j] = next.lo();
     shi[j] = next.hi();
   };
+  // Row form of narrow: v[slot] ∩= projection on every lane (on the lanes
+  // `mask` selects, when given). A clean slot's row is captured first, so it
+  // turns dirty exactly when an alive lane's bits changed.
+  const auto intersect = [&](std::int32_t slot, const double* plo,
+                             const double* phi, const unsigned char* mask) {
+    const auto s = static_cast<std::size_t>(slot);
+    double* slo = bs.lo_rows[s];
+    double* shi = bs.hi_rows[s];
+    const bool clean = !dirty[s];
+    if (clean) {
+      std::memcpy(bs.prev_lo.data(), slo, n * sizeof(double));
+      std::memcpy(bs.prev_hi.data(), shi, n * sizeof(double));
+    }
+    if (mask != nullptr)
+      K.intersect_accum_where(slo, shi, plo, phi, mask, n);
+    else
+      K.intersect_accum(slo, shi, plo, phi, n);
+    if (!clean) return;
+    for (std::size_t j = 0; j < n; ++j) {
+      if (alive[j] && (!SameBits(slo[j], bs.prev_lo[j]) ||
+                       !SameBits(shi[j], bs.prev_hi[j]))) {
+        dirty[s] = 1;
+        return;
+      }
+    }
+  };
 
   // Root narrowing: the constraint set is (-inf, 0]; for strict < the
-  // closure is the same, which is a sound over-approximation.
+  // closure is the same, which is a sound over-approximation. The root
+  // starts dirty: the intersection narrows every undecided lane.
+  dirty[static_cast<std::size_t>(tape.root())] = 1;
   {
     double* rlo = bs.lo_rows[static_cast<std::size_t>(tape.root())];
     double* rhi = bs.hi_rows[static_cast<std::size_t>(tape.root())];
@@ -139,8 +189,9 @@ void ContractTapeIntervalBatch(const Tape& tape, TapeIntervalBatchScratch& fwd,
   }
 
   // Reverse sweep. Because the tape is in topological order, every parent is
-  // processed before its children, so narrowings flow root-to-leaves.
-  // Projections from un-narrowed parents are expansive no-ops (sound).
+  // processed before its children, so narrowings flow root-to-leaves. The
+  // ring projections of a parent no intersection has narrowed would return
+  // the children's own bits, so a clean kAdd/kMul/kDiv/kSqr slot skips them.
   for (std::size_t k = slots; k-- > 0;) {
     const Instr& ins = tape.instrs[k];
     const double* zlo = bs.lo_rows[k];
@@ -150,6 +201,13 @@ void ContractTapeIntervalBatch(const Tape& tape, TapeIntervalBatchScratch& fwd,
     for (std::size_t j = 0; j < n; ++j)
       if (alive[j] && simd::LaneEmpty(zlo[j], zhi[j])) die(j);
     if (alive_count == 0) return;
+    if (SkipsWhenClean(ins.op)) {
+      if (!dirty[k]) {
+        ++bs.projections_skipped;
+        continue;
+      }
+      ++bs.projections_run;
+    }
 
     const auto row_lo = [&bs](std::int32_t slot) {
       return bs.lo_rows[static_cast<std::size_t>(slot)];
@@ -184,7 +242,7 @@ void ContractTapeIntervalBatch(const Tape& tape, TapeIntervalBatchScratch& fwd,
             if (q != p) K.add_accum(t1_lo, t1_hi, row_lo(os[q]),
                                     row_hi(os[q]), n);
           K.sub(zlo, zhi, t1_lo, t1_hi, t2_lo, t2_hi, n);
-          K.intersect_accum(row_lo(os[p]), row_hi(os[p]), t2_lo, t2_hi, n);
+          intersect(os[p], t2_lo, t2_hi, nullptr);
         }
         break;
       }
@@ -211,20 +269,18 @@ void ContractTapeIntervalBatch(const Tape& tape, TapeIntervalBatchScratch& fwd,
             cond[j] = simd::LaneEmpty(t1_lo[j], t1_hi[j]) | (t1_lo[j] > 0.0) |
                       (t1_hi[j] < 0.0);
           K.div(zlo, zhi, t1_lo, t1_hi, t2_lo, t2_hi, n);
-          K.intersect_accum_where(row_lo(os[p]), row_hi(os[p]), t2_lo, t2_hi,
-                                  cond, n);
+          intersect(os[p], t2_lo, t2_hi, cond);
         }
         break;
       }
       case Op::kDiv: {
         // z = x / y  =>  x = z * y,  y = x / z (x read after its narrow).
         K.mul(zlo, zhi, row_lo(ins.b), row_hi(ins.b), t2_lo, t2_hi, n);
-        K.intersect_accum(row_lo(ins.a), row_hi(ins.a), t2_lo, t2_hi, n);
+        intersect(ins.a, t2_lo, t2_hi, nullptr);
         for (std::size_t j = 0; j < n; ++j)
           cond[j] = (zlo[j] > 0.0) | (zhi[j] < 0.0);  // !z.ContainsZero()
         K.div(row_lo(ins.a), row_hi(ins.a), zlo, zhi, t2_lo, t2_hi, n);
-        K.intersect_accum_where(row_lo(ins.b), row_hi(ins.b), t2_lo, t2_hi,
-                                cond, n);
+        intersect(ins.b, t2_lo, t2_hi, cond);
         break;
       }
       case Op::kPow: {
@@ -283,14 +339,12 @@ void ContractTapeIntervalBatch(const Tape& tape, TapeIntervalBatchScratch& fwd,
           t3_lo[j] = zlo[j];  // floor_iv = [z.lo, +inf)
           t3_hi[j] = kInf;
         }
-        K.intersect_accum(row_lo(ins.a), row_hi(ins.a), t3_lo, t3_hi, n);
-        K.intersect_accum(row_lo(ins.b), row_hi(ins.b), t3_lo, t3_hi, n);
+        intersect(ins.a, t3_lo, t3_hi, nullptr);
+        intersect(ins.b, t3_lo, t3_hi, nullptr);
         for (std::size_t j = 0; j < n; ++j) cond[j] = t2_lo[j] > zhi[j];
-        K.intersect_accum_where(row_lo(ins.a), row_hi(ins.a), zlo, zhi, cond,
-                                n);
+        intersect(ins.a, zlo, zhi, cond);
         for (std::size_t j = 0; j < n; ++j) cond[j] = t1_lo[j] > zhi[j];
-        K.intersect_accum_where(row_lo(ins.b), row_hi(ins.b), zlo, zhi, cond,
-                                n);
+        intersect(ins.b, zlo, zhi, cond);
         break;
       }
       case Op::kMax: {
@@ -302,19 +356,17 @@ void ContractTapeIntervalBatch(const Tape& tape, TapeIntervalBatchScratch& fwd,
           t3_lo[j] = -kInf;  // ceil_iv = (-inf, z.hi]
           t3_hi[j] = zhi[j];
         }
-        K.intersect_accum(row_lo(ins.a), row_hi(ins.a), t3_lo, t3_hi, n);
-        K.intersect_accum(row_lo(ins.b), row_hi(ins.b), t3_lo, t3_hi, n);
+        intersect(ins.a, t3_lo, t3_hi, nullptr);
+        intersect(ins.b, t3_lo, t3_hi, nullptr);
         for (std::size_t j = 0; j < n; ++j) cond[j] = t2_hi[j] < zlo[j];
-        K.intersect_accum_where(row_lo(ins.a), row_hi(ins.a), zlo, zhi, cond,
-                                n);
+        intersect(ins.a, zlo, zhi, cond);
         for (std::size_t j = 0; j < n; ++j) cond[j] = t1_hi[j] < zlo[j];
-        K.intersect_accum_where(row_lo(ins.b), row_hi(ins.b), zlo, zhi, cond,
-                                n);
+        intersect(ins.b, zlo, zhi, cond);
         break;
       }
       case Op::kNeg:
         K.neg(zlo, zhi, t2_lo, t2_hi, n);
-        K.intersect_accum(row_lo(ins.a), row_hi(ins.a), t2_lo, t2_hi, n);
+        intersect(ins.a, t2_lo, t2_hi, nullptr);
         break;
       case Op::kExp:
         for (std::size_t j = 0; j < n; ++j) {
@@ -475,10 +527,11 @@ void ContractTapeIntervalBatch(const Tape& tape, TapeIntervalBatchScratch& fwd,
 
   // Fold narrowed variable slots back into the boxes. Lanes die at the first
   // empty intersection exactly like the scalar fold returns kEmpty there —
-  // earlier variable writes persist (callers discard infeasible boxes).
+  // earlier variable writes persist (callers discard infeasible boxes). A
+  // clean variable slot still holds the box bits, which fold to themselves.
   for (std::size_t var = 0; var < tape.var_slot.size(); ++var) {
     const std::int32_t slot = tape.var_slot[var];
-    if (slot < 0) continue;
+    if (slot < 0 || !dirty[static_cast<std::size_t>(slot)]) continue;
     const double* slo = bs.lo_rows[static_cast<std::size_t>(slot)];
     const double* shi = bs.hi_rows[static_cast<std::size_t>(slot)];
     double* blo = box_lo[var];

@@ -9,10 +9,25 @@
 // inverse projections (pow roots, exp/log, tan/atanh) run the scalar
 // interval functions lane by lane. A single box is simply a call with n=1.
 //
+// Dirty slots: the sweep tracks which slots it has narrowed. The root starts
+// dirty; a slot turns dirty when an intersection into it changes the bits of
+// an alive lane. A kAdd, kMul, kDiv or kSqr slot that is still clean when
+// the sweep reaches it holds its forward enclosure, and its projections are
+// skipped: each is a correctly rounded IEEE operation widened one ulp
+// outward (Sqrt plus Widen for kSqr), so from an unchanged parent it is
+// strictly wider than the child at every finite endpoint, even after
+// siblings narrowed, and the intersection would return the child's own
+// bits. (An empty sibling would empty the child; that lane dies at the
+// sibling's slot anyway.) Every other op projects on every visit: kSqrt,
+// kLog and kLambertW restrict their child's domain, and the pow inverses
+// are not tight enough to be no-ops from an unchanged parent. Every slot
+// still gets the per-lane emptiness check.
+//
 // Bit-identity is load-bearing: for every lane, the narrowed box endpoints
 // and the outcome are exactly what the box-by-box scalar sweep kept as the
-// tests/ oracle (tests/scalar_reference.h) produces for that box — at every
-// wave width and ISA tier (see interval_backward_batch_test).
+// tests/ oracle (tests/scalar_reference.h), which projects every slot,
+// produces for that box — at every wave width and ISA tier (see
+// interval_backward_batch_test).
 #pragma once
 
 #include <cstdint>
@@ -30,18 +45,27 @@ inline constexpr signed char kContractLaneContracted = 1;   // box narrowed
 
 /// Reusable scratch for ContractTapeIntervalBatch: mutable copies of the
 /// variable-slot rows (the forward scratch aliases the caller's const input
-/// arrays for those), temp projection rows, and per-lane masks. Grows
-/// monotonically; reuse one instance per thread across waves.
+/// arrays for those), temp projection rows, per-lane masks and per-slot
+/// dirty flags. Grows monotonically; reuse one instance per thread across
+/// waves.
 struct TapeBackwardBatchScratch {
   std::vector<double> var_lo, var_hi;  // narrowed variable-slot rows
   std::vector<double*> lo_rows, hi_rows;  // slot -> mutable enclosure row
   std::vector<double> t1_lo, t1_hi;    // accumulator row ("others", copies)
   std::vector<double> t2_lo, t2_hi;    // projection row
   std::vector<double> t3_lo, t3_hi;    // second capture / bound row
+  std::vector<double> prev_lo, prev_hi;  // a clean slot's row before a narrow
   std::vector<unsigned char> alive;    // per-lane liveness
   std::vector<unsigned char> cond;     // per-lane conditional-narrow mask
+  std::vector<unsigned char> dirty;    // per-slot: narrowed by this sweep
   std::vector<std::int32_t> operand_slots;  // n-ary add/mul positions
   std::size_t capacity = 0;            // current row capacity (boxes)
+
+  /// kAdd/kMul/kDiv/kSqr slots reached with an alive lane whose projections
+  /// ran (dirty) or were skipped (clean). They only accumulate; the caller
+  /// reads and zeroes them.
+  std::uint64_t projections_run = 0;
+  std::uint64_t projections_skipped = 0;
 
   /// Pre-sizes for `slots`-instruction tapes over `n`-box waves.
   void Reserve(std::size_t slots, std::size_t n) {
@@ -55,8 +79,11 @@ struct TapeBackwardBatchScratch {
     t2_hi.reserve(n);
     t3_lo.reserve(n);
     t3_hi.reserve(n);
+    prev_lo.reserve(n);
+    prev_hi.reserve(n);
     alive.reserve(n);
     cond.reserve(n);
+    dirty.reserve(slots);
   }
 };
 

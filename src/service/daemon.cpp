@@ -293,13 +293,15 @@ void Daemon::Start() {
   cache_.Load(CachePath());
   {
     std::lock_guard<std::mutex> lock(mu_);
+    const bool had_journal = std::filesystem::exists(JournalPath(), ec);
     journal_load_ = LoadJournal();
     if (options_.verbose && !journal_load_.clean)
       std::fprintf(stderr, "[xcvd] journal: %s\n",
                    journal_load_.detail.c_str());
     // Make the recovered state durable immediately (also replaces a
-    // quarantined journal with a clean one).
-    SaveJournalLocked();
+    // quarantined journal with a clean one). A fresh state dir has nothing
+    // to recover: its first journal is written at the first transition.
+    if (had_journal) SaveJournalLocked();
   }
   started_ = true;
   stopping_ = false;

@@ -36,6 +36,22 @@ void ObserveWave(std::size_t lanes) {
   wave_lanes.Add(static_cast<double>(lanes));
 }
 
+// The ring projections (kAdd/kMul/kDiv/kSqr slot visits) a wave's backward
+// sweeps ran or skipped as clean, taken from the sweep scratch once per wave.
+void ObserveProjections(expr::TapeBackwardBatchScratch& bs) {
+  static constexpr char kHelp[] =
+      "Backward-sweep visits to add/mul/div/sqr slots with an alive lane, "
+      "by whether their projections ran or were skipped as clean.";
+  static obs::Counter& run = obs::Registry::Global().GetCounter(
+      "xcv_solver_projections_total", kHelp, {"outcome"}, {"run"});
+  static obs::Counter& skipped = obs::Registry::Global().GetCounter(
+      "xcv_solver_projections_total", kHelp, {"outcome"}, {"skipped"});
+  run.Add(static_cast<double>(bs.projections_run));
+  skipped.Add(static_cast<double>(bs.projections_skipped));
+  bs.projections_run = 0;
+  bs.projections_skipped = 0;
+}
+
 // One per CheckMany call with cache hits.
 obs::Counter& CacheRevalidationCounter() {
   static obs::Counter& c = obs::Registry::Global().GetCounter(
@@ -491,6 +507,8 @@ void DeltaSolver::ClassifyContractWave() {
     for (std::size_t k = 0; k < k_boxes; ++k)
       if (wave_active_[k] && !wave_any_[k]) wave_done_[k] = 1;
   }
+
+  ObserveProjections(backward_);
 
   for (std::size_t k = 0; k < k_boxes; ++k) {
     if (!wave_unknown_[k]) continue;

@@ -7,13 +7,20 @@
 //      ±inf, and zero-straddling dimensions, and every runnable XCV_SIMD
 //      tier.
 //   2. Inactive lanes pass through untouched with outcome kNoChange.
-//   3. Every compiled-and-runnable XCV_SIMD tier (scalar, sse2, avx2,
+//   3. The catalogue audit: every atom of every applicable pair (7
+//      functionals x EC1..EC7), over the paper domain's bisection tree and
+//      an endpoint zoo, run for two fixpoint rounds as the solver does,
+//      matches the oracle — the guard on which ops may skip projections
+//      from clean slots.
+//   4. Every compiled-and-runnable XCV_SIMD tier (scalar, sse2, avx2,
 //      avx512) produces the same output bits for the same wave — the
 //      ISA-independence the campaign CSVs rely on.
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <span>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -22,6 +29,7 @@
 #include "conditions/enhancement.h"
 #include "expr/compile.h"
 #include "expr/interval_backward_batch.h"
+#include "expr/bool_expr.h"
 #include "expr/optimize.h"
 #include "functionals/functional.h"
 #include "support/simd.h"
@@ -185,6 +193,152 @@ TEST(BackwardBatch, InactiveLanesUntouched) {
       }
     }
   });
+}
+
+// ---- Catalogue audit ---------------------------------------------------------
+
+using BoxList = std::vector<std::vector<Interval>>;
+
+// The paper domain, every box of its split-all-dimensions bisection tree
+// down to `depth` levels, and the endpoint zoo: each dimension of the
+// domain in turn replaced by an empty, point (the lower domain edge, where
+// pow inverses used to cut), half-infinite, entire, negative-only, zero, or
+// zero-straddling interval.
+BoxList AuditBoxes(std::span<const Interval> dims, int depth) {
+  const std::vector<Interval> domain(dims.begin(), dims.end());
+  BoxList boxes{domain};
+  std::size_t level_begin = 0;
+  for (int level = 0; level < depth; ++level) {
+    const std::size_t level_end = boxes.size();
+    for (std::size_t b = level_begin; b < level_end; ++b) {
+      BoxList children{{}};
+      for (const Interval& iv : boxes[b]) {
+        Interval left, right;
+        iv.Bisect(&left, &right);
+        BoxList next;
+        for (const auto& c : children)
+          for (const Interval& half : {left, right}) {
+            next.push_back(c);
+            next.back().push_back(half);
+          }
+        children = std::move(next);
+      }
+      boxes.insert(boxes.end(), children.begin(), children.end());
+    }
+    level_begin = level_end;
+  }
+  for (std::size_t d = 0; d < domain.size(); ++d) {
+    for (const Interval& zoo :
+         {Interval::Empty(), Interval(domain[d].lo()),
+          Interval(domain[d].lo(), kInf), Interval::Entire(),
+          Interval(-2.0, -1.0), Interval(0.0, 0.0), Interval(-1.5, 2.0)}) {
+      boxes.push_back(domain);
+      boxes.back()[d] = zoo;
+    }
+  }
+  return boxes;
+}
+
+// Runs `rounds` HC4 rounds over the boxes in waves of `width` lanes the way
+// the solver's fixpoint does (a round sweeps the lanes the previous round
+// contracted, from their narrowed boxes) and returns the lanes whose outcome
+// or box bits differ from the oracle's in any round.
+std::size_t OracleMismatches(const expr::Tape& tape, const BoxList& boxes,
+                             std::size_t width, int rounds,
+                             std::size_t* lanes) {
+  const std::size_t dims = boxes.front().size();
+  std::size_t bad = 0;
+  oracle::TapeScratch scratch;
+  expr::TapeIntervalBatchScratch fwd;
+  expr::TapeBackwardBatchScratch bwd;
+  std::vector<std::vector<double>> lo(dims), hi(dims);
+  std::vector<const double*> clop(dims), chip(dims);
+  std::vector<double*> lop(dims), hip(dims);
+  for (std::size_t start = 0; start < boxes.size(); start += width) {
+    const std::size_t n = std::min(width, boxes.size() - start);
+    BoxList ref(boxes.begin() + static_cast<std::ptrdiff_t>(start),
+                boxes.begin() + static_cast<std::ptrdiff_t>(start + n));
+    for (std::size_t d = 0; d < dims; ++d) {
+      lo[d].resize(n);
+      hi[d].resize(n);
+      for (std::size_t k = 0; k < n; ++k) {
+        lo[d][k] = ref[k][d].lo();
+        hi[d][k] = ref[k][d].hi();
+      }
+      clop[d] = lop[d] = lo[d].data();
+      chip[d] = hip[d] = hi[d].data();
+    }
+    std::vector<unsigned char> active(n, 1), lane_bad(n, 0);
+    std::vector<signed char> outcome(n);
+    for (int round = 0; round < rounds; ++round) {
+      expr::EvalTapeIntervalBatch(tape, clop, chip, n, fwd);
+      expr::ContractTapeIntervalBatch(tape, fwd, lop, hip, n, active.data(),
+                                      outcome.data(), bwd);
+      for (std::size_t k = 0; k < n; ++k) {
+        if (!active[k]) continue;
+        *lanes += 1;
+        const signed char oc = oracle::Contract(tape, ref[k], scratch);
+        bool same = outcome[k] == oc;
+        for (std::size_t d = 0; d < dims; ++d)
+          same = same && Bits(lo[d][k]) == Bits(ref[k][d].lo()) &&
+                 Bits(hi[d][k]) == Bits(ref[k][d].hi());
+        lane_bad[k] |= !same;
+        active[k] = same && oc == expr::kContractLaneContracted;
+      }
+    }
+    for (unsigned char b : lane_bad) bad += b;
+  }
+  return bad;
+}
+
+TEST(BackwardBatch, CatalogueAtomsMatchOracleOverTwoRounds) {
+  struct Audit {
+    std::string pair;
+    expr::Tape tape;
+    BoxList boxes;
+  };
+  std::vector<Audit> audits;
+  std::vector<functionals::Functional> catalogue =
+      functionals::PaperFunctionals();
+  for (const auto& f : functionals::ExtensionFunctionals())
+    catalogue.push_back(f);
+  for (const auto& f : catalogue) {
+    const BoxList boxes = AuditBoxes(conditions::PaperDomain(f).dims(), 2);
+    for (const auto& cond : conditions::AllConditions()) {
+      const auto psi = conditions::BuildCondition(cond, f);
+      if (!psi.has_value()) continue;
+      const expr::CompiledFormula formula(expr::BoolExpr::Not(*psi));
+      for (const auto& atom : formula.atoms())
+        audits.push_back(
+            {f.name + " " + cond.short_id, expr::Optimize(atom.tape), boxes});
+    }
+  }
+  ASSERT_EQ(catalogue.size(), 7u);
+  // The catalogue's log and W0 arguments stay inside their domains on these
+  // boxes, so a probe per domain-restricting inverse, U(x) - 1 <= 0 over x
+  // across the domain edge, audits each one narrowing from a clean parent.
+  const expr::Expr x = Var("x", 0);
+  for (const expr::Expr& u : {expr::LogE(x), expr::SqrtE(x),
+                              expr::LambertW0E(x)}) {
+    audits.push_back({"probe " + u.ToString(),
+                      expr::CompileOptimized(u - 1.0),
+                      AuditBoxes(std::vector{Interval(-1.5, 2.0)}, 2)});
+  }
+
+  std::size_t lanes = 0;
+  auto audit = [&](std::size_t width) {
+    for (const Audit& a : audits) {
+      const std::size_t bad = OracleMismatches(a.tape, a.boxes, width, 2,
+                                               &lanes);
+      EXPECT_EQ(bad, 0u) << a.pair << " width " << width << " "
+                         << simd::TierName(simd::ActiveTier());
+    }
+  };
+  const int tiers = ForEachRunnableTier([&](simd::Tier) { audit(7); });
+  EXPECT_GE(tiers, 2) << "scalar and sse2 are always runnable";
+  audit(1);
+  audit(64);
+  RecordProperty("lanes", static_cast<int>(lanes));
 }
 
 // ---- SIMD dispatch ----------------------------------------------------------

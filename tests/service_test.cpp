@@ -1016,6 +1016,37 @@ TEST(ServiceJournalTest, NegativeNextIdStartsColdAndKeepsTheEvidence) {
   daemon.Stop();
 }
 
+// A fresh state dir has no queue to make durable: Start writes no journal,
+// and the first submission does. A Start on an existing journal rewrites it
+// (the atomic save gives the file a new inode).
+TEST(ServiceJournalTest, FreshStartWritesNoJournalUntilFirstSubmission) {
+  const std::string dir = FreshStateDir("fresh_start");
+  const std::string journal = dir + "/queue.json";
+  DaemonOptions options;
+  options.state_dir = dir;
+  options.port = 0;
+  {
+    Daemon daemon(options);
+    daemon.Start();
+    EXPECT_FALSE(std::filesystem::exists(journal));
+    const HttpResponse submit =
+        HttpFetch(daemon.port(), "POST", "/v1/campaigns", kInstantSpec);
+    EXPECT_EQ(submit.status, 201);
+    EXPECT_TRUE(std::filesystem::exists(journal));
+    EXPECT_EQ(WaitForStatus(daemon.port(), "j1", {"done", "failed"}), "done");
+    daemon.Stop();
+  }
+  const std::uint64_t before = InodeOf(journal);
+  ASSERT_NE(before, 0u);
+  Daemon daemon(options);
+  daemon.Start();
+  EXPECT_NE(InodeOf(journal), before);
+  const HttpResponse list =
+      daemon.Handle({"GET", "/v1/campaigns", {}, {}, ""});
+  EXPECT_EQ(json::ParseJson(list.body).At("jobs").array.size(), 1u);
+  daemon.Stop();
+}
+
 using ServiceFaultDeathTest = ::testing::Test;
 
 TEST(ServiceFaultDeathTest, JournalShortWriteCrashesThenSalvages) {
