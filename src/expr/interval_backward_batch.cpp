@@ -283,46 +283,27 @@ void ContractTapeIntervalBatch(const Tape& tape, TapeIntervalBatchScratch& fwd,
         intersect(ins.b, t2_lo, t2_hi, cond);
         break;
       }
-      case Op::kPow: {
-        const Instr& exp_ins = tape.instrs[static_cast<std::size_t>(ins.b)];
-        if (exp_ins.op != Op::kConst) break;  // symbolic exponent: skip
-        const double p = exp_ins.value;
+      case Op::kPow:
+      case Op::kPowN: {
+        // Constant exponent (kPowN's is the optimizer's integer n, never 0
+        // or 1); a symbolic kPow exponent gets no contraction.
+        double p = static_cast<double>(ins.var);
+        if (ins.op == Op::kPow) {
+          const Instr& exp_ins = tape.instrs[static_cast<std::size_t>(ins.b)];
+          if (exp_ins.op != Op::kConst) break;
+          p = exp_ins.value;
+        }
         const double* xlo = row_lo(ins.a);
         const double* xhi = row_hi(ins.a);
         for (std::size_t j = 0; j < n; ++j) {
           if (!alive[j]) continue;
-          const Interval z(zlo[j], zhi[j]);
-          const Interval x(xlo[j], xhi[j]);
-          if (p == std::floor(p) && std::fabs(p) < 1e15) {
-            const auto pn = static_cast<long long>(p);
-            if (pn % 2 != 0) {
-              // Odd power is a bijection on the reals.
-              if (pn > 0)
-                narrow_lane(ins.a, j, OddRoot(z, pn));
-              else if (!z.ContainsZero())
-                narrow_lane(ins.a, j, OddRoot(1.0 / z, -pn));
-            } else if (pn > 0) {
-              // Even power: |x| = z^{1/n}.
-              const Interval r = Pow(z.Intersect(Interval::NonNegative()),
-                                     1.0 / static_cast<double>(pn));
-              if (r.IsEmpty()) {
-                die(j);
-                continue;
-              }
-              narrow_lane(ins.a, j, Interval(-r.hi(), r.hi()));
-            } else if (x.lo() >= 0.0 && !z.ContainsZero()) {
-              narrow_lane(ins.a, j,
-                          Pow(1.0 / z, -1.0 / static_cast<double>(pn)));
-            }
-          } else if (x.lo() >= 0.0) {
-            // Non-integer exponent: x >= 0 by domain; monotone in x.
-            const Interval zz = z.Intersect(Interval::NonNegative());
-            if (zz.IsEmpty()) {
-              die(j);
-              continue;
-            }
-            narrow_lane(ins.a, j, Pow(zz, 1.0 / p));
+          const Interval r = PowPreimage(Interval(zlo[j], zhi[j]),
+                                         Interval(xlo[j], xhi[j]), p);
+          if (r.IsEmpty()) {
+            die(j);
+            continue;
           }
+          narrow_lane(ins.a, j, r);
         }
         break;
       }
@@ -461,7 +442,7 @@ void ContractTapeIntervalBatch(const Tape& tape, TapeIntervalBatchScratch& fwd,
       case Op::kSqr:
         for (std::size_t j = 0; j < n; ++j) {
           if (!alive[j]) continue;
-          // z = x²: |x| = sqrt(z), same projection as an even kPow.
+          // z = x²: |x| <= sqrt(z.hi).
           const Interval r = Sqrt(
               Interval(zlo[j], zhi[j]).Intersect(Interval::NonNegative()));
           if (r.IsEmpty()) {
@@ -471,37 +452,6 @@ void ContractTapeIntervalBatch(const Tape& tape, TapeIntervalBatchScratch& fwd,
           narrow_lane(ins.a, j, Interval(-r.hi(), r.hi()));
         }
         break;
-      case Op::kPowN: {
-        // Optimizer-produced integer power; mirror the constant-exponent
-        // kPow projections (n is never 0 or 1 after optimization).
-        const auto pn = static_cast<long long>(ins.var);
-        const double* xlo = row_lo(ins.a);
-        const double* xhi = row_hi(ins.a);
-        for (std::size_t j = 0; j < n; ++j) {
-          if (!alive[j]) continue;
-          const Interval z(zlo[j], zhi[j]);
-          if (pn % 2 != 0) {
-            if (pn > 0) {
-              narrow_lane(ins.a, j, OddRoot(z, pn));
-            } else if (!z.ContainsZero()) {
-              narrow_lane(ins.a, j, OddRoot(1.0 / z, -pn));
-            }
-          } else if (pn > 0) {
-            const Interval r = Pow(z.Intersect(Interval::NonNegative()),
-                                   1.0 / static_cast<double>(pn));
-            if (r.IsEmpty()) {
-              die(j);
-              continue;
-            }
-            narrow_lane(ins.a, j, Interval(-r.hi(), r.hi()));
-          } else if (Interval(xlo[j], xhi[j]).lo() >= 0.0 &&
-                     !z.ContainsZero()) {
-            narrow_lane(ins.a, j,
-                        Pow(1.0 / z, -1.0 / static_cast<double>(pn)));
-          }
-        }
-        break;
-      }
       case Op::kIte: {
         // Contract the taken branch only when the condition is decided over
         // the (forward) operand enclosures; otherwise no contraction.

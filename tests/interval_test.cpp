@@ -1,9 +1,14 @@
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <limits>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "interval/interval.h"
+#include "interval/inverse.h"
 #include "support/check.h"
 #include "test_util.h"
 
@@ -300,6 +305,94 @@ TEST(IntervalProperty, BinaryEnclosureSoundness) {
       ASSERT_TRUE(q.Contains(a / b))
           << a << "/" << b << " escaped " << q.ToString() << " x="
           << x.ToString() << " y=" << y.ToString();
+    }
+  }
+}
+
+// ---- Power preimage (the kPow/kPowN backward projection) -------------------
+
+std::uint64_t Bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+std::string Exact(const Interval& iv) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "[%.17g, %.17g]", iv.lo(), iv.hi());
+  return buf;
+}
+
+constexpr double kExponents[] = {3, 5, -3, 2, 4, -2, 0.5, 4.0 / 3.0,
+                                 -11.0 / 3.0};
+
+// Projecting the forward image Pow(X, p) back onto X leaves X's bits
+// unchanged, for point and wide X with endpoints from 1e-300 to 1e300 (and
+// their negatives, and X across zero, where p is an integer).
+TEST(PowPreimage, ForwardImageProjectsBackOntoItself) {
+  xcv::testing::Rng rng(22);
+  const auto magnitude = [&] {
+    return std::pow(10.0, rng.Uniform(-300.0, 300.0));
+  };
+  for (const double p : kExponents) {
+    const bool integral = p == std::floor(p);
+    for (int trial = 0; trial < 3000; ++trial) {
+      double a = magnitude();
+      double b = trial % 4 == 0 ? a : magnitude();
+      if (a > b) std::swap(a, b);
+      Interval x(a, b);
+      if (integral && trial % 3 == 1) x = -x;
+      if (integral && trial % 3 == 2) x = Interval(-a, b);
+      const Interval back = x.Intersect(PowPreimage(Pow(x, p), x, p));
+      ASSERT_EQ(Bits(back.lo()), Bits(x.lo())) << "p=" << p << " x="
+                                               << Exact(x);
+      ASSERT_EQ(Bits(back.hi()), Bits(x.hi())) << "p=" << p << " x="
+                                               << Exact(x);
+    }
+  }
+}
+
+// The two cuts the rounded exponent 1/p made: LYP's x^3 lost the domain
+// edge rs = 1e-4, and x^(-11/3) lost 8 ulps at the top of x.
+TEST(PowPreimage, KeepsTheEdgesThatRoundedExponentsCut) {
+  const Interval lyp(1e-4, 0.31259375);
+  const Interval cube = Pow(lyp, 3.0);
+  EXPECT_EQ(cube.lo(), 9.9999999999999978e-13);
+  EXPECT_EQ(lyp.Intersect(PowPreimage(cube, lyp, 3.0)), lyp);
+
+  const Interval top(1e-3, 0.0035606169542035425);
+  const double p = -11.0 / 3.0;
+  EXPECT_EQ(p, -3.6666666666666665);
+  EXPECT_EQ(top.Intersect(PowPreimage(Pow(top, p), top, p)), top);
+}
+
+// Every x whose power, taken in long double, lies in z is kept: sampled at
+// z's preimage edges, a few ulps either side, where rounding decides.
+TEST(PowPreimage, KeepsEveryRealSolutionAtTheEdges) {
+  xcv::testing::Rng rng(7);
+  for (const double p : kExponents) {
+    const bool integral = p == std::floor(p);
+    const bool odd = integral && std::fmod(p, 2.0) != 0.0;
+    const auto real_pow = [&](double x) {
+      const long double m = std::pow(std::fabs(static_cast<long double>(x)),
+                                     static_cast<long double>(p));
+      return x < 0.0 && odd ? -m : m;
+    };
+    for (int trial = 0; trial < 2000; ++trial) {
+      double a = std::pow(10.0, rng.Uniform(-250.0, 250.0));
+      double b = std::pow(10.0, rng.Uniform(-250.0, 250.0));
+      if (a > b) std::swap(a, b);
+      // Odd powers take z of either sign (negative p: one sign per z).
+      const bool negative = odd && trial % 2 == 1;
+      const Interval z = negative ? Interval(-b, -a) : Interval(a, b);
+      for (const double v : {z.lo(), z.hi()}) {
+        const long double root = std::pow(std::fabs(static_cast<long double>(v)),
+                                          1.0L / p);
+        double x = static_cast<double>(negative ? -root : root);
+        for (int k = 0; k < 4; ++k) x = NextDown(x);
+        for (int k = 0; k < 9; ++k, x = NextUp(x)) {
+          const long double image = real_pow(x);
+          if (!(z.lo() <= image && image <= z.hi())) continue;
+          EXPECT_TRUE(PowPreimage(z, Interval(x), p).Contains(x))
+              << "p=" << p << " z=" << Exact(z) << " x=" << x;
+        }
+      }
     }
   }
 }

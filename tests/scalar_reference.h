@@ -402,34 +402,20 @@ inline signed char ContractFromForward(const Tape& tape,
           narrow(ins.b, v[static_cast<std::size_t>(ins.a)] / z);
         break;
       }
-      case Op::kPow: {
-        const Instr& exp_ins = tape.instrs[static_cast<std::size_t>(ins.b)];
-        if (exp_ins.op != Op::kConst) break;  // symbolic exponent: skip
-        const double p = exp_ins.value;
-        const Interval x = v[static_cast<std::size_t>(ins.a)];
-        if (p == std::floor(p) && std::fabs(p) < 1e15) {
-          const auto n = static_cast<long long>(p);
-          if (n % 2 != 0) {
-            // Odd power is a bijection on the reals.
-            if (n > 0)
-              narrow(ins.a, OddRoot(z, n));
-            else if (!z.ContainsZero())
-              narrow(ins.a, OddRoot(1.0 / z, -n));
-          } else if (n > 0) {
-            // Even power: |x| = z^{1/n}.
-            Interval r = Pow(z.Intersect(Interval::NonNegative()),
-                             1.0 / static_cast<double>(n));
-            if (r.IsEmpty()) return kEmpty;
-            narrow(ins.a, Interval(-r.hi(), r.hi()));
-          } else if (x.lo() >= 0.0 && !z.ContainsZero()) {
-            narrow(ins.a, Pow(1.0 / z, -1.0 / static_cast<double>(n)));
-          }
-        } else if (x.lo() >= 0.0) {
-          // Non-integer exponent: x >= 0 by domain; monotone in x.
-          Interval zz = z.Intersect(Interval::NonNegative());
-          if (zz.IsEmpty()) return kEmpty;
-          narrow(ins.a, Pow(zz, 1.0 / p));
+      case Op::kPow:
+      case Op::kPowN: {
+        // Constant exponent (kPowN's is the optimizer's integer n, never 0
+        // or 1); a symbolic kPow exponent gets no contraction.
+        double p = static_cast<double>(ins.var);
+        if (ins.op == Op::kPow) {
+          const Instr& exp_ins = tape.instrs[static_cast<std::size_t>(ins.b)];
+          if (exp_ins.op != Op::kConst) break;
+          p = exp_ins.value;
         }
+        const Interval r =
+            PowPreimage(z, v[static_cast<std::size_t>(ins.a)], p);
+        if (r.IsEmpty()) return kEmpty;
+        narrow(ins.a, r);
         break;
       }
       case Op::kMin: {
@@ -503,31 +489,10 @@ inline signed char ContractFromForward(const Tape& tape,
         break;
       }
       case Op::kSqr: {
-        // z = x²: |x| = sqrt(z), same projection as an even kPow.
+        // z = x²: |x| <= sqrt(z.hi).
         Interval r = Sqrt(z.Intersect(Interval::NonNegative()));
         if (r.IsEmpty()) return kEmpty;
         narrow(ins.a, Interval(-r.hi(), r.hi()));
-        break;
-      }
-      case Op::kPowN: {
-        // Optimizer-produced integer power; mirror the constant-exponent
-        // kPow projections (n is never 0 or 1 after optimization).
-        const auto n = static_cast<long long>(ins.var);
-        const Interval x = v[static_cast<std::size_t>(ins.a)];
-        if (n % 2 != 0) {
-          if (n > 0) {
-            narrow(ins.a, OddRoot(z, n));
-          } else if (!z.ContainsZero()) {
-            narrow(ins.a, OddRoot(1.0 / z, -n));
-          }
-        } else if (n > 0) {
-          Interval r = Pow(z.Intersect(Interval::NonNegative()),
-                           1.0 / static_cast<double>(n));
-          if (r.IsEmpty()) return kEmpty;
-          narrow(ins.a, Interval(-r.hi(), r.hi()));
-        } else if (x.lo() >= 0.0 && !z.ContainsZero()) {
-          narrow(ins.a, Pow(1.0 / z, -1.0 / static_cast<double>(n)));
-        }
         break;
       }
       case Op::kIte: {
