@@ -19,10 +19,9 @@
 // siblings narrowed, and the intersection would return the child's own
 // bits. (An empty sibling would empty the child; that lane dies at the
 // sibling's slot anyway.) Every other op projects on every visit: kSqrt,
-// kLog and kLambertW restrict their child's domain, and kPow/kPowN, whose
-// inverses enclose their forward images only since PowPreimage
-// (interval/inverse.h), are left to a change that measures them. Every
-// slot still gets the per-lane emptiness check.
+// kLog and kLambertW restrict their child's domain, and kPow/kPowN stay out
+// until a measured change adds them (their PowPreimage roots enclose, see
+// interval/inverse.h). Every slot still gets the per-lane emptiness check.
 //
 // Bit-identity is load-bearing: for every lane, the narrowed box endpoints
 // and the outcome are exactly what the box-by-box scalar sweep kept as the
