@@ -562,7 +562,7 @@ void RunCacheReplay() {
     o.verifier.split_threshold = 0.625;
     o.verifier.solver.max_nodes = 3'000;
     o.verifier.solver.max_invalid_models = 512;
-    o.num_threads = 1;
+    o.verifier.num_threads = 1;
     o.cache_path = path;
     campaign::Campaign c(o);
     c.AddMatrix(funcs, conds);

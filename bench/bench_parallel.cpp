@@ -1,5 +1,5 @@
 // Parallel domain splitting: Algorithm 1's recursion as prioritized tasks
-// on the shared work-stealing scheduler. The sweep raises the campaign's
+// on the shared priority scheduler. The sweep raises the campaign's
 // concurrency cap on ONE process-wide pool — no per-run pool construction.
 // (This extends the paper — their runs were sequential. On a single-core
 // host the sweep mainly demonstrates that the parallel driver is correct

@@ -1,7 +1,7 @@
 // Table I: verifying the seven local conditions for the five DFAs.
 //
 // The whole matrix runs as ONE campaign: every applicable pair's subdomains
-// interleave on the shared work-stealing scheduler (XCV_THREADS workers, no
+// interleave on the shared priority scheduler (XCV_THREADS workers, no
 // per-pair thread pools), and the verdicts print with the paper's legend
 // (✓ / ✓* / ? / ✗ / −), followed by coverage fractions per pair.
 #include <cstdio>

@@ -76,7 +76,6 @@ PairRun RunPair(const functionals::Functional& f,
                 const verifier::VerifierOptions& options) {
   campaign::CampaignOptions copts;
   copts.verifier = options;
-  copts.num_threads = options.num_threads;
   copts.cache_path = EnvCachePath();
   campaign::Campaign c(copts);
   c.Add(f, cond);
@@ -95,7 +94,7 @@ std::vector<std::vector<PairRun>> RunMatrix(
     const char* progress_tag) {
   campaign::CampaignOptions copts;
   copts.verifier = options;
-  copts.num_threads = num_threads;
+  copts.verifier.num_threads = num_threads;
   copts.cache_path = EnvCachePath();
   campaign::Campaign c(copts);
   c.AddMatrix(functionals, conditions);

@@ -25,7 +25,7 @@ int main() {
   options.verifier.solver.time_budget_seconds = 0.5;
   options.verifier.solver.max_invalid_models = 512;
   options.verifier.total_time_budget_seconds = 15.0;
-  options.num_threads = 2;
+  options.verifier.num_threads = 2;
 
   campaign::Campaign campaign(options);
   for (const auto& cond : conditions::AllConditions()) campaign.Add(lyp, cond);

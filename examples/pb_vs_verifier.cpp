@@ -39,7 +39,7 @@ int main() {
   options.verifier.solver.max_nodes = 30'000;
   options.verifier.solver.time_budget_seconds = 0.5;
   options.verifier.total_time_budget_seconds = 12.0;
-  options.num_threads = 2;
+  options.verifier.num_threads = 2;
   campaign::Campaign campaign(options);
   campaign.Add(pbe, ec7);
   const auto result = campaign.Run();

@@ -32,7 +32,7 @@ int main() {
   options.verifier.solver.max_nodes = 30'000;  // per-call budget
   options.verifier.solver.time_budget_seconds = 0.5;
   options.verifier.total_time_budget_seconds = 8.0;
-  options.num_threads = 2;
+  options.verifier.num_threads = 2;
 
   campaign::Campaign campaign(options);
   campaign.Add(pbe, ec1);

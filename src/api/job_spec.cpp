@@ -88,7 +88,9 @@ void ValidateJobSpec(const JobSpec& spec) {
 
   const CampaignOptions& o = spec.options;
   const verifier::VerifierOptions& v = o.verifier;
-  XCV_CHECK_MSG(o.num_threads >= 1, "job spec: threads must be at least 1");
+  XCV_CHECK_MSG(v.num_threads >= 1 && v.num_threads <= verifier::kMaxThreads,
+                "job spec: threads must be in [1, " << verifier::kMaxThreads
+                                                    << "]");
   XCV_CHECK_MSG(v.split_threshold > 0.0 && std::isfinite(v.split_threshold),
                 "job spec: split_threshold must be a positive number");
   XCV_CHECK_MSG(NonNegativeFinite(v.total_time_budget_seconds) ||
@@ -252,8 +254,8 @@ void ApplyFlags(const std::map<std::string, std::string>& flags,
     spec.functionals = it->second;
   if (const auto it = flags.find("conditions"); it != flags.end())
     spec.conditions = it->second;
-  o.num_threads =
-      static_cast<int>(FlagInteger(flags, "threads", o.num_threads, 1, kIntMax));
+  o.verifier.num_threads = static_cast<int>(FlagInteger(
+      flags, "threads", o.verifier.num_threads, 1, verifier::kMaxThreads));
   const double budget = FlagDouble(flags, "budget-seconds",
                                    o.verifier.total_time_budget_seconds);
   // 0 means unlimited on the command line.
@@ -285,7 +287,6 @@ void ApplyFlags(const std::map<std::string, std::string>& flags,
                   "--cache-readonly needs --cache=PATH (or XCV_CACHE)");
     o.cache_readonly = true;
   }
-  o.verifier.num_threads = o.num_threads;
 
   if (const auto it = flags.find("format"); it != flags.end())
     spec.output = OutputModeFromToken(ToLower(it->second));
@@ -324,7 +325,7 @@ void AppendJobSpecJson(std::string& out, const JobSpec& spec,
   out += in2 + std::string("\"quiet\": ") + (spec.quiet ? "true" : "false") +
          ",\n";
   out += in2 + "\"tenant\": " + json::JsonEscape(spec.tenant) + ",\n";
-  out += in2 + "\"threads\": " + std::to_string(o.num_threads) + ",\n";
+  out += in2 + "\"threads\": " + std::to_string(v.num_threads) + ",\n";
   out += in2 + std::string("\"tune_lda_delta\": ") +
          (o.tune_lda_delta ? "true" : "false") + ",\n";
   out += in2 + "\"checkpoint\": " + json::JsonEscape(o.checkpoint_path) +
@@ -406,7 +407,7 @@ JobSpec JobSpecFromJson(const JsonValue& root) {
   if (const JsonValue* q = root.Find("quiet")) spec.quiet = q->AsBool();
   if (const JsonValue* t = root.Find("tenant")) spec.tenant = t->AsString();
   if (const JsonValue* t = root.Find("threads"))
-    o.num_threads = SpecInt(*t, 1, kIntMax, "threads");
+    v.num_threads = SpecInt(*t, 1, verifier::kMaxThreads, "threads");
   if (const JsonValue* t = root.Find("tune_lda_delta"))
     o.tune_lda_delta = t->AsBool();
   if (const JsonValue* c = root.Find("checkpoint"))
@@ -471,7 +472,6 @@ JobSpec JobSpecFromJson(const JsonValue& root) {
       r.quarantine_cooldown_epochs =
           SpecInt(*x, 0, kIntMax, "runtime quarantine_cooldown_epochs");
   }
-  v.num_threads = std::max(1, o.num_threads);
   ValidateJobSpec(spec);
   return spec;
 }

@@ -1,7 +1,5 @@
 #include "campaign/campaign.h"
 
-#include <algorithm>
-#include <limits>
 #include <utility>
 
 #include "campaign/serialize.h"
@@ -10,7 +8,6 @@
 #include "support/check.h"
 #include "support/fault.h"
 #include "support/stopwatch.h"
-#include "support/thread_pool.h"
 #include "verifier/engine.h"
 
 namespace xcv::campaign {
@@ -73,7 +70,8 @@ std::string PairTraceName(const PairState& p) {
 }  // namespace
 
 Campaign::Campaign(CampaignOptions options) : options_(std::move(options)) {
-  XCV_CHECK_MSG(options_.num_threads >= 1, "need at least one thread");
+  XCV_CHECK_MSG(options_.verifier.num_threads >= 1,
+                "need at least one thread");
   if (options_.shared_cache != nullptr) {
     // A shared cache is warm when it already holds verdicts from earlier
     // jobs in this process — that's the whole point of sharing it.
@@ -237,46 +235,13 @@ CampaignResult Campaign::Run(ProgressFn progress) {
     running.push_back(e.get());
   }
 
-  if (options_.num_threads <= 1) {
-    // Sequential, still globally prioritized: always process the pair with
-    // the best open box, a lockstep batch of its wave_width best boxes at a
-    // time (verdicts are those of the shared pool with one worker).
-    for (;;) {
-      if (CancelRequested()) break;
-      Entry* best = nullptr;
-      double best_priority = -std::numeric_limits<double>::infinity();
-      for (Entry* e : running) {
-        if (e->state.done) continue;
-        const double p = e->engine->TopPriority();
-        if (p > best_priority) {
-          best_priority = p;
-          best = e;
-        }
-      }
-      if (best == nullptr) break;
-      best->engine->ProcessNext(&cancel_);
-      if (best->engine->Finished()) FinishPair(*best, progress);
-    }
-  } else {
-    ThreadPool& pool =
-        ThreadPool::Global(static_cast<std::size_t>(options_.num_threads));
-    auto group =
-        pool.MakeGroup(static_cast<std::size_t>(options_.num_threads));
-    // Each ticket decides a batch of its pair's current best boxes; the
-    // engine hands out tickets as its frontier grows (SetTicketSink).
-    for (Entry* e : running) {
-      e->engine->SetTicketSink([this, &pool, &group, e,
-                                &progress](double priority) {
-        pool.Submit(group, priority, [this, e, &progress] {
-          e->engine->ProcessNext(&cancel_);
-          if (e->engine->Finished()) FinishPair(*e, progress);
-        });
-      });
-    }
-    for (Entry* e : running) e->engine->EmitTicketsForOpen();
-    pool.Wait(group);
-    for (Entry* e : running) e->engine->SetTicketSink(nullptr);
-  }
+  std::vector<verifier::PairEngine*> engines;
+  engines.reserve(running.size());
+  for (Entry* e : running) engines.push_back(e->engine.get());
+  verifier::RunEngines(engines, options_.verifier.num_threads, &cancel_,
+                       [this, &running, &progress](std::size_t i) {
+                         FinishPair(*running[i], progress);
+                       });
 
   // Collect: cancelled pairs keep their partial report + open frontier.
   const bool cancelled = CancelRequested();

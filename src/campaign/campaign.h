@@ -3,14 +3,15 @@
 // one solver call.
 //
 // A Campaign enqueues any subset of the matrix, builds one PairEngine per
-// applicable pair, and interleaves every pair's subdomains on the shared
-// work-stealing scheduler (ThreadPool::Global) behind a single
-// concurrency-capped task group — no per-pair thread pools. The global
-// priority frontier decides which pair's box runs next (widest-first by
-// default; see FrontierStrategy). Progress streams through a callback as
-// pairs complete, cancellation is cooperative (RequestCancel from any
-// thread or a signal handler), and the full state — finished reports plus
-// every open frontier — checkpoints to JSON (serialize.h) and resumes.
+// applicable pair, and runs them all through verifier::RunEngines: at one
+// thread inline, otherwise as pool tickets on the shared priority scheduler
+// (ThreadPool::Global) behind a single concurrency-capped task group — no
+// per-pair thread pools. Either way the best open box across all pairs
+// runs next (widest-first by default; see FrontierStrategy). Progress
+// streams through a callback as pairs complete, cancellation is cooperative
+// (RequestCancel from any thread or a signal handler), and the full state —
+// finished reports plus every open frontier — checkpoints to JSON
+// (serialize.h) and resumes.
 #pragma once
 
 #include <atomic>
@@ -61,11 +62,9 @@ struct ShardInfo {
 };
 
 struct CampaignOptions {
-  /// Base per-pair verifier options (budget, solver knobs, frontier).
+  /// Base per-pair verifier options (budget, solver knobs, frontier). Its
+  /// num_threads is the worker cap of the whole campaign.
   verifier::VerifierOptions verifier;
-  /// Workers used for the whole campaign (the task-group concurrency cap
-  /// on the shared pool). 1 = sequential, still priority-interleaved.
-  int num_threads = 1;
   /// LDA pairs are one-dimensional and cheap: spend the budget on precision
   /// (tightens delta to 1e-5, shrinking the inconclusive slivers near
   /// rs -> 0, as in the paper's VWN column).

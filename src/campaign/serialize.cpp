@@ -1,6 +1,5 @@
 #include "campaign/serialize.h"
 
-#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -181,16 +180,15 @@ PairState PairStateFromJson(const JsonValue& pv) {
 void HeaderFromJson(const JsonValue& root, Checkpoint& cp) {
   cp.cancelled = root.At("cancelled").AsBool();
   const JsonValue& o = root.At("options");
-  cp.options.num_threads =
-      CheckpointInt(o.At("num_threads"), 1, kIntMax, "num_threads");
-  cp.options.tune_lda_delta = o.At("tune_lda_delta").AsBool();
   verifier::VerifierOptions& v = cp.options.verifier;
+  v.num_threads = CheckpointInt(o.At("num_threads"), 1, verifier::kMaxThreads,
+                                "num_threads");
+  cp.options.tune_lda_delta = o.At("tune_lda_delta").AsBool();
   v.split_threshold = o.At("split_threshold").AsDouble();
   v.total_time_budget_seconds = o.At("total_time_budget_seconds").AsDouble();
   v.split_all_dims = o.At("split_all_dims").AsBool();
   v.witness_tolerance = o.At("witness_tolerance").AsDouble();
   v.frontier = FrontierFromToken(o.At("frontier").AsString());
-  v.num_threads = std::max(1, cp.options.num_threads);
   // Shard provenance is optional (absent = unsharded checkpoint).
   if (const JsonValue* sh = o.Find("shard")) {
     cp.options.shard.index =
@@ -241,7 +239,7 @@ std::string CheckpointToJson(const CampaignOptions& options,
   out += std::string("  \"cancelled\": ") + (cancelled ? "true" : "false") +
          ",\n";
   out += "  \"options\": {\n";
-  out += "    \"num_threads\": " + std::to_string(options.num_threads) + ",\n";
+  out += "    \"num_threads\": " + std::to_string(v.num_threads) + ",\n";
   out += std::string("    \"tune_lda_delta\": ") +
          (options.tune_lda_delta ? "true" : "false") + ",\n";
   out += "    \"split_threshold\": " + JsonDouble(v.split_threshold) + ",\n";

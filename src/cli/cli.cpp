@@ -395,7 +395,7 @@ int CmdVerify(const ParsedArgs& args) {
                  campaign.PairCount(),
                  api::ParseFunctionalList(spec.functionals).size(),
                  api::ParseConditionList(spec.conditions).size(),
-                 spec.options.num_threads);
+                 spec.options.verifier.num_threads);
   const CampaignResult result = ExecuteCampaign(campaign, policy);
   return RenderResult(result, spec.options, policy.mode);
 }

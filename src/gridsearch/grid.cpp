@@ -106,8 +106,9 @@ std::vector<double> RunGridEval(const Grid& grid, const expr::Tape& tape,
   }
 
   // Contiguous slices, rounded to chunk boundaries so no chunk straddles
-  // two workers.
+  // two workers; one group on a pool of their own.
   ThreadPool pool(num_threads);
+  const auto slices = pool.MakeGroup();
   const std::size_t chunks = (total + kGridChunk - 1) / kGridChunk;
   const std::size_t chunks_per_worker =
       (chunks + num_threads - 1) / num_threads;
@@ -117,12 +118,13 @@ std::vector<double> RunGridEval(const Grid& grid, const expr::Tape& tape,
     const std::size_t end =
         std::min(total, (w + 1) * chunks_per_worker * kGridChunk);
     if (begin >= end) break;
-    pool.Submit([&grid, &tape, begin, end, &out, pinned_dim, pinned_value] {
+    pool.Submit(slices, 0.0, [&grid, &tape, begin, end, &out, pinned_dim,
+                              pinned_value] {
       EvalGridRange(grid, tape, begin, end, out.data(), pinned_dim,
                     pinned_value);
     });
   }
-  pool.WaitIdle();
+  pool.Wait(slices);
   return out;
 }
 

@@ -2,9 +2,10 @@
 //
 // The daemon owns a persistent job queue. Each job is one api::JobSpec; a
 // scheduler thread admits up to max_concurrent_jobs of them at a time, and
-// each admitted job runs an ordinary campaign::Campaign on the shared
-// work-stealing pool (ThreadPool::Global) behind its own concurrency-capped
-// task group — many jobs interleave on one pool, no per-job thread armies.
+// each admitted job runs an ordinary campaign::Campaign; a job of two or
+// more threads runs on the shared priority pool (ThreadPool::Global) behind
+// its own concurrency-capped task group — many jobs interleave on one pool,
+// no per-job thread armies.
 //
 // Everything a job decides flows through one process-wide VerdictCache
 // (campaign shared_cache), so resubmitting a spec the daemon has seen —

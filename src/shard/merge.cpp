@@ -24,7 +24,6 @@ namespace {
 // what every shard of one partition must agree on for the union's
 // byte-identity guarantee to hold.
 std::string VerdictAffectingOptionsKey(campaign::CampaignOptions options) {
-  options.num_threads = 1;
   options.verifier.num_threads = 1;
   options.verifier.solver.wave_width = 1;  // batching knob, never verdicts
   options.shard = campaign::ShardInfo{};

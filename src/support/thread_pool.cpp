@@ -11,11 +11,6 @@ namespace xcv {
 
 namespace {
 
-// Identifies the pool (and worker slot) the current thread belongs to, so
-// recursive Submit() can use the local deque fast path.
-thread_local ThreadPool* tl_pool = nullptr;
-thread_local std::size_t tl_worker = 0;
-
 // Scheduler observability (src/obs/metrics.h). All pools in the process
 // report into one family set; the registry lookups resolve once into
 // function-local statics and each update is a relaxed atomic op (one
@@ -23,13 +18,6 @@ thread_local std::size_t tl_worker = 0;
 obs::Counter& TasksCounter() {
   static obs::Counter& c = obs::Registry::Global().GetCounter(
       "xcv_scheduler_tasks_total", "Tasks submitted to the shared pools.");
-  return c;
-}
-
-obs::Counter& StealsCounter() {
-  static obs::Counter& c = obs::Registry::Global().GetCounter(
-      "xcv_scheduler_steals_total",
-      "Tasks taken from another worker's deque.");
   return c;
 }
 
@@ -77,35 +65,13 @@ ThreadPool::ThreadPool(std::size_t num_threads) {
 }
 
 ThreadPool::~ThreadPool() {
-  WaitIdle();
   {
-    std::lock_guard<std::mutex> lock(mu_);
+    std::unique_lock<std::mutex> lock(mu_);
+    idle_cv_.wait(lock, [this] { return outstanding_ == 0; });
     shutdown_ = true;
   }
   work_cv_.notify_all();
   for (auto& w : workers_) w.join();
-}
-
-void ThreadPool::Submit(std::function<void()> task) {
-  XCV_CHECK(task != nullptr);
-  std::lock_guard<std::mutex> lock(mu_);
-  XCV_CHECK_MSG(!shutdown_, "Submit after shutdown");
-  Item item;
-  item.seq = next_seq_++;
-  item.fn = std::move(task);
-  if (obs::MetricsEnabled()) {
-    item.enqueued = std::chrono::steady_clock::now();
-    TasksCounter().Inc();
-  }
-  ++outstanding_;
-  QueueDepthGauge().Set(static_cast<double>(outstanding_));
-  if (tl_pool == this) {
-    local_[tl_worker].push_back(std::move(item));
-  } else {
-    frontier_.push_back(std::move(item));
-    std::push_heap(frontier_.begin(), frontier_.end(), ItemHeapLess{});
-  }
-  work_cv_.notify_one();
 }
 
 void ThreadPool::Submit(const std::shared_ptr<Group>& group, double priority,
@@ -143,19 +109,11 @@ void ThreadPool::Wait(const std::shared_ptr<Group>& group) {
   idle_cv_.wait(lock, [&] { return group->pending_ == 0; });
 }
 
-void ThreadPool::WaitIdle() {
-  std::unique_lock<std::mutex> lock(mu_);
-  idle_cv_.wait(lock, [this] { return outstanding_ == 0; });
-}
-
 void ThreadPool::Grow(std::size_t num_threads) {
   std::lock_guard<std::mutex> lock(mu_);
   XCV_CHECK_MSG(!shutdown_, "Grow after shutdown");
-  while (workers_.size() < num_threads) {
-    const std::size_t index = workers_.size();
-    local_.emplace_back();
-    workers_.emplace_back([this, index] { WorkerLoop(index); });
-  }
+  while (workers_.size() < num_threads)
+    workers_.emplace_back([this] { WorkerLoop(); });
 }
 
 std::size_t ThreadPool::NumThreads() const {
@@ -178,70 +136,49 @@ ThreadPool& ThreadPool::Global(std::size_t min_threads) {
   return *pool;
 }
 
-bool ThreadPool::TryTakeLocked(std::size_t worker_index, Item* out) {
-  // 1. Own deque, newest first: recursive children run hot.
-  auto& own = local_[worker_index];
-  if (!own.empty()) {
-    *out = std::move(own.back());
-    own.pop_back();
-    return true;
-  }
-  // 2. Global priority frontier. Items whose group is at its concurrency
-  // limit are parked on the group's deferred heap; a completion of that
-  // group promotes the best one back (FinishItemLocked).
+bool ThreadPool::TryTakeLocked(Item* out) {
+  // Items whose group is at its concurrency limit are parked on the
+  // group's deferred heap; a completion of that group promotes the best one
+  // back (FinishItemLocked).
   while (!frontier_.empty()) {
     std::pop_heap(frontier_.begin(), frontier_.end(), ItemHeapLess{});
     Item item = std::move(frontier_.back());
     frontier_.pop_back();
-    Group* g = item.group.get();
-    if (g != nullptr && g->limit_ > 0 && g->running_ >= g->limit_) {
-      g->deferred_.push_back(std::move(item));
-      std::push_heap(g->deferred_.begin(), g->deferred_.end(), ItemHeapLess{});
+    Group& g = *item.group;
+    if (g.limit_ > 0 && g.running_ >= g.limit_) {
+      g.deferred_.push_back(std::move(item));
+      std::push_heap(g.deferred_.begin(), g.deferred_.end(), ItemHeapLess{});
       continue;
     }
     *out = std::move(item);
-    return true;
-  }
-  // 3. Steal the oldest task from another worker's deque.
-  for (std::size_t i = 0; i < local_.size(); ++i) {
-    if (i == worker_index || local_[i].empty()) continue;
-    *out = std::move(local_[i].front());
-    local_[i].pop_front();
-    StealsCounter().Inc();
     return true;
   }
   return false;
 }
 
 void ThreadPool::FinishItemLocked(const Item& item) {
-  --active_;
   --outstanding_;
   QueueDepthGauge().Set(static_cast<double>(outstanding_));
-  if (Group* g = item.group.get()) {
-    --g->running_;
-    --g->pending_;
-    // One completion frees one slot: promote the best deferred task.
-    if (!g->deferred_.empty() && (g->limit_ == 0 || g->running_ < g->limit_)) {
-      std::pop_heap(g->deferred_.begin(), g->deferred_.end(), ItemHeapLess{});
-      frontier_.push_back(std::move(g->deferred_.back()));
-      g->deferred_.pop_back();
-      std::push_heap(frontier_.begin(), frontier_.end(), ItemHeapLess{});
-      work_cv_.notify_one();
-    }
-    if (g->pending_ == 0) idle_cv_.notify_all();
+  Group& g = *item.group;
+  --g.running_;
+  --g.pending_;
+  // One completion frees one slot: promote the best deferred task.
+  if (!g.deferred_.empty() && (g.limit_ == 0 || g.running_ < g.limit_)) {
+    std::pop_heap(g.deferred_.begin(), g.deferred_.end(), ItemHeapLess{});
+    frontier_.push_back(std::move(g.deferred_.back()));
+    g.deferred_.pop_back();
+    std::push_heap(frontier_.begin(), frontier_.end(), ItemHeapLess{});
+    work_cv_.notify_one();
   }
-  if (outstanding_ == 0) idle_cv_.notify_all();
+  if (g.pending_ == 0 || outstanding_ == 0) idle_cv_.notify_all();
 }
 
-void ThreadPool::WorkerLoop(std::size_t worker_index) {
-  tl_pool = this;
-  tl_worker = worker_index;
+void ThreadPool::WorkerLoop() {
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
     Item item;
-    if (TryTakeLocked(worker_index, &item)) {
-      ++active_;
-      if (Group* g = item.group.get()) ++g->running_;
+    if (TryTakeLocked(&item)) {
+      ++item.group->running_;
       lock.unlock();
       const bool observe = obs::MetricsEnabled() &&
                            item.enqueued.time_since_epoch().count() != 0;

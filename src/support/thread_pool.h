@@ -1,28 +1,22 @@
-// The shared work-stealing scheduler behind every parallel subsystem.
+// The shared priority scheduler behind every parallel subsystem.
 //
-// Two kinds of work coexist:
-//   * Plain Submit(): unprioritized tasks. Submitted from a worker thread
-//     they land on that worker's local deque (LIFO — cache-friendly for
-//     recursive fan-out) and are stealable by idle workers; submitted from
-//     outside they join the global frontier.
-//   * Grouped Submit(group, priority, task): tasks join the global
-//     *priority frontier* (highest priority first, FIFO among equals).
-//     A Group tracks its outstanding tasks (Wait blocks until the group
-//     drains) and can cap how many of its tasks run concurrently, so many
-//     independent clients — e.g. every (functional, condition) pair of a
-//     verification campaign — share one pool without oversubscribing it.
+// Every task belongs to a Group and joins the pool's one *priority
+// frontier* (highest priority first, FIFO among equals). A Group tracks its
+// outstanding tasks (Wait blocks until the group drains) and can cap how
+// many of its tasks run concurrently, so many independent clients — e.g.
+// every (functional, condition) pair of a verification campaign — share one
+// pool without oversubscribing it.
 //
-// Tasks may enqueue further tasks (the verifier's recursion). WaitIdle()
-// and ~ThreadPool() wait for quiescence: nothing queued, deferred, or
+// Tasks may submit further tasks (an engine's tickets hand out the next
+// ones). ~ThreadPool() waits for quiescence: nothing queued, deferred, or
 // running. Process-wide sharing goes through ThreadPool::Global(), which
-// grows on demand and replaces the old per-Verifier::Run pools.
+// grows on demand.
 #pragma once
 
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -47,13 +41,9 @@ class ThreadPool {
   /// Waits for quiescence, then joins the workers.
   ~ThreadPool();
 
-  /// Enqueues an unprioritized task. Safe to call from worker threads
-  /// (recursive submission; lands on the submitting worker's deque).
-  void Submit(std::function<void()> task);
-
-  /// Enqueues a task on the global priority frontier. Higher `priority`
-  /// runs first; ties run in submission order. At most the group's
-  /// `max_parallelism` tasks run concurrently.
+  /// Enqueues a task on the priority frontier. Higher `priority` runs
+  /// first; ties run in submission order. At most the group's
+  /// `max_parallelism` tasks run concurrently. Safe to call from tasks.
   void Submit(const std::shared_ptr<Group>& group, double priority,
               std::function<void()> task);
 
@@ -62,9 +52,6 @@ class ThreadPool {
 
   /// Blocks until every task submitted to `group` has completed.
   void Wait(const std::shared_ptr<Group>& group);
-
-  /// Blocks until no tasks are queued, deferred, or running.
-  void WaitIdle();
 
   /// Adds workers until the pool has at least `num_threads`. Never shrinks
   /// (running tasks cannot be migrated off a worker).
@@ -81,7 +68,7 @@ class ThreadPool {
   struct Item {
     double priority = 0.0;
     std::uint64_t seq = 0;
-    std::shared_ptr<Group> group;  // null for ungrouped tasks
+    std::shared_ptr<Group> group;
     std::function<void()> fn;
     // Submit timestamp for the scheduler's task-wait-latency histogram
     // (src/obs/metrics.h). Stamped only when metrics are enabled; a zero
@@ -89,19 +76,16 @@ class ThreadPool {
     std::chrono::steady_clock::time_point enqueued{};
   };
 
-  void WorkerLoop(std::size_t worker_index);
-  bool TryTakeLocked(std::size_t worker_index, Item* out);
-  void PushFrontierLocked(Item item);
+  void WorkerLoop();
+  bool TryTakeLocked(Item* out);
   void FinishItemLocked(const Item& item);
 
   mutable std::mutex mu_;
   std::condition_variable work_cv_;  // work arrived / shutdown
   std::condition_variable idle_cv_;  // pool-idle and group-drained events
   std::vector<Item> frontier_;       // max-heap (std::push_heap/pop_heap)
-  std::vector<std::deque<Item>> local_;  // per-worker deques (stealable)
   std::uint64_t next_seq_ = 0;
   std::size_t outstanding_ = 0;  // queued + deferred + running
-  std::size_t active_ = 0;       // running
   bool shutdown_ = false;
   std::vector<std::thread> workers_;
 };

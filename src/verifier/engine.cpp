@@ -594,21 +594,43 @@ std::vector<Box> PairEngine::TakeOpenFrontier() {
   return out;
 }
 
-void RunEngineToCompletion(PairEngine& engine, int num_threads) {
+void RunEngines(std::span<PairEngine* const> engines, int num_threads,
+                const std::atomic<bool>* cancel,
+                const std::function<void(std::size_t)>& finished) {
   if (num_threads <= 1) {
-    while (engine.ProcessNext(nullptr)) {
+    for (;;) {
+      if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) return;
+      std::size_t best = engines.size();
+      double best_priority = -std::numeric_limits<double>::infinity();
+      for (std::size_t i = 0; i < engines.size(); ++i) {
+        const double p = engines[i]->TopPriority();
+        if (p > best_priority) {
+          best_priority = p;
+          best = i;
+        }
+      }
+      if (best == engines.size()) return;
+      engines[best]->ProcessNext(cancel);
+      if (finished && engines[best]->Finished()) finished(best);
     }
-    return;
   }
-  ThreadPool& pool = ThreadPool::Global(static_cast<std::size_t>(num_threads));
-  auto group = pool.MakeGroup(static_cast<std::size_t>(num_threads));
-  // Each ticket decides a batch of the engine's *current* best boxes.
-  engine.SetTicketSink([&pool, &group, &engine](double priority) {
-    pool.Submit(group, priority, [&engine] { engine.ProcessNext(nullptr); });
-  });
-  engine.EmitTicketsForOpen();
+  const auto cap = static_cast<std::size_t>(num_threads);
+  ThreadPool& pool = ThreadPool::Global(cap);
+  auto group = pool.MakeGroup(cap);
+  // Each ticket decides a batch of its engine's *current* best boxes.
+  for (std::size_t i = 0; i < engines.size(); ++i) {
+    PairEngine* engine = engines[i];
+    engine->SetTicketSink([&pool, &group, engine, i, cancel,
+                           &finished](double priority) {
+      pool.Submit(group, priority, [engine, i, cancel, &finished] {
+        engine->ProcessNext(cancel);
+        if (finished && engine->Finished()) finished(i);
+      });
+    });
+  }
+  for (PairEngine* engine : engines) engine->EmitTicketsForOpen();
   pool.Wait(group);
-  engine.SetTicketSink(nullptr);
+  for (PairEngine* engine : engines) engine->SetTicketSink(nullptr);
 }
 
 }  // namespace xcv::verifier

@@ -2,13 +2,13 @@
 //
 // One PairEngine owns the verification of a single (ψ, domain) pair,
 // decomposed into box tasks on a prioritized open frontier. The engine does
-// no threading of its own: drivers pull work with ProcessNext(), which pops
-// a batch of the best open boxes, decides them in one lockstep solver call,
-// and records each as a leaf or pushes its children back onto the
+// no threading of its own: RunEngines pulls work with ProcessNext(), which
+// pops a batch of the best open boxes, decides them in one lockstep solver
+// call, and records each as a leaf or pushes its children back onto the
 // frontier. This factors the old Verifier::Run internals
 // (RunContext/ProcessBox/SplitBox) into a form that many pairs can share:
-// Verifier::Run drives one engine; a campaign (src/campaign/) interleaves
-// dozens on the shared scheduler.
+// Verifier::Run runs one engine through RunEngines; a campaign
+// (src/campaign/) runs dozens through the same loop.
 //
 // Concurrency: ProcessNext is safe to call from many threads. Bookkeeping
 // (frontier, in-flight set, report) lives behind one mutex taken exactly
@@ -62,9 +62,9 @@ class PairEngine {
   PairEngine(const PairEngine&) = delete;
   PairEngine& operator=(const PairEngine&) = delete;
 
-  /// Called once per pool ticket the engine hands out; the pool path (the
-  /// campaign, RunEngineToCompletion) submits one scheduler task per call,
-  /// and the task calls ProcessNext. The engine counts its queued tickets:
+  /// Called once per pool ticket the engine hands out; RunEngines' pool
+  /// path submits one scheduler task per call, and the task calls
+  /// ProcessNext. The engine counts its queued tickets:
   /// after every frontier change (Seed, Restore, EmitTicketsForOpen, a
   /// recorded batch, a requeue after cancel) it hands out tickets until
   /// queued × wave_width ≥ open boxes, each at the frontier's top
@@ -90,9 +90,9 @@ class PairEngine {
 
   /// Claims the best open boxes, up to the solver's wave_width, and
   /// decides them in one lockstep DeltaSolver::CheckMany call, recording
-  /// each box as a leaf or splitting it. The sequential drivers and the
-  /// pool tickets both call it, so every interval wave runs near full on
-  /// either path. Verdicts are the same for every batch size: each box's
+  /// each box as a leaf or splitting it. RunEngines' one-thread loop and
+  /// its pool tickets both call it, so every interval wave runs near full
+  /// on either path. Verdicts are the same for every batch size: each box's
   /// decision is independent of its batch-mates. With a verdict cache, the
   /// same call revalidates the batch's hits and re-solves the rejected ones
   /// (see CheckMany); the engine only counts hits, misses and rejections
@@ -228,10 +228,16 @@ std::size_t CanonicalizeOpenBoxes(std::vector<solver::Box>& open,
 /// bisects the widest dimension when `split_all_dims` is false.
 std::vector<solver::Box> SplitBox(const solver::Box& box, bool split_all_dims);
 
-/// Drives `engine` to completion: inline when num_threads <= 1, otherwise
-/// as prioritized tickets on the shared global pool (see SetTicketSink),
+/// Drives `engines` until every one is finished or `cancel` (may be null)
+/// is set. At num_threads <= 1 an inline loop always processes the engine
+/// with the best open box; otherwise every engine hands out prioritized
+/// tickets (see SetTicketSink) on the shared global pool, in one group
 /// capped at num_threads concurrent batches. Either way each ProcessNext
-/// decides a batch of up to wave_width boxes.
-void RunEngineToCompletion(PairEngine& engine, int num_threads);
+/// decides a batch of up to wave_width boxes. After a batch leaves engine
+/// `i` Finished(), `finished(i)` runs on the same thread (possibly more
+/// than once per engine when pool tickets race).
+void RunEngines(std::span<PairEngine* const> engines, int num_threads,
+                const std::atomic<bool>* cancel,
+                const std::function<void(std::size_t)>& finished);
 
 }  // namespace xcv::verifier

@@ -22,7 +22,8 @@ VerificationReport Verifier::Run(const Box& domain) const {
   Stopwatch watch;
   PairEngine engine(psi_, options_);
   engine.Seed(domain);
-  RunEngineToCompletion(engine, options_.num_threads);
+  PairEngine* const engines[] = {&engine};
+  RunEngines(engines, options_.num_threads, nullptr, {});
   VerificationReport report = engine.TakeReport();
   report.seconds = watch.ElapsedSeconds();
   return report;

@@ -12,11 +12,12 @@
 // threshold t (the paper uses t = 0.05).
 //
 // The recursion tree is embarrassingly parallel; with num_threads > 1 the
-// subdomains are processed as prioritized tasks on the process-wide
-// work-stealing scheduler (ThreadPool::Global), capped at num_threads
-// concurrent boxes. The task-graph engine behind Run lives in engine.h and
-// is shared with the campaign layer (src/campaign/), which interleaves many
-// (functional, condition) pairs on the same pool.
+// subdomains are processed in batches as prioritized tasks on the
+// process-wide priority scheduler (ThreadPool::Global), capped at
+// num_threads concurrent batches. The task-graph engine behind Run and its
+// one driver loop (RunEngines) live in engine.h and are shared with the
+// campaign layer (src/campaign/), which interleaves many (functional,
+// condition) pairs on the same pool.
 #pragma once
 
 #include <limits>
@@ -43,6 +44,11 @@ enum class FrontierStrategy {
   kFifo,
 };
 
+/// Upper bound on VerifierOptions::num_threads at every input boundary
+/// (flags, job specs, checkpoints): the shared pool starts that many workers
+/// and never shrinks.
+inline constexpr int kMaxThreads = 256;
+
 struct VerifierOptions {
   /// Minimum subdomain width t (Algorithm 1 line 1). Children that would be
   /// narrower than this are not split further; the leaf keeps the parent's
@@ -59,7 +65,8 @@ struct VerifierOptions {
   /// times faster than the wall clock.
   double total_time_budget_seconds =
       std::numeric_limits<double>::infinity();
-  /// Worker threads for the recursion (1 = sequential Algorithm 1).
+  /// Worker threads for the recursion (1 = sequential Algorithm 1), at
+  /// most kMaxThreads; a campaign's cap across all its pairs.
   int num_threads = 1;
   /// Split every dimension in two (2^d children, the paper's split) when
   /// true; split only the widest dimension when false (ablation).

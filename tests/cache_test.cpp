@@ -59,7 +59,6 @@ verifier::VerifierOptions FastOptions() {
 CampaignOptions FastCampaignOptions() {
   CampaignOptions o;
   o.verifier = FastOptions();
-  o.num_threads = 1;
   o.tune_lda_delta = false;
   return o;
 }
@@ -295,7 +294,7 @@ TEST(VerdictCache, MultiThreadedWarmReplayAtEveryWaveWidth) {
       SCOPED_TRACE("threads=" + std::to_string(threads) +
                    " wave_width=" + std::to_string(width));
       CampaignOptions warm_options = cached;
-      warm_options.num_threads = threads;
+      warm_options.verifier.num_threads = threads;
       warm_options.verifier.solver.wave_width = width;
       const double tasks_before = pool_tasks.Value();
       const CampaignResult warm = RunMatrixCampaign(warm_options);
@@ -363,7 +362,7 @@ TEST(VerdictCache, PartiallyWarmReplayMixesHitsAndMissesInOneBatch) {
       CampaignOptions warm_options = fine;
       warm_options.cache_path = path;
       warm_options.cache_readonly = true;
-      warm_options.num_threads = threads;
+      warm_options.verifier.num_threads = threads;
       warm_options.verifier.solver.wave_width = width;
       const CampaignResult warm = RunMatrixCampaign(warm_options);
       EXPECT_EQ(DeterministicFace(warm), bare);
@@ -827,7 +826,7 @@ TEST(VerdictCache, PoisonedReplayRepairsExactlyTheRejectedEntries) {
       poisoned.Save(path);
       CampaignOptions warm = FineCampaignOptions();
       warm.cache_path = path;
-      warm.num_threads = threads;
+      warm.verifier.num_threads = threads;
       warm.verifier.solver.wave_width = width;
       const CampaignResult result = RunMatrixCampaign(warm);
       VerdictCache after;

@@ -3,7 +3,9 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -12,6 +14,7 @@
 #include "campaign/serialize.h"
 #include "conditions/conditions.h"
 #include "functionals/functional.h"
+#include "obs/metrics.h"
 #include "verifier/engine.h"
 #include "verifier/verifier.h"
 
@@ -37,7 +40,7 @@ verifier::VerifierOptions FastOptions() {
 CampaignOptions FastCampaignOptions(int threads) {
   CampaignOptions o;
   o.verifier = FastOptions();
-  o.num_threads = threads;
+  o.verifier.num_threads = threads;
   o.tune_lda_delta = false;  // compare raw options against raw Verifier runs
   return o;
 }
@@ -113,6 +116,53 @@ TEST(Campaign, ParallelRunIsByteIdenticalToSequentialRun) {
         << "threads=" << threads << " wave_width=" << width;
 }
 
+// The per-wave solver series repeat exactly only at one thread: the inline
+// loop of verifier::RunEngines composes every lockstep batch the same way,
+// while pool tickets compose batches by timing (there only the verdict
+// bytes repeat). Count-based solver measurements rely on this repeat.
+TEST(Campaign, OneThreadRunRepeatsPerWaveCounters) {
+  const std::vector<std::pair<std::string, std::string>> series = {
+      {"xcv_solver_waves_total", ""},
+      {"xcv_solver_wave_lanes_total", ""},
+      {"xcv_solver_projections_total", "run"},
+      {"xcv_solver_projections_total", "skipped"}};
+  auto read = [&series] {
+    obs::Registry& reg = obs::Registry::Global();
+    std::vector<double> values;
+    for (const auto& [name, outcome] : series) {
+      const obs::Counter& c =
+          outcome.empty()
+              ? reg.GetCounter(name, "solver series (src/solver/icp.cpp)")
+              : reg.GetCounter(name, "solver series (src/solver/icp.cpp)",
+                               {"outcome"}, {outcome});
+      values.push_back(c.Value());
+    }
+    return values;
+  };
+  auto run = [&read] {
+    const std::vector<double> before = read();
+    // Fine enough that four threads compose different batches run to run.
+    CampaignOptions options = FastCampaignOptions(/*threads=*/1);
+    options.verifier.split_threshold = 0.3;
+    options.verifier.solver.max_nodes = 300;
+    Campaign campaign(options);
+    for (const char* cond : {"EC1", "EC2"})
+      for (const Functional* f : LdaPbeMatrix())
+        campaign.Add(*f, *conditions::FindCondition(cond));
+    EXPECT_EQ(campaign.Run().CompletedCount(), 4u);
+    std::vector<double> deltas = read();
+    for (std::size_t i = 0; i < deltas.size(); ++i) deltas[i] -= before[i];
+    return deltas;
+  };
+  const std::vector<double> first = run();
+  const std::vector<double> second = run();
+  for (std::size_t i = 0; i < series.size(); ++i) {
+    SCOPED_TRACE(series[i].first + " " + series[i].second);
+    EXPECT_GT(first[i], 0.0);
+    EXPECT_EQ(first[i], second[i]);
+  }
+}
+
 TEST(Campaign, CheckpointRoundTripsExactly) {
   PairState p;
   p.functional = "PBE";
@@ -137,13 +187,13 @@ TEST(Campaign, CheckpointRoundTripsExactly) {
   options.verifier.total_time_budget_seconds =
       std::numeric_limits<double>::infinity();
   options.verifier.frontier = FrontierStrategy::kSuspectFirst;
-  options.num_threads = 4;
+  options.verifier.num_threads = 4;
 
   const std::string json = CheckpointToJson(options, {p}, true);
   const Checkpoint cp = CheckpointFromJson(json);
 
   EXPECT_TRUE(cp.cancelled);
-  EXPECT_EQ(cp.options.num_threads, 4);
+  EXPECT_EQ(cp.options.verifier.num_threads, 4);
   EXPECT_EQ(cp.options.verifier.frontier, FrontierStrategy::kSuspectFirst);
   EXPECT_TRUE(
       std::isinf(cp.options.verifier.total_time_budget_seconds));
@@ -194,7 +244,7 @@ TEST(Campaign, CancelledRunCheckpointsAndResumesToIdenticalVerdicts) {
     const std::string path =
         ::testing::TempDir() + "/xcv_campaign_cancel_test.json";
     CampaignOptions copts = options;
-    copts.num_threads = threads;
+    copts.verifier.num_threads = threads;
     copts.checkpoint_path = path;
     Campaign interrupted(copts);
     for (const ConditionInfo* c : conds)

@@ -120,7 +120,8 @@ TEST(Cli, IntegerFlagsAreCheckedBeforeNarrowing) {
   for (const auto& [key, value] :
        {std::pair<std::string, std::string>{"wave-width", "1e8"},
         {"threads", "1e300"},
-        {"threads", "2.5"}}) {
+        {"threads", "2.5"},
+        {"threads", std::to_string(verifier::kMaxThreads + 1)}}) {
     api::JobSpec spec = api::DefaultJobSpec();
     try {
       api::ApplyFlags({{key, value}}, spec);
@@ -130,6 +131,10 @@ TEST(Cli, IntegerFlagsAreCheckedBeforeNarrowing) {
           << e.what();
     }
   }
+  api::JobSpec widest = api::DefaultJobSpec();
+  api::ApplyFlags({{"threads", std::to_string(verifier::kMaxThreads)}},
+                  widest);
+  EXPECT_EQ(widest.options.verifier.num_threads, verifier::kMaxThreads);
   const char* argv[] = {"xcv", "verify", "--functionals=lda",
                         "--conditions=EC1", "--wave-width=100000000"};
   EXPECT_EQ(Main(5, argv), 2);
@@ -194,21 +199,32 @@ TEST(Cli, ResumeRejectsHostileCheckpoints) {
   // solver options pass the same range checks as a job spec.
   const std::string base = campaign::CheckpointToJson(
       api::DefaultJobSpec().options, {}, /*cancelled=*/false);
-  for (const auto& [field, value] :
-       {std::pair<std::string, std::string>{"wave_width", "1e8"},
-        {"num_threads", "1e300"},
-        {"contraction_rounds", "\"nan\""}}) {
+  auto with_field = [&base](const std::string& field,
+                            const std::string& value) {
     std::string text = base;
     const std::string key = "\"" + field + "\": ";
     const std::size_t at = text.find(key);
-    ASSERT_NE(at, std::string::npos) << field;
+    EXPECT_NE(at, std::string::npos) << field;
     const std::size_t begin = at + key.size();
     const std::size_t end = text.find_first_of(",\n", begin);
     text.replace(begin, end - begin, value);
-    EXPECT_EQ(ResumeFrom("xcv_hostile_checkpoint.json", text, &err), 2)
+    return text;
+  };
+  for (const auto& [field, value] :
+       {std::pair<std::string, std::string>{"wave_width", "1e8"},
+        {"num_threads", "1e300"},
+        {"num_threads", std::to_string(verifier::kMaxThreads + 1)},
+        {"contraction_rounds", "\"nan\""}}) {
+    EXPECT_EQ(ResumeFrom("xcv_hostile_checkpoint.json",
+                         with_field(field, value), &err),
+              2)
         << field;
     EXPECT_NE(err.find(field), std::string::npos) << err;
   }
+  // The widest count parses (not resumed: that would start its workers).
+  const campaign::Checkpoint widest = campaign::CheckpointFromJson(
+      with_field("num_threads", std::to_string(verifier::kMaxThreads)));
+  EXPECT_EQ(widest.options.verifier.num_threads, verifier::kMaxThreads);
 }
 
 }  // namespace

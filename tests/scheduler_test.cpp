@@ -36,26 +36,38 @@ class Gate {
 
 TEST(ThreadPool, RunsSubmittedTasks) {
   ThreadPool pool(2);
+  auto group = pool.MakeGroup();
   std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) pool.Submit([&count] { ++count; });
-  pool.WaitIdle();
+  for (int i = 0; i < 100; ++i) pool.Submit(group, 0.0, [&count] { ++count; });
+  pool.Wait(group);
   EXPECT_EQ(count.load(), 100);
 }
 
-TEST(ThreadPool, RecursiveSubmissionAndStealing) {
-  ThreadPool pool(4);
+TEST(ThreadPool, ZeroThreadsClampsToOne) {
+  ThreadPool pool(0);
+  EXPECT_EQ(pool.NumThreads(), 1u);
+  auto group = pool.MakeGroup();
+  std::atomic<bool> ran{false};
+  pool.Submit(group, 0.0, [&ran] { ran = true; });
+  pool.Wait(group);
+  EXPECT_TRUE(ran.load());
+}
+
+TEST(ThreadPool, WaitOnEmptyGroupReturnsImmediately) {
+  ThreadPool pool(1);
+  pool.Wait(pool.MakeGroup());  // must not hang
+  SUCCEED();
+}
+
+TEST(ThreadPool, DestructorRunsQueuedTasks) {
   std::atomic<int> count{0};
-  // Each task fans out two children (worker-local deques; idle workers
-  // steal); 1 + 2 + 4 + ... + 128 tasks in total.
-  std::function<void(int)> fan = [&](int depth) {
-    ++count;
-    if (depth == 0) return;
-    pool.Submit([&fan, depth] { fan(depth - 1); });
-    pool.Submit([&fan, depth] { fan(depth - 1); });
-  };
-  pool.Submit([&fan] { fan(7); });
-  pool.WaitIdle();
-  EXPECT_EQ(count.load(), 255);
+  {
+    ThreadPool pool(1);
+    auto group = pool.MakeGroup();
+    for (int i = 0; i < 32; ++i)
+      pool.Submit(group, 0.0, [&count] { ++count; });
+  }  // no Wait: the destructor waits for quiescence before joining
+  EXPECT_EQ(count.load(), 32);
 }
 
 TEST(ThreadPool, PriorityFrontierOrdersTasks) {
@@ -63,7 +75,7 @@ TEST(ThreadPool, PriorityFrontierOrdersTasks) {
   Gate gate;
   std::atomic<bool> pinned{false};
   // Pin the single worker so later submissions queue up on the frontier.
-  pool.Submit([&gate, &pinned] {
+  pool.Submit(pool.MakeGroup(), 0.0, [&gate, &pinned] {
     pinned = true;
     gate.Wait();
   });
@@ -87,7 +99,7 @@ TEST(ThreadPool, EqualPriorityIsFifo) {
   ThreadPool pool(1);
   Gate gate;
   std::atomic<bool> pinned{false};
-  pool.Submit([&gate, &pinned] {
+  pool.Submit(pool.MakeGroup(), 0.0, [&gate, &pinned] {
     pinned = true;
     gate.Wait();
   });
@@ -166,9 +178,10 @@ TEST(ThreadPool, GrowAddsWorkers) {
   EXPECT_EQ(pool.NumThreads(), 3u);
   pool.Grow(2);  // never shrinks
   EXPECT_EQ(pool.NumThreads(), 3u);
+  auto group = pool.MakeGroup();
   std::atomic<int> count{0};
-  for (int i = 0; i < 32; ++i) pool.Submit([&count] { ++count; });
-  pool.WaitIdle();
+  for (int i = 0; i < 32; ++i) pool.Submit(group, 0.0, [&count] { ++count; });
+  pool.Wait(group);
   EXPECT_EQ(count.load(), 32);
 }
 

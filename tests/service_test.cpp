@@ -390,7 +390,6 @@ TEST(JobSpecJsonTest, RoundTripIsExactIncludingGnarlyDoubles) {
   spec.tenant = "team-a";
   spec.output = api::OutputMode::kJson;
   spec.quiet = true;
-  spec.options.num_threads = 3;
   spec.options.verifier.num_threads = 3;
   // Doubles chosen to break any printf("%g")-grade serializer: a repeating
   // binary fraction, an accumulated rounding artifact, the smallest
@@ -412,7 +411,7 @@ TEST(JobSpecJsonTest, RoundTripIsExactIncludingGnarlyDoubles) {
   EXPECT_EQ(back.tenant, "team-a");
   EXPECT_EQ(back.output, api::OutputMode::kJson);
   EXPECT_TRUE(back.quiet);
-  EXPECT_EQ(back.options.num_threads, 3);
+  EXPECT_EQ(back.options.verifier.num_threads, 3);
   EXPECT_EQ(back.options.verifier.split_threshold, 0.1);
   EXPECT_EQ(back.options.verifier.solver.time_budget_seconds, 0.1 + 0.2);
   EXPECT_EQ(back.options.verifier.solver.delta, 5e-324);
@@ -468,6 +467,8 @@ TEST(JobSpecJsonTest, RejectsNonIntegralAndOutOfRangeIntegers) {
        {std::pair<std::string, std::string>{
             R"({"solver": {"wave_width": 1e8}})", "wave_width"},
         {R"({"threads": 1e300})", "threads"},
+        {"{\"threads\": " + std::to_string(verifier::kMaxThreads + 1) + "}",
+         "threads"},
         {R"({"solver": {"contraction_rounds": "nan"}})", "contraction_rounds"},
         {R"({"solver": {"max_nodes": 2.5}})", "max_nodes"},
         {R"({"runtime": {"max_retries": -1}})", "max_retries"}}) {
@@ -483,6 +484,10 @@ TEST(JobSpecJsonTest, RejectsNonIntegralAndOutOfRangeIntegers) {
                              std::to_string(solver::kMaxWaveWidth) + "}}";
   EXPECT_EQ(api::ParseJobSpecJson(widest).options.verifier.solver.wave_width,
             solver::kMaxWaveWidth);
+  const std::string most_threads =
+      "{\"threads\": " + std::to_string(verifier::kMaxThreads) + "}";
+  EXPECT_EQ(api::ParseJobSpecJson(most_threads).options.verifier.num_threads,
+            verifier::kMaxThreads);
 }
 
 TEST(JobSpecValidateTest, RejectsOutOfRangeFields) {
@@ -494,8 +499,12 @@ TEST(JobSpecValidateTest, RejectsOutOfRangeFields) {
   EXPECT_THROW(api::ValidateJobSpec(s), InternalError);
 
   s = good;
-  s.options.num_threads = 0;
+  s.options.verifier.num_threads = 0;
   EXPECT_THROW(api::ValidateJobSpec(s), InternalError);
+  s.options.verifier.num_threads = verifier::kMaxThreads + 1;
+  EXPECT_THROW(api::ValidateJobSpec(s), InternalError);
+  s.options.verifier.num_threads = verifier::kMaxThreads;
+  EXPECT_NO_THROW(api::ValidateJobSpec(s));
 
   s = good;
   s.options.verifier.solver.delta = 0.0;

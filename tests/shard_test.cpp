@@ -315,7 +315,6 @@ TEST(Shard, MergeFlagsDivergentShardOptions) {
   popts.by = ShardBy::kPairs;
   auto shards = PartitionCheckpoint(fresh, popts);
   // A node overriding thread count is fine; overriding the solver is not.
-  shards[0].options.num_threads = 8;
   shards[0].options.verifier.num_threads = 8;
   MergeStats benign;
   MergeCheckpoints({shards[0], shards[1]}, &benign);

@@ -1,6 +1,5 @@
 #include <unistd.h>
 
-#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -18,7 +17,6 @@
 #include "support/stopwatch.h"
 #include "support/strings.h"
 #include "support/table.h"
-#include "support/thread_pool.h"
 
 namespace xcv {
 namespace {
@@ -102,45 +100,6 @@ TEST(Stopwatch, MeasuresElapsedTime) {
   EXPECT_GE(w.ElapsedMillis(), 0.0);
   w.Reset();
   EXPECT_GE(w.ElapsedSeconds(), 0.0);
-}
-
-TEST(ThreadPool, RunsSubmittedTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i)
-    pool.Submit([&counter] { counter.fetch_add(1); });
-  pool.WaitIdle();
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPool, SupportsRecursiveSubmission) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  // Binary fan-out, three levels deep: 1 + 2 + 4 + 8 = 15 tasks.
-  std::function<void(int)> spawn = [&](int depth) {
-    counter.fetch_add(1);
-    if (depth > 0)
-      for (int i = 0; i < 2; ++i)
-        pool.Submit([&spawn, depth] { spawn(depth - 1); });
-  };
-  pool.Submit([&spawn] { spawn(3); });
-  pool.WaitIdle();
-  EXPECT_EQ(counter.load(), 15);
-}
-
-TEST(ThreadPool, WaitIdleOnEmptyPoolReturnsImmediately) {
-  ThreadPool pool(1);
-  pool.WaitIdle();  // must not hang
-  SUCCEED();
-}
-
-TEST(ThreadPool, ZeroThreadsClampsToOne) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.NumThreads(), 1u);
-  std::atomic<bool> ran{false};
-  pool.Submit([&ran] { ran = true; });
-  pool.WaitIdle();
-  EXPECT_TRUE(ran.load());
 }
 
 // Hostile nesting is a named error, not a stack overflow.
