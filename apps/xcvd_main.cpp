@@ -3,15 +3,15 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
 
+#include "api/job_spec.h"
 #include "obs/metrics.h"
 #include "service/daemon.h"
 #include "support/check.h"
 #include "support/fault.h"
+#include "verifier/verifier.h"
 
 namespace {
 
@@ -54,11 +54,15 @@ int main(int argc, char** argv) {
       };
       if (arg == "--help" || arg == "-h") return Usage(stdout);
       if (arg == "--port") {
-        options.port = std::atoi(value().c_str());
+        options.port = static_cast<int>(
+            xcv::api::ParseFlagInteger("port", value(), 0, 65535));
       } else if (arg == "--state-dir") {
         options.state_dir = value();
       } else if (arg == "--max-jobs") {
-        options.max_concurrent_jobs = std::atoi(value().c_str());
+        // Each admitted campaign holds a runner thread of its own.
+        options.max_concurrent_jobs =
+            static_cast<int>(xcv::api::ParseFlagInteger(
+                "max-jobs", value(), 1, xcv::verifier::kMaxThreads));
       } else if (arg == "--verbose") {
         options.verbose = true;
       } else if (arg == "--no-job-traces") {

@@ -158,9 +158,11 @@ Options (coordinate):
   --max-epochs=N       Give up after N epochs.                     [64]
   --cache-dir=DIR      Give node k a persistent verdict cache at
                        DIR/cache-node-k.json.
-  --kill-node=K@S      Chaos hook: SIGKILL node K, S seconds into epoch 0.
   --fault-node=K:SPEC  Chaos hook: run node K of epoch 0 with
-                       XCV_FAULTS=SPEC armed.
+                       XCV_FAULTS=SPEC armed. To SIGKILL node K's first
+                       attempt MS ms after launch (charged as a
+                       preemption), pass
+                       --faults=transport.preempt.local-K@1=MS.
   --xcv-bin=PATH       Binary to launch nodes with.    [this executable]
   --format=F           Render the converged report: table | json | csv.
 
@@ -601,17 +603,8 @@ int CmdCoordinate(const ParsedArgs& args) {
     copts.xcv_binary = it->second;
   copts.quiet = args.flags.count("quiet") > 0;
 
-  // Chaos hooks: --kill-node=K[@S] and --fault-node=K:SPEC, each part
-  // through the checked flag parser.
-  if (const auto it = args.flags.find("kill-node"); it != args.flags.end()) {
-    const std::string& v = it->second;
-    const auto at = v.find('@');
-    copts.kill_node = static_cast<int>(
-        api::ParseFlagInteger("kill-node", v.substr(0, at), 0, kIntMax));
-    if (at != std::string::npos)
-      copts.kill_after_seconds =
-          api::ParseFlagDouble("kill-node", v.substr(at + 1));
-  }
+  // Chaos hook: --fault-node=K:SPEC, the node index through the checked
+  // flag parser.
   if (const auto it = args.flags.find("fault-node"); it != args.flags.end()) {
     const std::string& v = it->second;
     const auto colon = v.find(':');
@@ -620,11 +613,10 @@ int CmdCoordinate(const ParsedArgs& args) {
     copts.fault_node = static_cast<int>(
         api::ParseFlagInteger("fault-node", v.substr(0, colon), 0, kIntMax));
     copts.fault_spec = v.substr(colon + 1);
-    // Validate the spec here, in the coordinator's process, so a typo is a
-    // usage error now rather than K crashed children later. The arming is
-    // scoped to the designated child's environment.
-    support::fault::ArmFromSpec(copts.fault_spec);
-    support::fault::Disarm();
+    // Check the spec here, in the coordinator's process, so a typo is a
+    // usage error now rather than K crashed children later. Only the
+    // designated child arms it; the coordinator's own --faults stay armed.
+    support::fault::CheckSpec(copts.fault_spec);
   }
 
   // The coordinator owns one campaign checkpoint file. Seed it from the
@@ -635,7 +627,7 @@ int CmdCoordinate(const ParsedArgs& args) {
                                                   << "': " << ec.message());
   const SeededCampaign seeded = CheckpointFromFlagsOrFile(
       args, {"shards", "by", "nodes", "work-dir", "rebalance-epoch", "lease",
-             "max-epochs", "cache-dir", "xcv-bin", "kill-node", "fault-node"});
+             "max-epochs", "cache-dir", "xcv-bin", "fault-node"});
   TraceSession trace(args);
   const campaign::Checkpoint& cp = seeded.checkpoint;
   // The WDL-style retry/preemption budgets ride in the spec's runtime

@@ -47,8 +47,8 @@ struct Tape {
 Tape Compile(const Expr& e);
 
 /// x^n for integer n by binary exponentiation — the scalar semantics of the
-/// kPowN instruction (exposed so the optimizer's constant folder matches the
-/// evaluators exactly).
+/// kPowN instruction (exposed so the test oracle matches the evaluators
+/// exactly).
 double PowNScalar(double x, int n);
 
 // ---- Batched structure-of-arrays evaluation ---------------------------------

@@ -80,8 +80,6 @@ class Differentiator {
         return Ite(ch[0], Rel::kLe, ch[1], Diff(ch[0]), Diff(ch[1]));
       case Op::kMax:
         return Ite(ch[0], Rel::kLe, ch[1], Diff(ch[1]), Diff(ch[0]));
-      case Op::kNeg:
-        return Neg(Diff(ch[0]));
       case Op::kExp:
         return Mul(e, Diff(ch[0]));
       case Op::kLog:
@@ -112,6 +110,10 @@ class Differentiator {
         // Branch-wise derivative; the condition itself is treated as locally
         // constant (correct except exactly on the switching surface).
         return Ite(ch[0], n.rel(), ch[1], Diff(ch[2]), Diff(ch[3]));
+      case Op::kNeg:  // tape-only (op.h)
+      case Op::kSqr:
+      case Op::kPowN:
+        break;
     }
     XCV_CHECK_MSG(false, "unhandled op in Differentiate");
     return Expr();

@@ -60,11 +60,6 @@ Expr NodeInterner::Intern(Op op, Rel rel, double value, int var_index,
   return Expr(std::move(node));
 }
 
-std::size_t NodeInterner::Size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return table_.size();
-}
-
 // ---- Expr accessors that need Node's definition ------------------------------
 
 std::uint32_t Expr::id() const { return node_->id(); }

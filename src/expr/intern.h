@@ -24,9 +24,6 @@ class NodeInterner {
   Expr Intern(Op op, Rel rel, double value, int var_index,
               const std::string& var_name, std::vector<Expr> children);
 
-  /// Number of distinct nodes ever interned (monotone; for diagnostics).
-  std::size_t Size() const;
-
  private:
   struct Key {
     Op op;
@@ -41,7 +38,7 @@ class NodeInterner {
     std::size_t operator()(const Key& k) const;
   };
 
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::unordered_map<Key, std::shared_ptr<const Node>, KeyHash> table_;
   std::uint32_t next_id_ = 1;
 };

@@ -20,7 +20,7 @@ enum class Op : std::uint8_t {
   kPow,       // binary power (exponent usually constant)
   kMin,       // binary minimum
   kMax,       // binary maximum
-  kNeg,       // unary negation (kept explicit for readable printing)
+  kNeg,       // unary negation: tape-only, like kSqr and kPowN below
   kExp,
   kLog,
   kSqrt,
@@ -35,8 +35,10 @@ enum class Op : std::uint8_t {
 
   // Tape-only instructions, produced by the optimizer's strength reduction
   // of kPow with constant exponents (optimize.h). They never appear in
-  // expression DAGs, so DAG walkers (printer, derivative, substitute) need
-  // not handle them; tape evaluators and the HC4 backward sweep must.
+  // expression DAGs, and neither does kNeg: the builder spells -x as
+  // mul(-1, x), and the optimizer hoists that sign into a kNeg. DAG walkers
+  // (printer, derivative, substitute) need not handle the three; tape
+  // evaluators and the HC4 backward sweep must.
   kSqr,   // x^2 as one multiply
   kPowN,  // x^n for integer n (payload in Instr::var), by repeated squaring
 };

@@ -3,11 +3,9 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <span>
 #include <unordered_map>
 #include <vector>
 
-#include "interval/lambert_w.h"
 #include "support/check.h"
 
 namespace xcv::expr {
@@ -87,18 +85,11 @@ class TapeOptimizer {
   double ConstVal(std::int32_t slot) const {
     return out_[static_cast<std::size_t>(slot)].value;
   }
-  bool IsConstEq(std::int32_t slot, double v) const {
-    return IsConst(slot) && ConstVal(slot) == v;
-  }
 
   std::int32_t EmitRaw(Instr ins) {
     auto [it, inserted] =
         cse_.emplace(KeyOf(ins), static_cast<std::int32_t>(out_.size()));
-    if (!inserted) {
-      if (stats_) ++stats_->cse_hits;
-      return it->second;
-    }
-    out_.push_back(std::move(ins));
+    if (inserted) out_.push_back(std::move(ins));
     return it->second;
   }
 
@@ -173,46 +164,6 @@ class TapeOptimizer {
     return k == 0 ? frac : EmitBinary(Op::kMul, EmitIntPow(base, k), frac);
   }
 
-  // ---- Constant folding -----------------------------------------------------
-
-  // Folds an instruction whose operands are all constants, using exactly the
-  // double semantics of EvalTapeBatch so point values are unchanged.
-  double Fold(const Instr& ins, std::span<const std::int32_t> operands) {
-    auto v = [&](std::size_t i) { return ConstVal(operands[i]); };
-    switch (ins.op) {
-      case Op::kAdd: {
-        double s = (0.0 + v(0)) + v(1);
-        for (std::size_t i = 2; i < operands.size(); ++i) s += v(i);
-        return s;
-      }
-      case Op::kMul: {
-        double s = v(0) * v(1);
-        for (std::size_t i = 2; i < operands.size(); ++i) s *= v(i);
-        return s;
-      }
-      case Op::kDiv: return v(0) / v(1);
-      case Op::kPow: return std::pow(v(0), v(1));
-      case Op::kMin: return std::fmin(v(0), v(1));
-      case Op::kMax: return std::fmax(v(0), v(1));
-      case Op::kNeg: return -v(0);
-      case Op::kExp: return std::exp(v(0));
-      case Op::kLog: return std::log(v(0));
-      case Op::kSqrt: return std::sqrt(v(0));
-      case Op::kCbrt: return std::cbrt(v(0));
-      case Op::kSin: return std::sin(v(0));
-      case Op::kCos: return std::cos(v(0));
-      case Op::kAtan: return std::atan(v(0));
-      case Op::kTanh: return std::tanh(v(0));
-      case Op::kAbs: return std::fabs(v(0));
-      case Op::kLambertW: return LambertW0(v(0));
-      case Op::kSqr: return v(0) * v(0);
-      case Op::kPowN: return PowNScalar(v(0), ins.var);
-      default:
-        XCV_CHECK_MSG(false, "unfoldable op " << OpName(ins.op));
-        return 0.0;
-    }
-  }
-
   // ---- Per-instruction rewrite ----------------------------------------------
 
   std::int32_t MapSlot(std::int32_t old_slot) const {
@@ -222,59 +173,24 @@ class TapeOptimizer {
   }
 
   std::int32_t RewriteNary(const Instr& ins) {
-    // Gather mapped operands.
     std::vector<std::int32_t> ops;
     ops.reserve(2 + ins.rest.size());
     ops.push_back(MapSlot(ins.a));
     ops.push_back(MapSlot(ins.b));
     for (auto r : ins.rest) ops.push_back(MapSlot(r));
+    if (ins.op == Op::kAdd) return EmitNary(Op::kAdd, std::move(ops));
 
-    const bool is_add = ins.op == Op::kAdd;
-    bool all_const = true;
-    for (auto s : ops) all_const &= IsConst(s);
-    if (all_const) {
-      if (stats_) ++stats_->folded;
-      return EmitConst(Fold(ins, ops));
-    }
-
-    // Combine constant operands (the builder keeps them leading, so the
-    // fold order matches EvalTape's sequential accumulation), then drop the
-    // neutral element. A zero constant absorbs a product, mirroring the
-    // Mul smart constructor.
-    double acc = is_add ? 0.0 : 1.0;
-    bool has_const = false;
-    std::vector<std::int32_t> kept;
-    kept.reserve(ops.size());
-    for (auto s : ops) {
-      if (IsConst(s)) {
-        acc = is_add ? acc + ConstVal(s) : acc * ConstVal(s);
-        has_const = true;
-      } else {
-        kept.push_back(s);
-      }
-    }
-    if (!is_add && has_const && acc == 0.0) {
+    // Mul(-1, ...) is the builder's spelling of negation (it merges a
+    // product's constants into one leading factor); hoist the sign into a
+    // kNeg and multiply one factor less. IEEE rounding is sign-symmetric, so
+    // -(x*y) == (-1*x)*y bit for bit.
+    if (IsConst(ops[0]) && ConstVal(ops[0]) == -1.0) {
       if (stats_) ++stats_->simplified;
-      return EmitConst(0.0);
+      ops.erase(ops.begin());
+      return EmitUnary(Op::kNeg, EmitNary(Op::kMul, std::move(ops)));
     }
-    const bool dropped_neutral =
-        has_const && acc == (is_add ? 0.0 : 1.0);
-    if (has_const && !dropped_neutral) {
-      // Mul(-1, ...) is the builder's spelling of negation; hoist the sign
-      // into a dedicated kNeg and multiply one factor less. IEEE rounding is
-      // sign-symmetric, so -(x*y) == (-1*x)*y bit for bit.
-      if (!is_add && acc == -1.0 && !kept.empty()) {
-        if (stats_) ++stats_->simplified;
-        return EmitUnary(Op::kNeg, EmitNary(ins.op, std::move(kept)));
-      }
-      kept.insert(kept.begin(), EmitConst(acc));
-    } else if (dropped_neutral && stats_) {
-      ++stats_->simplified;
-    }
-
-    if (kept.empty()) return EmitConst(is_add ? 0.0 : 1.0);
-    if (!is_add) CollapseAdjacentSquares(kept);
-    return EmitNary(ins.op, std::move(kept));
+    CollapseAdjacentSquares(ops);
+    return EmitNary(Op::kMul, std::move(ops));
   }
 
   /// mul(..., x, x, ...) → mul(..., sqr(x), ...). The builder's canonical
@@ -321,77 +237,30 @@ class TapeOptimizer {
       case Op::kAdd:
       case Op::kMul:
         return RewriteNary(ins);
-      case Op::kDiv: {
-        const std::int32_t a = MapSlot(ins.a), b = MapSlot(ins.b);
-        if (IsConst(a) && IsConst(b) && ConstVal(b) != 0.0) {
-          if (stats_) ++stats_->folded;
-          return EmitConst(ConstVal(a) / ConstVal(b));
-        }
-        if (IsConstEq(b, 1.0)) {
-          if (stats_) ++stats_->simplified;
-          return a;
-        }
-        if (IsConstEq(b, -1.0)) {
-          if (stats_) ++stats_->simplified;
-          return EmitUnary(Op::kNeg, a);
-        }
-        return EmitBinary(Op::kDiv, a, b);
-      }
+      case Op::kDiv:
+        return EmitBinary(Op::kDiv, MapSlot(ins.a), MapSlot(ins.b));
       case Op::kPow: {
         const std::int32_t a = MapSlot(ins.a), b = MapSlot(ins.b);
         if (IsConst(b)) {
-          const double p = ConstVal(b);
-          // pow(x, 0) == 1 and pow(x, 1) == x for every double x (IEEE
-          // pow(NaN, 0) is 1) — same rewrites the Pow smart constructor
-          // applies.
-          if (p == 0.0) {
-            if (stats_) ++stats_->simplified;
-            return EmitConst(1.0);
-          }
-          if (p == 1.0) {
-            if (stats_) ++stats_->simplified;
-            return a;
-          }
-          if (IsConst(a)) {
-            if (stats_) ++stats_->folded;
-            return EmitConst(std::pow(ConstVal(a), p));
-          }
-          const std::int32_t reduced = ReducePow(a, p);
+          const std::int32_t reduced = ReducePow(a, ConstVal(b));
           if (reduced >= 0) {
             if (stats_) ++stats_->strength_reduced;
             return reduced;
           }
-        } else if (IsConst(a)) {
-          // Constant base, symbolic exponent: nothing safe to do.
         }
         return EmitBinary(Op::kPow, a, b);
       }
       case Op::kMin:
       case Op::kMax: {
+        // Operands CSE merged: min(x^2, x*x) is min(sqr(x), sqr(x)).
         const std::int32_t a = MapSlot(ins.a), b = MapSlot(ins.b);
         if (a == b) {
           if (stats_) ++stats_->simplified;
           return a;
         }
-        if (IsConst(a) && IsConst(b)) {
-          if (stats_) ++stats_->folded;
-          const std::int32_t slots[2] = {a, b};
-          return EmitConst(Fold(ins, slots));
-        }
         return EmitBinary(ins.op, a, b);
       }
-      case Op::kNeg: {
-        const std::int32_t a = MapSlot(ins.a);
-        if (IsConst(a)) {
-          if (stats_) ++stats_->folded;
-          return EmitConst(-ConstVal(a));
-        }
-        if (out_[static_cast<std::size_t>(a)].op == Op::kNeg) {
-          if (stats_) ++stats_->simplified;
-          return out_[static_cast<std::size_t>(a)].a;
-        }
-        return EmitUnary(Op::kNeg, a);
-      }
+      case Op::kNeg:
       case Op::kExp:
       case Op::kLog:
       case Op::kSqrt:
@@ -402,46 +271,15 @@ class TapeOptimizer {
       case Op::kTanh:
       case Op::kAbs:
       case Op::kLambertW:
-      case Op::kSqr: {
-        const std::int32_t a = MapSlot(ins.a);
-        if (IsConst(a)) {
-          if (stats_) ++stats_->folded;
-          const std::int32_t slots[1] = {a};
-          return EmitConst(Fold(ins, slots));
-        }
-        return EmitUnary(ins.op, a);
-      }
-      case Op::kPowN: {
-        const std::int32_t a = MapSlot(ins.a);
-        if (IsConst(a)) {
-          if (stats_) ++stats_->folded;
-          const std::int32_t slots[1] = {a};
-          return EmitConst(Fold(ins, slots));
-        }
-        if (ins.var == 0) {
-          if (stats_) ++stats_->simplified;
-          return EmitConst(1.0);
-        }
-        if (ins.var == 1) {
-          if (stats_) ++stats_->simplified;
-          return a;
-        }
-        if (ins.var == 2) return EmitUnary(Op::kSqr, a);
-        return EmitUnary(Op::kPowN, a, ins.var);
-      }
+      case Op::kSqr:
+      case Op::kPowN:
+        return EmitUnary(ins.op, MapSlot(ins.a), ins.var);
       case Op::kIte: {
         const std::int32_t a = MapSlot(ins.a), b = MapSlot(ins.b);
         const std::int32_t c = MapSlot(ins.c), d = MapSlot(ins.d);
         if (c == d) {
           if (stats_) ++stats_->simplified;
           return c;
-        }
-        if (IsConst(a) && IsConst(b)) {
-          if (stats_) ++stats_->simplified;
-          const bool cond = ins.rel == Rel::kLe
-                                ? ConstVal(a) <= ConstVal(b)
-                                : ConstVal(a) < ConstVal(b);
-          return cond ? c : d;
         }
         Instr ite;
         ite.op = Op::kIte;

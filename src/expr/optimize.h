@@ -1,19 +1,18 @@
 // Tape optimizer: rewrites a compiled tape into a shorter, faster one that
-// denotes the same function (under the builder's value conventions) and whose
-// interval evaluation still encloses it.
+// denotes the same function and whose interval evaluation still encloses it.
 //
-// Passes, applied in one forward sweep with value numbering plus a final
+// Constant folding and algebraic identities (x+0, x*1, x*0, x/1, x^0, x^1,
+// min/max(x,x), constant operands of any op) belong to the smart
+// constructors in builder.cpp. Every DAG node is built by them and Compile
+// maps each node to one instruction, so a compiled tape holds nothing for a
+// second simplifier to fold. The optimizer makes only the rewrites a DAG
+// cannot express, in one forward sweep with value numbering plus a final
 // dead-slot elimination:
-//   * Constant folding — an instruction whose operands are all constants is
-//     replaced by its value, computed with exactly the double semantics
-//     EvalTapeBatch uses (so point values are unchanged bit for bit).
-//   * Algebraic identities — x+0, x*1, x*0, x/1, mul(-1,x) → neg, neg(neg x),
-//     min/max(x,x), ite with equal branches or decided constant conditions.
-//     These mirror the smart-constructor rewrites in builder.cpp (same
-//     value conventions over the natural domain), catching the instances
-//     that appear only after other tape rewrites.
+//   * Sign hoisting — mul(-1, x, ...) (the builder's spelling of -x) becomes
+//     neg(mul(x, ...)): one multiply less, bit for bit the same value.
+//   * Square collapse — mul(..., x, x, ...) → mul(..., sqr(x), ...).
 //   * Strength reduction — kPow with a constant integer or exact
-//     half-integer exponent becomes kSqr / kPowN / kSqrt-based chains:
+//     quarter-integer exponent becomes kSqr / kPowN / kSqrt-based chains:
 //     x^2 → sqr(x), x^n → pown(x,n), x^0.5 → sqrt(x),
 //     x^(n+0.5) → pown(x,n)·sqrt(x), negative exponents via one divide.
 //     Only exactly-representable exponents are reduced, so the rewritten
@@ -21,9 +20,13 @@
 //     factors are dominated by such powers). Scalar results may differ from
 //     std::pow by a few ulps; interval results stay sound enclosures.
 //   * CSE + dead-slot elimination — value numbering dedups subcomputations
-//     the rewrites expose (e.g. a shared sqrt(x)); orphaned slots (dead
-//     exponent constants and rewritten pows) are removed and the remaining
-//     slots renumbered, preserving topological order.
+//     the rewrites expose (e.g. a shared sqrt(x), or x^2 and x*x both
+//     becoming sqr(x)); a min, max or ite whose operands CSE merged
+//     collapses to that operand. Orphaned slots (dead exponent constants
+//     and rewritten pows) are removed and the remaining slots renumbered,
+//     preserving topological order.
+//
+// kNeg, kSqr and kPowN are tape-only (op.h): only this pass emits them.
 //
 // Soundness note: interval evaluation of the optimized tape encloses the
 // same real function as the input tape on its natural domain. Rewrites that
@@ -43,10 +46,9 @@ namespace xcv::expr {
 
 /// Counters describing what Optimize() did (for logs, tests, benchmarks).
 struct OptimizeStats {
-  std::size_t folded = 0;            // instructions constant-folded away
-  std::size_t simplified = 0;        // identity rewrites applied
+  std::size_t simplified = 0;        // sign hoists, square collapses, and
+                                     // min/max/ite over merged operands
   std::size_t strength_reduced = 0;  // pow instructions reduced
-  std::size_t cse_hits = 0;          // value-numbering dedups
   std::size_t eliminated = 0;        // dead slots removed
   std::size_t size_before = 0;
   std::size_t size_after = 0;

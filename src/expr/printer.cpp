@@ -21,13 +21,12 @@ class Printer {
   }
 
  private:
-  // Precedence: add=1, mul/div=2, unary-minus=3, pow=4, atoms=5.
+  // Precedence: add=1, mul/div=2, pow=4, atoms=5.
   static int Precedence(Op op) {
     switch (op) {
       case Op::kAdd: return 1;
       case Op::kMul:
       case Op::kDiv: return 2;
-      case Op::kNeg: return 3;
       case Op::kPow: return 4;
       default: return 5;
     }
@@ -87,13 +86,6 @@ class Printer {
         Emit(os, ch[0], prec + 1);
         os << "^";
         Emit(os, ch[1], prec + 1);
-        if (paren) os << ")";
-        return;
-      }
-      case Op::kNeg: {
-        if (paren) os << "(";
-        os << "-";
-        Emit(os, ch[0], prec);
         if (paren) os << ")";
         return;
       }

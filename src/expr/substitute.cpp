@@ -53,7 +53,6 @@ class Substituter {
       case Op::kPow: return Pow(nc[0], nc[1]);
       case Op::kMin: return Min(nc[0], nc[1]);
       case Op::kMax: return Max(nc[0], nc[1]);
-      case Op::kNeg: return Neg(nc[0]);
       case Op::kExp: return ExpE(nc[0]);
       case Op::kLog: return LogE(nc[0]);
       case Op::kSqrt: return SqrtE(nc[0]);
@@ -67,6 +66,10 @@ class Substituter {
       case Op::kIte: return Ite(nc[0], n.rel(), nc[1], nc[2], nc[3]);
       case Op::kConst:
       case Op::kVar:
+        break;
+      case Op::kNeg:  // tape-only (op.h)
+      case Op::kSqr:
+      case Op::kPowN:
         break;
     }
     XCV_CHECK_MSG(false, "unhandled op in Substitute");

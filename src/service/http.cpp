@@ -227,6 +227,8 @@ HttpServer::~HttpServer() { Stop(); }
 
 void HttpServer::Start(int port, HttpHandler handler) {
   XCV_CHECK_MSG(listen_fd_ < 0, "HttpServer started twice");
+  XCV_CHECK_MSG(port >= 0 && port <= 65535,
+                "port " << port << " is outside [0, 65535]");
   handler_ = std::move(handler);
 
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);

@@ -50,8 +50,8 @@ class HttpServer {
   HttpServer& operator=(const HttpServer&) = delete;
 
   /// Binds 127.0.0.1:`port` (0 = pick an ephemeral port, see port()) and
-  /// starts the accept loop. Throws xcv::InternalError when the bind
-  /// fails (port in use). Call once.
+  /// starts the accept loop. Throws xcv::InternalError when `port` is
+  /// outside [0, 65535] or the bind fails (port in use). Call once.
   void Start(int port, HttpHandler handler);
 
   /// The bound port (resolves the ephemeral choice after Start).

@@ -456,7 +456,6 @@ CoordinatorResult RunCoordinator(const CoordinatorOptions& options_in) {
         transport->Name());
 
     // ---- Monitor ------------------------------------------------------------
-    bool chaos_killed = options.kill_node < 0 || epoch > 0;
     bool deadline_hit = false;
     auto deadline_time = epoch_start;
     const double launch_window =
@@ -514,18 +513,6 @@ CoordinatorResult RunCoordinator(const CoordinatorOptions& options_in) {
       if (!any_open) break;
 
       const double elapsed = SecondsSince(epoch_start);
-
-      // Chaos: yank the designated node from the rack, once.
-      if (!chaos_killed && elapsed >= options.kill_after_seconds) {
-        chaos_killed = true;
-        Slot& victim = slots[static_cast<std::size_t>(options.kill_node) % n];
-        if (victim.phase == Slot::Phase::kRunning) {
-          transport->Kill(victim.index, SIGKILL);
-          ++result.kills;
-          log("chaos: SIGKILL node %s at %.1fs", victim.node.c_str(),
-              elapsed);
-        }
-      }
 
       // Liveness: after the first beat, silence past the lease is a stall
       // (the node is hung). Before any beat, silence is judged against the

@@ -100,14 +100,11 @@ struct CoordinatorOptions {
   /// constructing a Local/Ssh one. Not owned.
   NodeTransport* transport = nullptr;
 
-  // ---- Chaos hooks (CI smoke) -----------------------------------------------
-  /// SIGKILL node `kill_node` once, `kill_after_seconds` into epoch 0 —
-  /// the "node yanked from the rack" simulation (classified and charged as
-  /// a preemption). -1 = off.
-  int kill_node = -1;
-  double kill_after_seconds = 0.0;
+  // ---- Chaos hook (CI smoke) ------------------------------------------------
   /// Arm XCV_FAULTS=`fault_spec` in node `fault_node`'s first attempt of
-  /// epoch 0 (all other attempts run with faults cleared). -1 = off.
+  /// epoch 0 (all other attempts run with faults cleared). -1 = off. A node
+  /// is yanked from the rack by the transport's own preemption fault point
+  /// (`transport.preempt.<node>`, transport.h).
   int fault_node = -1;
   std::string fault_spec;
 
@@ -120,8 +117,8 @@ struct CoordinatorResult {
   bool converged = false;
   int epochs = 0;
   int launches = 0;
-  /// Attempts killed by the coordinator (stale lease, launch timeout,
-  /// epoch deadline, or the chaos hook).
+  /// Attempts killed by the coordinator (stale lease, launch timeout, or
+  /// epoch deadline).
   int kills = 0;
   /// Shard files that came back damaged and were salvaged or replaced.
   int recoveries = 0;

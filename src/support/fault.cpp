@@ -75,9 +75,7 @@ Entry ParseEntry(const std::string& text) {
   return e;
 }
 
-}  // namespace
-
-void ArmFromSpec(const std::string& spec) {
+std::vector<Entry> ParseSpec(const std::string& spec) {
   std::vector<Entry> parsed;
   std::string token;
   for (std::size_t i = 0; i <= spec.size(); ++i) {
@@ -88,6 +86,15 @@ void ArmFromSpec(const std::string& spec) {
       token += spec[i];
     }
   }
+  return parsed;
+}
+
+}  // namespace
+
+void CheckSpec(const std::string& spec) { ParseSpec(spec); }
+
+void ArmFromSpec(const std::string& spec) {
+  std::vector<Entry> parsed = ParseSpec(spec);
   if (parsed.empty()) return;
   State& state = GetState();
   std::lock_guard<std::mutex> lock(state.mu);

@@ -76,6 +76,10 @@ inline bool Armed() {
 /// armed. Throws xcv::InternalError on malformed specs.
 void ArmFromSpec(const std::string& spec);
 
+/// Throws xcv::InternalError when `spec` is malformed, exactly as
+/// ArmFromSpec would, and arms nothing: the schedule is left as it was.
+void CheckSpec(const std::string& spec);
+
 /// ArmFromSpec(getenv("XCV_FAULTS")) when the variable is set and non-empty.
 void ArmFromEnv();
 

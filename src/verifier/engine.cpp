@@ -539,11 +539,6 @@ std::size_t PairEngine::OpenCount() const {
   return open_.size();
 }
 
-double PairEngine::BusySeconds() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return busy_seconds_;
-}
-
 EngineSnapshot PairEngine::Snapshot() const {
   EngineSnapshot snap;
   std::lock_guard<std::mutex> lock(mu_);

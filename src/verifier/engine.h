@@ -128,7 +128,6 @@ class PairEngine {
 
   const expr::BoolExpr& psi() const { return psi_; }
   const VerifierOptions& options() const { return options_; }
-  double BusySeconds() const;
 
  private:
   // Open boxes live in the pooled frontier store (one flat slot per box,

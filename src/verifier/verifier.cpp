@@ -10,9 +10,7 @@ using expr::BoolExpr;
 using solver::Box;
 
 Verifier::Verifier(BoolExpr psi, VerifierOptions options)
-    : psi_(std::move(psi)),
-      not_psi_(BoolExpr::Not(psi_)),
-      options_(options) {
+    : psi_(std::move(psi)), options_(options) {
   XCV_CHECK_MSG(options_.split_threshold > 0.0,
                 "split threshold must be positive");
   XCV_CHECK_MSG(options_.num_threads >= 1, "need at least one thread");

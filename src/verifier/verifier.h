@@ -99,7 +99,6 @@ class Verifier {
 
  private:
   expr::BoolExpr psi_;
-  expr::BoolExpr not_psi_;
   VerifierOptions options_;
 };
 

@@ -110,6 +110,21 @@ TEST_F(FaultTest, MalformedSpecsThrowAndArmNothing) {
   EXPECT_FALSE(fault::Armed());
 }
 
+// `xcv coordinate --fault-node` checks the child's spec in the coordinator's
+// process: checking must leave the coordinator's own armed entries (from
+// --faults or XCV_FAULTS) armed and firing, and still reject a bad spec.
+TEST_F(FaultTest, CheckSpecLeavesTheArmedScheduleAlone) {
+  fault::ArmFromSpec("p.q@2");
+  EXPECT_FALSE(fault::Hit("p.q"));
+  fault::CheckSpec("checkpoint.load.eio@99,p.r=5");
+  EXPECT_THROW(fault::CheckSpec("p.r@0"), InternalError);
+  EXPECT_TRUE(fault::Armed());
+  EXPECT_TRUE(fault::Hit("p.q"));
+  EXPECT_EQ(fault::VisitCount("p.q"), 2u);
+  EXPECT_FALSE(fault::Hit("p.r"));
+  EXPECT_FALSE(fault::Hit("checkpoint.load.eio"));
+}
+
 // ---- Document checksums -----------------------------------------------------
 
 TEST_F(FaultTest, ChecksumRoundTrips) {

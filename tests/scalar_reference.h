@@ -10,7 +10,7 @@
 // Everything else walks a tape one instruction at a time over one point or
 // one box, calling the interval functions of src/interval/ directly:
 //   * EvalTape — IEEE double evaluation (the per-point reference for
-//     EvalTapeBatch and the optimizer's constant folder);
+//     EvalTapeBatch and for the optimizer's value checks);
 //   * EvalTapeIntervalForward — per-slot interval enclosures (the reference
 //     for EvalTapeIntervalBatch);
 //   * ContractFromForward / Contract — the HC4-revise backward sweep (the
@@ -93,8 +93,6 @@ class DoubleEvaluator {
         return std::fmin(Eval(ch[0]), Eval(ch[1]));
       case Op::kMax:
         return std::fmax(Eval(ch[0]), Eval(ch[1]));
-      case Op::kNeg:
-        return -Eval(ch[0]);
       case Op::kExp:
         return std::exp(Eval(ch[0]));
       case Op::kLog:
@@ -120,6 +118,10 @@ class DoubleEvaluator {
         const bool cond = n.rel() == Rel::kLe ? l <= r : l < r;
         return cond ? Eval(ch[2]) : Eval(ch[3]);
       }
+      case Op::kNeg:  // tape-only (op.h)
+      case Op::kSqr:
+      case Op::kPowN:
+        break;
     }
     XCV_CHECK_MSG(false, "unhandled op in EvalDouble");
     return 0.0;

@@ -309,6 +309,24 @@ std::string ReceiveAll(int fd) {
   return reply;
 }
 
+// A port outside [0, 65535] is an error that names it, not a bind to the
+// narrowed value (70000 would listen on 4464, -1 on 65535).
+TEST(HttpServerTest, StartRejectsPortsOutsideTheTcpRange) {
+  const auto handler = [](const HttpRequest&) { return HttpResponse{}; };
+  for (const int port : {70000, -1}) {
+    service::HttpServer server;
+    try {
+      server.Start(port, handler);
+      ADD_FAILURE() << "Start(" << port << ") did not throw";
+    } catch (const InternalError& e) {
+      EXPECT_NE(std::string(e.what()).find(std::to_string(port)),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(server.port(), 0);
+  }
+}
+
 TEST(HttpServerTest, AcceptLoopKeepsServingAfterFdExhaustion) {
   // The server's fds and both clients' land at kBelow and up; then the
   // limit drops to kBelow, so every accept(2) the server starts fails with

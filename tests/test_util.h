@@ -74,7 +74,7 @@ class RandomExprGen {
             rng_.UniformInt(0, static_cast<int>(vars_.size()) - 1))];
       return Expr::Constant(rng_.Uniform(-3.0, 3.0));
     }
-    switch (rng_.UniformInt(0, 9)) {
+    switch (rng_.UniformInt(0, 11)) {
       case 0: return Gen(depth - 1) + Gen(depth - 1);
       case 1: return Gen(depth - 1) - Gen(depth - 1);
       case 2: return Gen(depth - 1) * Gen(depth - 1);
@@ -93,6 +93,10 @@ class RandomExprGen {
                          Expr::Constant(rng_.Uniform(-2.0, 2.5)));
       case 8:
         return expr::AtanE(Gen(depth - 1));
+      case 9:
+        return expr::Min(Gen(depth - 1), Gen(depth - 1));
+      case 10:
+        return expr::Max(Gen(depth - 1), Gen(depth - 1));
       default:
         return expr::SinE(Gen(depth - 1));
     }
