@@ -24,8 +24,8 @@ int main() {
     const auto& f = *functionals::FindFunctional(c.functional);
     const auto& cond = *conditions::FindCondition(c.condition);
     for (double delta : deltas) {
-      auto options = bench::BenchVerifierOptions();
-      options.solver.delta = delta;
+      auto options = bench::BenchOptions();
+      options.verifier.solver.delta = delta;
       const auto run = bench::RunPair(f, cond, options);
       using verifier::RegionStatus;
       std::printf("%-9s %-5s %8.0e | %8s %8.2f %8.2f %8.2f %8llu\n",

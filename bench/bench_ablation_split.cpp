@@ -16,7 +16,7 @@ int main() {
       "paper Section III-B performance claim");
 
   const auto& pbe = *functionals::FindFunctional("PBE");
-  const double pair_seconds = bench::EnvOr("XCV_PAIR_SECONDS", 10.0);
+  const auto options = bench::BenchOptions();
 
   std::printf("%-10s | %-28s | %-34s\n", "condition",
               "single call (whole budget)", "with domain splitting");
@@ -29,13 +29,13 @@ int main() {
 
     // (a) single monolithic call.
     solver::SolverOptions mono;
-    mono.time_budget_seconds = pair_seconds;
+    mono.time_budget_seconds = options.verifier.total_time_budget_seconds;
     mono.max_nodes = 100'000'000;  // wall clock is the limit
     solver::DeltaSolver solver(expr::BoolExpr::Not(psi), mono);
     const auto single = solver.Check(domain);
 
     // (b) Algorithm 1.
-    const auto run = bench::RunPair(pbe, cond, bench::BenchVerifierOptions());
+    const auto run = bench::RunPair(pbe, cond, options);
     using verifier::RegionStatus;
     const double verified =
         run.report.VolumeFraction(RegionStatus::kVerified);

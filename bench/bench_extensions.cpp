@@ -43,7 +43,7 @@ int main() {
   }
 
   // Verifier progress per condition under the same budget.
-  const auto options = bench::BenchVerifierOptions();
+  const auto options = bench::BenchOptions();
   std::printf("Verifier verdicts at the bench budget:\n");
   std::printf("%-6s %10s %10s    %10s %10s\n", "cond", "SCAN", "decided%",
               "rSCAN", "decided%");

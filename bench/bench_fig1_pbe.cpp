@@ -13,7 +13,7 @@ int main() {
       "paper Fig. 1 (panels a-f)");
 
   const auto& pbe = *functionals::FindFunctional("PBE");
-  const auto v_options = bench::BenchVerifierOptions();
+  const auto v_options = bench::BenchOptions();
   const auto pb_options = bench::BenchPbOptions();
   const char* panels[][3] = {
       {"EC1", "a", "d"}, {"EC5", "b", "e"}, {"EC7", "c", "f"}};

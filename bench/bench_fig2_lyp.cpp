@@ -13,7 +13,7 @@ int main() {
       "paper Fig. 2 (panels a-f)");
 
   const auto& lyp = *functionals::FindFunctional("LYP");
-  const auto v_options = bench::BenchVerifierOptions();
+  const auto v_options = bench::BenchOptions();
   const auto pb_options = bench::BenchPbOptions();
   const char* panels[][3] = {
       {"EC1", "a", "d"}, {"EC2", "b", "e"}, {"EC6", "c", "f"}};

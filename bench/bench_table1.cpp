@@ -16,12 +16,11 @@ int main() {
       "Table I — verifier verdicts per local condition and DFA",
       "paper Table I (Section IV-B)");
 
-  const auto options = bench::BenchVerifierOptions();
   const auto& functionals = functionals::PaperFunctionals();
   const auto& conditions = conditions::AllConditions();
 
-  const auto runs = bench::RunMatrix(functionals, conditions, options,
-                                     bench::BenchNumThreads(), "table1");
+  const auto runs = bench::RunMatrix(functionals, conditions,
+                                     bench::BenchOptions(), "table1");
 
   std::vector<std::string> rows, cols;
   for (const auto& f : functionals) cols.push_back(f.name);

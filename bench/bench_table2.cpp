@@ -14,13 +14,12 @@ int main() {
       "Table II — PB grid search vs verifier consistency",
       "paper Table II (Section IV-C)");
 
-  const auto v_options = bench::BenchVerifierOptions();
   const auto pb_options = bench::BenchPbOptions();
   const auto& functionals = functionals::PaperFunctionals();
   const auto& conditions = conditions::AllConditions();
 
-  const auto runs = bench::RunMatrix(functionals, conditions, v_options,
-                                     bench::BenchNumThreads(), "table2");
+  const auto runs = bench::RunMatrix(functionals, conditions,
+                                     bench::BenchOptions(), "table2");
 
   std::vector<std::string> rows, cols;
   for (const auto& f : functionals) cols.push_back(f.name);

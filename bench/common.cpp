@@ -3,62 +3,23 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <limits>
+#include <map>
+#include <utility>
+
+#include "api/job_spec.h"
+#include "support/check.h"
 
 namespace xcv::bench {
 
-double EnvOr(const char* name, double fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  char* end = nullptr;
-  const double parsed = std::strtod(value, &end);
-  if (end == value || std::isnan(parsed) || parsed < 0.0) return fallback;
-  return parsed;
-}
-
-double EnvOrPositive(const char* name, double fallback) {
-  const double v = EnvOr(name, fallback);
-  return v > 0.0 ? v : fallback;
-}
-
-verifier::VerifierOptions BenchVerifierOptions() {
-  verifier::VerifierOptions o;
-  o.split_threshold = EnvOrPositive("XCV_SPLIT_THRESHOLD", 0.3125);
-  o.solver.max_nodes =
-      static_cast<std::uint64_t>(EnvOrPositive("XCV_SOLVER_NODES", 30'000));
-  o.solver.delta = 1e-3;
-  o.solver.time_budget_seconds = 0.5;
-  o.solver.max_invalid_models = 512;
-  o.solver.wave_width =
-      static_cast<int>(EnvOrPositive("XCV_WAVE_WIDTH", 8));
-  const double budget = EnvOr("XCV_PAIR_SECONDS", 10.0);
-  o.total_time_budget_seconds =
-      budget > 0.0 ? budget : std::numeric_limits<double>::infinity();
-  return o;
-}
-
-gridsearch::PbOptions BenchPbOptions() {
-  gridsearch::PbOptions o;
-  const auto n = static_cast<std::size_t>(EnvOrPositive("XCV_PB_GRID", 150));
-  o.n_rs = n;
-  o.n_s = n;
-  o.n_alpha = 9;
-  return o;
-}
-
-int BenchNumThreads() {
-  return static_cast<int>(EnvOrPositive("XCV_THREADS", 1));
-}
-
 namespace {
 
-// Benchmarks honour the same XCV_CACHE variable as the xcv CLI: point it at
-// a verdict-cache file to replay previously decided boxes (reports are
-// byte-identical either way; only the wall time changes).
-std::string EnvCachePath() {
-  const char* value = std::getenv("XCV_CACHE");
-  return value != nullptr ? value : "";
-}
+// Each override and the `xcv` flag it is parsed as.
+constexpr std::pair<const char*, const char*> kEnvFlags[] = {
+    {"XCV_PAIR_SECONDS", "budget-seconds"},
+    {"XCV_SPLIT_THRESHOLD", "split-threshold"},
+    {"XCV_SOLVER_NODES", "solver-nodes"},
+    {"XCV_WAVE_WIDTH", "wave-width"},
+    {"XCV_THREADS", "threads"}};
 
 PairRun ToPairRun(campaign::PairState state) {
   PairRun run;
@@ -71,13 +32,42 @@ PairRun ToPairRun(campaign::PairState state) {
 
 }  // namespace
 
+campaign::CampaignOptions BenchOptions() {
+  std::map<std::string, std::string> flags;
+  for (const auto& [var, flag] : kEnvFlags)
+    if (const char* value = std::getenv(var); value != nullptr && *value)
+      flags[flag] = value;
+  api::JobSpec spec = api::DefaultJobSpec();
+  try {
+    api::ApplyFlags(flags, spec);  // XCV_CACHE is --cache's default there
+    api::ValidateJobSpec(spec);
+  } catch (const InternalError& e) {
+    std::fprintf(stderr, "bench: bad XCV_* override: %s\n", e.what());
+    std::exit(2);
+  }
+  return spec.options;
+}
+
+gridsearch::PbOptions BenchPbOptions() {
+  gridsearch::PbOptions o;
+  // XCV_PB_GRID is no flag: an unset, unparseable or non-positive value
+  // keeps the default.
+  std::size_t n = 150;
+  if (const char* value = std::getenv("XCV_PB_GRID"); value != nullptr) {
+    char* end = nullptr;
+    const double parsed = std::strtod(value, &end);
+    if (end != value && parsed > 0.0) n = static_cast<std::size_t>(parsed);
+  }
+  o.n_rs = n;
+  o.n_s = n;
+  o.n_alpha = 9;
+  return o;
+}
+
 PairRun RunPair(const functionals::Functional& f,
                 const conditions::ConditionInfo& cond,
-                const verifier::VerifierOptions& options) {
-  campaign::CampaignOptions copts;
-  copts.verifier = options;
-  copts.cache_path = EnvCachePath();
-  campaign::Campaign c(copts);
+                const campaign::CampaignOptions& options) {
+  campaign::Campaign c(options);
   c.Add(f, cond);
   campaign::CampaignResult result = c.Run();
   PairRun run = ToPairRun(std::move(result.pairs.at(0)));
@@ -90,13 +80,8 @@ PairRun RunPair(const functionals::Functional& f,
 std::vector<std::vector<PairRun>> RunMatrix(
     const std::vector<functionals::Functional>& functionals,
     const std::vector<conditions::ConditionInfo>& conditions,
-    const verifier::VerifierOptions& options, int num_threads,
-    const char* progress_tag) {
-  campaign::CampaignOptions copts;
-  copts.verifier = options;
-  copts.verifier.num_threads = num_threads;
-  copts.cache_path = EnvCachePath();
-  campaign::Campaign c(copts);
+    const campaign::CampaignOptions& options, const char* progress_tag) {
+  campaign::Campaign c(options);
   c.AddMatrix(functionals, conditions);
   campaign::CampaignResult result = c.Run(
       [progress_tag](const campaign::PairState& p, std::size_t completed,
@@ -119,15 +104,18 @@ std::vector<std::vector<PairRun>> RunMatrix(
 }
 
 void PrintHeader(const std::string& title, const std::string& paper_ref) {
+  const verifier::VerifierOptions v = BenchOptions().verifier;
+  char budget[32] = "unlimited";
+  if (std::isfinite(v.total_time_budget_seconds))
+    std::snprintf(budget, sizeof budget, "%gs", v.total_time_budget_seconds);
   std::printf("==============================================================\n");
   std::printf("%s\n", title.c_str());
   std::printf("Reproduces: %s\n", paper_ref.c_str());
-  std::printf("Budget: %.0fs/pair, threshold t=%.4g, %d-node solver calls, "
+  std::printf("Budget: %s/pair, threshold t=%.4g, %llu-node solver calls, "
               "%d thread(s)\n",
-              EnvOr("XCV_PAIR_SECONDS", 10.0),
-              EnvOrPositive("XCV_SPLIT_THRESHOLD", 0.3125),
-              static_cast<int>(EnvOrPositive("XCV_SOLVER_NODES", 30'000)),
-              BenchNumThreads());
+              budget, v.split_threshold,
+              static_cast<unsigned long long>(v.solver.max_nodes),
+              v.num_threads);
   std::printf("==============================================================\n\n");
 }
 

@@ -6,6 +6,7 @@
 // each witness by plugging it back into the condition.
 #include <cstdio>
 
+#include "api/job_spec.h"
 #include "campaign/campaign.h"
 #include "conditions/conditions.h"
 #include "expr/bool_expr.h"
@@ -19,11 +20,7 @@ int main() {
   std::printf("Paper Table I: counterexamples for ALL applicable "
               "conditions.\n\n");
 
-  campaign::CampaignOptions options;
-  options.verifier.split_threshold = 0.3125;
-  options.verifier.solver.max_nodes = 30'000;
-  options.verifier.solver.time_budget_seconds = 0.5;
-  options.verifier.solver.max_invalid_models = 512;
+  campaign::CampaignOptions options = api::DefaultJobSpec().options;
   options.verifier.total_time_budget_seconds = 15.0;
   options.verifier.num_threads = 2;
 

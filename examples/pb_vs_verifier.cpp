@@ -6,6 +6,7 @@
 // of Table II, end to end.
 #include <cstdio>
 
+#include "api/job_spec.h"
 #include "campaign/campaign.h"
 #include "conditions/conditions.h"
 #include "functionals/functional.h"
@@ -34,10 +35,7 @@ int main() {
 
   // --- The verifier: symbolic derivatives, delta-SAT, domain splitting,
   // run as a one-pair campaign on the shared scheduler ---
-  campaign::CampaignOptions options;
-  options.verifier.split_threshold = 0.3125;
-  options.verifier.solver.max_nodes = 30'000;
-  options.verifier.solver.time_budget_seconds = 0.5;
+  campaign::CampaignOptions options = api::DefaultJobSpec().options;
   options.verifier.total_time_budget_seconds = 12.0;
   options.verifier.num_threads = 2;
   campaign::Campaign campaign(options);

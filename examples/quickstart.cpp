@@ -6,6 +6,7 @@
 // map. Runs in a few seconds.
 #include <cstdio>
 
+#include "api/job_spec.h"
 #include "campaign/campaign.h"
 #include "conditions/conditions.h"
 #include "functionals/functional.h"
@@ -24,13 +25,11 @@ int main() {
               functionals::DesignName(pbe.design).c_str());
   std::printf("Condition:  %s\n\n", ec1.name.c_str());
 
-  // 2. Configure Algorithm 1 with a small budget. The campaign encodes the
-  // condition (the XCEncoder step) and runs the domain splitting on the
-  // shared scheduler.
-  campaign::CampaignOptions options;
-  options.verifier.split_threshold = 0.3125;   // paper uses t = 0.05
-  options.verifier.solver.max_nodes = 30'000;  // per-call budget
-  options.verifier.solver.time_budget_seconds = 0.5;
+  // 2. Start from the defaults `xcv verify` runs (split threshold 0.3125
+  // where the paper uses t = 0.05, 30,000 nodes per solver call) with a
+  // small budget. The campaign encodes the condition (the XCEncoder step)
+  // and runs the domain splitting on the shared scheduler.
+  campaign::CampaignOptions options = api::DefaultJobSpec().options;
   options.verifier.total_time_budget_seconds = 8.0;
   options.verifier.num_threads = 2;
 

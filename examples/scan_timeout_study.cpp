@@ -10,6 +10,7 @@
 // a budget artifact — doubling the budget barely moves decided volume.
 #include <cstdio>
 
+#include "api/job_spec.h"
 #include "conditions/conditions.h"
 #include "conditions/enhancement.h"
 #include "expr/compile.h"
@@ -46,10 +47,7 @@ int main() {
   std::printf("   %-10s %10s %10s %10s\n", "budget(s)", "verified%",
               "timeout%", "calls");
   for (double budget : {2.0, 4.0, 8.0, 16.0}) {
-    verifier::VerifierOptions options;
-    options.split_threshold = 0.3125;
-    options.solver.max_nodes = 30'000;
-    options.solver.time_budget_seconds = 0.5;
+    verifier::VerifierOptions options = api::DefaultJobSpec().options.verifier;
     options.total_time_budget_seconds = budget;
     const auto psi = *conditions::BuildCondition(
         *conditions::FindCondition("EC1"), scan);

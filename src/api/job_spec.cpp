@@ -65,68 +65,12 @@ JobSpec DefaultJobSpec() {
   return spec;
 }
 
-namespace {
-
-bool NonNegativeFinite(double v) { return v >= 0.0 && !std::isnan(v); }
-
-constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
-
-// An int field of a job-spec document, checked before it is narrowed.
-int SpecInt(const json::JsonValue& x, std::int64_t lo, std::int64_t hi,
-            const std::string& name) {
-  return static_cast<int>(
-      json::CheckedInteger(x.AsDouble(), lo, hi, "job spec: " + name));
-}
-
-}  // namespace
-
 void ValidateJobSpec(const JobSpec& spec) {
   // Selector strings must resolve to a non-empty matrix (throws naming the
   // offending token).
   ParseFunctionalList(spec.functionals);
   ParseConditionList(spec.conditions);
-
-  const CampaignOptions& o = spec.options;
-  const verifier::VerifierOptions& v = o.verifier;
-  XCV_CHECK_MSG(v.num_threads >= 1 && v.num_threads <= verifier::kMaxThreads,
-                "job spec: threads must be in [1, " << verifier::kMaxThreads
-                                                    << "]");
-  XCV_CHECK_MSG(v.split_threshold > 0.0 && std::isfinite(v.split_threshold),
-                "job spec: split_threshold must be a positive number");
-  XCV_CHECK_MSG(NonNegativeFinite(v.total_time_budget_seconds) ||
-                    v.total_time_budget_seconds ==
-                        std::numeric_limits<double>::infinity(),
-                "job spec: budget_seconds must be non-negative");
-  XCV_CHECK_MSG(NonNegativeFinite(v.witness_tolerance),
-                "job spec: witness_tolerance must be non-negative");
-  XCV_CHECK_MSG(v.solver.delta > 0.0 && std::isfinite(v.solver.delta),
-                "job spec: solver delta must be a positive number");
-  XCV_CHECK_MSG(v.solver.max_nodes >= 1,
-                "job spec: solver max_nodes must be at least 1");
-  XCV_CHECK_MSG(v.solver.time_budget_seconds > 0.0,
-                "job spec: solver time_budget_seconds must be positive");
-  XCV_CHECK_MSG(v.solver.contraction_rounds >= 0,
-                "job spec: contraction_rounds must be non-negative");
-  XCV_CHECK_MSG(v.solver.max_invalid_models >= 0,
-                "job spec: max_invalid_models must be non-negative");
-  XCV_CHECK_MSG(v.solver.presample_points >= 0,
-                "job spec: presample_points must be non-negative");
-  XCV_CHECK_MSG(
-      v.solver.wave_width >= 1 && v.solver.wave_width <= solver::kMaxWaveWidth,
-      "job spec: wave_width must be in [1, " << solver::kMaxWaveWidth << "]");
-  XCV_CHECK_MSG(!o.cache_readonly || !o.cache_path.empty(),
-                "job spec: cache_readonly needs a cache path");
-
-  const support::retry::RuntimeAttrs& r = spec.runtime;
-  XCV_CHECK_MSG(r.max_retries >= 0 && r.preemptible_tries >= 0,
-                "job spec: runtime retry budgets must be non-negative");
-  XCV_CHECK_MSG(r.quarantine_after >= 1,
-                "job spec: runtime quarantine_after must be at least 1");
-  XCV_CHECK_MSG(r.launch_timeout_s > 0.0,
-                "job spec: runtime launch_timeout_seconds must be positive");
-  XCV_CHECK_MSG(NonNegativeFinite(r.backoff_initial_s) &&
-                    NonNegativeFinite(r.backoff_max_s),
-                "job spec: runtime backoff seconds must be non-negative");
+  campaign::ValidateOptions(spec.options, "job spec");
 }
 
 // ---- Flags ------------------------------------------------------------------
@@ -169,8 +113,7 @@ constexpr const char* kSpecFlagKeys[] = {
     "functionals",  "conditions",  "threads",        "budget-seconds",
     "split-threshold", "solver-nodes", "delta",      "wave-width",
     "frontier",     "checkpoint",  "cache",          "cache-readonly",
-    "format",       "quiet",       "max-retries",    "preemptible",
-    "quarantine-after", "launch-timeout", "tenant"};
+    "format"};
 
 std::size_t EditDistance(const std::string& a, const std::string& b) {
   std::vector<std::size_t> prev(b.size() + 1), cur(b.size() + 1);
@@ -208,16 +151,13 @@ std::size_t SharedTokenLen(const std::string& a, const std::string& b) {
   return best;
 }
 
-/// Usage-error gate: every key must be one ApplyFlags consumes or one the
-/// calling command declared. The error names the flag and suggests the
-/// nearest recognized one — scored by edit distance with a bonus for a
-/// shared whole token, so `--max-nodes` suggests `--solver-nodes` (shared
-/// "nodes") rather than the edit-closer `--max-retries`.
-void RejectUnknownKeys(const std::map<std::string, std::string>& flags,
-                       const std::vector<std::string>& extra_allowed) {
-  std::vector<std::string> known(std::begin(kSpecFlagKeys),
-                                 std::end(kSpecFlagKeys));
-  known.insert(known.end(), extra_allowed.begin(), extra_allowed.end());
+}  // namespace
+
+// The suggestion is scored by edit distance with a bonus for a shared whole
+// token, so `--max-nodes` suggests `--solver-nodes` (shared "nodes") rather
+// than an edit-closer flag.
+void RejectUnknownFlags(const std::map<std::string, std::string>& flags,
+                        const std::vector<std::string>& known) {
   for (const auto& [key, value] : flags) {
     if (std::find(known.begin(), known.end(), key) != known.end()) continue;
     std::string best;
@@ -244,11 +184,12 @@ void RejectUnknownKeys(const std::map<std::string, std::string>& flags,
   }
 }
 
-}  // namespace
-
 void ApplyFlags(const std::map<std::string, std::string>& flags,
                 JobSpec& spec, const std::vector<std::string>& extra_allowed) {
-  RejectUnknownKeys(flags, extra_allowed);
+  std::vector<std::string> known(std::begin(kSpecFlagKeys),
+                                 std::end(kSpecFlagKeys));
+  known.insert(known.end(), extra_allowed.begin(), extra_allowed.end());
+  RejectUnknownFlags(flags, known);
   CampaignOptions& o = spec.options;
   if (const auto it = flags.find("functionals"); it != flags.end())
     spec.functionals = it->second;
@@ -290,19 +231,6 @@ void ApplyFlags(const std::map<std::string, std::string>& flags,
 
   if (const auto it = flags.find("format"); it != flags.end())
     spec.output = OutputModeFromToken(ToLower(it->second));
-  if (flags.count("quiet") > 0) spec.quiet = true;
-  if (const auto it = flags.find("tenant"); it != flags.end())
-    spec.tenant = it->second;
-
-  support::retry::RuntimeAttrs& r = spec.runtime;
-  r.max_retries = static_cast<int>(
-      FlagInteger(flags, "max-retries", r.max_retries, 0, kIntMax));
-  r.preemptible_tries = static_cast<int>(
-      FlagInteger(flags, "preemptible", r.preemptible_tries, 0, kIntMax));
-  r.quarantine_after = static_cast<int>(
-      FlagInteger(flags, "quarantine-after", r.quarantine_after, 1, kIntMax));
-  r.launch_timeout_s =
-      FlagDouble(flags, "launch-timeout", r.launch_timeout_s);
 }
 
 // ---- JSON -------------------------------------------------------------------
@@ -311,7 +239,6 @@ void AppendJobSpecJson(std::string& out, const JobSpec& spec,
                        const std::string& indent) {
   const CampaignOptions& o = spec.options;
   const verifier::VerifierOptions& v = o.verifier;
-  const support::retry::RuntimeAttrs& r = spec.runtime;
   const std::string in2 = indent + "  ";
   out += "{\n";
   out += in2 + "\"format\": \"xcv-job-spec\",\n";
@@ -322,17 +249,10 @@ void AppendJobSpecJson(std::string& out, const JobSpec& spec,
          ",\n";
   out += in2 + "\"conditions\": " + json::JsonEscape(spec.conditions) + ",\n";
   out += in2 + "\"output\": \"" + OutputModeToken(spec.output) + "\",\n";
-  out += in2 + std::string("\"quiet\": ") + (spec.quiet ? "true" : "false") +
-         ",\n";
   out += in2 + "\"tenant\": " + json::JsonEscape(spec.tenant) + ",\n";
   out += in2 + "\"threads\": " + std::to_string(v.num_threads) + ",\n";
   out += in2 + std::string("\"tune_lda_delta\": ") +
          (o.tune_lda_delta ? "true" : "false") + ",\n";
-  out += in2 + "\"checkpoint\": " + json::JsonEscape(o.checkpoint_path) +
-         ",\n";
-  out += in2 + "\"cache\": " + json::JsonEscape(o.cache_path) + ",\n";
-  out += in2 + std::string("\"cache_readonly\": ") +
-         (o.cache_readonly ? "true" : "false") + ",\n";
   out += in2 + "\"verifier\": {\n";
   out += in2 + "  \"split_threshold\": " + json::JsonDouble(v.split_threshold) +
          ",\n";
@@ -348,37 +268,9 @@ void AppendJobSpecJson(std::string& out, const JobSpec& spec,
   out += in2 + "  \"frontier\": \"" + campaign::FrontierToken(v.frontier) +
          "\"\n";
   out += in2 + "},\n";
-  out += in2 + "\"solver\": {\n";
-  out += in2 + "  \"delta\": " + json::JsonDouble(v.solver.delta) + ",\n";
-  out += in2 + "  \"max_nodes\": " + std::to_string(v.solver.max_nodes) +
-         ",\n";
-  out += in2 + "  \"time_budget_seconds\": " +
-         json::JsonDouble(v.solver.time_budget_seconds) + ",\n";
-  out += in2 + "  \"contraction_rounds\": " +
-         std::to_string(v.solver.contraction_rounds) + ",\n";
-  out += in2 + "  \"max_invalid_models\": " +
-         std::to_string(v.solver.max_invalid_models) + ",\n";
-  out += in2 + "  \"presample_points\": " +
-         std::to_string(v.solver.presample_points) + ",\n";
-  out += in2 + "  \"wave_width\": " + std::to_string(v.solver.wave_width) +
-         "\n";
-  out += in2 + "},\n";
-  out += in2 + "\"runtime\": {\n";
-  out += in2 + "  \"max_retries\": " + std::to_string(r.max_retries) + ",\n";
-  out += in2 + "  \"preemptible_tries\": " +
-         std::to_string(r.preemptible_tries) + ",\n";
-  out += in2 + "  \"launch_timeout_seconds\": " +
-         json::JsonDouble(r.launch_timeout_s) + ",\n";
-  out += in2 + "  \"backoff_initial_seconds\": " +
-         json::JsonDouble(r.backoff_initial_s) + ",\n";
-  out += in2 + "  \"backoff_max_seconds\": " +
-         json::JsonDouble(r.backoff_max_s) + ",\n";
-  out += in2 + "  \"quarantine_after\": " +
-         std::to_string(r.quarantine_after) + ",\n";
-  out += in2 + "  \"quarantine_cooldown_epochs\": " +
-         std::to_string(r.quarantine_cooldown_epochs) + "\n";
-  out += in2 + "}\n";
-  out += indent + "}";
+  out += in2 + "\"solver\": ";
+  campaign::AppendSolverJson(out, v.solver, in2);
+  out += "\n" + indent + "}";
 }
 
 std::string WriteJobSpecJson(const JobSpec& spec) {
@@ -404,17 +296,12 @@ JobSpec JobSpecFromJson(const JsonValue& root) {
     spec.conditions = c->AsString();
   if (const JsonValue* m = root.Find("output"))
     spec.output = OutputModeFromToken(m->AsString());
-  if (const JsonValue* q = root.Find("quiet")) spec.quiet = q->AsBool();
   if (const JsonValue* t = root.Find("tenant")) spec.tenant = t->AsString();
   if (const JsonValue* t = root.Find("threads"))
-    v.num_threads = SpecInt(*t, 1, verifier::kMaxThreads, "threads");
+    v.num_threads = static_cast<int>(json::CheckedInteger(
+        t->AsDouble(), 1, verifier::kMaxThreads, "job spec: threads"));
   if (const JsonValue* t = root.Find("tune_lda_delta"))
     o.tune_lda_delta = t->AsBool();
-  if (const JsonValue* c = root.Find("checkpoint"))
-    o.checkpoint_path = c->AsString();
-  if (const JsonValue* c = root.Find("cache")) o.cache_path = c->AsString();
-  if (const JsonValue* c = root.Find("cache_readonly"))
-    o.cache_readonly = c->AsBool();
 
   if (const JsonValue* vo = root.Find("verifier")) {
     if (const JsonValue* x = vo->Find("split_threshold"))
@@ -433,45 +320,8 @@ JobSpec JobSpecFromJson(const JsonValue& root) {
     if (const JsonValue* x = vo->Find("frontier"))
       v.frontier = campaign::FrontierFromToken(x->AsString());
   }
-  if (const JsonValue* so = root.Find("solver")) {
-    if (const JsonValue* x = so->Find("delta")) v.solver.delta = x->AsDouble();
-    if (const JsonValue* x = so->Find("max_nodes"))
-      v.solver.max_nodes = static_cast<std::uint64_t>(
-          json::CheckedInteger(x->AsDouble(), 1, json::kMaxExactInteger,
-                               "job spec: solver max_nodes"));
-    if (const JsonValue* x = so->Find("time_budget_seconds"))
-      v.solver.time_budget_seconds = x->AsDouble();
-    if (const JsonValue* x = so->Find("contraction_rounds"))
-      v.solver.contraction_rounds =
-          SpecInt(*x, 0, kIntMax, "contraction_rounds");
-    if (const JsonValue* x = so->Find("max_invalid_models"))
-      v.solver.max_invalid_models =
-          SpecInt(*x, 0, kIntMax, "max_invalid_models");
-    if (const JsonValue* x = so->Find("presample_points"))
-      v.solver.presample_points = SpecInt(*x, 0, kIntMax, "presample_points");
-    if (const JsonValue* x = so->Find("wave_width"))
-      v.solver.wave_width =
-          SpecInt(*x, 1, solver::kMaxWaveWidth, "wave_width");
-  }
-  if (const JsonValue* ro = root.Find("runtime")) {
-    support::retry::RuntimeAttrs& r = spec.runtime;
-    if (const JsonValue* x = ro->Find("max_retries"))
-      r.max_retries = SpecInt(*x, 0, kIntMax, "runtime max_retries");
-    if (const JsonValue* x = ro->Find("preemptible_tries"))
-      r.preemptible_tries =
-          SpecInt(*x, 0, kIntMax, "runtime preemptible_tries");
-    if (const JsonValue* x = ro->Find("launch_timeout_seconds"))
-      r.launch_timeout_s = x->AsDouble();
-    if (const JsonValue* x = ro->Find("backoff_initial_seconds"))
-      r.backoff_initial_s = x->AsDouble();
-    if (const JsonValue* x = ro->Find("backoff_max_seconds"))
-      r.backoff_max_s = x->AsDouble();
-    if (const JsonValue* x = ro->Find("quarantine_after"))
-      r.quarantine_after = SpecInt(*x, 1, kIntMax, "runtime quarantine_after");
-    if (const JsonValue* x = ro->Find("quarantine_cooldown_epochs"))
-      r.quarantine_cooldown_epochs =
-          SpecInt(*x, 0, kIntMax, "runtime quarantine_cooldown_epochs");
-  }
+  if (const JsonValue* so = root.Find("solver"))
+    campaign::SolverFromJson(*so, /*required=*/false, "job spec", v.solver);
   ValidateJobSpec(spec);
   return spec;
 }

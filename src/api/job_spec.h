@@ -1,14 +1,14 @@
 // The programmatic campaign API: one audited path from a job description to
 // a runnable campaign::Campaign.
 //
-// A JobSpec is the complete, serializable description of one verification
-// job — functional/condition selectors, every solver and verifier knob,
-// WDL-style runtime attributes, and the output mode. The `xcv` CLI compiles
-// its flags down to a JobSpec, the `xcvd` daemon parses one out of a
-// `POST /v1/campaigns` body, and tests construct them directly; all three
-// then go through the same validation (ValidateJobSpec) and the same
-// campaign construction (PopulateCampaign / InitialPairs), so there is
-// exactly one place where a job description can be wrong.
+// A JobSpec is the one description of a verification run: the
+// functional/condition selectors, every solver and verifier knob, the output
+// mode and the tenant. The `xcv` CLI compiles its flags down to a JobSpec,
+// the `xcvd` daemon parses one out of a `POST /v1/campaigns` body, and tests
+// construct them directly; all three then go through the same validation
+// (ValidateJobSpec) and the same campaign construction (PopulateCampaign /
+// InitialPairs), so there is exactly one place where a job description can
+// be wrong.
 //
 // JSON: WriteJobSpecJson/ParseJobSpecJson round-trip every field exactly
 // (%.17g doubles, support/json.h conventions); documents carry
@@ -24,7 +24,6 @@
 #include "conditions/conditions.h"
 #include "functionals/functional.h"
 #include "support/json.h"
-#include "support/retry.h"
 
 namespace xcv::api {
 
@@ -75,47 +74,46 @@ struct JobSpec {
   std::string functionals = "all";
   /// Condition selector: ids, ranges ("EC1..EC4"), or "all".
   std::string conditions = "all";
-  /// Campaign options (threads, verifier + solver knobs, checkpoint/cache
-  /// wiring). Defaults match DefaultJobSpec(), not CampaignOptions{}.
+  /// Campaign options (threads, verifier + solver knobs; the CLI's checkpoint
+  /// and cache wiring is not serialized). Defaults match DefaultJobSpec().
   campaign::CampaignOptions options;
   /// Rendered-output mode for CLI runs and the daemon's report endpoint.
   OutputMode output = OutputMode::kTable;
-  bool quiet = false;
-  /// WDL-style runtime attributes (retry/preemption budgets, launch
-  /// timeout) for supervised execution — `xcv coordinate` and cloud
-  /// runners read them; plain single-process runs ignore them.
-  support::retry::RuntimeAttrs runtime;
   /// Fairness bucket for multi-user serving ("" = default tenant). The
   /// daemon schedules round-robin across tenants with queued jobs.
   std::string tenant;
 };
 
-/// The paper-default job: the CLI's historical defaults (delta 1e-3,
-/// 30k-node solver budget, 10 s per pair, split threshold 0.3125).
+/// The paper-default job, the one place its values are written: delta 1e-3,
+/// t = 0.3125, 30,000 nodes, 0.5 s and 512 invalid models per solver call,
+/// 10 s per pair. The CLI, xcvd, the benches and the examples start here.
 JobSpec DefaultJobSpec();
 
 /// The single validation path: selector strings resolve to a non-empty
-/// matrix, budgets are non-negative, counts are in range. Throws
-/// xcv::InternalError with a message naming the offending field. Every
-/// entrance (CLI flags, HTTP body, tests) must pass through here before a
-/// campaign is built.
+/// matrix, and the options pass campaign::ValidateOptions (the check a
+/// checkpoint load makes too). Throws xcv::InternalError with a message
+/// naming the offending field. Every entrance (CLI flags, HTTP body, tests)
+/// must pass through here before a campaign is built.
 void ValidateJobSpec(const JobSpec& spec);
 
 /// Applies `--key=value` style flags over `spec` (the CLI's option
 /// assembly, reusable by anything that speaks that dialect). Recognized
 /// keys: functionals, conditions, threads, budget-seconds (0 = unlimited),
 /// split-threshold, solver-nodes, delta, wave-width, frontier, checkpoint,
-/// cache (XCV_CACHE env supplies the default), cache-readonly, format,
-/// quiet, max-retries, preemptible, quarantine-after, launch-timeout,
-/// tenant. Unrecognized keys are a usage error: the throw names the flag
-/// and suggests the nearest recognized one (so `--max-nodes` points at
-/// `--solver-nodes`). `extra_allowed` lists additional keys the calling
-/// command consumes itself (e.g. resume's `heartbeat`) — they pass the
-/// strictness check untouched. Throws xcv::InternalError on malformed
-/// values.
+/// cache (XCV_CACHE env supplies the default), cache-readonly, format.
+/// Unrecognized keys are a usage error (RejectUnknownFlags). `extra_allowed`
+/// lists additional keys the calling command consumes itself (e.g.
+/// resume's `heartbeat`) — they pass the strictness check untouched.
+/// Throws xcv::InternalError on malformed values.
 void ApplyFlags(const std::map<std::string, std::string>& flags,
                 JobSpec& spec,
                 const std::vector<std::string>& extra_allowed = {});
+
+/// The usage-error gate: throws xcv::InternalError for the first key of
+/// `flags` not in `known`, naming the flag and suggesting the nearest known
+/// one (so `--max-nodes` points at `--solver-nodes`).
+void RejectUnknownFlags(const std::map<std::string, std::string>& flags,
+                        const std::vector<std::string>& known);
 
 /// The checked flag parser: `--key`'s value as a non-negative number, or an
 /// integer in [lo, hi] checked before it is narrowed; a named error else.
@@ -129,8 +127,8 @@ std::int64_t FlagInteger(const std::map<std::string, std::string>& flags,
                          const std::string& key, std::int64_t fallback,
                          std::int64_t lo, std::int64_t hi);
 
-/// Serializes the complete spec as a standalone JSON document
-/// ("xcv-job-spec", schema_version, every field explicit).
+/// Serializes the spec as a standalone JSON document ("xcv-job-spec",
+/// schema_version, every field but the options' checkpoint/cache wiring).
 std::string WriteJobSpecJson(const JobSpec& spec);
 
 /// Appends the spec as a JSON *object* at `indent` (for embedding in other

@@ -40,16 +40,6 @@ std::uint64_t CampaignResult::CacheRejected() const {
   return n;
 }
 
-// Verdict of a pair whose frontier still has open boxes: a full ✓ cannot
-// be claimed while undecided subdomains remain (a resume could still find a
-// counterexample there), so it degrades to ✓*.
-verifier::Verdict PartialVerdict(const verifier::VerificationReport& report) {
-  const verifier::Verdict v = report.Summarize();
-  return v == verifier::Verdict::kVerified
-             ? verifier::Verdict::kVerifiedPartial
-             : v;
-}
-
 struct Campaign::Entry {
   PairState state;
   const Functional* functional = nullptr;   // null for non-applicable pairs
@@ -186,7 +176,7 @@ void Campaign::WriteCheckpointLocked() {
       verifier::EngineSnapshot snap = e->engine->Snapshot();
       live.report = std::move(snap.report);
       live.open = std::move(snap.open);
-      live.verdict = PartialVerdict(live.report);
+      live.verdict = verifier::PartialVerdict(live.report);
       live.seconds = live.report.seconds;
       pairs.push_back(std::move(live));
     } else {
@@ -253,7 +243,7 @@ CampaignResult Campaign::Run(ProgressFn progress) {
     }
     e->state.open = e->engine->TakeOpenFrontier();
     e->state.report = e->engine->TakeReport();
-    e->state.verdict = PartialVerdict(e->state.report);
+    e->state.verdict = verifier::PartialVerdict(e->state.report);
     e->state.seconds = e->state.report.seconds;
     if (obs::TraceRecorder::Global().armed())
       obs::TraceRecorder::Global().RecordAsync(PairTraceName(e->state), "xcv",

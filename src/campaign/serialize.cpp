@@ -1,5 +1,6 @@
 #include "campaign/serialize.h"
 
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -197,23 +198,10 @@ void HeaderFromJson(const JsonValue& root, Checkpoint& cp) {
         CheckpointInt(sh->At("count"), 1, kIntMax, "shard count");
     cp.options.shard.by = sh->At("by").AsString();
   }
-  const JsonValue& s = o.At("solver");
-  v.solver.delta = s.At("delta").AsDouble();
-  v.solver.max_nodes = CheckpointCount(s.At("max_nodes"), "max_nodes");
-  XCV_CHECK_MSG(v.solver.max_nodes >= 1,
-                "checkpoint: max_nodes must be at least 1");
-  v.solver.time_budget_seconds = s.At("time_budget_seconds").AsDouble();
-  v.solver.contraction_rounds = CheckpointInt(
-      s.At("contraction_rounds"), 0, kIntMax, "contraction_rounds");
-  v.solver.max_invalid_models = CheckpointInt(
-      s.At("max_invalid_models"), 0, kIntMax, "max_invalid_models");
-  v.solver.presample_points = CheckpointInt(s.At("presample_points"), 0,
-                                            kIntMax, "presample_points");
-  // Added after checkpoint version 1 shipped; absent in older checkpoints
-  // (and irrelevant to results — the wave width never changes verdicts).
-  if (const JsonValue* w = s.Find("wave_width"))
-    v.solver.wave_width =
-        CheckpointInt(*w, 1, solver::kMaxWaveWidth, "wave_width");
+  SolverFromJson(o.At("solver"), /*required=*/true, "checkpoint", v.solver);
+  // A resume runs these options, so a load checks them the way a job spec
+  // is checked.
+  ValidateOptions(cp.options, "checkpoint");
 }
 
 // The checkpoint's parsers for support/document.h, filling `cp`.
@@ -259,21 +247,9 @@ std::string CheckpointToJson(const CampaignOptions& options,
            ", \"count\": " + std::to_string(options.shard.count) +
            ", \"by\": \"" + options.shard.by + "\"},\n";
   }
-  out += "    \"solver\": {\n";
-  out += "      \"delta\": " + JsonDouble(v.solver.delta) + ",\n";
-  out += "      \"max_nodes\": " + std::to_string(v.solver.max_nodes) + ",\n";
-  out += "      \"time_budget_seconds\": " +
-         JsonDouble(v.solver.time_budget_seconds) + ",\n";
-  out += "      \"contraction_rounds\": " +
-         std::to_string(v.solver.contraction_rounds) + ",\n";
-  out += "      \"max_invalid_models\": " +
-         std::to_string(v.solver.max_invalid_models) + ",\n";
-  out += "      \"presample_points\": " +
-         std::to_string(v.solver.presample_points) + ",\n";
-  out += "      \"wave_width\": " + std::to_string(v.solver.wave_width) +
-         "\n";
-  out += "    }\n";
-  out += "  },\n";
+  out += "    \"solver\": ";
+  AppendSolverJson(out, v.solver, "    ");
+  out += "\n  },\n";
   out += "  \"pairs\": [";
   for (std::size_t i = 0; i < pairs.size(); ++i) {
     const PairState& p = pairs[i];
@@ -336,6 +312,91 @@ Checkpoint LoadCheckpointFileTolerant(const std::string& path,
                                      CheckpointParsers(cp));
   if (outcome->cold) return {};
   return cp;
+}
+
+// ---- Run options shared with job specs --------------------------------------
+
+void AppendSolverJson(std::string& out, const solver::SolverOptions& so,
+                      const std::string& indent) {
+  const std::string in2 = indent + "  ";
+  out += "{\n";
+  out += in2 + "\"delta\": " + JsonDouble(so.delta) + ",\n";
+  out += in2 + "\"max_nodes\": " + std::to_string(so.max_nodes) + ",\n";
+  out += in2 + "\"time_budget_seconds\": " +
+         JsonDouble(so.time_budget_seconds) + ",\n";
+  out += in2 + "\"contraction_rounds\": " +
+         std::to_string(so.contraction_rounds) + ",\n";
+  out += in2 + "\"max_invalid_models\": " +
+         std::to_string(so.max_invalid_models) + ",\n";
+  out += in2 + "\"presample_points\": " +
+         std::to_string(so.presample_points) + ",\n";
+  out += in2 + "\"wave_width\": " + std::to_string(so.wave_width) + "\n";
+  out += indent + "}";
+}
+
+void SolverFromJson(const JsonValue& object, bool required,
+                    const std::string& document, solver::SolverOptions& so) {
+  const auto field = [&](const char* key) {
+    return required ? &object.At(key) : object.Find(key);
+  };
+  const auto integer = [&](const JsonValue& x, std::int64_t lo,
+                           std::int64_t hi, const char* key) {
+    return json::CheckedInteger(x.AsDouble(), lo, hi, document + ": " + key);
+  };
+  if (const JsonValue* x = field("delta")) so.delta = x->AsDouble();
+  if (const JsonValue* x = field("max_nodes"))
+    so.max_nodes = static_cast<std::uint64_t>(
+        integer(*x, 1, json::kMaxExactInteger, "max_nodes"));
+  if (const JsonValue* x = field("time_budget_seconds"))
+    so.time_budget_seconds = x->AsDouble();
+  if (const JsonValue* x = field("contraction_rounds"))
+    so.contraction_rounds =
+        static_cast<int>(integer(*x, 0, kIntMax, "contraction_rounds"));
+  if (const JsonValue* x = field("max_invalid_models"))
+    so.max_invalid_models =
+        static_cast<int>(integer(*x, 0, kIntMax, "max_invalid_models"));
+  if (const JsonValue* x = field("presample_points"))
+    so.presample_points =
+        static_cast<int>(integer(*x, 0, kIntMax, "presample_points"));
+  // Added after checkpoint version 1 shipped; absent in older checkpoints
+  // (and irrelevant to results — the wave width never changes verdicts).
+  if (const JsonValue* x = object.Find("wave_width"))
+    so.wave_width =
+        static_cast<int>(integer(*x, 1, solver::kMaxWaveWidth, "wave_width"));
+}
+
+void ValidateOptions(const CampaignOptions& options,
+                     const std::string& document) {
+  const verifier::VerifierOptions& v = options.verifier;
+  const solver::SolverOptions& so = v.solver;
+  // `x >= 0.0` also refuses NaN.
+  XCV_CHECK_MSG(v.num_threads >= 1 && v.num_threads <= verifier::kMaxThreads,
+                document << ": num_threads must be in [1, "
+                         << verifier::kMaxThreads << "]");
+  XCV_CHECK_MSG(v.split_threshold > 0.0 && std::isfinite(v.split_threshold),
+                document << ": split_threshold must be a positive number");
+  XCV_CHECK_MSG(v.total_time_budget_seconds >= 0.0,
+                document << ": total_time_budget_seconds must be "
+                            "non-negative");
+  XCV_CHECK_MSG(v.witness_tolerance >= 0.0,
+                document << ": witness_tolerance must be non-negative");
+  XCV_CHECK_MSG(so.delta > 0.0 && std::isfinite(so.delta),
+                document << ": delta must be a positive number");
+  XCV_CHECK_MSG(so.max_nodes >= 1,
+                document << ": max_nodes must be at least 1");
+  XCV_CHECK_MSG(so.time_budget_seconds > 0.0,
+                document << ": time_budget_seconds must be positive");
+  XCV_CHECK_MSG(so.contraction_rounds >= 0,
+                document << ": contraction_rounds must be non-negative");
+  XCV_CHECK_MSG(so.max_invalid_models >= 0,
+                document << ": max_invalid_models must be non-negative");
+  XCV_CHECK_MSG(so.presample_points >= 0,
+                document << ": presample_points must be non-negative");
+  XCV_CHECK_MSG(so.wave_width >= 1 && so.wave_width <= solver::kMaxWaveWidth,
+                document << ": wave_width must be in [1, "
+                         << solver::kMaxWaveWidth << "]");
+  XCV_CHECK_MSG(!options.cache_readonly || !options.cache_path.empty(),
+                document << ": cache_readonly needs a cache path");
 }
 
 }  // namespace xcv::campaign

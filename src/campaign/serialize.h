@@ -11,6 +11,7 @@
 
 #include "campaign/campaign.h"
 #include "support/document.h"
+#include "support/json.h"
 
 namespace xcv::campaign {
 
@@ -49,6 +50,25 @@ Checkpoint LoadCheckpointFile(const std::string& path);
 /// damaged input. A cold outcome returns an empty checkpoint.
 Checkpoint LoadCheckpointFileTolerant(const std::string& path,
                                       support::LoadOutcome* outcome);
+
+// ---- Run options shared with job specs (api/job_spec.h) --------------------
+
+/// Appends the "solver" object: `{`, one line per field at `indent` plus two
+/// spaces, then the closing brace at `indent`.
+void AppendSolverJson(std::string& out, const solver::SolverOptions& solver,
+                      const std::string& indent);
+
+/// Reads a "solver" object over `solver`. When `required`, every key but
+/// wave_width must be present (checkpoints); otherwise an absent key keeps
+/// its value (job specs). Errors name `document` and the field.
+void SolverFromJson(const json::JsonValue& object, bool required,
+                    const std::string& document,
+                    solver::SolverOptions& solver);
+
+/// The one check of a run's options, for job specs and checkpoint headers
+/// alike. Throws naming `document` ("job spec", "checkpoint") and the field.
+void ValidateOptions(const CampaignOptions& options,
+                     const std::string& document);
 
 // ---- Tokens (shared with the report renderers and xcvd) --------------------
 

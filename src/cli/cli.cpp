@@ -270,20 +270,29 @@ bool RejectPositionals(const ParsedArgs& args) {
   return true;
 }
 
-/// Flags every command accepts on top of api::ApplyFlags' spec keys:
-/// process-wide fault arming (Main) and trace capture (TraceSession).
-const std::vector<std::string> kGlobalExtraFlags = {"faults", "trace"};
+/// Flags every command accepts: process-wide fault arming (Main) and trace
+/// capture (TraceSession).
+const std::vector<std::string> kGlobalFlags = {"faults", "trace"};
+
+/// The usage-error gate of a command that builds no job spec: `keys` are the
+/// flags it reads itself (api::RejectUnknownFlags).
+void CheckFlags(const ParsedArgs& args, std::vector<std::string> keys) {
+  keys.insert(keys.end(), kGlobalFlags.begin(), kGlobalFlags.end());
+  api::RejectUnknownFlags(args.flags, keys);
+}
 
 /// Compiles the command's flags down to a JobSpec over `base` (the paper
 /// defaults, or a checkpoint's recorded options on resume) and validates
 /// it — the one option-assembly path, shared with the daemon (src/api/).
 /// `command_flags` lists the keys this command consumes itself (resume's
-/// heartbeat, coordinate's fleet knobs); anything else unrecognized is a
-/// usage error with a nearest-flag suggestion (api::ApplyFlags).
+/// heartbeat, coordinate's fleet knobs); every command that runs or deals a
+/// campaign also reads --quiet. Anything else unrecognized is a usage error
+/// with a nearest-flag suggestion (api::ApplyFlags).
 api::JobSpec SpecFromFlags(const ParsedArgs& args, api::JobSpec base,
                            std::vector<std::string> command_flags = {}) {
-  command_flags.insert(command_flags.end(), kGlobalExtraFlags.begin(),
-                       kGlobalExtraFlags.end());
+  command_flags.insert(command_flags.end(), kGlobalFlags.begin(),
+                       kGlobalFlags.end());
+  command_flags.push_back("quiet");
   api::ApplyFlags(args.flags, base, command_flags);
   api::ValidateJobSpec(base);
   return base;
@@ -385,7 +394,8 @@ int CmdVerify(const ParsedArgs& args) {
   const api::JobSpec spec = SpecFromFlags(args, api::DefaultJobSpec());
   TraceSession trace(args);
   const api::OutputPolicy policy =
-      api::ResolveOutput(spec.output, spec.quiet, /*heartbeat_stream=*/false);
+      api::ResolveOutput(spec.output, args.flags.count("quiet") > 0,
+                         /*heartbeat_stream=*/false);
 
   Campaign campaign(spec.options);
   api::PopulateCampaign(spec, campaign);
@@ -426,8 +436,8 @@ int CmdResume(const ParsedArgs& args) {
     campaign.Restore(std::move(p));
   }
   const bool hb_stream = args.flags.count("heartbeat-stream") > 0;
-  const api::OutputPolicy policy =
-      api::ResolveOutput(spec.output, spec.quiet, hb_stream);
+  const api::OutputPolicy policy = api::ResolveOutput(
+      spec.output, args.flags.count("quiet") > 0, hb_stream);
   if (policy.progress) {
     if (remaining == 0) {
       // Nothing left to solve: say so instead of silently re-emitting the
@@ -487,7 +497,7 @@ int CmdResume(const ParsedArgs& args) {
 struct SeededCampaign {
   campaign::Checkpoint checkpoint;
   /// The flags compiled over the checkpoint's (or the default) options —
-  /// carries the runtime attrs and output mode the command also needs.
+  /// carries the output mode the command also needs.
   api::JobSpec spec;
 };
 
@@ -603,6 +613,19 @@ int CmdCoordinate(const ParsedArgs& args) {
     copts.xcv_binary = it->second;
   copts.quiet = args.flags.count("quiet") > 0;
 
+  // The fleet's WDL-style retry, preemption and quarantine policy.
+  auto& attrs = copts.attrs;
+  attrs.max_retries = static_cast<int>(api::FlagInteger(
+      args.flags, "max-retries", attrs.max_retries, 0, kIntMax));
+  attrs.preemptible_tries = static_cast<int>(api::FlagInteger(
+      args.flags, "preemptible", attrs.preemptible_tries, 0, kIntMax));
+  attrs.quarantine_after = static_cast<int>(api::FlagInteger(
+      args.flags, "quarantine-after", attrs.quarantine_after, 1, kIntMax));
+  attrs.launch_timeout_s =
+      api::FlagDouble(args.flags, "launch-timeout", attrs.launch_timeout_s);
+  XCV_CHECK_MSG(attrs.launch_timeout_s > 0.0,
+                "--launch-timeout must be positive");
+
   // Chaos hook: --fault-node=K:SPEC, the node index through the checked
   // flag parser.
   if (const auto it = args.flags.find("fault-node"); it != args.flags.end()) {
@@ -620,19 +643,19 @@ int CmdCoordinate(const ParsedArgs& args) {
   }
 
   // The coordinator owns one campaign checkpoint file. Seed it from the
-  // flags (an existing --checkpoint, or a fresh matrix) exactly like shard.
+  // flags (an existing --checkpoint, or a fresh matrix) exactly like shard;
+  // every usage error fires before the work dir exists.
+  const SeededCampaign seeded = CheckpointFromFlagsOrFile(
+      args, {"shards", "by", "nodes", "work-dir", "rebalance-epoch", "lease",
+             "max-epochs", "cache-dir", "xcv-bin", "fault-node",
+             "max-retries", "preemptible", "quarantine-after",
+             "launch-timeout"});
   std::error_code ec;
   std::filesystem::create_directories(copts.work_dir, ec);
   XCV_CHECK_MSG(!ec, "cannot create --work-dir '" << copts.work_dir
                                                   << "': " << ec.message());
-  const SeededCampaign seeded = CheckpointFromFlagsOrFile(
-      args, {"shards", "by", "nodes", "work-dir", "rebalance-epoch", "lease",
-             "max-epochs", "cache-dir", "xcv-bin", "fault-node"});
   TraceSession trace(args);
   const campaign::Checkpoint& cp = seeded.checkpoint;
-  // The WDL-style retry/preemption budgets ride in the spec's runtime
-  // attrs (one assembly path with the daemon; see api::ApplyFlags).
-  copts.attrs = seeded.spec.runtime;
   copts.checkpoint_path = args.flags.count("checkpoint")
                               ? args.flags.at("checkpoint")
                               : copts.work_dir + "/campaign.json";
@@ -673,6 +696,8 @@ int CmdCoordinate(const ParsedArgs& args) {
 }
 
 int CmdMerge(const ParsedArgs& args) {
+  CheckFlags(args,
+             {"out", "cache", "cache-out", "format", "quiet", "skip-corrupt"});
   if (args.positionals.empty()) {
     std::fprintf(stderr,
                  "xcv merge: needs at least one shard checkpoint file\n");
@@ -806,6 +831,7 @@ int CmdMerge(const ParsedArgs& args) {
 }
 
 int CmdCacheStats(const ParsedArgs& args) {
+  CheckFlags(args, {});
   if (args.positionals.size() != 1) {
     std::fprintf(stderr, "xcv cache-stats: needs exactly one cache file\n");
     return 2;
@@ -878,14 +904,18 @@ int Main(int argc, const char* const* argv) {
     if (args->command == "merge") return CmdMerge(*args);
     if (args->command == "cache-stats") return CmdCacheStats(*args);
     if (args->command == "list") {
+      CheckFlags(*args, {});
       if (RejectPositionals(*args)) return 2;
       return CmdList();
     }
     if (args->command == "info") {
+      CheckFlags(*args, {"metrics"});
       if (RejectPositionals(*args)) return 2;
       return CmdInfo(*args);
     }
-    if (args->command == "help" || args->command == "--help") {
+    if (args->command == "help") {
+      // `xcv --help` arrives as the help command with a --help flag.
+      CheckFlags(*args, {"help"});
       if (RejectPositionals(*args)) return 2;
       std::printf("%s", kUsage);
       return 0;

@@ -450,12 +450,9 @@ void Daemon::RunJob(Job* job) {
 
   // The job's options, re-based onto the daemon's state: its checkpoint
   // lives in the state dir and every solver verdict flows through the one
-  // process-wide cache. The spec's own checkpoint/cache paths are CLI
-  // affordances and are ignored here on purpose.
+  // process-wide cache (a job-spec document carries neither path).
   campaign::CampaignOptions options = job->spec.options;
   options.checkpoint_path = CheckpointPathFor(job->id);
-  options.cache_path.clear();
-  options.cache_readonly = false;
   options.shared_cache = &cache_;
 
   std::string error;

@@ -33,16 +33,6 @@ std::string VerdictAffectingOptionsKey(campaign::CampaignOptions options) {
   return campaign::CheckpointToJson(options, {}, false);
 }
 
-// Verdict of a merged pair: a full ✓ cannot be claimed while undecided
-// boxes remain (same rule the campaign applies to interrupted pairs).
-verifier::Verdict MergedVerdict(const PairState& p) {
-  if (!p.applicable) return verifier::Verdict::kNotApplicable;
-  const verifier::Verdict v = p.report.Summarize();
-  if (!p.done && v == verifier::Verdict::kVerified)
-    return verifier::Verdict::kVerifiedPartial;
-  return v;
-}
-
 }  // namespace
 
 Checkpoint MergeCheckpoints(std::vector<Checkpoint> shards,
@@ -137,7 +127,12 @@ Checkpoint MergeCheckpoints(std::vector<Checkpoint> shards,
     stats->open_dropped +=
         verifier::CanonicalizeOpenBoxes(g.state.open, g.state.report);
     g.state.done = g.all_done && g.state.open.empty();
-    g.state.verdict = MergedVerdict(g.state);
+    // A merged pair with undecided boxes left is at most ✓*, the rule the
+    // campaign applies to interrupted pairs.
+    g.state.verdict =
+        !g.state.applicable ? verifier::Verdict::kNotApplicable
+        : g.state.done      ? g.state.report.Summarize()
+                            : verifier::PartialVerdict(g.state.report);
     // Provenance survives the union: a merge of a subset of the shards must
     // still interleave correctly with the stragglers in a later merge, and
     // origin_index is the only global coordinate that can do it.

@@ -21,10 +21,9 @@ class InternalError : public std::logic_error {
 namespace detail {
 
 [[noreturn]] inline void CheckFailed(const char* cond, const char* file,
-                                     int line, const std::string& msg) {
+                                     int line) {
   std::ostringstream os;
   os << file << ":" << line << ": check failed: " << cond;
-  if (!msg.empty()) os << " — " << msg;
   throw InternalError(os.str());
 }
 
@@ -33,15 +32,17 @@ namespace detail {
 
 #define XCV_CHECK(cond)                                              \
   do {                                                               \
-    if (!(cond)) ::xcv::detail::CheckFailed(#cond, __FILE__, __LINE__, ""); \
+    if (!(cond)) ::xcv::detail::CheckFailed(#cond, __FILE__, __LINE__); \
   } while (0)
 
+// The message alone: it is what a usage error or an HTTP 400 body shows, so
+// it carries no source path and no C++ expression.
 #define XCV_CHECK_MSG(cond, msg)                                     \
   do {                                                               \
     if (!(cond)) {                                                   \
       std::ostringstream xcv_os_;                                    \
       xcv_os_ << msg;                                                \
-      ::xcv::detail::CheckFailed(#cond, __FILE__, __LINE__, xcv_os_.str()); \
+      throw ::xcv::InternalError(xcv_os_.str());                     \
     }                                                                \
   } while (0)
 

@@ -67,4 +67,9 @@ Verdict VerificationReport::Summarize() const {
   return Verdict::kUnknown;
 }
 
+Verdict PartialVerdict(const VerificationReport& report) {
+  const Verdict v = report.Summarize();
+  return v == Verdict::kVerified ? Verdict::kVerifiedPartial : v;
+}
+
 }  // namespace xcv::verifier

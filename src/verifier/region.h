@@ -63,6 +63,11 @@ struct VerificationReport {
   Verdict Summarize() const;
 };
 
+/// Verdict of a report whose domain still has open boxes: a full ✓ cannot
+/// be claimed while undecided subdomains remain (a resume could still find
+/// a counterexample there), so it degrades to ✓*.
+Verdict PartialVerdict(const VerificationReport& report);
+
 /// Volume (product of widths) of a box; dimensions of zero width (point
 /// intervals) contribute factor 0.
 double BoxVolume(const solver::Box& box);

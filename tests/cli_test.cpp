@@ -140,6 +140,78 @@ TEST(Cli, IntegerFlagsAreCheckedBeforeNarrowing) {
   EXPECT_EQ(Main(5, argv), 2);
 }
 
+// Runs `xcv args...`; returns the exit code and leaves stderr in `err`
+// (stdout is captured and dropped).
+int RunXcv(const std::vector<std::string>& args, std::string* err) {
+  std::vector<const char*> argv{"xcv"};
+  for (const std::string& a : args) argv.push_back(a.c_str());
+  ::testing::internal::CaptureStdout();
+  ::testing::internal::CaptureStderr();
+  const int rc = Main(static_cast<int>(argv.size()), argv.data());
+  *err = ::testing::internal::GetCapturedStderr();
+  ::testing::internal::GetCapturedStdout();
+  return rc;
+}
+
+// A usage error is the message alone: no source path, no C++ condition.
+TEST(Cli, UsageErrorsPrintTheMessageAlone) {
+  std::string err;
+  EXPECT_EQ(RunXcv({"verify", "--threads=abc"}, &err), 2);
+  EXPECT_EQ(err, "xcv: --threads needs a non-negative number, got 'abc'\n");
+}
+
+// Every command checks its flags, not only the ones that build a job spec.
+TEST(Cli, EveryCommandRejectsUnknownFlags) {
+  for (const auto& [args, flag] :
+       {std::pair<std::vector<std::string>, std::string>{
+            {"merge", "--skip-corupt", "/nonexistent/s.json"},
+            "--skip-corupt"},
+        {{"cache-stats", "--bogus", "/nonexistent/c.json"}, "--bogus"},
+        {{"list", "--bogus"}, "--bogus"},
+        {{"info", "--metricz"}, "--metricz"},
+        {{"help", "--bogus"}, "--bogus"}}) {
+    std::string err;
+    EXPECT_EQ(RunXcv(args, &err), 2) << args.front();
+    EXPECT_NE(err.find("unknown flag " + flag), std::string::npos) << err;
+  }
+  std::string err;
+  RunXcv({"merge", "--skip-corupt", "/nonexistent/s.json"}, &err);
+  EXPECT_NE(err.find("did you mean --skip-corrupt?"), std::string::npos)
+      << err;
+  RunXcv({"info", "--metricz"}, &err);
+  EXPECT_NE(err.find("did you mean --metrics?"), std::string::npos) << err;
+  EXPECT_EQ(RunXcv({"--help"}, &err), 0) << err;
+}
+
+// The fleet's retry policy and the tenant are no run options: verify takes
+// neither, and coordinate checks its policy flags before the work dir exists.
+TEST(Cli, FleetPolicyFlagsBelongToCoordinateAlone) {
+  for (const std::string flag : {"--max-retries=1", "--tenant=a"}) {
+    std::string err;
+    EXPECT_EQ(RunXcv({"verify", "--functionals=lda", "--conditions=EC1", flag},
+                     &err),
+              2);
+    EXPECT_NE(err.find("unknown flag " + flag.substr(0, flag.find('='))),
+              std::string::npos)
+        << err;
+  }
+  const std::string work = ::testing::TempDir() + "xcv_policy_flags";
+  for (const auto& [flag, name] :
+       {std::pair<std::string, std::string>{"--max-retries=-1",
+                                            "--max-retries"},
+        {"--quarantine-after=0", "--quarantine-after"},
+        {"--launch-timeout=0", "--launch-timeout"}}) {
+    std::filesystem::remove_all(work);
+    std::string err;
+    EXPECT_EQ(RunXcv({"coordinate", "--functionals=lda", "--conditions=EC1",
+                      "--quiet", "--work-dir=" + work, flag},
+                     &err),
+              2);
+    EXPECT_NE(err.find(name), std::string::npos) << err;
+    EXPECT_FALSE(std::filesystem::exists(work)) << flag;
+  }
+}
+
 // The chaos hook parses its node index through the checked flag parser: a
 // malformed value is a usage error before any node launches, never a fault
 // aimed at node 0.
@@ -176,6 +248,18 @@ int ResumeFrom(const std::string& name, const std::string& text,
   return rc;
 }
 
+// `text` with the value of its first `"field": ` replaced by `value`.
+std::string WithField(std::string text, const std::string& field,
+                      const std::string& value) {
+  const std::string key = "\"" + field + "\": ";
+  const std::size_t at = text.find(key);
+  EXPECT_NE(at, std::string::npos) << field;
+  const std::size_t begin = at + key.size();
+  const std::size_t end = text.find_first_of(",\n", begin);
+  text.replace(begin, end - begin, value);
+  return text;
+}
+
 TEST(Cli, ResumeRejectsHostileCheckpoints) {
   std::string err;
   // Unbounded nesting used to overflow the JSON reader's stack (SIGSEGV).
@@ -196,14 +280,7 @@ TEST(Cli, ResumeRejectsHostileCheckpoints) {
       api::DefaultJobSpec().options, {}, /*cancelled=*/false);
   auto with_field = [&base](const std::string& field,
                             const std::string& value) {
-    std::string text = base;
-    const std::string key = "\"" + field + "\": ";
-    const std::size_t at = text.find(key);
-    EXPECT_NE(at, std::string::npos) << field;
-    const std::size_t begin = at + key.size();
-    const std::size_t end = text.find_first_of(",\n", begin);
-    text.replace(begin, end - begin, value);
-    return text;
+    return WithField(base, field, value);
   };
   for (const auto& [field, value] :
        {std::pair<std::string, std::string>{"wave_width", "1e8"},
@@ -220,6 +297,35 @@ TEST(Cli, ResumeRejectsHostileCheckpoints) {
   const campaign::Checkpoint widest = campaign::CheckpointFromJson(
       with_field("num_threads", std::to_string(verifier::kMaxThreads)));
   EXPECT_EQ(widest.options.verifier.num_threads, verifier::kMaxThreads);
+}
+
+// A checkpoint load runs the option validator, so merge refuses what resume
+// would refuse and writes nothing (the legacy, unchecksummed form used to
+// merge into a file resume then rejected).
+TEST(Cli, CheckpointLoadsRefuseOptionsTheValidatorRejects) {
+  const std::string dir = ::testing::TempDir();
+  const std::string bad = dir + "xcv_bad_delta.json";
+  const std::string out = dir + "xcv_bad_delta_merged.json";
+  {
+    std::ofstream file(bad, std::ios::binary);
+    file << WithField(campaign::CheckpointToJson(api::DefaultJobSpec().options,
+                                                 {}, /*cancelled=*/false),
+                      "delta", "-1");
+  }
+  std::remove(out.c_str());
+  try {
+    campaign::LoadCheckpointFile(bad);
+    FAIL() << "loaded a checkpoint with delta -1";
+  } catch (const InternalError& e) {
+    EXPECT_NE(std::string(e.what()).find("checkpoint: delta"),
+              std::string::npos)
+        << e.what();
+  }
+  std::string err;
+  EXPECT_EQ(RunXcv({"merge", bad, "-o", out}, &err), 2);
+  EXPECT_NE(err.find("checkpoint: delta"), std::string::npos) << err;
+  EXPECT_FALSE(std::filesystem::exists(out));
+  std::remove(bad.c_str());
 }
 
 }  // namespace

@@ -407,7 +407,6 @@ TEST(JobSpecJsonTest, RoundTripIsExactIncludingGnarlyDoubles) {
   spec.conditions = "EC1..EC4";
   spec.tenant = "team-a";
   spec.output = api::OutputMode::kJson;
-  spec.quiet = true;
   spec.options.verifier.num_threads = 3;
   // Doubles chosen to break any printf("%g")-grade serializer: a repeating
   // binary fraction, an accumulated rounding artifact, the smallest
@@ -418,8 +417,8 @@ TEST(JobSpecJsonTest, RoundTripIsExactIncludingGnarlyDoubles) {
   spec.options.verifier.witness_tolerance = 1e300;
   spec.options.verifier.total_time_budget_seconds =
       std::numeric_limits<double>::infinity();
-  spec.runtime.max_retries = 7;
-  spec.runtime.quarantine_after = 2;
+  spec.options.verifier.solver.max_nodes = 12'345;
+  spec.options.verifier.solver.wave_width = 3;
 
   const std::string doc = api::WriteJobSpecJson(spec);
   const api::JobSpec back = api::ParseJobSpecJson(doc);
@@ -428,18 +427,59 @@ TEST(JobSpecJsonTest, RoundTripIsExactIncludingGnarlyDoubles) {
   EXPECT_EQ(back.conditions, "EC1..EC4");
   EXPECT_EQ(back.tenant, "team-a");
   EXPECT_EQ(back.output, api::OutputMode::kJson);
-  EXPECT_TRUE(back.quiet);
   EXPECT_EQ(back.options.verifier.num_threads, 3);
   EXPECT_EQ(back.options.verifier.split_threshold, 0.1);
   EXPECT_EQ(back.options.verifier.solver.time_budget_seconds, 0.1 + 0.2);
   EXPECT_EQ(back.options.verifier.solver.delta, 5e-324);
   EXPECT_EQ(back.options.verifier.witness_tolerance, 1e300);
   EXPECT_TRUE(std::isinf(back.options.verifier.total_time_budget_seconds));
-  EXPECT_EQ(back.runtime.max_retries, 7);
-  EXPECT_EQ(back.runtime.quarantine_after, 2);
+  EXPECT_EQ(back.options.verifier.solver.max_nodes, 12'345u);
+  EXPECT_EQ(back.options.verifier.solver.wave_width, 3);
 
   // Serialization is a fixpoint: write(parse(write(s))) == write(s).
   EXPECT_EQ(api::WriteJobSpecJson(back), doc);
+
+  // A checkpoint of the same options carries the same "solver" object (one
+  // codec; only the indent differs), and parses back to the same options.
+  const std::string cp_doc =
+      campaign::CheckpointToJson(spec.options, {}, /*cancelled=*/false);
+  auto solver_object = [](const std::string& text) {
+    const std::size_t begin = text.find("\"solver\": {");
+    const std::size_t end = text.find('}', begin);
+    EXPECT_NE(begin, std::string::npos);
+    std::string object;
+    for (std::size_t i = begin; i <= end; ++i)
+      if (text[i] != ' ') object += text[i];
+    return object;
+  };
+  EXPECT_EQ(solver_object(cp_doc), solver_object(doc));
+  EXPECT_NE(solver_object(doc).find("\"max_nodes\":12345,"),
+            std::string::npos);
+  const campaign::Checkpoint cp = campaign::CheckpointFromJson(cp_doc);
+  EXPECT_EQ(campaign::CheckpointToJson(cp.options, {}, false), cp_doc);
+  EXPECT_EQ(cp.options.verifier.solver.delta, 5e-324);
+  EXPECT_EQ(cp.options.verifier.solver.time_budget_seconds, 0.1 + 0.2);
+}
+
+// The keys a spec document no longer carries (coordinator retry policy,
+// progress chatter, the CLI's checkpoint and cache wiring) still parse, are
+// ignored, and do not come back out.
+TEST(JobSpecJsonTest, DroppedKeysParseAndDoNotRoundTrip) {
+  const api::JobSpec spec = api::ParseJobSpecJson(R"({
+    "functionals": "lda", "conditions": "EC1", "quiet": true,
+    "checkpoint": "/nonexistent/cp.json", "cache": "/nonexistent/x.json",
+    "cache_readonly": true,
+    "runtime": {"max_retries": -1, "backoff_initial_seconds": 99,
+                "quarantine_cooldown_epochs": 7}})");
+  EXPECT_TRUE(spec.options.checkpoint_path.empty());
+  EXPECT_TRUE(spec.options.cache_path.empty());
+  EXPECT_FALSE(spec.options.cache_readonly);
+  const std::string doc = api::WriteJobSpecJson(spec);
+  for (const char* key : {"\"quiet\"", "\"checkpoint\"", "\"cache\"",
+                          "\"cache_readonly\"", "\"runtime\"", "backoff",
+                          "quarantine"})
+    EXPECT_EQ(doc.find(key), std::string::npos) << key << " in\n" << doc;
+  EXPECT_EQ(api::WriteJobSpecJson(api::ParseJobSpecJson(doc)), doc);
 }
 
 TEST(JobSpecJsonTest, SparseDocumentKeepsDefaults) {
@@ -488,8 +528,7 @@ TEST(JobSpecJsonTest, RejectsNonIntegralAndOutOfRangeIntegers) {
         {"{\"threads\": " + std::to_string(verifier::kMaxThreads + 1) + "}",
          "threads"},
         {R"({"solver": {"contraction_rounds": "nan"}})", "contraction_rounds"},
-        {R"({"solver": {"max_nodes": 2.5}})", "max_nodes"},
-        {R"({"runtime": {"max_retries": -1}})", "max_retries"}}) {
+        {R"({"solver": {"max_nodes": 2.5}})", "max_nodes"}}) {
     try {
       api::ParseJobSpecJson(doc);
       FAIL() << "accepted " << doc;
@@ -541,10 +580,6 @@ TEST(JobSpecValidateTest, RejectsOutOfRangeFields) {
   s = good;
   s.options.cache_readonly = true;  // read-only needs a path to read
   EXPECT_THROW(api::ValidateJobSpec(s), InternalError);
-
-  s = good;
-  s.runtime.quarantine_after = 0;
-  EXPECT_THROW(api::ValidateJobSpec(s), InternalError);
 }
 
 TEST(JobSpecTest, PopulateCampaignMatchesInitialPairsOrder) {
@@ -587,6 +622,55 @@ TEST(DaemonHttpTest, RoutesRejectUnknownAndMalformed) {
             400);
   EXPECT_EQ(daemon.Handle({"GET", "/v1/healthz", {}, {}, ""}).status, 200);
   EXPECT_EQ(daemon.Handle({"GET", "/v1/info", {}, {}, ""}).status, 200);
+  daemon.Stop();
+}
+
+// A 400 body is the caller's error in the caller's terms: the field and the
+// value, never a source path or a C++ condition.
+TEST(DaemonHttpTest, BadRequestBodiesNameTheFieldNotTheSource) {
+  DaemonOptions options;
+  options.state_dir = FreshStateDir("bad_request");
+  options.port = 0;
+  Daemon daemon(options);
+  daemon.Start();
+  for (const char* body :
+       {R"({"threads": 1e300})", R"({"solver": {"wave_width": 0}})"}) {
+    const HttpResponse resp =
+        daemon.Handle({"POST", "/v1/campaigns", {}, {}, body});
+    EXPECT_EQ(resp.status, 400) << body;
+    EXPECT_NE(resp.body.find("job spec: "), std::string::npos) << resp.body;
+    EXPECT_EQ(resp.body.find(".cpp:"), std::string::npos) << resp.body;
+    EXPECT_EQ(resp.body.find("check failed"), std::string::npos) << resp.body;
+  }
+  daemon.Stop();
+}
+
+// Keys a spec no longer carries are accepted and dropped: the job is queued
+// and neither the journal nor the job view repeats them.
+TEST(DaemonHttpTest, SubmitAcceptsAndDropsKeysASpecNoLongerCarries) {
+  DaemonOptions options;
+  options.state_dir = FreshStateDir("dropped_keys");
+  options.port = 0;
+  Daemon daemon(options);
+  daemon.Start();
+  const HttpResponse submit = daemon.Handle(
+      {"POST", "/v1/campaigns", {}, {}, R"({
+        "functionals": "lda", "conditions": "EC1", "quiet": true,
+        "cache": "/nonexistent/x.json", "checkpoint": "/etc/passwd",
+        "verifier": {"budget_seconds": 0}, "solver": {"max_nodes": 50},
+        "runtime": {"backoff_initial_seconds": 99,
+                    "quarantine_cooldown_epochs": 7}})"});
+  ASSERT_EQ(submit.status, 201) << submit.body;
+  const HttpResponse view =
+      daemon.Handle({"GET", "/v1/campaigns/j1", {}, {}, ""});
+  ASSERT_EQ(view.status, 200);
+  std::string journal;
+  ASSERT_TRUE(support::ReadFileToString(options.state_dir + "/queue.json",
+                                        &journal));
+  for (const std::string& text : {view.body, journal})
+    for (const char* dropped : {"/etc/passwd", "/nonexistent", "\"quiet\"",
+                                "\"runtime\"", "backoff"})
+      EXPECT_EQ(text.find(dropped), std::string::npos) << dropped;
   daemon.Stop();
 }
 
