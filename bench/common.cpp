@@ -1,9 +1,11 @@
 #include "common.h"
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <optional>
 #include <utility>
 
 #include "api/job_spec.h"
@@ -12,6 +14,10 @@
 namespace xcv::bench {
 
 namespace {
+
+// XCV_PB_GRID's range: an axis needs two points (its step divides by
+// n - 1), and 1000 x 1000 x 9 is already a 9M-point grid per panel.
+constexpr std::int64_t kMaxPbGrid = 1000;
 
 // Each override and the `xcv` flag it is parsed as.
 constexpr std::pair<const char*, const char*> kEnvFlags[] = {
@@ -49,17 +55,24 @@ campaign::CampaignOptions BenchOptions() {
 }
 
 gridsearch::PbOptions BenchPbOptions() {
-  gridsearch::PbOptions o;
-  // XCV_PB_GRID is no flag: an unset, unparseable or non-positive value
-  // keeps the default.
-  std::size_t n = 150;
-  if (const char* value = std::getenv("XCV_PB_GRID"); value != nullptr) {
-    char* end = nullptr;
-    const double parsed = std::strtod(value, &end);
-    if (end != value && parsed > 0.0) n = static_cast<std::size_t>(parsed);
+  // XCV_PB_GRID is no flag, but is checked as the integer flags are.
+  std::int64_t n = 150;
+  if (const char* value = std::getenv("XCV_PB_GRID");
+      value != nullptr && *value) {
+    try {
+      const std::optional<double> parsed = json::DecimalToDouble(value);
+      XCV_CHECK_MSG(parsed.has_value(),
+                    "XCV_PB_GRID needs a number, got '" << value << "'");
+      n = json::CheckedInteger(*parsed, 2, kMaxPbGrid, "XCV_PB_GRID");
+    } catch (const InternalError& e) {
+      std::fprintf(stderr, "bench: bad XCV_PB_GRID override: %s\n",
+                   e.what());
+      std::exit(2);
+    }
   }
-  o.n_rs = n;
-  o.n_s = n;
+  gridsearch::PbOptions o;
+  o.n_rs = static_cast<std::size_t>(n);
+  o.n_s = static_cast<std::size_t>(n);
   o.n_alpha = 9;
   return o;
 }
@@ -105,6 +118,7 @@ std::vector<std::vector<PairRun>> RunMatrix(
 
 void PrintHeader(const std::string& title, const std::string& paper_ref) {
   const verifier::VerifierOptions v = BenchOptions().verifier;
+  BenchPbOptions();  // checks XCV_PB_GRID too, before the first output
   char budget[32] = "unlimited";
   if (std::isfinite(v.total_time_budget_seconds))
     std::snprintf(budget, sizeof budget, "%gs", v.total_time_budget_seconds);

@@ -14,7 +14,8 @@
 //   XCV_THREADS          --threads: campaign workers on the shared pool
 //   XCV_CACHE            --cache's default: a persistent verdict cache;
 //                        repeated runs replay decided boxes (same reports)
-//   XCV_PB_GRID          (no flag) PB baseline grid points per axis (150)
+//   XCV_PB_GRID          (no flag) PB baseline grid points per axis, an
+//                        integer in [2, 1000] (150); a bad value exits 2
 //
 // All verification runs go through the campaign engine (src/campaign/):
 // RunPair is a one-pair campaign, RunMatrix interleaves a whole matrix of
@@ -36,7 +37,8 @@ namespace xcv::bench {
 /// overrides applied as flags (see header comment). Exits 2 on a bad value.
 campaign::CampaignOptions BenchOptions();
 
-/// Bench-scale PB options.
+/// Bench-scale PB options: XCV_PB_GRID points per rs and s axis. Exits 2
+/// on a bad value.
 gridsearch::PbOptions BenchPbOptions();
 
 /// Result of one DFA-condition pair run.
@@ -61,7 +63,8 @@ std::vector<std::vector<PairRun>> RunMatrix(
     const campaign::CampaignOptions& options, const char* progress_tag);
 
 /// Banner line used by all bench binaries; it shows the BenchOptions() in
-/// force, so a bad override stops the binary here, before any work.
+/// force and checks BenchPbOptions(), so a bad override stops the binary
+/// here, before any output or work.
 void PrintHeader(const std::string& title, const std::string& paper_ref);
 
 }  // namespace xcv::bench

@@ -76,12 +76,11 @@ void ValidateJobSpec(const JobSpec& spec) {
 // ---- Flags ------------------------------------------------------------------
 
 double ParseFlagDouble(const std::string& key, const std::string& value) {
-  char* end = nullptr;
-  const double v = std::strtod(value.c_str(), &end);
-  XCV_CHECK_MSG(end != value.c_str() && *end == '\0' && v >= 0.0,
+  const std::optional<double> v = json::DecimalToDouble(value);
+  XCV_CHECK_MSG(v.has_value() && *v >= 0.0,
                 "--" << key << " needs a non-negative number, got '" << value
                      << "'");
-  return v;
+  return *v;
 }
 
 std::int64_t ParseFlagInteger(const std::string& key, const std::string& value,

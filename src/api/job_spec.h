@@ -117,6 +117,8 @@ void RejectUnknownFlags(const std::map<std::string, std::string>& flags,
 
 /// The checked flag parser: `--key`'s value as a non-negative number, or an
 /// integer in [lo, hi] checked before it is narrowed; a named error else.
+/// Numbers are decimal (json::DecimalToDouble): hex, "inf", "nan" and
+/// blanks are errors, and ".05" reads as 0.05.
 /// FlagDouble/FlagInteger read `flags[key]`, or `fallback` when absent.
 double ParseFlagDouble(const std::string& key, const std::string& value);
 std::int64_t ParseFlagInteger(const std::string& key, const std::string& value,

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdio>
-#include <cstdlib>
+#include <charconv>
+#include <optional>
 #include <utility>
 
 #include "expr/optimize.h"
@@ -169,19 +169,19 @@ std::string VerdictCache::ToJsonLocked() const {
   out += "  \"version\": 1,\n";
   out += "  \"schema_version\": 1,\n";
   out += "  \"entries\": [";
-  char buf[32];
+  char buf[20];  // the longest uint64_t, 20 digits
   std::size_t i = 0;
   ForEachLocked([&](std::uint64_t scope, std::span<const Interval> box,
                     const CachedVerdict& verdict) {
     if (i++) out += ',';
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(scope));
     out += "\n    {\"scope\": \"";
-    out += buf;
+    json::AppendHex64(out, scope);
     out += "\", \"box\": ";
     solver::AppendBoxJson(out, box);
-    out += ", \"kind\": \"" + CachedKindToken(verdict.kind) + "\"";
-    out += ", \"nodes\": " + std::to_string(verdict.nodes);
+    out += ", \"kind\": \"";
+    out += CachedKindToken(verdict.kind);
+    out += "\", \"nodes\": ";
+    out.append(buf, std::to_chars(buf, buf + sizeof(buf), verdict.nodes).ptr);
     if (!verdict.model.empty()) {
       out += ", \"model\": ";
       solver::AppendPointJson(out, verdict.model);
@@ -234,10 +234,10 @@ support::DocumentParsers VerdictCache::Parsers(Buckets& staged,
               switch (field) {
                 case kScope: {
                   cursor.String(&text);
-                  char* end = nullptr;
-                  e.scope = std::strtoull(text.c_str(), &end, 16);
-                  XCV_CHECK_MSG(end != text.c_str() && *end == '\0',
+                  const std::optional<std::uint64_t> scope = json::Hex64(text);
+                  XCV_CHECK_MSG(scope.has_value(),
                                 "bad cache scope '" << text << "'");
+                  e.scope = *scope;
                   break;
                 }
                 case kBox: e.box = solver::BoxFromJson(cursor); break;

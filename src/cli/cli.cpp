@@ -270,9 +270,8 @@ bool RejectPositionals(const ParsedArgs& args) {
   return true;
 }
 
-/// Flags every command accepts: process-wide fault arming (Main) and trace
-/// capture (TraceSession).
-const std::vector<std::string> kGlobalFlags = {"faults", "trace"};
+/// Flags every command accepts: process-wide fault arming (Main).
+const std::vector<std::string> kGlobalFlags = {"faults"};
 
 /// The usage-error gate of a command that builds no job spec: `keys` are the
 /// flags it reads itself (api::RejectUnknownFlags).
@@ -285,9 +284,10 @@ void CheckFlags(const ParsedArgs& args, std::vector<std::string> keys) {
 /// defaults, or a checkpoint's recorded options on resume) and validates
 /// it — the one option-assembly path, shared with the daemon (src/api/).
 /// `command_flags` lists the keys this command consumes itself (resume's
-/// heartbeat, coordinate's fleet knobs); every command that runs or deals a
-/// campaign also reads --quiet. Anything else unrecognized is a usage error
-/// with a nearest-flag suggestion (api::ApplyFlags).
+/// heartbeat, coordinate's fleet knobs, --trace where a TraceSession reads
+/// it); every command that runs or deals a campaign also reads --quiet.
+/// Anything else unrecognized is a usage error with a nearest-flag
+/// suggestion (api::ApplyFlags).
 api::JobSpec SpecFromFlags(const ParsedArgs& args, api::JobSpec base,
                            std::vector<std::string> command_flags = {}) {
   command_flags.insert(command_flags.end(), kGlobalFlags.begin(),
@@ -298,7 +298,8 @@ api::JobSpec SpecFromFlags(const ParsedArgs& args, api::JobSpec base,
   return base;
 }
 
-/// RAII trace capture for one command run: arms the global recorder when
+/// RAII trace capture for one command run (verify, resume and coordinate,
+/// the commands that take --trace): arms the global recorder when
 /// --trace=FILE (or XCV_TRACE=FILE) names an output, writes the Chrome
 /// trace_event JSON there on scope exit — including the exception path, so
 /// a crashed run still leaves its timeline behind. XCV_TRACE_CLOCK=fixed
@@ -391,7 +392,8 @@ int RenderResult(const CampaignResult& result, const CampaignOptions& options,
 
 int CmdVerify(const ParsedArgs& args) {
   if (RejectPositionals(args)) return 2;
-  const api::JobSpec spec = SpecFromFlags(args, api::DefaultJobSpec());
+  const api::JobSpec spec =
+      SpecFromFlags(args, api::DefaultJobSpec(), {"trace"});
   TraceSession trace(args);
   const api::OutputPolicy policy =
       api::ResolveOutput(spec.output, args.flags.count("quiet") > 0,
@@ -423,8 +425,8 @@ int CmdResume(const ParsedArgs& args) {
   // Flags override the checkpointed run configuration (e.g. more threads).
   api::JobSpec base = api::DefaultJobSpec();
   base.options = cp.options;
-  const api::JobSpec spec =
-      SpecFromFlags(args, std::move(base), {"heartbeat", "heartbeat-stream"});
+  const api::JobSpec spec = SpecFromFlags(
+      args, std::move(base), {"heartbeat", "heartbeat-stream", "trace"});
   TraceSession trace(args);
   CampaignOptions options = spec.options;
   if (options.checkpoint_path.empty()) options.checkpoint_path = it->second;
@@ -649,7 +651,7 @@ int CmdCoordinate(const ParsedArgs& args) {
       args, {"shards", "by", "nodes", "work-dir", "rebalance-epoch", "lease",
              "max-epochs", "cache-dir", "xcv-bin", "fault-node",
              "max-retries", "preemptible", "quarantine-after",
-             "launch-timeout"});
+             "launch-timeout", "trace"});
   std::error_code ec;
   std::filesystem::create_directories(copts.work_dir, ec);
   XCV_CHECK_MSG(!ec, "cannot create --work-dir '" << copts.work_dir

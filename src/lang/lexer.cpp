@@ -1,8 +1,11 @@
 #include "lang/lexer.h"
 
 #include <cctype>
-#include <cstdlib>
+#include <optional>
 #include <sstream>
+#include <string_view>
+
+#include "support/json.h"
 
 namespace xcv::lang {
 
@@ -59,12 +62,22 @@ std::vector<Token> Tokenize(const std::string& source) {
     if (std::isdigit(static_cast<unsigned char>(c)) ||
         (c == '.' && i + 1 < n &&
          std::isdigit(static_cast<unsigned char>(source[i + 1])))) {
-      const char* begin = source.c_str() + i;
-      char* end = nullptr;
-      const double value = std::strtod(begin, &end);
-      if (end == begin) Fail(line, column, "malformed number");
-      const auto len = static_cast<std::size_t>(end - begin);
-      push(TokenKind::kNumber, source.substr(i, len), value);
+      // The literal is the decimal the scan reads; a letter, digit, '_' or
+      // '.' right after it (0x1p3, 2x, 1e, 1.5.2) makes the whole run
+      // malformed rather than a number followed by something else.
+      const std::string_view rest = std::string_view(source).substr(i);
+      const std::size_t len = json::DecimalLength(rest);
+      std::size_t run = len;
+      while (run < rest.size() &&
+             (std::isalnum(static_cast<unsigned char>(rest[run])) ||
+              rest[run] == '_' || rest[run] == '.'))
+        ++run;
+      const std::string literal(rest.substr(0, run));
+      if (run > len) Fail(line, column, "malformed number '" + literal + "'");
+      const std::optional<double> value = json::DecimalToDouble(literal);
+      if (!value)
+        Fail(line, column, "number '" + literal + "' overflows a double");
+      push(TokenKind::kNumber, literal, *value);
       advance(len);
       continue;
     }

@@ -1,9 +1,9 @@
 #include "service/daemon.h"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <limits>
 #include <system_error>
@@ -254,8 +254,12 @@ support::LoadOutcome Daemon::LoadJournal() {
     // Keep next_id_ ahead of every recovered id even if the header's
     // counter was lost to a torn write.
     if (job->id.size() > 1 && job->id[0] == 'j') {
-      const std::uint64_t n = std::strtoull(job->id.c_str() + 1, nullptr, 10);
-      next_id_ = std::max(next_id_, n + 1);
+      const char* const id_end = job->id.data() + job->id.size();
+      std::uint64_t n = 0;
+      const auto [stop, ec] = std::from_chars(job->id.data() + 1, id_end, n);
+      if (ec == std::errc() && stop == id_end &&
+          n < std::numeric_limits<std::uint64_t>::max())
+        next_id_ = std::max(next_id_, n + 1);
     }
     jobs_.push_back(std::move(job));
   };

@@ -106,7 +106,7 @@ void AppendPointJson(std::string& out, std::span<const double> point) {
   out += '[';
   for (std::size_t i = 0; i < point.size(); ++i) {
     if (i) out += ',';
-    out += json::JsonDouble(point[i]);
+    json::AppendDouble(out, point[i]);
   }
   out += ']';
 }

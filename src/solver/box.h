@@ -77,7 +77,7 @@ inline bool BoxBitsLess(std::span<const Interval> a,
 
 // ---- JSON codec -------------------------------------------------------------
 // The box form [[lo,hi],...] and the point form [x,...] that checkpoints and
-// verdict caches share (support/json.h doubles: %.17g, quoted non-finite).
+// verdict caches share (json::AppendDouble: %.17g, quoted non-finite).
 
 void AppendPointJson(std::string& out, std::span<const double> point);
 void AppendBoxJson(std::string& out, std::span<const Interval> dims);

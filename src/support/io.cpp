@@ -16,6 +16,7 @@
 
 #include "support/check.h"
 #include "support/fault.h"
+#include "support/json.h"
 
 namespace xcv::support {
 
@@ -148,10 +149,9 @@ namespace {
 constexpr const char kChecksumField[] = "\"checksum\": \"";
 
 std::string HexChecksum(std::uint64_t h) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(h));
-  return buf;
+  std::string hex;
+  json::AppendHex64(hex, h);
+  return hex;
 }
 
 }  // namespace

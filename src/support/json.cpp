@@ -1,22 +1,127 @@
 #include "support/json.h"
 
+#include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <limits>
 
 #include "support/check.h"
 
 namespace xcv::json {
 
-std::string JsonDouble(double v) {
-  if (std::isnan(v)) return "\"nan\"";
-  if (std::isinf(v)) return v > 0 ? "\"inf\"" : "\"-inf\"";
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
+// ---- Numbers ----------------------------------------------------------------
+
+void AppendDouble(std::string& out, double v) {
+  if (std::isnan(v)) {
+    out += "\"nan\"";
+  } else if (std::isinf(v)) {
+    out += v > 0 ? "\"inf\"" : "\"-inf\"";
+  } else {
+    char buf[32];  // the longest is "-2.2250738585072014e-308", 24 bytes
+    const auto end =
+        std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::general,
+                      17)
+            .ptr;
+    out.append(buf, end);
+  }
 }
+
+std::string JsonDouble(double v) {
+  std::string out;
+  AppendDouble(out, v);
+  return out;
+}
+
+namespace {
+
+// The end of the run of digits that starts at `i`.
+std::size_t Digits(std::string_view text, std::size_t i) {
+  while (i < text.size() && text[i] >= '0' && text[i] <= '9') ++i;
+  return i;
+}
+
+// std::from_chars reports a literal below the least subnormal and one beyond
+// the largest double alike. Only the first is below 1, which the decimal
+// exponent of its leading nonzero digit tells (the exponent part saturated).
+bool BelowOne(std::string_view literal) {
+  const std::size_t mantissa_end =
+      std::min(literal.find_first_of("eE"), literal.size());
+  const std::size_t point = std::min(literal.find('.'), mantissa_end);
+  // A literal out of range has a nonzero digit in its mantissa.
+  const std::size_t first = literal.find_first_of("123456789");
+  std::int64_t lead = static_cast<std::int64_t>(point) -
+                      static_cast<std::int64_t>(first) - (first < point);
+  if (mantissa_end < literal.size()) {
+    std::size_t j = mantissa_end + 1;
+    const bool negative = literal[j] == '-';
+    j += literal[j] == '-' || literal[j] == '+';
+    std::int64_t exponent = 0;
+    for (; j < literal.size(); ++j)
+      exponent = std::min<std::int64_t>(exponent * 10 + (literal[j] - '0'),
+                                        std::int64_t{1} << 40);
+    lead += negative ? -exponent : exponent;
+  }
+  return lead < 0;
+}
+
+// Converts `literal`, a whole decimal literal some grammar above accepted,
+// so that only range can fail. Nullopt means it overflows a double.
+std::optional<double> Convert(std::string_view literal) {
+  double value = 0.0;
+  const auto [end, ec] =
+      std::from_chars(literal.data(), literal.data() + literal.size(), value);
+  if (ec == std::errc::result_out_of_range) {
+    if (!BelowOne(literal)) return std::nullopt;
+    return literal[0] == '-' ? -0.0 : 0.0;
+  }
+  XCV_CHECK(ec == std::errc() && end == literal.data() + literal.size());
+  return value;
+}
+
+}  // namespace
+
+std::size_t DecimalLength(std::string_view text) {
+  const std::size_t start = !text.empty() && text[0] == '-' ? 1 : 0;
+  std::size_t end = Digits(text, start);
+  std::size_t digits = end - start;
+  if (end < text.size() && text[end] == '.') {
+    const std::size_t point = end;
+    end = Digits(text, point + 1);
+    digits += end - point - 1;
+  }
+  if (digits == 0) return 0;
+  if (end < text.size() && (text[end] == 'e' || text[end] == 'E')) {
+    std::size_t j = end + 1;
+    if (j < text.size() && (text[j] == '+' || text[j] == '-')) ++j;
+    const std::size_t exp_end = Digits(text, j);
+    if (exp_end > j) end = exp_end;
+  }
+  return end;
+}
+
+std::optional<double> DecimalToDouble(std::string_view text) {
+  if (text.empty() || DecimalLength(text) != text.size()) return std::nullopt;
+  return Convert(text);
+}
+
+void AppendHex64(std::string& out, std::uint64_t v) {
+  char buf[16];
+  char* const end = std::to_chars(buf, buf + sizeof(buf), v, 16).ptr;
+  out.append(16 - static_cast<std::size_t>(end - buf), '0');
+  out.append(buf, end);
+}
+
+std::optional<std::uint64_t> Hex64(std::string_view text) {
+  std::uint64_t v = 0;
+  const char* const end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, v, 16);
+  if (ec != std::errc() || stop != end) return std::nullopt;
+  return v;
+}
+
+// ---- Writer and values ------------------------------------------------------
 
 std::string JsonEscape(const std::string& s) {
   std::string out = "\"";
@@ -199,8 +304,9 @@ void Cursor::String(std::string* out) {
 }
 
 // RFC 8259 numbers only, -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?;
-// strtod alone would also take inf, nan, hex, and a leading '+' or '.'.
-// The text is a std::string's, so the scan stops at its closing NUL.
+// std::from_chars alone would also take inf, nan, and a leading '.', and
+// stop inside "01" or "0x10". The text is a std::string's, so the scan
+// stops at its closing NUL.
 double Cursor::ReadNumber() {
   Peek();
   const char* const begin = text_.data() + pos_;
@@ -229,15 +335,12 @@ double Cursor::ReadNumber() {
   XCV_CHECK_MSG(ok && !std::isalnum(static_cast<unsigned char>(*p)) &&
                     *p != '.' && *p != '+' && *p != '-',
                 "bad JSON number at offset " << pos_);
-  // strtod converts exactly the checked span: the byte after it cannot
-  // continue a number.
-  char* end = nullptr;
-  const double value = std::strtod(begin, &end);
-  XCV_CHECK(end == p);
-  XCV_CHECK_MSG(std::isfinite(value),
+  const std::optional<double> value =
+      Convert({begin, static_cast<std::size_t>(p - begin)});
+  XCV_CHECK_MSG(value.has_value(),
                 "JSON number at offset " << pos_ << " overflows a double");
   pos_ += static_cast<std::size_t>(p - begin);
-  return value;
+  return *value;
 }
 
 double Cursor::Number() {

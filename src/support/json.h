@@ -10,9 +10,14 @@
 //     double is an error (subnormal underflow is kept).
 // No external JSON dependency: the writer helpers and the one reader, a
 // pull cursor (Cursor below), live in json.cpp.
+//
+// The number codec below is also the one `xcv` flags and XCLang literals
+// convert through: std::to_chars and std::from_chars, exact and
+// independent of the C locale.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -20,8 +25,34 @@
 
 namespace xcv::json {
 
-/// %.17g for finite values; "inf"/"-inf"/"nan" (quoted) otherwise.
+// ---- Numbers ----------------------------------------------------------------
+
+/// Appends `v` as documents spell it: the bytes of printf's %.17g for a
+/// finite value (std::to_chars in general form at precision 17, which the
+/// standard defines as %.17g), else the quoted "inf"/"-inf"/"nan".
+void AppendDouble(std::string& out, double v);
+/// AppendDouble into a new string.
 std::string JsonDouble(double v);
+
+/// Length of the decimal literal at the front of `text`, 0 when none starts
+/// there: -?(D+(\.D*)?|\.D+)([eE][+-]?D+)? with D a digit, so an exponent
+/// marker without digits is left out. Flags and XCLang literals use this
+/// grammar; JSON's (Cursor) is the narrower RFC 8259 one.
+std::size_t DecimalLength(std::string_view text);
+
+/// `text` as a double when the whole of it is one decimal literal
+/// (DecimalLength): the value strtod gives it, exactly rounded. A nonzero
+/// literal below the least subnormal reads as a zero of its sign, as with
+/// strtod. Hex, "inf", "nan", blanks and a value beyond the largest double
+/// give nullopt.
+std::optional<double> DecimalToDouble(std::string_view text);
+
+/// Appends `v` as 16 lowercase hex digits (printf's %016llx).
+void AppendHex64(std::string& out, std::uint64_t v);
+/// The inverse of AppendHex64: hex digits of either case whose value fits
+/// 64 bits, and nothing else (no sign, "0x" or blanks); nullopt otherwise.
+std::optional<std::uint64_t> Hex64(std::string_view text);
+
 std::string JsonEscape(const std::string& s);
 
 /// Parsed JSON value (tree of vectors; objects keep insertion order).

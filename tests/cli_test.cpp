@@ -3,6 +3,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -104,8 +105,8 @@ TEST(Cli, UnknownFlagWithoutANearMissStillNamesTheFlag) {
 }
 
 TEST(Cli, ExtraAllowedKeysPassTheStrictnessCheck) {
-  // Command-consumed keys (resume's heartbeat, the global trace flag) are
-  // declared by the caller and pass through untouched.
+  // Command-consumed keys (resume's heartbeat and trace flags) are declared
+  // by the caller and pass through untouched.
   api::JobSpec spec = api::DefaultJobSpec();
   EXPECT_NO_THROW(api::ApplyFlags({{"heartbeat", "/tmp/hb"}}, spec,
                                   {"heartbeat", "trace"}));
@@ -158,6 +159,59 @@ TEST(Cli, UsageErrorsPrintTheMessageAlone) {
   std::string err;
   EXPECT_EQ(RunXcv({"verify", "--threads=abc"}, &err), 2);
   EXPECT_EQ(err, "xcv: --threads needs a non-negative number, got 'abc'\n");
+}
+
+// Flag numbers are decimal: strtod's hex, infinities and leading blanks,
+// which used to run (--solver-nodes=0x10 as 16 nodes, --budget-seconds=inf
+// as no budget), are usage errors naming the flag; ".05" still parses.
+TEST(Cli, FlagNumbersAreDecimal) {
+  for (const auto& [flag, value] :
+       {std::pair<std::string, std::string>{"solver-nodes", "0x10"},
+        {"budget-seconds", "inf"},
+        {"threads", " 4"},
+        {"delta", "nan"},
+        {"split-threshold", "1e400"},
+        {"wave-width", "+8"}}) {
+    std::string err;
+    EXPECT_EQ(RunXcv({"verify", "--functionals=lda", "--conditions=EC1",
+                      "--" + flag + "=" + value},
+                     &err),
+              2);
+    EXPECT_EQ(err, "xcv: --" + flag + " needs a non-negative number, got '" +
+                       value + "'\n");
+  }
+  api::JobSpec spec = api::DefaultJobSpec();
+  api::ApplyFlags({{"split-threshold", ".05"}, {"delta", "2.e-3"}}, spec);
+  EXPECT_EQ(spec.options.verifier.split_threshold, 0.05);
+  EXPECT_EQ(spec.options.verifier.solver.delta, 2e-3);
+}
+
+// --trace belongs to the commands that record a trace (verify, resume,
+// coordinate); every other command refuses it rather than ignore it.
+TEST(Cli, TraceIsAcceptedOnlyWhereItRecords) {
+  const std::string trace = ::testing::TempDir() + "xcv_trace_flag.json";
+  const std::string flag = "--trace=" + trace;
+  for (const std::vector<std::string>& args :
+       {std::vector<std::string>{"list", flag},
+        {"info", flag},
+        {"shard", flag, "--functionals=lda", "--conditions=EC1",
+         "--out-dir=" + ::testing::TempDir() + "xcv_trace_shards"},
+        {"merge", flag, "/nonexistent/s.json"},
+        {"cache-stats", flag, "/nonexistent/c.json"}}) {
+    std::string err;
+    EXPECT_EQ(RunXcv(args, &err), 2) << args.front();
+    EXPECT_NE(err.find("unknown flag --trace"), std::string::npos) << err;
+    EXPECT_FALSE(std::filesystem::exists(trace)) << args.front();
+  }
+  std::string err;
+  EXPECT_EQ(RunXcv({"verify", "--functionals=lda", "--conditions=EC1",
+                    "--solver-nodes=50", "--split-threshold=2", "--quiet",
+                    flag},
+                   &err),
+            0)
+      << err;
+  EXPECT_TRUE(std::filesystem::exists(trace));
+  std::remove(trace.c_str());
 }
 
 // Every command checks its flags, not only the ones that build a job spec.

@@ -1,4 +1,6 @@
 #include <cmath>
+#include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -59,6 +61,41 @@ TEST(Lexer, RejectsUnknownCharacter) {
   } catch (const ParseError& e) {
     EXPECT_NE(std::string(e.what()).find("2:3"), std::string::npos);
   }
+}
+
+// Literals are decimal and convert through the document codec: strtod's
+// hex floats and an overflow to infinity are errors naming the literal,
+// and so is a literal run into letters, digits or a second point.
+TEST(Lexer, NumbersAreDecimalAndFinite) {
+  for (const auto& [source, literal] :
+       {std::pair<const char*, const char*>{"1e999", "1e999"},
+        {"x + 0x1p3", "0x1p3"},
+        {"2x", "2x"},
+        {"1e + 2", "1e"},
+        {"1.5.2", "1.5.2"},
+        {"1_0", "1_0"}}) {
+    try {
+      Tokenize(source);
+      FAIL() << "tokenized " << source;
+    } catch (const ParseError& e) {
+      EXPECT_NE(std::string(e.what()).find("'" + std::string(literal) + "'"),
+                std::string::npos)
+          << source << ": " << e.what();
+    }
+  }
+  for (const auto& [source, value] :
+       {std::pair<const char*, double>{".5", 0.5}, {"2.", 2.0},
+        {"2.5e-1", 0.25}, {"2.e2", 200.0}, {"1e-400", 0.0}}) {
+    const auto tokens = Tokenize(source);
+    ASSERT_EQ(tokens.size(), 2u) << source;
+    EXPECT_EQ(tokens[0].kind, TokenKind::kNumber) << source;
+    EXPECT_EQ(tokens[0].text, source);
+    EXPECT_EQ(tokens[0].number, value) << source;
+  }
+  const auto tokens = Tokenize("3*x+1e-3");
+  ASSERT_EQ(tokens.size(), 6u);
+  EXPECT_EQ(tokens[0].number, 3.0);
+  EXPECT_EQ(tokens[4].number, 1e-3);
 }
 
 TEST(Parser, PrecedenceAndAssociativity) {
