@@ -42,9 +42,9 @@ std::size_t DecimalLength(std::string_view text);
 
 /// `text` as a double when the whole of it is one decimal literal
 /// (DecimalLength): the value strtod gives it, exactly rounded. A nonzero
-/// literal below the least subnormal reads as a zero of its sign, as with
-/// strtod. Hex, "inf", "nan", blanks and a value beyond the largest double
-/// give nullopt.
+/// literal too small to round to the least subnormal reads as a zero of its
+/// sign, as with strtod. Hex, "inf", "nan", blanks and a value beyond the
+/// largest double give nullopt.
 std::optional<double> DecimalToDouble(std::string_view text);
 
 /// Appends `v` as 16 lowercase hex digits (printf's %016llx).
