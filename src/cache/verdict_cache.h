@@ -22,22 +22,25 @@
 // call's hits in one interval sweep before trusting them (defense against
 // scope-hash collisions and stale files; see DeltaSolver::CheckMany).
 //
-// Thread-safe: one mutex around the map. On disk it is a support/document.h
-// document, so a corrupt, truncated or missing file degrades to a salvaged
-// or empty (cold) cache and never throws out of Load. A change generation
-// lets owners skip rewriting a file that already holds every entry
-// (SaveIfChanged).
+// Thread-safe: one mutex around one std::map ordered by (scope, box bit
+// patterns), which is also the file's entry order. On disk it is a
+// support/document.h document, so a corrupt, truncated or missing file
+// degrades to a salvaged or empty (cold) cache and never throws out of
+// Load. A change generation lets owners skip rewriting a file that already
+// holds every entry (SaveIfChanged).
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <mutex>
 #include <span>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "interval/interval.h"
+#include "solver/box.h"
 #include "support/document.h"
 
 namespace xcv::cache {
@@ -60,6 +63,20 @@ struct CachedVerdict {
 
 class VerdictCache {
  public:
+  /// An entry's key as stored: (scope, box endpoints).
+  using Key = std::pair<std::uint64_t, std::vector<Interval>>;
+  /// A key as looked up, without copying the box.
+  using KeyView = std::pair<std::uint64_t, std::span<const Interval>>;
+  /// Scope first, then solver::BoxBitsLess: the canonical file order.
+  /// Transparent, so Keys are found by KeyView.
+  struct KeyLess {
+    using is_transparent = void;
+    bool operator()(KeyView a, KeyView b) const {
+      if (a.first != b.first) return a.first < b.first;
+      return solver::BoxBitsLess{}(a.second, b.second);
+    }
+  };
+
   VerdictCache() = default;
   /// Retires this cache's entries from the process-wide
   /// xcv_cache_store_entries gauge (src/obs/metrics.h).
@@ -83,10 +100,10 @@ class VerdictCache {
   /// (src/shard/merge.cpp) to reject-and-drop conflicting entries.
   bool Erase(std::uint64_t scope, std::span<const Interval> box);
 
-  /// Calls `fn` once per entry, in the same canonical (scope, then box bit
-  /// patterns) order ToJson serializes — so unions and statistics built from
-  /// the visit are deterministic. The mutex is held for the whole walk; `fn`
-  /// must not call back into this cache.
+  /// Calls `fn` once per entry, in key order (KeyLess), the order ToJson
+  /// serializes — so unions and statistics built from the visit are
+  /// deterministic. The mutex is held for the whole walk; `fn` must not call
+  /// back into this cache.
   void ForEach(const std::function<void(std::uint64_t scope,
                                         std::span<const Interval> box,
                                         const CachedVerdict& verdict)>& fn)
@@ -94,18 +111,19 @@ class VerdictCache {
 
   std::size_t size() const;
 
-  /// Serializes every entry as one JSON document, entries in a canonical
-  /// order (scope, then box lexicographically) so equal caches produce
-  /// byte-identical files.
+  /// Serializes every entry as one JSON document, entries in key order, so
+  /// equal caches produce byte-identical files.
   std::string ToJson() const;
 
-  /// Replaces the contents with the entries parsed from `json_text`.
-  /// Returns false (leaving the cache empty) on malformed input.
+  /// Replaces the contents with the entries parsed from `json_text`; a key
+  /// the text repeats keeps its first entry. Returns false (leaving the
+  /// cache empty) on malformed input.
   bool FromJson(const std::string& json_text);
 
-  /// Loads `path` under the support/document.h policy. Returns true when
-  /// the cache came back warm (a clean load, or a salvage that recovered at
-  /// least one entry). Fills `*outcome` when non-null.
+  /// Loads `path` under the support/document.h policy, keeping the first
+  /// entry of a repeated key as FromJson does. Returns true when the cache
+  /// came back warm (a clean load, or a salvage that recovered at least one
+  /// entry). Fills `*outcome` when non-null.
   bool Load(const std::string& path, support::LoadOutcome* outcome = nullptr);
 
   /// Writes the cache to `path` durably and atomically (temp file + fsync
@@ -123,31 +141,18 @@ class VerdictCache {
   bool SaveIfChanged(const std::string& path) const;
 
  private:
-  struct Entry {
-    std::uint64_t scope = 0;
-    std::vector<Interval> box;
-    CachedVerdict verdict;
-  };
-  using Buckets = std::unordered_map<std::uint64_t, std::vector<Entry>>;
+  using Entries = std::map<Key, CachedVerdict, KeyLess>;
 
-  static std::uint64_t MapKey(std::uint64_t scope,
-                              std::span<const Interval> box);
   /// Document parsers that stage entries (never a half-loaded cache).
-  static support::DocumentParsers Parsers(Buckets& staged, std::size_t& count);
+  static support::DocumentParsers Parsers(Entries& staged);
   /// Replaces every entry with `staged` (one change); `persisted` records
   /// that a file holds exactly these entries.
-  void Install(Buckets staged, std::size_t count, bool persisted);
-  void ForEachLocked(
-      const std::function<void(std::uint64_t, std::span<const Interval>,
-                               const CachedVerdict&)>& fn) const;
+  void Install(Entries staged, bool persisted);
   std::string ToJsonLocked() const;
   void WriteFile(const std::string& path) const;  // save_mu_ held
 
   mutable std::mutex mu_;
-  // Buckets by combined (scope, box-bits) hash; entries inside a bucket are
-  // disambiguated by exact scope and box comparison.
-  Buckets entries_;
-  std::size_t count_ = 0;
+  Entries entries_;
   // Change generation (guarded by mu_): every change to the entries bumps
   // generation_; saved_generation_ is the generation the last clean Load or
   // successful Save put on disk. They differ while no file holds the

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <memory>
+#include <set>
 #include <span>
 #include <unordered_map>
 #include <utility>
@@ -171,7 +172,8 @@ Checkpoint MergeCheckpoints(std::vector<Checkpoint> shards,
 namespace {
 
 // Replayed verdicts must agree exactly, bit patterns included
-// (solver::SameDoubleBits/SameBoxBits — the verdict-cache key comparison).
+// (solver::SameDoubleBits/SameBoxBits, the identity of the verdict-cache
+// key order).
 bool SameVerdict(const cache::CachedVerdict& a,
                  const cache::CachedVerdict& b) {
   if (a.kind != b.kind || a.nodes != b.nodes) return false;
@@ -188,21 +190,14 @@ CacheMergeStats MergeCaches(const std::vector<const cache::VerdictCache*>& in,
   CacheMergeStats stats;
   // Conflicted keys stay dropped for the whole union, even when a third
   // input repeats one of the disagreeing verdicts — there is no way to tell
-  // which side was right without re-solving. Conflicts are rare (they mean
-  // a corrupted file or a scope-hash collision), so a flat list suffices.
-  std::vector<std::pair<std::uint64_t, std::vector<Interval>>> poisoned;
-  auto is_poisoned = [&poisoned](std::uint64_t scope,
-                                 std::span<const Interval> box) {
-    for (const auto& [pscope, pbox] : poisoned)
-      if (pscope == scope && solver::SameBoxBits(pbox, box)) return true;
-    return false;
-  };
+  // which side was right without re-solving.
+  std::set<cache::VerdictCache::Key, cache::VerdictCache::KeyLess> poisoned;
 
   for (const cache::VerdictCache* c : in) {
     if (c == nullptr) continue;
     c->ForEach([&](std::uint64_t scope, std::span<const Interval> box,
                    const cache::CachedVerdict& verdict) {
-      if (is_poisoned(scope, box)) {
+      if (poisoned.contains(cache::VerdictCache::KeyView{scope, box})) {
         ++stats.conflicts_dropped;
         return;
       }
@@ -212,8 +207,8 @@ CacheMergeStats MergeCaches(const std::vector<const cache::VerdictCache*>& in,
           ++stats.duplicates;
         } else {
           out->Erase(scope, box);
-          poisoned.emplace_back(scope,
-                                std::vector<Interval>(box.begin(), box.end()));
+          poisoned.emplace(scope,
+                           std::vector<Interval>(box.begin(), box.end()));
           stats.conflicts_dropped += 2;  // the stored entry and this one
         }
         return;

@@ -38,10 +38,11 @@ bool ContainsPoint(std::span<const Interval> dims,
 
 std::string BoxToString(std::span<const Interval> dims);
 
-// Bit-pattern box identity and order (-0.0 ≠ 0.0), the shared vocabulary of
-// every exact-replay key in the repo: verdict-cache lookups, shard-merge
-// leaf/frontier dedup. Deterministic splitting regenerates boxes bit-for-
-// bit, which is what makes these exact comparisons sound.
+// Bit-pattern box identity (-0.0 ≠ 0.0) and its order (BoxBitsLess, after
+// Box below), the shared vocabulary of every exact-replay key in the repo:
+// verdict-cache lookups, the shard cache union, shard-merge leaf/frontier
+// dedup. Deterministic splitting regenerates boxes bit-for-bit, which is
+// what makes these exact comparisons sound.
 
 /// True if `a` and `b` have identical bit patterns.
 inline bool SameDoubleBits(double a, double b) {
@@ -57,22 +58,6 @@ inline bool SameBoxBits(std::span<const Interval> a,
         !SameDoubleBits(a[i].hi(), b[i].hi()))
       return false;
   return true;
-}
-
-/// Strict total order on endpoint bit patterns (canonical entry order for
-/// serialized caches).
-inline bool BoxBitsLess(std::span<const Interval> a,
-                        std::span<const Interval> b) {
-  const std::size_t n = std::min(a.size(), b.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto alo = std::bit_cast<std::uint64_t>(a[i].lo());
-    const auto blo = std::bit_cast<std::uint64_t>(b[i].lo());
-    if (alo != blo) return alo < blo;
-    const auto ahi = std::bit_cast<std::uint64_t>(a[i].hi());
-    const auto bhi = std::bit_cast<std::uint64_t>(b[i].hi());
-    if (ahi != bhi) return ahi < bhi;
-  }
-  return a.size() < b.size();
 }
 
 // ---- JSON codec -------------------------------------------------------------
@@ -129,6 +114,32 @@ class Box {
 
  private:
   std::vector<Interval> dims_;
+};
+
+/// The one exact box key: a strict total order on endpoint bit patterns, so
+/// two boxes are equivalent exactly when SameBoxBits holds. Every container
+/// keyed by boxes orders by it: the verdict cache's entries (which makes it
+/// the cache file's order) and the shard merge's leaf and frontier dedup.
+/// Transparent: a stored interval vector compares with a span, no copy.
+struct BoxBitsLess {
+  using is_transparent = void;
+
+  bool operator()(std::span<const Interval> a,
+                  std::span<const Interval> b) const {
+    const std::size_t n = std::min(a.size(), b.size());
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto alo = std::bit_cast<std::uint64_t>(a[i].lo());
+      const auto blo = std::bit_cast<std::uint64_t>(b[i].lo());
+      if (alo != blo) return alo < blo;
+      const auto ahi = std::bit_cast<std::uint64_t>(a[i].hi());
+      const auto bhi = std::bit_cast<std::uint64_t>(b[i].hi());
+      if (ahi != bhi) return ahi < bhi;
+    }
+    return a.size() < b.size();
+  }
+  bool operator()(const Box& a, const Box& b) const {
+    return (*this)(a.dims(), b.dims());
+  }
 };
 
 // ---- Pooled frontier storage ------------------------------------------------

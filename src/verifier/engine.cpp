@@ -1,13 +1,12 @@
 #include "verifier/engine.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <limits>
-#include <unordered_map>
+#include <map>
+#include <set>
 #include <utility>
 
-#include "expr/optimize.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "support/check.h"
@@ -126,27 +125,9 @@ void CanonicalizeReport(VerificationReport& report) {
 }
 
 // ---- Report union (distributed shard merge) ---------------------------------
-
-namespace {
-
-// Endpoint identity for union dedup is bit-pattern identity (-0.0 ≠ 0.0) —
-// solver::SameBoxBits, the same comparison the verdict-cache keys use:
-// shard resumes regenerate the exact boxes the splitting arithmetic
-// produced.
-bool SameBoxBits(const Box& a, const Box& b) {
-  return solver::SameBoxBits(a.dims(), b.dims());
-}
-
-std::uint64_t BoxBitsHash(const Box& box) {
-  std::uint64_t h = expr::FnvMix(expr::kFnvOffset, box.size());
-  for (std::size_t i = 0; i < box.size(); ++i) {
-    h = expr::FnvMix(h, std::bit_cast<std::uint64_t>(box[i].lo()));
-    h = expr::FnvMix(h, std::bit_cast<std::uint64_t>(box[i].hi()));
-  }
-  return h;
-}
-
-}  // namespace
+// Leaves and open boxes are identified by solver::BoxBitsLess (-0.0 ≠ 0.0),
+// the verdict cache's box key: shard resumes regenerate the exact boxes the
+// splitting arithmetic produced.
 
 int RegionStatusPrecedence(RegionStatus status) {
   switch (status) {
@@ -168,75 +149,38 @@ std::size_t MergeReportInto(VerificationReport& into,
   into.seconds += from.seconds;
   for (auto& w : from.witnesses) into.witnesses.push_back(std::move(w));
 
-  std::unordered_map<std::uint64_t, std::vector<std::size_t>> by_bits;
-  by_bits.reserve(into.leaves.size());
+  // Box -> index of its first leaf in `into`.
+  std::map<Box, std::size_t, solver::BoxBitsLess> index;
   for (std::size_t i = 0; i < into.leaves.size(); ++i)
-    by_bits[BoxBitsHash(into.leaves[i].box)].push_back(i);
+    index.emplace(into.leaves[i].box, i);
 
   std::size_t dropped = 0;
   for (Region& leaf : from.leaves) {
-    Region* existing = nullptr;
-    auto it = by_bits.find(BoxBitsHash(leaf.box));
-    if (it != by_bits.end()) {
-      for (std::size_t i : it->second) {
-        if (SameBoxBits(into.leaves[i].box, leaf.box)) {
-          existing = &into.leaves[i];
-          break;
-        }
-      }
-    }
-    if (existing == nullptr) {
-      by_bits[BoxBitsHash(leaf.box)].push_back(into.leaves.size());
+    const auto [it, inserted] = index.emplace(leaf.box, into.leaves.size());
+    if (inserted) {
       into.leaves.push_back(std::move(leaf));
       continue;
     }
     ++dropped;
+    Region& existing = into.leaves[it->second];
     if (RegionStatusPrecedence(leaf.status) >
-        RegionStatusPrecedence(existing->status))
-      *existing = std::move(leaf);
+        RegionStatusPrecedence(existing.status))
+      existing = std::move(leaf);
   }
   return dropped;
 }
 
 std::size_t CanonicalizeOpenBoxes(std::vector<solver::Box>& open,
                                   const VerificationReport& report) {
-  std::unordered_map<std::uint64_t, std::vector<const Box*>> decided;
-  decided.reserve(report.leaves.size());
-  for (const Region& leaf : report.leaves)
-    decided[BoxBitsHash(leaf.box)].push_back(&leaf.box);
-
-  auto leaf_decided = [&decided](const Box& box) {
-    const auto it = decided.find(BoxBitsHash(box));
-    if (it == decided.end()) return false;
-    for (const Box* b : it->second)
-      if (SameBoxBits(*b, box)) return true;
-    return false;
-  };
-
-  std::unordered_map<std::uint64_t, std::vector<std::size_t>> kept_bits;
-  std::vector<Box> kept;
-  kept.reserve(open.size());
-  std::size_t dropped = 0;
-  for (Box& box : open) {
-    const std::uint64_t h = BoxBitsHash(box);
-    bool duplicate = leaf_decided(box);
-    if (!duplicate) {
-      for (std::size_t i : kept_bits[h])
-        if (SameBoxBits(kept[i], box)) {
-          duplicate = true;
-          break;
-        }
-    }
-    if (duplicate) {
-      ++dropped;
-      continue;
-    }
-    kept_bits[h].push_back(kept.size());
-    kept.push_back(std::move(box));
-  }
-  open = std::move(kept);
+  // Every decided leaf, then every open box kept so far.
+  std::set<Box, solver::BoxBitsLess> seen;
+  for (const Region& leaf : report.leaves) seen.insert(leaf.box);
+  const std::size_t before = open.size();
+  std::erase_if(open, [&seen](const Box& box) {
+    return !seen.insert(box).second;
+  });
   std::sort(open.begin(), open.end(), BoxLess);
-  return dropped;
+  return before - open.size();
 }
 
 std::vector<Box> SplitBox(const Box& box, bool split_all_dims) {

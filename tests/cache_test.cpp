@@ -140,6 +140,44 @@ TEST(VerdictCache, StoreLookupExactBoxMatch) {
   EXPECT_EQ(cache.size(), 1u);
 }
 
+// A (scope, box) a document repeats keeps its first entry: the cache holds,
+// writes and erases it once, whether read from text or from a file.
+TEST(VerdictCache, RepeatedKeyKeepsItsFirstEntry) {
+  const std::vector<Interval> box{Interval(0.0, 1.0)};
+  const std::string text =
+      "{\"format\": \"xcv-verdict-cache\", \"version\": 1, "
+      "\"schema_version\": 1, \"entries\": [\n"
+      "  {\"scope\": \"0000000000000005\", \"box\": [[0, 1]], "
+      "\"kind\": \"unsat\", \"nodes\": 4},\n"
+      "  {\"scope\": \"0000000000000005\", \"box\": [[0, 1]], "
+      "\"kind\": \"timeout\", \"nodes\": 9}\n]}\n";
+  VerdictCache first_only;
+  first_only.Store(5, box, CachedVerdict{CachedKind::kUnsat, {}, {}, 4});
+
+  const std::string path = TempPath("cache_repeated_key.json");
+  {
+    std::ofstream os(path, std::ios::binary | std::ios::trunc);
+    os << text;
+  }
+  VerdictCache parsed;
+  VerdictCache loaded;
+  ASSERT_TRUE(parsed.FromJson(text));
+  ASSERT_TRUE(loaded.Load(path));
+  for (VerdictCache* cache : {&parsed, &loaded}) {
+    EXPECT_EQ(cache->size(), 1u);
+    CachedVerdict out;
+    ASSERT_TRUE(cache->Lookup(5, box, &out));
+    EXPECT_EQ(out.kind, CachedKind::kUnsat);
+    EXPECT_EQ(out.nodes, 4u);
+    EXPECT_EQ(cache->ToJson(), first_only.ToJson());
+    EXPECT_TRUE(cache->Erase(5, box));
+    EXPECT_FALSE(cache->Lookup(5, box, &out));
+    EXPECT_FALSE(cache->Erase(5, box));
+    EXPECT_EQ(cache->size(), 0u);
+  }
+  std::remove(path.c_str());
+}
+
 TEST(VerdictCache, JsonRoundTripsGnarlyDoublesExactly) {
   VerdictCache cache;
   const double denormal = 5e-324;

@@ -2,6 +2,7 @@
 // identity, merge-of-shards == unsharded byte-identity at both
 // granularities, cache union with conflicts, corrupt-input errors.
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -453,12 +454,18 @@ TEST(ShardReport, DuplicateLeavesMergeByPrecedence) {
   from.leaves.push_back({box, RegionStatus::kCounterexample, {0.5}});
   from.leaves.push_back(
       {Box({Interval(1.0, 2.0)}), RegionStatus::kTimeout, {}});
+  // Leaves are keyed by bit pattern: [-0, 1] is not [0, 1].
+  from.leaves.push_back(
+      {Box({Interval(-0.0, 1.0)}), RegionStatus::kTimeout, {}});
   from.solver_calls = 4;
   const std::size_t dropped =
       verifier::MergeReportInto(into, std::move(from));
   EXPECT_EQ(dropped, 1u);
-  ASSERT_EQ(into.leaves.size(), 2u);
+  ASSERT_EQ(into.leaves.size(), 3u);
   EXPECT_EQ(into.leaves[0].status, RegionStatus::kCounterexample);
+  EXPECT_FALSE(std::signbit(into.leaves[0].box[0].lo()));
+  EXPECT_EQ(into.leaves[2].status, RegionStatus::kTimeout);
+  EXPECT_TRUE(std::signbit(into.leaves[2].box[0].lo()));
   EXPECT_EQ(into.solver_calls, 7u);
 
   // delta-sat > unsat > timeout.
@@ -475,14 +482,19 @@ TEST(ShardReport, OpenBoxesDedupAgainstLeavesAndEachOther) {
   const Box decided({Interval(0.0, 1.0)});
   const Box open_a({Interval(1.0, 2.0)});
   const Box open_b({Interval(2.0, 4.0)});
+  // Not the decided box: its lower endpoint is -0.0.
+  const Box open_neg_zero({Interval(-0.0, 1.0)});
   VerificationReport report;
   report.leaves.push_back({decided, verifier::RegionStatus::kVerified, {}});
-  std::vector<Box> open = {open_b, decided, open_a, open_b};
+  std::vector<Box> open = {open_b, decided, open_neg_zero, open_a, open_b,
+                           open_neg_zero};
   const std::size_t dropped = verifier::CanonicalizeOpenBoxes(open, report);
-  EXPECT_EQ(dropped, 2u);  // the decided box and one duplicate
-  ASSERT_EQ(open.size(), 2u);
-  EXPECT_EQ(open[0][0], Interval(1.0, 2.0));  // canonical order
-  EXPECT_EQ(open[1][0], Interval(2.0, 4.0));
+  EXPECT_EQ(dropped, 3u);  // the decided box and two duplicates
+  ASSERT_EQ(open.size(), 3u);
+  EXPECT_TRUE(std::signbit(open[0][0].lo()));  // canonical order
+  EXPECT_EQ(open[0][0].hi(), 1.0);
+  EXPECT_EQ(open[1][0], Interval(1.0, 2.0));
+  EXPECT_EQ(open[2][0], Interval(2.0, 4.0));
 }
 
 }  // namespace
