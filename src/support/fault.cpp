@@ -3,11 +3,13 @@
 #include <chrono>
 #include <cstdlib>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "support/check.h"
+#include "support/json.h"
 
 namespace xcv::support::fault {
 
@@ -37,17 +39,24 @@ State& GetState() {
   return *state;
 }
 
+// `number`, the `what` of fault spec entry `text`, read with the flags'
+// decimal grammar (json::DecimalToDouble) as an integer in [lo, 2^53].
+std::int64_t SpecInteger(const std::string& text, const std::string& number,
+                         std::int64_t lo, const char* what) {
+  const std::optional<double> v = json::DecimalToDouble(number);
+  XCV_CHECK_MSG(v.has_value(), "fault spec '" << text << "': bad " << what
+                                               << " '" << number << "'");
+  return json::CheckedInteger(*v, lo, json::kMaxExactInteger,
+                              "fault spec '" + text + "': " + what);
+}
+
 Entry ParseEntry(const std::string& text) {
   Entry e;
   std::string body = text;
   // Split off the `=ARG` payload first (the arg may not contain '@').
   if (const auto eq = body.find('='); eq != std::string::npos) {
-    const std::string arg = body.substr(eq + 1);
+    e.arg = SpecInteger(text, body.substr(eq + 1), 0, "payload");
     body = body.substr(0, eq);
-    char* end = nullptr;
-    e.arg = std::strtoll(arg.c_str(), &end, 10);
-    XCV_CHECK_MSG(!arg.empty() && end != nullptr && *end == '\0' && e.arg >= 0,
-                  "fault spec '" << text << "': bad payload '" << arg << "'");
   }
   if (const auto at = body.find('@'); at != std::string::npos) {
     std::string when = body.substr(at + 1);
@@ -61,13 +70,9 @@ Entry ParseEntry(const std::string& text) {
         open_ended = true;
         when.pop_back();
       }
-      char* end = nullptr;
-      const unsigned long long n = std::strtoull(when.c_str(), &end, 10);
-      XCV_CHECK_MSG(!when.empty() && end != nullptr && *end == '\0' && n >= 1,
-                    "fault spec '" << text << "': bad occurrence '" << when
-                                   << "' (want N, N+, or *)");
-      e.from = n;
-      e.to = open_ended ? UINT64_MAX : n;
+      e.from = static_cast<std::uint64_t>(
+          SpecInteger(text, when, 1, "occurrence (want N, N+, or *)"));
+      e.to = open_ended ? UINT64_MAX : e.from;
     }
   }
   XCV_CHECK_MSG(!body.empty(), "fault spec '" << text << "': empty point name");

@@ -107,6 +107,15 @@ TEST_F(FaultTest, MalformedSpecsThrowAndArmNothing) {
   EXPECT_THROW(fault::ArmFromSpec("p.q@0"), InternalError);
   EXPECT_THROW(fault::ArmFromSpec("p.q=notanumber"), InternalError);
   EXPECT_THROW(fault::ArmFromSpec("@2"), InternalError);
+  // Counts and payloads take the flags' decimal grammar: no sign, blank or
+  // hex (strtoull read `@-1` as 2^64-1, a fault that never fires).
+  EXPECT_THROW(fault::ArmFromSpec("p.q@-1"), InternalError);
+  EXPECT_THROW(fault::ArmFromSpec("p.q@ 2"), InternalError);
+  EXPECT_THROW(fault::ArmFromSpec("p.q@0x2"), InternalError);
+  EXPECT_THROW(fault::ArmFromSpec("p.q@1.5+"), InternalError);
+  EXPECT_THROW(fault::ArmFromSpec("p.q= 5"), InternalError);
+  EXPECT_THROW(fault::ArmFromSpec("p.q=+5"), InternalError);
+  EXPECT_THROW(fault::ArmFromSpec("p.q=-1"), InternalError);
   EXPECT_FALSE(fault::Armed());
 }
 
