@@ -1,10 +1,9 @@
-#include <sstream>
+#include <algorithm>
 
 #include <gtest/gtest.h>
 
 #include "report/ascii_plot.h"
 #include "report/consistency.h"
-#include "report/csv.h"
 #include "report/tables.h"
 
 namespace xcv::report {
@@ -173,28 +172,6 @@ TEST(Tables, Table2RendersConsistency) {
   EXPECT_NE(out.find("J"), std::string::npos);
   EXPECT_NE(out.find("J*"), std::string::npos);
   EXPECT_NE(out.find("Legend"), std::string::npos);
-}
-
-TEST(Csv, RegionsRoundTripRowCount) {
-  std::ostringstream os;
-  WriteRegionsCsv(TwoLeafReport(), os);
-  const std::string csv = os.str();
-  // Header + 2 leaves.
-  EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'), 3);
-  EXPECT_NE(csv.find("verified"), std::string::npos);
-  EXPECT_NE(csv.find("counterexample"), std::string::npos);
-}
-
-TEST(Csv, PbViolationsListsOnlyFlaggedPoints) {
-  std::ostringstream os;
-  WritePbViolationsCsv(FakePb(true), os);
-  const auto pb = FakePb(true);
-  std::size_t flagged = 0;
-  for (auto v : pb.violated) flagged += v;
-  const std::string csv = os.str();
-  EXPECT_EQ(static_cast<std::size_t>(
-                std::count(csv.begin(), csv.end(), '\n')),
-            flagged + 1);
 }
 
 }  // namespace
