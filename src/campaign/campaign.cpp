@@ -3,10 +3,10 @@
 #include <utility>
 
 #include "campaign/serialize.h"
-#include "expr/optimize.h"
 #include "obs/trace.h"
 #include "support/check.h"
 #include "support/fault.h"
+#include "support/fnv.h"
 #include "support/stopwatch.h"
 #include "verifier/engine.h"
 
@@ -86,8 +86,9 @@ verifier::VerifierOptions Campaign::TunedOptions(
     // Salt with the condition id: the cache key then names the full
     // (functional tape, condition, options, box) coordinate even if two
     // conditions happened to compile to identical atom tapes.
-    tuned.solver.cache_salt =
-        expr::FnvMixString(expr::kFnvOffset, cond.short_id);
+    tuned.solver.cache_salt = support::HashBytes(
+        cond.short_id,
+        support::FnvMix(support::kFnvOffset, cond.short_id.size()));
   }
   return tuned;
 }

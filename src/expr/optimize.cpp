@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "support/check.h"
+#include "support/fnv.h"
 
 namespace xcv::expr {
 
@@ -375,27 +376,9 @@ Tape CompileOptimized(const Expr& e, OptimizeStats* stats) {
   return Optimize(Compile(e), stats);
 }
 
-std::uint64_t FnvMix(std::uint64_t h, std::uint64_t word) {
-  constexpr std::uint64_t kPrime = 1099511628211ull;
-  for (int i = 0; i < 8; ++i) {
-    h ^= (word >> (8 * i)) & 0xff;
-    h *= kPrime;
-  }
-  return h;
-}
-
-std::uint64_t FnvMixString(std::uint64_t h, const std::string& s) {
-  constexpr std::uint64_t kPrime = 1099511628211ull;
-  h = FnvMix(h, s.size());
-  for (char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= kPrime;
-  }
-  return h;
-}
-
 std::uint64_t TapeFingerprint(const Tape& tape) {
-  std::uint64_t h = kFnvOffset;
+  using support::FnvMix;
+  std::uint64_t h = support::kFnvOffset;
   h = FnvMix(h, tape.instrs.size());
   h = FnvMix(h, static_cast<std::uint64_t>(tape.num_env_slots));
   for (const Instr& in : tape.instrs) {

@@ -37,7 +37,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 
 #include "expr/compile.h"
 #include "expr/expr.h"
@@ -73,11 +72,5 @@ Tape CompileOptimized(const Expr& e, OptimizeStats* stats = nullptr);
 /// "the same compiled formula" across processes — what the persistent
 /// verdict cache (src/cache/) keys solver results by.
 std::uint64_t TapeFingerprint(const Tape& tape);
-
-/// FNV-1a continuation helpers, exposed so cache keys can fold additional
-/// words (options, condition ids) into one running fingerprint.
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-std::uint64_t FnvMix(std::uint64_t h, std::uint64_t word);
-std::uint64_t FnvMixString(std::uint64_t h, const std::string& s);
 
 }  // namespace xcv::expr

@@ -13,6 +13,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "support/check.h"
+#include "support/fnv.h"
 
 namespace xcv::solver {
 
@@ -123,11 +124,11 @@ DeltaSolver::DeltaSolver(expr::BoolExpr formula, SolverOptions options)
 }
 
 std::uint64_t DeltaSolver::ComputeCacheScope() const {
-  using expr::FnvMix;
+  using support::FnvMix;
   // Formula identity: canonical optimized tape of every distinct atom (in
   // compilation order, which is deterministic for a fixed formula) plus the
   // skeleton's shape over atom indices.
-  std::uint64_t h = expr::kFnvOffset;
+  std::uint64_t h = support::kFnvOffset;
   for (const Atom& atom : atoms_) {
     h = FnvMix(h, expr::TapeFingerprint(atom.tape));
     h = FnvMix(h, static_cast<std::uint64_t>(atom.rel));

@@ -16,6 +16,7 @@
 
 #include "support/check.h"
 #include "support/fault.h"
+#include "support/fnv.h"
 #include "support/json.h"
 
 namespace xcv::support {
@@ -135,14 +136,6 @@ void TouchFile(const std::string& path) {
 }
 
 // ---- Document checksums -----------------------------------------------------
-
-std::uint64_t HashBytes(std::string_view text, std::uint64_t h) {
-  for (const char c : text) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;  // FNV-1a prime
-  }
-  return h;
-}
 
 namespace {
 

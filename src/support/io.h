@@ -41,11 +41,6 @@ bool ReadFileToString(const std::string& path, std::string* out,
 /// beat just shortens the lease.
 void TouchFile(const std::string& path);
 
-/// FNV-1a 64 over `text` (the checksum hash; exposed for tests), continuing
-/// from `h`: HashBytes(b, HashBytes(a)) is the hash of a followed by b.
-std::uint64_t HashBytes(std::string_view text,
-                        std::uint64_t h = 1469598103934665603ull);
-
 /// Returns `json` with a `  "checksum": "<16 hex>",` line inserted after
 /// its `"version"` line. The hash covers every byte of the document except
 /// the inserted line, so VerifyDocumentChecksum can re-derive it. Returns

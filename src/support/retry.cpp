@@ -4,6 +4,7 @@
 #include <csignal>
 #include <limits>
 
+#include "support/fnv.h"
 #include "support/io.h"
 #include "support/json.h"
 
@@ -40,15 +41,6 @@ namespace {
 
 // The ledger predates schema_version; its "version" field is the major.
 constexpr DocumentKind kLedgerDocument{"xcv-node-ledger", 1, "nodes", "nodes"};
-
-std::uint64_t FnvMix64(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xffu;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 }  // namespace
 
 double BackoffSeconds(const RuntimeAttrs& attrs, const std::string& node,
@@ -60,9 +52,9 @@ double BackoffSeconds(const RuntimeAttrs& attrs, const std::string& node,
   // Jitter without an RNG: FNV-1a over (seed, node, attempt) mapped to
   // [0, 0.25] of the base — decorrelates a fleet retrying in lockstep
   // while keeping the timeline a pure function of its inputs.
-  std::uint64_t h = FnvMix64(1469598103934665603ull, seed);
-  h = FnvMix64(h, HashBytes(node));
-  h = FnvMix64(h, static_cast<std::uint64_t>(attempt));
+  std::uint64_t h = FnvMix(kFnvOffset, seed);
+  h = FnvMix(h, HashBytes(node));
+  h = FnvMix(h, static_cast<std::uint64_t>(attempt));
   const double frac =
       static_cast<double>(h % 1000003ull) / 1000003.0;  // [0, 1)
   return base * (1.0 + 0.25 * frac);

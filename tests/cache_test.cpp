@@ -31,6 +31,7 @@
 #include "obs/trace.h"
 #include "solver/icp.h"
 #include "support/check.h"
+#include "support/fnv.h"
 #include "support/io.h"
 #include "support/json.h"
 #include "verifier/verifier.h"
@@ -527,7 +528,7 @@ std::uint64_t CatalogueScopeFold(const solver::SolverOptions& options) {
       functionals::PaperFunctionals();
   for (const functionals::Functional& f : functionals::ExtensionFunctionals())
     catalogue.push_back(f);
-  std::uint64_t fold = expr::kFnvOffset;
+  std::uint64_t fold = support::kFnvOffset;
   int pairs = 0;
   for (const functionals::Functional& f : catalogue) {
     for (const conditions::ConditionInfo& cond :
@@ -536,7 +537,7 @@ std::uint64_t CatalogueScopeFold(const solver::SolverOptions& options) {
       const auto psi = conditions::BuildCondition(cond, f);
       if (!psi.has_value()) continue;
       ++pairs;
-      fold = expr::FnvMix(
+      fold = support::FnvMix(
           fold,
           solver::DeltaSolver(expr::BoolExpr::Not(*psi), options).cache_scope());
     }

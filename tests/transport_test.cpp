@@ -120,9 +120,9 @@ TEST_F(TransportTest, BackoffIsDeterministicBoundedAndJittered) {
   RuntimeAttrs attrs;
   attrs.backoff_initial_s = 0.5;
   attrs.backoff_max_s = 8.0;
-  // Pure function of its inputs.
-  EXPECT_EQ(retry::BackoffSeconds(attrs, "node-a", 1, 7),
-            retry::BackoffSeconds(attrs, "node-a", 1, 7));
+  // Pure function of its inputs, pinned to the exact seconds its FNV-1a
+  // jitter gives.
+  EXPECT_EQ(retry::BackoffSeconds(attrs, "node-a", 1, 7), 0.6214753855738433);
   // Exponential base with jitter in [base, 1.25*base].
   for (int attempt = 1; attempt <= 6; ++attempt) {
     const double base =
