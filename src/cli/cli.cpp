@@ -1,7 +1,6 @@
 #include "cli/cli.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdint>
@@ -331,14 +330,30 @@ class TraceSession {
   std::string path_;
 };
 
+/// Points SIGINT and SIGTERM at `campaign`'s cancel flag while in scope,
+/// and restores the default handlers on every exit, a throw included.
+class CancelOnSignal {
+ public:
+  explicit CancelOnSignal(Campaign& campaign) {
+    g_campaign = &campaign;
+    std::signal(SIGINT, HandleSignal);
+    std::signal(SIGTERM, HandleSignal);
+  }
+  ~CancelOnSignal() {
+    g_campaign = nullptr;
+    std::signal(SIGINT, SIG_DFL);
+    std::signal(SIGTERM, SIG_DFL);
+  }
+  CancelOnSignal(const CancelOnSignal&) = delete;
+  CancelOnSignal& operator=(const CancelOnSignal&) = delete;
+};
+
 /// Runs the campaign with signal-cancel wiring and optional per-pair
 /// progress on stderr. Rendering is a separate step (RenderResult) so
 /// callers can stop side streams — the resume heartbeat — in between.
 CampaignResult ExecuteCampaign(Campaign& campaign,
                                const api::OutputPolicy& policy) {
-  g_campaign = &campaign;
-  std::signal(SIGINT, HandleSignal);
-  std::signal(SIGTERM, HandleSignal);
+  const CancelOnSignal cancel_on_signal(campaign);
 
   Campaign::ProgressFn progress;
   if (policy.progress) {
@@ -355,11 +370,7 @@ CampaignResult ExecuteCampaign(Campaign& campaign,
     };
   }
 
-  const CampaignResult result = campaign.Run(progress);
-  g_campaign = nullptr;
-  std::signal(SIGINT, SIG_DFL);
-  std::signal(SIGTERM, SIG_DFL);
-  return result;
+  return campaign.Run(progress);
 }
 
 int RenderResult(const CampaignResult& result, const CampaignOptions& options,
@@ -457,15 +468,14 @@ int CmdResume(const ParsedArgs& args) {
   // Heartbeat: touch the named file every 250 ms so a supervisor (`xcv
   // coordinate`, or any watchdog) can tell working from hung by mtime
   // alone. The thread dies with the process, so a crash stops the beat —
-  // which is the point.
-  std::atomic<bool> heartbeat_stop{false};
-  std::thread heartbeat_thread;
+  // which is the point. An error stops and joins it on the way out.
+  std::jthread heartbeat;
   const auto hb = args.flags.find("heartbeat");
   const bool markers = policy.stream_markers;
   if (hb != args.flags.end() || markers) {
     const std::string hb_path = hb != args.flags.end() ? hb->second : "";
-    heartbeat_thread = std::thread([hb_path, markers, &heartbeat_stop] {
-      while (!heartbeat_stop.load(std::memory_order_relaxed)) {
+    heartbeat = std::jthread([hb_path, markers](std::stop_token stop) {
+      while (!stop.stop_requested()) {
         if (!hb_path.empty()) support::TouchFile(hb_path);
         if (markers) {
           // One full line per beat: a remote supervisor watching this
@@ -482,9 +492,9 @@ int CmdResume(const ParsedArgs& args) {
   // The marker stream stops *before* the report is rendered: a machine-mode
   // document (json/csv) on stdout must never have an XCV-HEARTBEAT line
   // land inside it (the beat used to keep running through rendering).
-  if (heartbeat_thread.joinable()) {
-    heartbeat_stop.store(true, std::memory_order_relaxed);
-    heartbeat_thread.join();
+  if (heartbeat.joinable()) {
+    heartbeat.request_stop();
+    heartbeat.join();
   }
   return RenderResult(result, options, policy.mode);
 }

@@ -186,7 +186,8 @@ void ThreadPool::WorkerLoop() {
       const auto run_start = observe ? std::chrono::steady_clock::now()
                                      : std::chrono::steady_clock::time_point{};
       item.fn();  // Exceptions from tasks are intentionally fatal (terminate):
-                  // engine tasks catch their own errors and record them.
+                  // RunEngines' tickets catch their own errors and rethrow
+                  // the first one from the driver once the group drains.
       if (observe) TaskRunHistogram().Observe(SecondsSince(run_start));
       item.fn = nullptr;
       lock.lock();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <exception>
 #include <limits>
 #include <map>
 #include <set>
@@ -556,20 +557,33 @@ void RunEngines(std::span<PairEngine* const> engines, int num_threads,
   const auto cap = static_cast<std::size_t>(num_threads);
   ThreadPool& pool = ThreadPool::Global(cap);
   auto group = pool.MakeGroup(cap);
+  // The first error a ticket throws stops the group: tickets that start
+  // after it return without work, and it is rethrown once the group has
+  // drained, as the one-thread loop would have thrown it.
+  std::mutex error_mu;
+  std::exception_ptr error;
+  std::atomic<bool> failed{false};
   // Each ticket decides a batch of its engine's *current* best boxes.
   for (std::size_t i = 0; i < engines.size(); ++i) {
     PairEngine* engine = engines[i];
-    engine->SetTicketSink([&pool, &group, engine, i, cancel,
-                           &finished](double priority) {
-      pool.Submit(group, priority, [engine, i, cancel, &finished] {
-        engine->ProcessNext(cancel);
-        if (finished && engine->Finished()) finished(i);
+    engine->SetTicketSink([&, engine, i](double priority) {
+      pool.Submit(group, priority, [&, engine, i] {
+        if (failed.load(std::memory_order_relaxed)) return;
+        try {
+          engine->ProcessNext(cancel);
+          if (finished && engine->Finished()) finished(i);
+        } catch (...) {
+          std::lock_guard<std::mutex> lock(error_mu);
+          if (!error) error = std::current_exception();
+          failed.store(true, std::memory_order_relaxed);
+        }
       });
     });
   }
   for (PairEngine* engine : engines) engine->EmitTicketsForOpen();
   pool.Wait(group);
   for (PairEngine* engine : engines) engine->SetTicketSink(nullptr);
+  if (error) std::rethrow_exception(error);
 }
 
 }  // namespace xcv::verifier

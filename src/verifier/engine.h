@@ -234,7 +234,10 @@ std::vector<solver::Box> SplitBox(const solver::Box& box, bool split_all_dims);
 /// capped at num_threads concurrent batches. Either way each ProcessNext
 /// decides a batch of up to wave_width boxes. After a batch leaves engine
 /// `i` Finished(), `finished(i)` runs on the same thread (possibly more
-/// than once per engine when pool tickets race).
+/// than once per engine when pool tickets race). An exception from
+/// ProcessNext or `finished` propagates on either path; on the pool it
+/// stops the group's remaining tickets and is rethrown once the group has
+/// drained.
 void RunEngines(std::span<PairEngine* const> engines, int num_threads,
                 const std::atomic<bool>* cancel,
                 const std::function<void(std::size_t)>& finished);

@@ -284,20 +284,18 @@ TEST(Cli, ChaosFlagsAreCheckedBeforeAnyNodeLaunches) {
   EXPECT_FALSE(std::filesystem::exists(work));
 }
 
-// Runs `xcv resume` on a checkpoint file holding `text`; returns the exit
-// code and leaves stderr in `err`.
+// Runs `xcv resume` with `flags` on a checkpoint file holding `text`;
+// returns the exit code and leaves stderr in `err`.
 int ResumeFrom(const std::string& name, const std::string& text,
-               std::string* err) {
+               std::string* err, const std::vector<std::string>& flags = {}) {
   const std::string path = ::testing::TempDir() + name;
   {
     std::ofstream out(path, std::ios::binary);
     out << text;
   }
-  const std::string flag = "--checkpoint=" + path;
-  const char* argv[] = {"xcv", "resume", flag.c_str()};
-  ::testing::internal::CaptureStderr();
-  const int rc = Main(3, argv);
-  *err = ::testing::internal::GetCapturedStderr();
+  std::vector<std::string> args = {"resume", "--checkpoint=" + path};
+  args.insert(args.end(), flags.begin(), flags.end());
+  const int rc = RunXcv(args, err);
   std::remove(path.c_str());
   return rc;
 }
@@ -351,6 +349,37 @@ TEST(Cli, ResumeRejectsHostileCheckpoints) {
   const campaign::Checkpoint widest = campaign::CheckpointFromJson(
       with_field("num_threads", std::to_string(verifier::kMaxThreads)));
   EXPECT_EQ(widest.options.verifier.num_threads, verifier::kMaxThreads);
+
+  // Open boxes the PBE pair cannot run: one-dimensional boxes fail its
+  // first solve, and a 1-D box among 2-D ones fails the frontier restore.
+  // Each is exit 2 with its message on one thread and on the pool, with
+  // and without the heartbeat every coordinated node runs with (the pool
+  // and the heartbeat used to end the process in std::terminate).
+  campaign::PairState pair;
+  pair.functional = "PBE";
+  pair.condition = "EC1";
+  pair.applicable = true;
+  const solver::Box flat({Interval(0.5, 1.0)});
+  const solver::Box square({Interval(0.5, 1.0), Interval(0.0, 1.0)});
+  const std::string heartbeat = ::testing::TempDir() + "xcv_hostile_hb.txt";
+  for (const auto& [open, message] :
+       {std::pair<std::vector<solver::Box>, std::string>{
+            {flat, flat}, "tape variable index 1 outside batch inputs"},
+        {{square, flat}, "open frontier boxes must share one dimensionality"}}) {
+    pair.open = open;
+    const std::string text = campaign::CheckpointToJson(
+        api::DefaultJobSpec().options, {pair}, /*cancelled=*/false);
+    for (const std::vector<std::string>& flags :
+         {std::vector<std::string>{"--threads=1"},
+          {"--threads=2"},
+          {"--threads=1", "--heartbeat=" + heartbeat},
+          {"--threads=2", "--heartbeat=" + heartbeat}}) {
+      EXPECT_EQ(ResumeFrom("xcv_hostile_open.json", text, &err, flags), 2)
+          << message << " " << flags.back();
+      EXPECT_NE(err.find(message), std::string::npos) << err;
+    }
+  }
+  std::remove(heartbeat.c_str());
 }
 
 // A checkpoint load runs the option validator, so merge refuses what resume
