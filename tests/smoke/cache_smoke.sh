@@ -4,9 +4,8 @@
 #
 #   tests/smoke/cache_smoke.sh XCV WORKDIR
 #
-# XCV is the xcv binary; WORKDIR is emptied and receives the cache, the
-# CSVs and the verdict extracts. ctest runs it under the `smoke` label.
-# It checks that
+# XCV is the xcv binary; WORKDIR is emptied and receives the caches and
+# the CSVs. ctest runs it under the `smoke` label. It checks that
 #   - the cold cache's bytes do not depend on the thread count;
 #   - the warm run reproduces the cold verdict columns, skips at least half
 #     the solver calls, and leaves the file untouched (same inode and mtime)
@@ -14,6 +13,7 @@
 #   - a replay at half the split threshold matches a cache-less run there,
 #     with every box it solved a hit or a miss and no clean entry rejected.
 set -euo pipefail
+source "$(dirname "$0")/lib.sh"
 
 xcv=$(realpath "$1")
 work=$2
@@ -41,31 +41,19 @@ if [ "$before" != "$after" ]; then
        "inode/mtime '$before' -> '$after'" >&2
   exit 1
 fi
-
-# Columns 1-11 (functional..witnesses) are the deterministic verdict
-# content; the cache/timing columns after them are run-local by design.
-cut -d, -f1-11 cold.csv > cold-verdicts.csv
-cut -d, -f1-11 warm.csv > warm-verdicts.csv
-diff cold-verdicts.csv warm-verdicts.csv
-python3 - <<'EOF'
-import csv
-cold = list(csv.DictReader(open('cold.csv')))
-warm = list(csv.DictReader(open('warm.csv')))
-cold_calls = sum(int(r['solver_calls']) for r in cold)
-warm_calls = sum(int(r['solver_calls']) for r in warm)
-hits = sum(int(r['cache_hits']) for r in warm)
-misses = sum(int(r['cache_misses']) for r in warm)
-rejected = sum(int(r['cache_rejected']) for r in warm)
-rate = hits / max(1, hits + misses)
-print(f'cold solver calls: {cold_calls}, warm: {warm_calls}')
-print(f'warm hit rate: {rate:.2%} ({hits} hits, {misses} misses, '
-      f'{rejected} rejected)')
-assert cold_calls > 0, 'cold run made no solver calls'
-assert hits > 0, 'warm run had no cache hits'
-assert rate >= 0.5, f'warm hit rate {rate:.2%} below the 50% floor'
-assert warm_calls * 2 <= cold_calls, \
-    'warm run skipped fewer than half the solver calls'
-EOF
+same_columns 11 cold.csv warm.csv
+cold_calls=$(column_sum cold.csv solver_calls)
+warm_calls=$(column_sum warm.csv solver_calls)
+hits=$(column_sum warm.csv cache_hits)
+misses=$(column_sum warm.csv cache_misses)
+rejected=$(column_sum warm.csv cache_rejected)
+echo "cold solver calls: $cold_calls, warm: $warm_calls" \
+     "($hits hits, $misses misses, $rejected rejected)"
+check "cold_calls > 0" "cold run made no solver calls"
+check "hits > 0" "warm run had no cache hits"
+check "hits * 2 >= hits + misses" "warm hit rate below the 50% floor"
+check "warm_calls * 2 <= cold_calls" \
+      "warm run skipped fewer than half the solver calls"
 
 # A replay at half the split threshold: the cache holds the coarse tree,
 # so the solver decides batches of hits and misses together. The report
@@ -75,23 +63,16 @@ echo "== partially warm run (replays xcv-cache.json at half the threshold)"
 "$xcv" "${matrix[@]}" --threads=2 --split-threshold=0.625 > fine-bare.csv
 "$xcv" "${matrix[@]}" --threads=2 --split-threshold=0.625 \
   --cache=xcv-cache.json --cache-readonly > partial.csv
-cut -d, -f1-11 fine-bare.csv > fine-bare-verdicts.csv
-cut -d, -f1-11 partial.csv > partial-verdicts.csv
-diff fine-bare-verdicts.csv partial-verdicts.csv
-python3 - <<'EOF'
-import csv
-bare = list(csv.DictReader(open('fine-bare.csv')))
-part = list(csv.DictReader(open('partial.csv')))
-bare_calls = sum(int(r['solver_calls']) for r in bare)
-hits = sum(int(r['cache_hits']) for r in part)
-misses = sum(int(r['cache_misses']) for r in part)
-rejected = sum(int(r['cache_rejected']) for r in part)
-print(f'partially warm: {hits} hits, {misses} misses, '
-      f'{rejected} rejected; cache-less solver calls: {bare_calls}')
-assert rejected == 0, 'a clean cache entry was rejected'
-assert hits > 0, 'the partially warm run had no cache hits'
-assert misses > 0, 'the partially warm run had no cache misses'
-assert hits + misses == bare_calls, \
-    'hits + misses differ from the cache-less solver calls'
-EOF
+same_columns 11 fine-bare.csv partial.csv
+bare_calls=$(column_sum fine-bare.csv solver_calls)
+hits=$(column_sum partial.csv cache_hits)
+misses=$(column_sum partial.csv cache_misses)
+rejected=$(column_sum partial.csv cache_rejected)
+echo "partially warm: $hits hits, $misses misses, $rejected rejected;" \
+     "cache-less solver calls: $bare_calls"
+check "rejected == 0" "a clean cache entry was rejected"
+check "hits > 0" "the partially warm run had no cache hits"
+check "misses > 0" "the partially warm run had no cache misses"
+check "hits + misses == bare_calls" \
+      "hits + misses differ from the cache-less solver calls"
 echo "cache smoke: ok"
