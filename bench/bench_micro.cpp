@@ -541,11 +541,11 @@ void RunContractBatch(const functionals::Functional& f) {
 
 // ---- Verdict-cache replay (JSON trajectory) ---------------------------------
 
-// Cold-vs-warm campaign wall time on the lda/pbe matrix (the shape the CI
-// cache-smoke job runs): the cold run populates a verdict-cache file, the
-// warm run replays it. Budget-free and node-capped, so both runs compute
-// byte-identical reports — the JSON line asserts that along with the
-// speedup and hit rate.
+// Cold-vs-warm campaign wall time on the lda/pbe matrix (the shape
+// tests/smoke/cache_smoke.sh runs): the cold run populates a verdict-cache
+// file, the warm run replays it. Budget-free and node-capped, so both runs
+// compute byte-identical reports — the JSON line asserts that along with
+// the speedup and hit rate.
 void RunCacheReplay() {
   const std::string path = "bench_cache_replay.cache.json";
   std::remove(path.c_str());
