@@ -227,6 +227,13 @@ Histogram& Registry::GetHistogram(
   return *slot;
 }
 
+void Registry::Declare(const std::string& name, const std::string& help,
+                       MetricType type,
+                       const std::vector<std::string>& label_names) {
+  std::lock_guard<std::mutex> lock(mu_);
+  GetFamilyLocked(name, help, type, label_names);
+}
+
 std::string Registry::RenderPrometheus() const {
   std::lock_guard<std::mutex> lock(mu_);
   // Families render sorted by name regardless of registration order.

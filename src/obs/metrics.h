@@ -130,6 +130,10 @@ class Registry {
                           const std::vector<double>& upper_bounds,
                           const std::vector<std::string>& label_names = {},
                           const std::vector<std::string>& label_values = {});
+  /// Creates the family with no series, so the exposition names it (HELP
+  /// and TYPE lines) before its first labelled series exists.
+  void Declare(const std::string& name, const std::string& help,
+               MetricType type, const std::vector<std::string>& label_names);
 
   /// Prometheus text exposition (version 0.0.4): families sorted by name,
   /// series sorted by label values, `# HELP`/`# TYPE` headers, label

@@ -66,6 +66,23 @@ std::string NormalizeRoute(const std::string& path) {
   return out.empty() ? "/" : out;
 }
 
+constexpr const char* kRequestsName = "xcv_http_requests_total";
+constexpr const char* kRequestsHelp =
+    "HTTP requests served, by normalized route and status.";
+constexpr const char* kLatencyName = "xcv_http_request_seconds";
+constexpr const char* kLatencyHelp =
+    "HTTP request handling latency by normalized route.";
+
+/// Declares the families ObserveRequest fills, so a server's first scrape
+/// already names them although no request has finished yet.
+void DeclareRequestFamilies() {
+  if (!obs::MetricsEnabled()) return;
+  obs::Registry::Global().Declare(kRequestsName, kRequestsHelp,
+                                  obs::MetricType::kCounter, {"route", "code"});
+  obs::Registry::Global().Declare(kLatencyName, kLatencyHelp,
+                                  obs::MetricType::kHistogram, {"route"});
+}
+
 void ObserveRequest(const std::string& method, const std::string& path,
                     int status, double seconds) {
   if (!obs::MetricsEnabled()) return;
@@ -74,14 +91,12 @@ void ObserveRequest(const std::string& method, const std::string& path,
   // these lookups go through the registry each time (one mutex acquire on
   // a cold admin-path endpoint — not a hot path).
   obs::Registry::Global()
-      .GetCounter("xcv_http_requests_total",
-                  "HTTP requests served, by normalized route and status.",
-                  {"route", "code"}, {route, std::to_string(status)})
+      .GetCounter(kRequestsName, kRequestsHelp, {"route", "code"},
+                  {route, std::to_string(status)})
       .Inc();
   obs::Registry::Global()
-      .GetHistogram("xcv_http_request_seconds",
-                    "HTTP request handling latency by normalized route.",
-                    obs::DefaultSecondsBuckets(), {"route"}, {route})
+      .GetHistogram(kLatencyName, kLatencyHelp, obs::DefaultSecondsBuckets(),
+                    {"route"}, {route})
       .Observe(seconds);
 }
 
@@ -256,6 +271,7 @@ void HttpServer::Start(int port, HttpHandler handler) {
   ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
   port_ = static_cast<int>(ntohs(addr.sin_port));
 
+  DeclareRequestFamilies();
   accept_thread_ = std::thread([this] { AcceptLoop(); });
 }
 

@@ -560,7 +560,6 @@ void RunEngines(std::span<PairEngine* const> engines, int num_threads,
   // The first error a ticket throws stops the group: tickets that start
   // after it return without work, and it is rethrown once the group has
   // drained, as the one-thread loop would have thrown it.
-  std::mutex error_mu;
   std::exception_ptr error;
   std::atomic<bool> failed{false};
   // Each ticket decides a batch of its engine's *current* best boxes.
@@ -573,9 +572,9 @@ void RunEngines(std::span<PairEngine* const> engines, int num_threads,
           engine->ProcessNext(cancel);
           if (finished && engine->Finished()) finished(i);
         } catch (...) {
-          std::lock_guard<std::mutex> lock(error_mu);
-          if (!error) error = std::current_exception();
-          failed.store(true, std::memory_order_relaxed);
+          // Only the ticket that sets the flag writes the error;
+          // pool.Wait orders that write before the rethrow below.
+          if (!failed.exchange(true)) error = std::current_exception();
         }
       });
     });

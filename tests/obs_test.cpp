@@ -132,6 +132,18 @@ TEST(ObsMetrics, HistogramRendersCumulativeBuckets) {
   EXPECT_NE(text.find("t_h_seconds_count 3\n"), std::string::npos) << text;
 }
 
+TEST(ObsMetrics, DeclaredFamilyRendersHeadersBeforeItsFirstSeries) {
+  Registry reg;
+  reg.Declare("t_decl_total", "declared", MetricType::kCounter, {"route"});
+  EXPECT_EQ(reg.RenderPrometheus(),
+            "# HELP t_decl_total declared\n# TYPE t_decl_total counter\n");
+  reg.GetCounter("t_decl_total", "declared", {"route"}, {"a"}).Inc();
+  EXPECT_NE(reg.RenderPrometheus().find("t_decl_total{route=\"a\"} 1\n"),
+            std::string::npos);
+  EXPECT_THROW(reg.GetCounter("t_decl_total", "declared", {"code"}, {"a"}),
+               std::logic_error);
+}
+
 TEST(ObsMetrics, RejectsMismatchedReRegistration) {
   Registry reg;
   reg.GetCounter("t_clash_total", "test", {"a"}, {"x"});

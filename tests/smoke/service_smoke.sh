@@ -79,18 +79,21 @@ submit() {
 }
 
 # wait_for ID FIELD VALUE: polls job ID until FIELD reads VALUE, or for
-# pairs_done at least VALUE; a failed job or ten minutes without it fail
-# the flow.
+# pairs_done at least VALUE. A job that settles without it (done, failed,
+# paused or cancelled), or five minutes of polling, fail the flow.
 wait_for() {
-  local got=
-  for _ in $(seq 1 3000); do
-    got=$(http GET "/v1/campaigns/$1" | field "$2")
+  local job got status deadline=$((SECONDS + 300))
+  while :; do
+    job=$(http GET "/v1/campaigns/$1")
+    got=$(field "$2" <<< "$job")
     [ "$got" = "$3" ] && return 0
     [ "$2" = pairs_done ] && (( got >= $3 )) && return 0
-    [ "$got" = failed ] && break
+    status=$(field status <<< "$job")
+    case $status in done | failed | paused | cancelled) break ;; esac
+    (( SECONDS < deadline )) || break
     sleep 0.2
   done
-  echo "FAILED: job $1 has $2 '$got', expected '$3'" >&2
+  echo "FAILED: job $1 has $2 '$got' (status $status), expected '$3'" >&2
   exit 1
 }
 
@@ -102,8 +105,8 @@ report() {
 # One small job for the daemon-versus-CLI checks, and one long enough to
 # pause while its PBE pairs run (about 3 s in Release) for the restart.
 # Both cap calls at few enough nodes that no call reaches the solver's
-# per-call wall clock (0.5 s), not even under the sanitizers' slowdown,
-# so their reports stay deterministic there too.
+# per-call wall clock (0.5 s) in Release; under ASan and UBSan the slowest
+# call took 0.15 s with the flow run alone on 4 vCPUs.
 cat > small.json <<'EOF'
 {"format": "xcv-job-spec",
  "functionals": "lda,pbe", "conditions": "EC1,EC2,EC4", "output": "csv",
@@ -131,9 +134,7 @@ wait_for "$id" status done
 report "$id" > daemon.csv
 http GET /v1/metrics > after.prom
 same_columns 13 small-cli.csv daemon.csv
-# The HTTP families exist once a request has finished, so a fresh daemon's
-# first scrape (before.prom) has none.
-expect_log after.prom '^# TYPE xcv_http_requests_total counter'
+expect_log before.prom '^# TYPE xcv_http_requests_total counter'
 python3 - <<'EOF'
 import csv
 
